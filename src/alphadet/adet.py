@@ -6,15 +6,16 @@ integers grouped by cycle statistic, and rationals only appear when the
 accumulated counts are combined at the end.
 
 Two evaluation tiers: naive permutation enumeration is the ground truth at
-small sizes, and each structured path (coset-grouped block-ones evaluation,
-column-word grouping of the wreath average) is an exact regrouping of the
-same sum, gated by oracle-equivalence tests on overlapping sizes.
+small sizes, and each structured path (the cycle-class tables behind the
+two-parameter sums, column-word grouping of the wreath average) is an exact
+regrouping of the same sum, gated by oracle-equivalence tests on
+overlapping sizes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Sequence
 
@@ -22,12 +23,12 @@ from .errors import SizeCapExceeded
 from .matrices import PermutedBlockOnes, RatMatrix, inflate, scaled_int_rows
 from .perms import (
     Perm,
-    _compose,
+    _cycle_type,
     _embed,
     _trans_len,
-    perm_range,
+    perm_of_cycle_type,
     perm_tuples,
-    young_blocks,
+    translate_cycle_types,
 )
 from .polynomials import QPoly, QPoly2
 
@@ -63,40 +64,76 @@ def _accumulate(rows: Sequence[Sequence[int]], perms) -> list[int]:
     return acc
 
 
-def _adet_chunk(args) -> list[int]:
-    rows, start, stop = args
-    return _accumulate(rows, perm_range(len(rows), start, stop))
+def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
+    """Integer sums of the products prod_j rows[p(j)][j] over the
+    permutations p of each cycle type."""
+    n = len(rows)
+    sums: dict[tuple[int, ...], int] = {}
+    for p in perm_tuples(n):
+        prod = 1
+        for j in range(n):
+            prod *= rows[p[j] - 1][j]
+            if not prod:
+                break
+        if prod:
+            ct = _cycle_type(p)
+            sums[ct] = sums.get(ct, 0) + prod
+    return sums
 
 
-def adet_poly(a: RatMatrix, workers: int = 1) -> QPoly:
-    """The alpha-determinant as an exact polynomial: coefficient d collects
-    the permutations at transposition length d.
+@cache
+def _trans_lens(n: int) -> bytes:
+    """Transposition lengths of perm_tuples(n), in enumeration order."""
+    return bytes(_trans_len(p) for p in perm_tuples(n))
 
-    With workers > 1 the n! permutations are split into contiguous
-    lexicographic rank ranges reduced in range order; exact addition makes
-    the result identical to the serial one.
+
+@cache
+def class_table(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """K[i][j] = #{sigma in S_n : len(g sigma) = i, len(sigma) = j} for any
+    g of cycle type rho.
+
+    Conjugating g by c relabels sigma as c sigma c^-1 without changing
+    either length, so the table depends only on rho.
     """
+    n = sum(rho)
+    # g0[v] = g(v) - 1: walks the cycles of g sigma from 1-based images of sigma
+    g0 = (0,) + tuple(v - 1 for v in perm_of_cycle_type(rho, n).images)
+    flat = [0] * (n * n)
+    letters = range(n)
+    for p, len_sigma in zip(perm_tuples(n), _trans_lens(n)):
+        seen = bytearray(n)
+        cycles = 0
+        for i in letters:
+            if not seen[i]:
+                cycles += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = 1
+                    j = g0[p[j]]
+        flat[(n - cycles) * n + len_sigma] += 1
+    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _combine_tables(n: int, weights: dict[tuple[int, ...], int]) -> list[list[int]]:
+    """sum over rho of weights[rho] * class_table(rho)."""
+    joint = [[0] * n for _ in range(n)]
+    for rho, w in weights.items():
+        for row, counts in zip(joint, class_table(rho)):
+            for j, c in enumerate(counts):
+                row[j] += w * c
+    return joint
+
+
+def adet_poly(a: RatMatrix) -> QPoly:
+    """The alpha-determinant as an exact polynomial: coefficient d collects
+    the permutations at transposition length d."""
     n = a.require_square()
     if n > ADET_CAP:
         raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
     if n == 0:
         return QPoly.one()
     rows, scale = scaled_int_rows(a)
-    if workers <= 1:
-        acc = _accumulate(rows, perm_tuples(n))
-    else:
-        total = factorial(n)
-        bounds = [total * w // workers for w in range(workers + 1)]
-        chunks = [
-            (tuple(rows), lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        acc = [0] * n
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_adet_chunk, chunks):
-                for d, v in enumerate(partial):
-                    acc[d] += v
+    acc = _accumulate(rows, perm_tuples(n))
     denom = scale**n
     return QPoly(Fraction(v, denom) for v in acc)
 
@@ -123,91 +160,36 @@ def adet_at(a: RatMatrix, x: Fraction) -> Fraction:
 
 def adet2_poly(a: RatMatrix) -> QPoly2:
     """Two-parameter deformation: double sum over permutation pairs with
-    entry products prod_i a[tau(i), sigma(i)], exponents (len tau, len sigma)."""
+    entry products prod_i a[tau(i), sigma(i)], exponents (len tau, len sigma).
+
+    With pi = tau sigma^-1 the entry product is prod_j a[pi(j), j], so the
+    double sum is the sum over pi of that product times the class table of
+    pi's cycle type.
+    """
     n = a.require_square()
     if n > ADET2_CAP:
         raise SizeCapExceeded(f"n={n} exceeds two-parameter cap {ADET2_CAP}")
     if n == 0:
         return QPoly2([[1]])
     rows, scale = scaled_int_rows(a)
-    tagged = [(p, _trans_len(p)) for p in perm_tuples(n)]
-    acc = [[0] * n for _ in range(n)]
-    for tau, dt in tagged:
-        tau_rows = [rows[v - 1] for v in tau]
-        row_acc = acc[dt]
-        for sigma, ds in tagged:
-            prod = 1
-            for i in range(n):
-                prod *= tau_rows[i][sigma[i] - 1]
-                if not prod:
-                    break
-            if prod:
-                row_acc[ds] += prod
+    joint = _combine_tables(n, class_sums(rows))
     denom = scale**n
-    return QPoly2([[Fraction(v, denom) for v in row] for row in acc])
+    return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
 
 
 def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction:
     """Two-parameter value on a row-permuted block-ones matrix.
 
-    The entry product of a pair (tau, sigma) is 1 exactly when tau lies in
-    g * S_mu * sigma, so the double sum collapses to
-    sum over sigma of y^len(sigma) * sum over h in S_mu of x^len(g h sigma).
-    The inner sum is constant on right cosets S_mu * sigma, and h * sigma
-    sweeps the coset of sigma, so a single pass over S_n grouped by coset
-    (counting both len(sigma) and len(g sigma)) recovers the whole sum.
+    The entry product of a pair (tau, sigma) is 1 exactly when
+    tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so the double sum
+    is the sum over h in S_mu of the class table of g h.
     """
     n = s.g.n
     if n > STRUCTURED_CAP:
         raise SizeCapExceeded(f"n={n} exceeds structured cap {STRUCTURED_CAP}")
     if n == 0:
         return Fraction(1)
-    x, y = Fraction(x), Fraction(y)
-    g = s.g.images
-    joint = [[0] * n for _ in range(n)]
-    if all(part == 1 for part in s.mu):
-        # singleton blocks: every coset is {sigma} and the pair product is
-        # nonzero only for tau = g sigma
-        for p in perm_tuples(n):
-            joint[_trans_len(_compose(g, p))][_trans_len(p)] += 1
-    else:
-        block_of = [0] * n
-        starts = []
-        for b, blk in enumerate(young_blocks(s.mu)):
-            starts.append(blk.start - 1)
-            for v in blk:
-                block_of[v - 1] = b
-        cosets: dict[tuple[int, ...], list[int]] = {}
-        for p in perm_tuples(n):
-            counter = starts.copy()
-            key = [0] * n
-            for i in range(n):
-                b = block_of[p[i] - 1]
-                counter[b] += 1
-                key[i] = counter[b]
-            arr = cosets.get(tuple(key))
-            if arr is None:
-                arr = cosets[tuple(key)] = [0] * (2 * n)
-            arr[_trans_len(p)] += 1
-            arr[n + _trans_len(_compose(g, p))] += 1
-        for arr in cosets.values():
-            for a_exp in range(n):
-                cx = arr[n + a_exp]
-                if cx:
-                    row = joint[a_exp]
-                    for b_exp in range(n):
-                        cy = arr[b_exp]
-                        if cy:
-                            row[b_exp] += cx * cy
-    xpow = [x**d for d in range(n)]
-    ypow = [y**d for d in range(n)]
-    total = Fraction(0)
-    for a_exp in range(n):
-        for b_exp in range(n):
-            c = joint[a_exp][b_exp]
-            if c:
-                total += c * xpow[a_exp] * ypow[b_exp]
-    return total
+    return QPoly2(_combine_tables(n, translate_cycle_types(s.g, s.mu))).eval(x, y)
 
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:

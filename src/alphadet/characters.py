@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
+from .adet import class_sums
 from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
 from .matrices import RatMatrix, scaled_int_rows
 from .partitions import (
@@ -27,9 +28,10 @@ from .perms import (
     _compose,
     _cycle_type,
     _trans_len,
+    perm_of_cycle_type,
     perm_tuples,
+    translate_cycle_types,
     young_subgroup_order,
-    young_subgroup_tuples,
 )
 from .polynomials import QPoly
 
@@ -105,18 +107,6 @@ def class_size(rho: Sequence[int]) -> int:
     return factorial(sum(rho)) // centralizer_order(rho)
 
 
-def perm_of_cycle_type(rho: Sequence[int], n: int) -> Perm:
-    """Canonical representative: cycles laid out on consecutive letters."""
-    if sum(rho) != n:
-        raise ShapeWeightMismatch(f"|{tuple(rho)}| != {n}")
-    cycles = []
-    start = 1
-    for length in rho:
-        cycles.append(tuple(range(start, start + length)))
-        start += length
-    return Perm.from_cycles(n, cycles)
-
-
 def subgroup_averaged_character(
     shape: Sequence[int], mu: Sequence[int], g: Perm
 ) -> Fraction:
@@ -126,11 +116,7 @@ def subgroup_averaged_character(
     mu = check_partition(mu)
     if sum(mu) != g.n or sum(shape) != g.n:
         raise ShapeWeightMismatch("shape, mu and permutation sizes must agree")
-    by_type: dict[tuple[int, ...], int] = {}
-    gi = g.images
-    for tau in young_subgroup_tuples(mu):
-        ct = _cycle_type(_compose(gi, tau))
-        by_type[ct] = by_type.get(ct, 0) + 1
+    by_type = translate_cycle_types(g, mu)
     total = sum(character(shape, ct) * cnt for ct, cnt in by_type.items())
     return Fraction(total, young_subgroup_order(mu))
 
@@ -147,16 +133,7 @@ def immanant(shape: Sequence[int], a: RatMatrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     rows, scale = scaled_int_rows(a)
-    by_type: dict[tuple[int, ...], int] = {}
-    for p in perm_tuples(n):
-        prod = 1
-        for j in range(n):
-            prod *= rows[p[j] - 1][j]
-            if not prod:
-                break
-        if prod:
-            ct = _cycle_type(p)
-            by_type[ct] = by_type.get(ct, 0) + prod
+    by_type = class_sums(rows)
     total = sum(character(shape, ct) * acc for ct, acc in by_type.items())
     return Fraction(total, scale**n)
 

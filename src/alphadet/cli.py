@@ -28,7 +28,7 @@ from .partitions import kostka_ssyt, parse_partition
 from .perms import Perm, parse_perm
 from .rationals import format_rational, parse_rational
 from .verify import (
-    _rect_formula_value,
+    rect_formula_value,
     verify_chi,
     verify_omega,
     verify_fourier_jm,
@@ -57,8 +57,6 @@ def _cmd_adet2(args) -> int:
     m = _load_matrix(args.matrix)
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
-    if args.symbolic and args.alpha is not None:
-        raise ValueError("--symbolic excludes --alpha/--beta")
     poly = adet2_poly(m)
     if args.alpha is not None:
         print(format_rational(poly.eval(parse_rational(args.alpha), parse_rational(args.beta))))
@@ -81,7 +79,7 @@ def _cmd_kostka(args) -> int:
     if len(set(shape)) != 1:
         raise ValueError("rect-formula requires a rectangular shape k,k,...,k")
     k, n = shape[0], len(shape)
-    value = _rect_formula_value(k, n, weight, Perm.identity(k * n))
+    value = rect_formula_value(k, n, weight, Perm.identity(k * n))
     print(format_rational(value))
     return 0
 
@@ -133,6 +131,20 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {value}")
+    return value
+
+
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphadet",
@@ -144,16 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adet", help="alpha-determinant of a square matrix")
     p.add_argument("--matrix", required=True, help="path to matrix JSON")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--alpha", help=f"evaluate at a {rational_hint}")
-    mode.add_argument("--symbolic", action="store_true", help="full polynomial (default)")
+    p.add_argument("--alpha", help=f"evaluate at a {rational_hint} (default: the polynomial)")
     p.set_defaults(func=_cmd_adet)
 
     p = sub.add_parser("adet2", help="two-parameter alpha-determinant")
     p.add_argument("--matrix", required=True)
     p.add_argument("--alpha", help=rational_hint)
     p.add_argument("--beta", help=rational_hint)
-    p.add_argument("--symbolic", action="store_true")
     p.set_defaults(func=_cmd_adet2)
 
     p = sub.add_parser("wrdet", help="k-wreath determinant of a kn x n matrix")
@@ -182,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = v.add_subparsers(dest="suite", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2^64)")
         sp.add_argument("--json", help="write the JSON report to this path")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_workers, default=1, help="positive integer")
         sp.set_defaults(func=_cmd_verify)
 
     sp = vsub.add_parser("theorem", help="main averaging identity")

@@ -113,7 +113,12 @@ class RatMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatMatrix":
-        m = cls([[parse_rational(e) for e in row] for row in data["entries"]])
+        if not isinstance(data, dict) or not {"rows", "cols", "entries"} <= data.keys():
+            raise DimensionMismatch('matrix JSON needs "rows", "cols" and "entries"')
+        entries = data["entries"]
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise DimensionMismatch('"entries" must be a list of lists')
+        m = cls([[parse_rational(e) for e in row] for row in entries])
         if m.rows != data["rows"] or m.cols != data["cols"]:
             raise DimensionMismatch("declared dimensions do not match entries")
         return m

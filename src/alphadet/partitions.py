@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
-from .errors import ShapeWeightMismatch, SizeCapExceeded
+from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
 from .polynomials import QPoly
 
 PARTITIONS_CAP = 12
@@ -78,7 +78,11 @@ def num_standard_tableaux(parts: Sequence[int]) -> int:
     parts = check_partition(parts)
     count = factorial(sum(parts))
     for h in hook_lengths(parts):
-        assert count % h == 0
+        if count % h:
+            raise IdentityViolation(
+                f"hook product of {parts} does not divide {sum(parts)}!",
+                witness={"shape": format_partition(parts)},
+            )
         count //= h
     return count
 

@@ -1,5 +1,6 @@
-"""Permutations of {1..n}: cycle statistics, enumeration, Young subgroups,
-coset factors, the Jucys-Murphy group-algebra product and block profiles.
+"""Permutations of {1..n}: cycle statistics, enumeration, class
+representatives, Young subgroups and their translates, coset factors, the
+Jucys-Murphy group-algebra product and block profiles.
 
 One-line notation is 1-based everywhere, matching the serialized form
 "2,1,3".  Everything is exhaustive by design; size caps raise
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NoFactorFound, NonUniqueFactor, SizeCapExceeded
+from .errors import (
+    IdentityViolation,
+    NoFactorFound,
+    NonUniqueFactor,
+    ShapeWeightMismatch,
+    SizeCapExceeded,
+)
 from .polynomials import QPoly
 
 ENUM_CAP = 10  # 10! ~ 3.6M permutations
@@ -165,48 +172,16 @@ def enumerate_perms(n: int) -> Iterator[Perm]:
         yield p
 
 
-def unrank_perm(n: int, rank: int) -> tuple[int, ...]:
-    """The image tuple at the given lexicographic rank (0-based)."""
-    if not 0 <= rank < factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    digits = []
-    for i in range(n, 0, -1):
-        f = factorial(i - 1)
-        digits.append(rank // f)
-        rank %= f
-    pool = list(range(1, n + 1))
-    return tuple(pool.pop(d) for d in digits)
-
-
-def _next_tuple(t: list[int]) -> bool:
-    """Advance to the lexicographic successor in place; False at the end."""
-    n = len(t)
-    i = n - 2
-    while i >= 0 and t[i] >= t[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while t[j] <= t[i]:
-        j -= 1
-    t[i], t[j] = t[j], t[i]
-    t[i + 1 :] = reversed(t[i + 1 :])
-    return True
-
-
-def perm_range(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """Image tuples with lexicographic ranks in [start, stop).
-
-    Disjoint contiguous ranges cover all of perm_tuples(n) exactly once,
-    which is what the deterministic parallel reductions rely on.
-    """
-    if start >= stop:
-        return
-    current = list(unrank_perm(n, start))
-    for _ in range(stop - start):
-        yield tuple(current)
-        if not _next_tuple(current):
-            break
+def perm_of_cycle_type(rho: Sequence[int], n: int) -> Perm:
+    """Canonical representative: cycles laid out on consecutive letters."""
+    if sum(rho) != n:
+        raise ShapeWeightMismatch(f"|{tuple(rho)}| != {n}")
+    cycles = []
+    start = 1
+    for length in rho:
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    return Perm.from_cycles(n, cycles)
 
 
 def young_blocks(mu: Sequence[int]) -> list[range]:
@@ -245,6 +220,17 @@ def young_subgroup(mu: Sequence[int]) -> Iterator[Perm]:
         p = Perm.__new__(Perm)
         p.images = t
         yield p
+
+
+def translate_cycle_types(g: Perm, mu: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Cycle types of the right translates g h, h in the Young subgroup of
+    mu, with the number of h giving each type."""
+    by_type: dict[tuple[int, ...], int] = {}
+    gi = g.images
+    for h in young_subgroup_tuples(mu):
+        ct = _cycle_type(_compose(gi, h))
+        by_type[ct] = by_type.get(ct, 0) + 1
+    return by_type
 
 
 def _embed(images: Sequence[int], n: int) -> tuple[int, ...]:
@@ -354,5 +340,9 @@ def double_coset_index(sigma: Perm, n: int, k: int) -> int:
     for i, v in enumerate(s):
         s_inv[v - 1] = i + 1
     stable = sum(1 for h in subgroup if _compose(_compose(s, h), s_inv) in subgroup)
-    assert order % stable == 0
+    if order % stable:
+        raise IdentityViolation(
+            f"|H| = {order} is not a multiple of |H intersect s^-1 H s| = {stable}",
+            witness={"perm": format_perm(sigma), "n": n, "k": k},
+        )
     return order // stable

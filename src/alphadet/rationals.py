@@ -8,8 +8,15 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (optionally signed) into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" (optionally signed) into a Fraction.
+
+    Raises ValueError for anything else, a zero denominator included."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

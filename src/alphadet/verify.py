@@ -11,6 +11,7 @@ serialized exactly.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -106,6 +107,8 @@ class SuiteReport:
 
 
 def _run_cases(case_fn: Callable, case_args: list, workers: int) -> list[CaseResult]:
+    """Run the cases in order, on at most one process per case and per CPU."""
+    workers = min(workers, len(case_args), os.cpu_count() or 1)
     if workers <= 1:
         return [case_fn(a) for a in case_args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -169,7 +172,7 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
 # --- rectangular-shape subgroup averages and Kostka numbers -------------------
 
 
-def _rect_formula_value(k: int, n: int, mu: tuple[int, ...], g: Perm) -> Fraction:
+def rect_formula_value(k: int, n: int, mu: tuple[int, ...], g: Perm) -> Fraction:
     """(f / mu!) * adet[-1/k, 1/n](P(g) 1_mu) / adet[-1/kn](all-ones)."""
     size = k * n
     f = num_standard_tableaux((k,) * n)
@@ -183,7 +186,7 @@ def _omega_case(args) -> CaseResult:
     g = Perm(g_images)
     shape = (k,) * n
     values = {
-        "rect_formula": _rect_formula_value(k, n, mu, g),
+        "rect_formula": rect_formula_value(k, n, mu, g),
         "character_average": subgroup_averaged_character(shape, mu, g),
     }
     if g.is_identity():

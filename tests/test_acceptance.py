@@ -12,11 +12,7 @@ from math import factorial
 
 import pytest
 
-from alphadet.adet import (
-    adet2_poly,
-    adet2_structured,
-    adet_poly,
-)
+from alphadet.adet import adet2_structured, adet_poly
 from alphadet.characters import character, immanant
 from alphadet.matrices import PermutedBlockOnes
 from alphadet.partitions import content_poly, num_standard_tableaux, partitions_of
@@ -32,6 +28,8 @@ from alphadet.verify import (
     verify_weak_alternating,
     verify_zsf,
 )
+
+from test_adet import _adet2_naive
 
 THEOREM_GRID = [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)]
 
@@ -123,7 +121,7 @@ def test_criterion_09_structured_oracle_gate():
         g = random_perm(n, rng)
         mu = weights[rng.below(len(weights))]
         s = PermutedBlockOnes(g, mu)
-        oracle = adet2_poly(s.materialize())
+        oracle = _adet2_naive(s.materialize())
         x, y = points[rng.below(len(points))]
         assert adet2_structured(s, x, y) == oracle.eval(x, y), (g, mu, x, y)
         instances += 1

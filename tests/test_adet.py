@@ -20,6 +20,7 @@ from alphadet.matrices import (
     block_ones,
     column_replicator,
     inflate,
+    scaled_int_rows,
 )
 from alphadet.partitions import content_poly, partitions_of
 from alphadet.perms import Perm, block_profile, enumerate_perms, young_subgroup
@@ -90,13 +91,6 @@ def test_adet_with_rational_entries():
     assert adet_poly(m) == QPoly([F(7, 2), F(-2, 5)])
 
 
-def test_adet_parallel_matches_serial():
-    m = random_matrix(6, 6, 8)
-    serial = adet_poly(m)
-    for workers in (2, 3):
-        assert adet_poly(m, workers=workers) == serial
-
-
 def test_adet_column_multilinearity():
     rng = SplitMix64(2)
     a = random_matrix(4, 4, 100)
@@ -113,6 +107,40 @@ def test_adet_commutes_with_permutation_side():
     a = random_matrix(4, 4, 55)
     for g in enumerate_perms(4):
         assert adet_poly(a.permute_rows(g)) == adet_poly(a.permute_columns(g))
+
+
+def _adet2_naive(a: RatMatrix) -> QPoly2:
+    """Oracle: the (n!)^2 double sum over permutation pairs (tau, sigma) of
+    prod_i a[tau(i), sigma(i)], at exponents (len tau, len sigma)."""
+    n = a.require_square()
+    if n == 0:
+        return QPoly2([[1]])
+    rows, scale = scaled_int_rows(a)
+    tagged = [(p.images, p.transposition_length) for p in enumerate_perms(n)]
+    acc = [[0] * n for _ in range(n)]
+    for tau, dt in tagged:
+        tau_rows = [rows[v - 1] for v in tau]
+        row_acc = acc[dt]
+        for sigma, ds in tagged:
+            prod = 1
+            for i in range(n):
+                prod *= tau_rows[i][sigma[i] - 1]
+                if not prod:
+                    break
+            if prod:
+                row_acc[ds] += prod
+    denom = scale**n
+    return QPoly2([[F(v, denom) for v in row] for row in acc])
+
+
+def test_adet2_poly_matches_naive_double_sum():
+    for n in range(1, 6):
+        for seed in (n, 10 + n):
+            a = random_matrix(n, n, 300 + seed)
+            assert adet2_poly(a) == _adet2_naive(a), (n, seed)
+    sparse = RatMatrix([[F(1, 2), 0, 1], [0, F(-2, 3), 0], [3, 0, 0]])
+    assert adet2_poly(sparse) == _adet2_naive(sparse)
+    assert adet2_poly(RatMatrix(())) == _adet2_naive(RatMatrix(()))
 
 
 def test_adet2_known_values():
@@ -160,7 +188,7 @@ def test_structured_worked_value():
 
 
 def test_structured_equals_naive_on_random_instances():
-    # oracle-equivalence gate for the coset-grouped fast path
+    # oracle-equivalence gate for the class-table fast path
     rng = SplitMix64(99)
     points = [(F(-1, 2), F(1, 2)), (F(2, 3), F(-3, 5)), (F(1), F(1))]
     checked = 0
@@ -170,11 +198,22 @@ def test_structured_equals_naive_on_random_instances():
             g = random_perm(n, rng)
             mu = weights[rng.below(len(weights))]
             s = PermutedBlockOnes(g, mu)
-            oracle = adet2_poly(s.materialize())
+            oracle = _adet2_naive(s.materialize())
             x, y = points[rng.below(len(points))]
             assert adet2_structured(s, x, y) == oracle.eval(x, y)
             checked += 1
     assert checked >= 20
+
+
+def test_structured_equals_naive_for_every_weight():
+    rng = SplitMix64(606)
+    points = [(F(-1, 2), F(1, 3)), (F(2, 3), F(-3, 5)), (F(1), F(1))]
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            s = PermutedBlockOnes(random_perm(n, rng), mu)
+            oracle = _adet2_naive(s.materialize())
+            for x, y in points:
+                assert adet2_structured(s, x, y) == oracle.eval(x, y), (s, x, y)
 
 
 def test_wrdet_size_one_is_determinant():

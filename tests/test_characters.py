@@ -11,7 +11,6 @@ from alphadet.characters import (
     class_size,
     convolve_characters,
     immanant,
-    perm_of_cycle_type,
     subgroup_averaged_character,
 )
 from alphadet.errors import ShapeWeightMismatch
@@ -22,7 +21,13 @@ from alphadet.partitions import (
     num_standard_tableaux,
     partitions_of,
 )
-from alphadet.perms import Perm, enumerate_perms, young_subgroup, young_subgroup_order
+from alphadet.perms import (
+    Perm,
+    enumerate_perms,
+    perm_of_cycle_type,
+    young_subgroup,
+    young_subgroup_order,
+)
 from alphadet.polynomials import QPoly
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
 

@@ -22,11 +22,6 @@ def tall42(tmp_path):
     return str(path)
 
 
-def test_adet_symbolic(ones3, capsys):
-    assert main(["adet", "--matrix", ones3, "--symbolic"]) == 0
-    assert json.loads(capsys.readouterr().out) == ["1", "3", "2"]
-
-
 def test_adet_default_is_symbolic(ones3, capsys):
     assert main(["adet", "--matrix", ones3]) == 0
     assert json.loads(capsys.readouterr().out) == ["1", "3", "2"]
@@ -161,3 +156,50 @@ def test_verify_workers_flag(capsys):
     )
     assert code == 0
     assert "status=pass" in capsys.readouterr().out
+
+
+def _exits_2_without_traceback(argv, capsys) -> None:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_option_exits_2(ones3, capsys):
+    _exits_2_without_traceback(["adet", "--matrix", ones3, "--alpha", "1/0"], capsys)
+    _exits_2_without_traceback(
+        ["adet2", "--matrix", ones3, "--alpha", "1", "--beta", "1/0"], capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": 1, "cols": 1, "entries": [["1/0"]]},
+        {"rows": 1, "cols": 1},
+        {"rows": 1, "cols": 1, "entries": [[1]]},
+        {"rows": 1, "cols": 1, "entries": 5},
+        {"rows": 2, "cols": 2, "entries": ["12", "34"]},
+        [["1"]],
+    ],
+)
+def test_malformed_matrix_json_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    _exits_2_without_traceback(["adet", "--matrix", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--seed", "-1"], ["--seed", str(2**64)], ["--workers", "0"], ["--workers", "-3"]]
+)
+def test_verify_rejects_out_of_range_seed_and_workers(flag, capsys):
+    argv = ["verify", "theorem", "--k", "1", "--n", "2", "--trials", "1", "--seed", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_accepts_largest_seed(capsys):
+    argv = ["verify", "theorem", "--k", "1", "--n", "2", "--trials", "1"]
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0

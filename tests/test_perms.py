@@ -1,4 +1,3 @@
-import itertools
 from math import factorial
 
 import pytest
@@ -14,8 +13,6 @@ from alphadet.perms import (
     format_perm,
     jucys_murphy_product,
     parse_perm,
-    perm_range,
-    unrank_perm,
     young_subgroup,
     young_subgroup_order,
 )
@@ -100,18 +97,6 @@ def test_young_subgroup_small():
     }
     assert set(young_subgroup((4,))) == set(enumerate_perms(4))
     assert young_subgroup_order((3, 2, 1)) == 12
-
-
-def test_perm_range_covers_everything():
-    n = 5
-    total = factorial(n)
-    assert unrank_perm(n, 0) == (1, 2, 3, 4, 5)
-    assert unrank_perm(n, total - 1) == (5, 4, 3, 2, 1)
-    pieces = []
-    bounds = [0, 17, 40, 99, total]
-    for lo, hi in zip(bounds, bounds[1:]):
-        pieces.extend(perm_range(n, lo, hi))
-    assert pieces == list(itertools.permutations(range(1, n + 1)))
 
 
 def test_coset_factor_examples():

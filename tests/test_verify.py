@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import alphadet.verify as verify_module
 from alphadet.errors import SizeCapExceeded
 from alphadet.perms import Perm
 from alphadet.verify import (
@@ -140,6 +141,38 @@ def test_reports_identical_for_any_worker_count():
     for workers in (2, 8):
         parallel = verify_zsf(2, 2, seed=3, workers=workers)
         assert _stripped(serial) == _stripped(parallel)
+
+
+class _PoolSpy:
+    """Serial stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _PoolSpy.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cases, cpus, expected",
+    [(64, 3, 4, [3]), (64, 10, 4, [4]), (2, 10, 4, [2]), (8, 1, 4, []), (8, 5, None, [])],
+)
+def test_worker_pool_is_clamped(monkeypatch, workers, cases, cpus, expected):
+    _PoolSpy.sizes = []
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
+    assert verify_module._run_cases(str, list(range(cases)), workers) == [
+        str(i) for i in range(cases)
+    ]
+    assert _PoolSpy.sizes == expected
 
 
 def test_sampled_suites_respect_seed():
