@@ -6,10 +6,11 @@ integers grouped by cycle statistic, and rationals only appear when the
 accumulated counts are combined at the end.
 
 Two evaluation tiers: naive permutation enumeration is the ground truth at
-small sizes, and each structured path (the cycle-class tables behind the
-two-parameter sums, column-word grouping of the wreath average) is an exact
-regrouping of the same sum, gated by oracle-equivalence tests on
-overlapping sizes.
+small sizes, and each structured path is an exact regrouping of the same
+sum, gated by oracle-equivalence tests on overlapping sizes.  The
+cycle-class tables are the one structured path: they carry both
+two-parameter sums, and the wreath average is the two-parameter
+determinant of the inflation at beta = -1/k.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .polynomials import QPoly, QPoly2
 ADET_CAP = 9
 ADET2_CAP = 6
 STRUCTURED_CAP = 8
-WREATH_AVG_CAP = 6
 SUBGROUP_AVG_CAP = 7
 DET_POWER_TERM_CAP = 10**7
 
@@ -139,23 +139,8 @@ def adet_poly(a: RatMatrix) -> QPoly:
 
 
 def adet_at(a: RatMatrix, x: Fraction) -> Fraction:
-    """The alpha-determinant evaluated at a rational parameter value,
-    accumulated directly without building the polynomial."""
-    n = a.require_square()
-    if n > ADET_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
-    if n == 0:
-        return Fraction(1)
-    x = Fraction(x)
-    rows, scale = scaled_int_rows(a)
-    acc = _accumulate(rows, perm_tuples(n))
-    xpow = Fraction(1)
-    total = Fraction(0)
-    for v in acc:
-        if v:
-            total += v * xpow
-        xpow *= x
-    return total / scale**n
+    """The alpha-determinant evaluated at a rational parameter value."""
+    return adet_poly(a).eval(x)
 
 
 def adet2_poly(a: RatMatrix) -> QPoly2:
@@ -202,33 +187,13 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     """Signed average over all column permutations of the inflated matrix:
     sum over sigma in S_kn of (-1/k)^len(sigma) * adet_poly(inflate(a) P(sigma)).
 
-    Column-permuted inflations repeat: the matrix depends only on the word
-    of column block indices, so equal matrices are evaluated once with
-    their accumulated weight.
+    That is the two-parameter determinant of the inflation at beta = -1/k:
+    the pair (tau, sigma) contributes alpha^len(tau) (-1/k)^len(sigma) times
+    the entry product of tau on the column-permuted inflation.
     """
     b = inflate(a, k)
-    n = b.rows
-    if n > WREATH_AVG_CAP:
-        raise SizeCapExceeded(f"kn={n} exceeds wreath-average cap {WREATH_AVG_CAP}")
-    counts: dict[tuple[int, ...], list[int]] = {}
-    for p in perm_tuples(n):
-        word = tuple((v - 1) // k for v in p)
-        arr = counts.get(word)
-        if arr is None:
-            arr = counts[word] = [0] * n
-        arr[_trans_len(p)] += 1
-    w = Fraction(-1, k)
-    wpow = [w**d for d in range(n)]
-    total = QPoly.zero()
-    for word in sorted(counts):
-        weight = sum(
-            (cnt * wpow[d] for d, cnt in enumerate(counts[word]) if cnt),
-            Fraction(0),
-        )
-        if weight:
-            sub = RatMatrix([[row[c] for c in word] for row in a.entries])
-            total = total + weight * adet_poly(sub)
-    return total
+    beta = Fraction(-1, k)
+    return QPoly(QPoly(row).eval(beta) for row in adet2_poly(b).grid)
 
 
 def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:

@@ -21,7 +21,6 @@ from .errors import (
     IdentityViolation,
     NoFactorFound,
     NonUniqueFactor,
-    SizeCapExceeded,
 )
 from .matrices import RatMatrix
 from .partitions import kostka_ssyt, parse_partition
@@ -247,13 +246,7 @@ def main(argv=None) -> int:
     except (NoFactorFound, NonUniqueFactor, IdentityViolation) as exc:
         print(f"FALSIFIED CLAIM: {exc}", file=sys.stderr)
         return 1
-    except (SizeCapExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AlphadetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AlphadetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

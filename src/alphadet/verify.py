@@ -20,8 +20,8 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .adet import (
+    ADET2_CAP,
     STRUCTURED_CAP,
-    WREATH_AVG_CAP,
     adet2_structured,
     adet_at,
     det_power_coeff,
@@ -34,7 +34,7 @@ from .characters import (
     character,
     subgroup_averaged_character,
 )
-from .errors import IdentityViolation, NotDivisible, SizeCapExceeded
+from .errors import IdentityViolation, NotDivisible, ShapeWeightMismatch, SizeCapExceeded
 from .matrices import PermutedBlockOnes, column_replicator
 from .partitions import (
     content_poly,
@@ -160,8 +160,8 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     polynomial of the k^n rectangle times the k-wreath determinant, as exact
     polynomial equality, on seeded random integer matrices."""
     _require(k >= 1 and n >= 1 and trials >= 1, "k, n, trials must be positive")
-    if k * n > WREATH_AVG_CAP:
-        raise SizeCapExceeded(f"kn={k * n} exceeds cap {WREATH_AVG_CAP}")
+    if k * n > ADET2_CAP:
+        raise SizeCapExceeded(f"kn={k * n} exceeds two-parameter cap {ADET2_CAP}")
     t0 = time.monotonic()
     rng = SplitMix64(seed)
     args = [(k, n, t, rng.next_u64()) for t in range(trials)]
@@ -175,9 +175,12 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
 def rect_formula_value(k: int, n: int, mu: tuple[int, ...], g: Perm) -> Fraction:
     """(f / mu!) * adet[-1/k, 1/n](P(g) 1_mu) / adet[-1/kn](all-ones)."""
     size = k * n
+    if sum(mu) != size:
+        raise ShapeWeightMismatch(f"|{tuple(mu)}| != {size} = k*n")
+    # first, so that its size cap rejects a huge shape before the tableau count
+    value = adet2_structured(PermutedBlockOnes(g, mu), Fraction(-1, k), Fraction(1, n))
     f = num_standard_tableaux((k,) * n)
     denom = content_poly_at((size,), Fraction(-1, size))
-    value = adet2_structured(PermutedBlockOnes(g, mu), Fraction(-1, k), Fraction(1, n))
     return Fraction(f, young_subgroup_order(mu)) * value / denom
 
 

@@ -257,9 +257,18 @@ def _wreath_average_naive(a: RatMatrix, k: int) -> QPoly:
 
 
 def test_wreath_average_matches_naive_double_sum():
-    for k, n, seed in [(1, 2, 1), (2, 1, 2), (1, 3, 3), (2, 2, 4)]:
+    for k, n, seed in [(1, 2, 1), (2, 1, 2), (1, 3, 3), (2, 2, 4), (1, 5, 5), (5, 1, 6)]:
         a = random_matrix(k * n, n, seed)
         assert wreath_average_poly(a, k) == _wreath_average_naive(a, k)
+    # non-integer entries exercise the common-denominator scaling
+    a = RatMatrix([[F(1, 2), F(-2, 3)], [F(3), F(5, 4)], [F(-1, 6), F(0)], [F(7, 5), F(1, 3)]])
+    assert wreath_average_poly(a, 2) == _wreath_average_naive(a, 2)
+
+
+def test_wreath_average_empty_and_bad_k():
+    assert wreath_average_poly(RatMatrix(()), 2) == QPoly.one()
+    with pytest.raises(ValueError):
+        wreath_average_poly(random_matrix(2, 2, 7), 0)
 
 
 def test_wreath_average_on_replicator():

@@ -76,6 +76,13 @@ def test_kostka_rect_formula_needs_rectangle(capsys):
     assert main(["kostka", "--shape", "2,1", "--weight", "2,1", "--method", "rect-formula"]) == 2
 
 
+def test_kostka_rect_formula_needs_matching_weight_size(capsys):
+    assert main(["kostka", "--shape", "2,2", "--weight", "2,1", "--method", "rect-formula"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "permutation size" not in err
+
+
 def test_character(capsys):
     assert main(["character", "--shape", "2,2", "--cycle-type", "2,2"]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -166,10 +173,13 @@ def _exits_2_without_traceback(argv, capsys) -> None:
 
 
 def test_zero_denominator_option_exits_2(ones3, capsys):
-    _exits_2_without_traceback(["adet", "--matrix", ones3, "--alpha", "1/0"], capsys)
-    _exits_2_without_traceback(
-        ["adet2", "--matrix", ones3, "--alpha", "1", "--beta", "1/0"], capsys
-    )
+    # the wire format is "p/q": zero denominators, decimals, exponents and
+    # digit separators are all usage errors
+    for bad in ["1/0", "0.5", "1e3", "1_000", "3."]:
+        _exits_2_without_traceback(["adet", "--matrix", ones3, "--alpha", bad], capsys)
+        _exits_2_without_traceback(
+            ["adet2", "--matrix", ones3, "--alpha", "1", "--beta", bad], capsys
+        )
 
 
 @pytest.mark.parametrize(
@@ -181,6 +191,10 @@ def test_zero_denominator_option_exits_2(ones3, capsys):
         {"rows": 1, "cols": 1, "entries": 5},
         {"rows": 2, "cols": 2, "entries": ["12", "34"]},
         [["1"]],
+        {"rows": 1, "cols": 1, "entries": [["0.5"]]},
+        {"rows": 1, "cols": 1, "entries": [["1e3"]]},
+        {"rows": 1, "cols": 1, "entries": [["1_000"]]},
+        {"rows": 1, "cols": 1, "entries": [["3."]]},
     ],
 )
 def test_malformed_matrix_json_exits_2(tmp_path, capsys, payload):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import alphadet.verify as verify_module
-from alphadet.errors import SizeCapExceeded
+from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.perms import Perm
 from alphadet.verify import (
     verify_chi,
@@ -36,6 +36,19 @@ def test_theorem_suite_k1():
 def test_theorem_cap():
     with pytest.raises(SizeCapExceeded):
         verify_theorem(2, 4, trials=1, seed=0)
+
+
+def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
+    # the CLI passes any shape here: the checks must reject a huge one before
+    # the tableau count, whose cost grows with the number of cells
+    def no_work(*args):
+        raise AssertionError("size checks must come first")
+
+    monkeypatch.setattr(verify_module, "num_standard_tableaux", no_work)
+    with pytest.raises(SizeCapExceeded):
+        verify_module.rect_formula_value(9, 1, (9,), Perm.identity(9))
+    with pytest.raises(ShapeWeightMismatch):
+        verify_module.rect_formula_value(2, 2, (2, 1), Perm.identity(4))
 
 
 def test_theorem_usage_error():
