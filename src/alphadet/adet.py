@@ -5,12 +5,11 @@ homogeneous of degree n in the entries), permutation sums accumulate plain
 integers grouped by cycle statistic, and rationals only appear when the
 accumulated counts are combined at the end.
 
-Two evaluation tiers: naive permutation enumeration is the ground truth at
-small sizes, and each structured path is an exact regrouping of the same
-sum, gated by oracle-equivalence tests on overlapping sizes.  The
-cycle-class tables are the one structured path: they carry both
-two-parameter sums, and the wreath average is the two-parameter
-determinant of the inflation at beta = -1/k.
+Every permutation sum of an entry product runs through one zero-pruning
+cycle walk, ``class_sums``; naive enumeration lives only in the tests, as
+the oracle of each path.  The cycle-class tables carry both two-parameter
+sums, and the wreath average is the two-parameter determinant of the
+inflation at beta = -1/k.
 """
 
 from __future__ import annotations
@@ -22,15 +21,7 @@ from typing import Sequence
 
 from .errors import SizeCapExceeded
 from .matrices import PermutedBlockOnes, RatMatrix, inflate, scaled_int_rows
-from .perms import (
-    Perm,
-    _cycle_type,
-    _embed,
-    _trans_len,
-    perm_of_cycle_type,
-    perm_tuples,
-    translate_cycle_types,
-)
+from .perms import Perm, _embed, _trans_len, perm_of_cycle_type, perm_tuples
 from .polynomials import QPoly, QPoly2
 
 ADET_CAP = 9
@@ -40,45 +31,49 @@ SUBGROUP_AVG_CAP = 7
 DET_POWER_TERM_CAP = 10**7
 
 
-def _accumulate(rows: Sequence[Sequence[int]], perms) -> list[int]:
-    """Integer sums of row products, grouped by transposition length."""
-    n = len(rows)
-    acc = [0] * n
-    for p in perms:
-        prod = 1
-        for j in range(n):
-            prod *= rows[p[j] - 1][j]
-            if not prod:
-                break
-        if prod:
-            seen = bytearray(n)
-            cycles = 0
-            for i in range(n):
-                if not seen[i]:
-                    cycles += 1
-                    j = i
-                    while not seen[j]:
-                        seen[j] = 1
-                        j = p[j] - 1
-            acc[n - cycles] += prod
-    return acc
-
-
 def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """Integer sums of the products prod_j rows[p(j)][j] over the
-    permutations p of each cycle type."""
+    permutations p of each cycle type.
+
+    Each p is built cycle by cycle: a cycle opens at the smallest letter not
+    yet placed and follows only nonzero entries of the current column, so a
+    zero entry prunes every permutation through it.  Letters are bits of the
+    mask ``free``; the running key adds (n+1)^(L-1) per closed cycle of
+    length L, so its base-(n+1) digits are the multiplicities of the lengths.
+    """
     n = len(rows)
-    sums: dict[tuple[int, ...], int] = {}
-    for p in perm_tuples(n):
-        prod = 1
-        for j in range(n):
-            prod *= rows[p[j] - 1][j]
-            if not prod:
-                break
-        if prod:
-            ct = _cycle_type(p)
-            sums[ct] = sums.get(ct, 0) + prod
-    return sums
+    base = n + 1
+    columns = [tuple(row[c] for row in rows) for c in range(n)]
+    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
+    by_key: dict[int, int] = {}
+
+    def open_cycle(free: int, key: int, prod: int) -> None:
+        if not free:
+            by_key[key] = by_key.get(key, 0) + prod
+            return
+        start = free & -free
+        extend(free ^ start, start, start.bit_length() - 1, 1, key, prod)
+
+    def extend(free: int, start: int, col: int, unit: int, key: int, prod: int) -> None:
+        # col ends the open cycle, which began at the letter bit `start`;
+        # unit is (n+1)^(L-1) for the cycle's length L so far
+        column = columns[col]
+        if nonzero[col] & start:
+            open_cycle(free, key + unit, prod * column[start.bit_length() - 1])
+        unit *= base
+        rest = free & nonzero[col]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            r = bit.bit_length() - 1
+            extend(free ^ bit, start, r, unit, key, prod * column[r])
+
+    open_cycle((1 << n) - 1, 0, 1)
+    lengths = range(n, 0, -1)
+    return {
+        tuple(ln for ln in lengths for _ in range(key // base ** (ln - 1) % base)): total
+        for key, total in by_key.items()
+    }
 
 
 @cache
@@ -130,10 +125,10 @@ def adet_poly(a: RatMatrix) -> QPoly:
     n = a.require_square()
     if n > ADET_CAP:
         raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
-    if n == 0:
-        return QPoly.one()
     rows, scale = scaled_int_rows(a)
-    acc = _accumulate(rows, perm_tuples(n))
+    acc = [0] * (n + 1)
+    for rho, total in class_sums(rows).items():
+        acc[n - len(rho)] += total
     denom = scale**n
     return QPoly(Fraction(v, denom) for v in acc)
 
@@ -167,14 +162,17 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
 
     The entry product of a pair (tau, sigma) is 1 exactly when
     tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so the double sum
-    is the sum over h in S_mu of the class table of g h.
+    is the sum over h in S_mu of the class table of g h.  The nonzero
+    entry products of P(g) 1_mu are exactly these translates, so
+    ``class_sums`` of the matrix counts them by cycle type.
     """
     n = s.g.n
     if n > STRUCTURED_CAP:
         raise SizeCapExceeded(f"n={n} exceeds structured cap {STRUCTURED_CAP}")
     if n == 0:
         return Fraction(1)
-    return QPoly2(_combine_tables(n, translate_cycle_types(s.g, s.mu))).eval(x, y)
+    rows, _ = scaled_int_rows(s.materialize())
+    return QPoly2(_combine_tables(n, class_sums(rows))).eval(x, y)
 
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .adet import class_sums
 from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
-from .matrices import RatMatrix, scaled_int_rows
+from .matrices import PermutedBlockOnes, RatMatrix, scaled_int_rows
 from .partitions import (
     check_partition,
     content_poly,
@@ -24,13 +24,13 @@ from .partitions import (
     partitions_of,
 )
 from .perms import (
+    YOUNG_ORDER_CAP,
     Perm,
     _compose,
     _cycle_type,
     _trans_len,
     perm_of_cycle_type,
     perm_tuples,
-    translate_cycle_types,
     young_subgroup_order,
 )
 from .polynomials import QPoly
@@ -116,9 +116,16 @@ def subgroup_averaged_character(
     mu = check_partition(mu)
     if sum(mu) != g.n or sum(shape) != g.n:
         raise ShapeWeightMismatch("shape, mu and permutation sizes must agree")
-    by_type = translate_cycle_types(g, mu)
+    if g.n > CHARACTER_CAP:  # before building the n x n matrix
+        raise SizeCapExceeded(f"|shape| > {CHARACTER_CAP}")
+    order = young_subgroup_order(mu)
+    if order > YOUNG_ORDER_CAP:
+        raise SizeCapExceeded(f"Young subgroup of {mu} exceeds {YOUNG_ORDER_CAP}")
+    # the nonzero entry products of P(g) 1_mu are the translates g tau
+    rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
+    by_type = class_sums(rows)
     total = sum(character(shape, ct) * cnt for ct, cnt in by_type.items())
-    return Fraction(total, young_subgroup_order(mu))
+    return Fraction(total, order)
 
 
 def immanant(shape: Sequence[int], a: RatMatrix) -> Fraction:
@@ -130,8 +137,6 @@ def immanant(shape: Sequence[int], a: RatMatrix) -> Fraction:
         raise ShapeWeightMismatch(f"|{tuple(shape)}| != {n}")
     if n > IMMANANT_CAP:
         raise SizeCapExceeded(f"n={n} exceeds immanant cap {IMMANANT_CAP}")
-    if n == 0:
-        return Fraction(1)
     rows, scale = scaled_int_rows(a)
     by_type = class_sums(rows)
     total = sum(character(shape, ct) * acc for ct, acc in by_type.items())

@@ -1,6 +1,6 @@
 """Permutations of {1..n}: cycle statistics, enumeration, class
-representatives, Young subgroups and their translates, coset factors, the
-Jucys-Murphy group-algebra product and block profiles.
+representatives, Young subgroups, coset factors, the Jucys-Murphy
+group-algebra product and block profiles.
 
 One-line notation is 1-based everywhere, matching the serialized form
 "2,1,3".  Everything is exhaustive by design; size caps raise
@@ -220,17 +220,6 @@ def young_subgroup(mu: Sequence[int]) -> Iterator[Perm]:
         p = Perm.__new__(Perm)
         p.images = t
         yield p
-
-
-def translate_cycle_types(g: Perm, mu: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Cycle types of the right translates g h, h in the Young subgroup of
-    mu, with the number of h giving each type."""
-    by_type: dict[tuple[int, ...], int] = {}
-    gi = g.images
-    for h in young_subgroup_tuples(mu):
-        ct = _cycle_type(_compose(gi, h))
-        by_type[ct] = by_type.get(ct, 0) + 1
-    return by_type
 
 
 def _embed(images: Sequence[int], n: int) -> tuple[int, ...]:

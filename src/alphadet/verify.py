@@ -30,6 +30,8 @@ from .adet import (
     wreath_average_poly,
 )
 from .characters import (
+    CHARACTER_CAP,
+    EXPANSION_CAP,
     alpha_power_expansion,
     character,
     subgroup_averaged_character,
@@ -61,6 +63,7 @@ CHI_EXHAUSTIVE_CAP = 7
 ZSF_EXHAUSTIVE_CAP = 7
 WEAK_ALT_CAP = 7
 STANLEY_M_CAP = 6
+FOURIER_JM_CAP = 6  # the JM product has n! support; size 7 runs the expansion only
 DET_POWER_ROUTE_CAP = 10**7
 
 
@@ -259,7 +262,7 @@ def verify_chi(
     """Normalized rectangular character equals the two-parameter value of
     the bare permutation matrix over the all-ones normalization; exhaustive
     in g up to kn = 7, seeded samples at kn = 8."""
-    _require(k >= 1 and n >= 1, "k, n must be positive")
+    _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     if size > STRUCTURED_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds cap {STRUCTURED_CAP}")
@@ -314,8 +317,8 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     size = k * n
     if m > min(size, STANLEY_M_CAP):
         raise SizeCapExceeded(f"m={m} exceeds min(kn, {STANLEY_M_CAP})")
-    if size > 10:
-        raise SizeCapExceeded(f"kn={size} exceeds character-evaluation cap 10")
+    if size > CHARACTER_CAP:
+        raise SizeCapExceeded(f"kn={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
     args = [(k, n, m, w.images) for w in enumerate_perms(m)]
     cases = _run_cases(_stanley_case, args, workers)
@@ -354,7 +357,7 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     average over the Young subgroup, ratio of wreath determinants of the
     row-permuted column replicator, and determinant-power coefficient over
     the double-coset index."""
-    _require(k >= 1 and n >= 1, "k, n must be positive")
+    _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     if size > STRUCTURED_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds cap {STRUCTURED_CAP}")
@@ -471,11 +474,11 @@ def verify_fourier_jm(size: int, seed: int = 0, workers: int = 1) -> SuiteReport
     power weight (size <= 8), plus the Jucys-Murphy product expansion whose
     coefficients must be the plain monomials (size <= 6)."""
     _require(size >= 1, "size must be positive")
-    if size > 8:
-        raise SizeCapExceeded(f"size={size} exceeds expansion cap 8")
+    if size > EXPANSION_CAP:
+        raise SizeCapExceeded(f"size={size} exceeds expansion cap {EXPANSION_CAP}")
     t0 = time.monotonic()
     args: list = [("expansion", size)]
-    if size <= 6:
+    if size <= FOURIER_JM_CAP:
         args.append(("jucys-murphy", size))
     cases = _run_cases(_fourier_case, args, workers)
     return _report("fourier", {"size": size}, seed, cases, t0)

@@ -8,6 +8,7 @@ from alphadet.adet import (
     adet2_structured,
     adet_at,
     adet_poly,
+    class_sums,
     det_power_coeff,
     subgroup_avg_adet,
     wrdet,
@@ -26,6 +27,82 @@ from alphadet.partitions import content_poly, partitions_of
 from alphadet.perms import Perm, block_profile, enumerate_perms, young_subgroup
 from alphadet.polynomials import QPoly, QPoly2
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
+
+
+def _class_sums_naive(rows) -> dict:
+    """Oracle: the full S_n scan, each nonzero product prod_j rows[p(j)][j]
+    added under the cycle type of p."""
+    n = len(rows)
+    sums: dict = {}
+    for p in enumerate_perms(n):
+        prod = 1
+        for j in range(n):
+            prod *= rows[p(j + 1) - 1][j]
+        if prod:
+            ct = p.cycle_type()
+            sums[ct] = sums.get(ct, 0) + prod
+    return sums
+
+
+def _translate_cycle_types(g: Perm, mu) -> dict:
+    """Oracle: the cycle types of the translates g h, h in the Young
+    subgroup of mu, with the number of h giving each type."""
+    by_type: dict = {}
+    for h in young_subgroup(mu):
+        ct = (g * h).cycle_type()
+        by_type[ct] = by_type.get(ct, 0) + 1
+    return by_type
+
+
+def _adet_poly_naive(a: RatMatrix) -> QPoly:
+    """Oracle: sum over S_n of prod_j a[p(j), j] * alpha^len(p)."""
+    n = a.require_square()
+    coeffs = [F(0)] * (n + 1)
+    for p in enumerate_perms(n):
+        prod = F(1)
+        for j in range(n):
+            prod *= a[p(j + 1) - 1, j]
+        coeffs[p.transposition_length] += prod
+    return QPoly(coeffs)
+
+
+def test_class_sums_matches_full_scan():
+    rng = SplitMix64(4040)
+    for n in range(8):
+        dense = [[rng.randint(1, 9) * (-1) ** rng.below(2) for _ in range(n)] for _ in range(n)]
+        sparse = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for rows in (dense, sparse):
+            assert class_sums(rows) == _class_sums_naive(rows), (n, rows)
+        if n:
+            dense[0][rng.below(n)] = 0
+            assert class_sums(dense) == _class_sums_naive(dense), (n, dense)
+            zero_column = [[0 if j == n - 1 else v for j, v in enumerate(r)] for r in dense]
+            assert class_sums(zero_column) == {}
+    assert class_sums([]) == {(): 1}
+
+
+def test_class_sums_of_permuted_block_ones_counts_translates():
+    # the nonzero products of P(g) 1_mu are exactly the translates g h, h in S_mu
+    rng = SplitMix64(5050)
+    for n in range(1, 7):
+        cycle = Perm.from_cycles(n, [tuple(range(1, n + 1))])
+        for mu in partitions_of(n):
+            for g in (cycle, random_perm(n, rng)):
+                rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
+                assert class_sums(rows) == _translate_cycle_types(g, mu), (g, mu)
+
+
+def test_adet_poly_matches_naive_sum():
+    for n in range(1, 8):
+        a = random_matrix(n, n, 700 + n)
+        assert adet_poly(a) == _adet_poly_naive(a), n
+        sparse = a.with_column(n - 1, [v if i % 2 else 0 for i, v in enumerate(a.column(0))])
+        assert adet_poly(sparse) == _adet_poly_naive(sparse), n
+    assert adet_poly(RatMatrix(())) == _adet_poly_naive(RatMatrix(()))
+    rational = RatMatrix(
+        [[F((i + 2 * j) % 7 - 3, 1 + (i * j) % 5) for j in range(5)] for i in range(5)]
+    )
+    assert adet_poly(rational) == _adet_poly_naive(rational)
 
 
 def test_adet_poly_known_values():

@@ -13,7 +13,7 @@ from alphadet.characters import (
     immanant,
     subgroup_averaged_character,
 )
-from alphadet.errors import ShapeWeightMismatch
+from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.matrices import RatMatrix, block_ones
 from alphadet.partitions import (
     content_poly,
@@ -92,6 +92,26 @@ def test_averaged_character_worked_value():
     assert subgroup_averaged_character((2, 2), (2, 2), g) == F(-1, 2)
 
 
+def test_averaged_character_matches_translate_average():
+    # oracle: (1/mu!) * sum over h in S_mu of chi(g h), one translate at a time
+    rng = SplitMix64(16)
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            g = random_perm(n, rng)
+            for shape in partitions_of(n):
+                total = sum(character(shape, (g * h).cycle_type()) for h in young_subgroup(mu))
+                expected = F(total, young_subgroup_order(mu))
+                assert subgroup_averaged_character(shape, mu, g) == expected, (shape, mu, g)
+
+
+def test_averaged_character_young_order_cap():
+    # |S_12| = 12! is far above the Young-order cap: refuse before any work
+    with pytest.raises(SizeCapExceeded, match="Young subgroup"):
+        subgroup_averaged_character((12,), (12,), Perm.identity(12))
+    with pytest.raises(SizeCapExceeded):
+        subgroup_averaged_character((13,), (1,) * 13, Perm.identity(13))
+
+
 def test_averaged_character_biinvariance():
     mu = (3, 2, 1)
     subgroup = list(young_subgroup(mu))
@@ -142,6 +162,7 @@ def test_immanant_of_identity_is_tableau_count():
     for n in range(1, 6):
         for shape in partitions_of(n):
             assert immanant(shape, RatMatrix.identity(n)) == num_standard_tableaux(shape)
+    assert immanant((), RatMatrix(())) == 1
 
 
 def test_immanant_of_permuted_block_ones_is_scaled_average():

@@ -182,6 +182,17 @@ def test_zero_denominator_option_exits_2(ones3, capsys):
         )
 
 
+@pytest.mark.parametrize("suite", ["chi", "zsf"])
+def test_verify_rejects_negative_samples(suite, capsys):
+    argv = ["verify", suite, "--k", "2", "--n", "2", "--samples", "-3", "--seed", "0"]
+    _exits_2_without_traceback(argv, capsys)
+
+
+def test_omega_young_order_cap_exits_2(capsys):
+    perm = ",".join(str(i) for i in range(1, 13))
+    _exits_2_without_traceback(["omega", "--shape", "12", "--mu", "12", "--perm", perm], capsys)
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -104,6 +104,16 @@ def test_stanley_m_one_value():
     assert report.passed
 
 
+def test_size_caps_are_the_module_constants():
+    # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP
+    assert verify_stanley(11, 1, 1, seed=0).passed
+    assert verify_stanley(6, 2, 2, seed=0).passed
+    with pytest.raises(SizeCapExceeded, match="character-evaluation cap 12"):
+        verify_stanley(13, 1, 1, seed=0)
+    with pytest.raises(SizeCapExceeded, match=r"^size=9 exceeds expansion cap 8$"):
+        verify_fourier_jm(9, seed=0)
+
+
 def test_zsf_suite_exhaustive():
     report = verify_zsf(2, 2, seed=0)
     assert report.passed
