@@ -7,9 +7,10 @@ accumulated counts are combined at the end.
 
 Every permutation sum of an entry product runs through one zero-pruning
 cycle walk, ``class_sums``; naive enumeration lives only in the tests, as
-the oracle of each path.  The cycle-class tables carry both two-parameter
-sums, and the wreath average is the two-parameter determinant of the
-inflation at beta = -1/k.
+the oracle of each path.  Every two-parameter sum is ``adet2_poly`` on the
+cycle-class tables, under the one cap ``ADET2_CAP``: the structured value
+is ``adet2_poly`` of P(g) 1_mu, and the wreath average is the
+two-parameter determinant of the inflation at beta = -1/k.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .perms import Perm, _embed, _trans_len, perm_of_cycle_type, perm_tuples
 from .polynomials import QPoly, QPoly2
 
 ADET_CAP = 9
-ADET2_CAP = 6
-STRUCTURED_CAP = 8
+ADET2_CAP = 8
 SUBGROUP_AVG_CAP = 7
 DET_POWER_TERM_CAP = 10**7
 
@@ -109,16 +109,6 @@ def class_table(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
 
-def _combine_tables(n: int, weights: dict[tuple[int, ...], int]) -> list[list[int]]:
-    """sum over rho of weights[rho] * class_table(rho)."""
-    joint = [[0] * n for _ in range(n)]
-    for rho, w in weights.items():
-        for row, counts in zip(joint, class_table(rho)):
-            for j, c in enumerate(counts):
-                row[j] += w * c
-    return joint
-
-
 def adet_poly(a: RatMatrix) -> QPoly:
     """The alpha-determinant as an exact polynomial: coefficient d collects
     the permutations at transposition length d."""
@@ -152,7 +142,11 @@ def adet2_poly(a: RatMatrix) -> QPoly2:
     if n == 0:
         return QPoly2([[1]])
     rows, scale = scaled_int_rows(a)
-    joint = _combine_tables(n, class_sums(rows))
+    joint = [[0] * n for _ in range(n)]
+    for rho, w in class_sums(rows).items():
+        for row, counts in zip(joint, class_table(rho)):
+            for j, c in enumerate(counts):
+                row[j] += w * c
     denom = scale**n
     return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
 
@@ -161,18 +155,14 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     """Two-parameter value on a row-permuted block-ones matrix.
 
     The entry product of a pair (tau, sigma) is 1 exactly when
-    tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so the double sum
-    is the sum over h in S_mu of the class table of g h.  The nonzero
-    entry products of P(g) 1_mu are exactly these translates, so
-    ``class_sums`` of the matrix counts them by cycle type.
+    tau sigma^-1 = g h with h in S_mu, and 0 otherwise; the nonzero entry
+    products of P(g) 1_mu are exactly these translates, so ``adet2_poly``
+    of the matrix sums the class tables of g h over S_mu.
     """
-    n = s.g.n
-    if n > STRUCTURED_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds structured cap {STRUCTURED_CAP}")
-    if n == 0:
-        return Fraction(1)
-    rows, _ = scaled_int_rows(s.materialize())
-    return QPoly2(_combine_tables(n, class_sums(rows))).eval(x, y)
+    # before materializing, so a huge g is refused without an n x n matrix
+    if s.g.n > ADET2_CAP:
+        raise SizeCapExceeded(f"n={s.g.n} exceeds two-parameter cap {ADET2_CAP}")
+    return adet2_poly(s.materialize()).eval(x, y)
 
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:

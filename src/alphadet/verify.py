@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .adet import (
     ADET2_CAP,
-    STRUCTURED_CAP,
+    ADET_CAP,
     adet2_structured,
     adet_at,
     det_power_coeff,
@@ -221,8 +221,8 @@ def verify_omega(
     explicit weight, all weights of kn are covered."""
     _require(k >= 1 and n >= 1, "k, n must be positive")
     size = k * n
-    if size > STRUCTURED_CAP:
-        raise SizeCapExceeded(f"kn={size} exceeds cap {STRUCTURED_CAP}")
+    if size > ADET2_CAP:
+        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET2_CAP}")
     t0 = time.monotonic()
     if g is None:
         g = Perm.identity(size)
@@ -241,11 +241,7 @@ def _chi_case(args) -> CaseResult:
     shape = (k,) * n
     f = num_standard_tableaux(shape)
     lhs = Fraction(character(shape, g.cycle_type()), f)
-    denom = content_poly_at((size,), Fraction(-1, size))
-    rhs = (
-        adet2_structured(PermutedBlockOnes(g, (1,) * size), Fraction(-1, k), Fraction(1, n))
-        / denom
-    )
+    rhs = rect_formula_value(k, n, (1,) * size, g) / f
     case_id = f"g={format_perm(g)}"
     if lhs == rhs:
         return CaseResult(case_id, "pass")
@@ -264,8 +260,8 @@ def verify_chi(
     in g up to kn = 7, seeded samples at kn = 8."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
-    if size > STRUCTURED_CAP:
-        raise SizeCapExceeded(f"kn={size} exceeds cap {STRUCTURED_CAP}")
+    if size > ADET2_CAP:
+        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET2_CAP}")
     if samples <= 0 and size > CHI_EXHAUSTIVE_CAP:
         raise SizeCapExceeded(
             f"exhaustive run needs kn <= {CHI_EXHAUSTIVE_CAP}; pass samples for kn={size}"
@@ -359,8 +355,8 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     the double-coset index."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
-    if size > STRUCTURED_CAP:
-        raise SizeCapExceeded(f"kn={size} exceeds cap {STRUCTURED_CAP}")
+    if size > ADET_CAP:
+        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET_CAP}")
     if samples <= 0 and size > ZSF_EXHAUSTIVE_CAP:
         raise SizeCapExceeded(
             f"exhaustive run needs kn <= {ZSF_EXHAUSTIVE_CAP}; pass samples for kn={size}"

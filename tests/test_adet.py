@@ -247,7 +247,69 @@ def test_adet2_matches_single_parameter_expansion():
 
 def test_adet2_cap():
     with pytest.raises(SizeCapExceeded):
-        adet2_poly(RatMatrix.identity(7))
+        adet2_poly(RatMatrix.identity(9))
+
+
+def _det(a: RatMatrix) -> F:
+    """Oracle: the determinant by exact Gaussian elimination."""
+    n = a.require_square()
+    m = [[a[i, j] for j in range(n)] for i in range(n)]
+    det = F(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            for j in range(c, n):
+                m[r][j] -= f * m[c][j]
+    return det
+
+
+def _per(a: RatMatrix) -> F:
+    """Oracle: the permanent by Ryser's inclusion-exclusion formula."""
+    n = a.require_square()
+    total = F(0)
+    for subset in range(1, 1 << n):
+        cols = [j for j in range(n) if subset >> j & 1]
+        prod = F(1)
+        for i in range(n):
+            prod *= sum(a[i, j] for j in cols)
+        total += (-1) ** len(cols) * prod
+    return (-1) ** n * total
+
+
+def _rational_matrix(n: int, seed: int) -> RatMatrix:
+    a = random_matrix(n, n, seed)
+    return RatMatrix([[a[i, j] / (1 + (i + 2 * j) % 5) for j in range(n)] for i in range(n)])
+
+
+def test_adet2_poly_at_beta_plus_minus_one():
+    # gate above _adet2_naive's (n!)^2 reach: at fixed pi = tau sigma^-1 the
+    # sum over sigma of beta^len(sigma) alpha^len(pi sigma) is
+    # sgn(pi) content_poly(1^n) at beta = -1 and content_poly((n,)) at
+    # beta = 1, so the determinant and the permanent factor out
+    for n in (1, 2, 3, 5, 7, 8):
+        a = random_matrix(n, n, 700 + n)
+        p = adet2_poly(a)
+        at_minus, at_plus = (QPoly(QPoly(row).eval(b) for row in p.grid) for b in (F(-1), F(1)))
+        assert at_minus == _det(a) * content_poly((1,) * n), n
+        assert at_plus == _per(a) * content_poly((n,)), n
+
+
+def test_adet2_poly_edges_are_adet_poly():
+    # tau = id (row 0 of the grid) and sigma = id (column 0) each leave the
+    # one-parameter sum
+    for n in (1, 4, 7, 8):
+        for a in (random_matrix(n, n, 800 + n), _rational_matrix(n, 900 + n)):
+            p = adet2_poly(a)
+            expected = adet_poly(a)
+            assert QPoly(p.coefficient(0, j) for j in range(n)) == expected, n
+            assert QPoly(p.coefficient(i, 0) for i in range(n)) == expected, n
 
 
 def test_structured_identity_diagonal_collapse():
@@ -444,14 +506,21 @@ def test_adet2_of_block_ones_expansion():
         assert adet2_poly(block_ones((k,) * n)) == expected
 
 
-def test_structured_cap():
+def test_structured_cap(monkeypatch):
+    # the cap comes first, so a huge g is refused without its n x n matrix
+    def no_matrix(self):
+        raise AssertionError("the cap must be checked before materializing")
+
+    monkeypatch.setattr(PermutedBlockOnes, "materialize", no_matrix)
     with pytest.raises(SizeCapExceeded):
         adet2_structured(PermutedBlockOnes(Perm.identity(9), (1,) * 9), F(1), F(1))
+    with pytest.raises(SizeCapExceeded):
+        adet2_structured(PermutedBlockOnes(Perm.identity(9), (9,)), F(1), F(1))
 
 
 def test_wreath_average_cap():
     with pytest.raises(SizeCapExceeded):
-        wreath_average_poly(random_matrix(8, 4, 1), 2)
+        wreath_average_poly(random_matrix(9, 3, 1), 3)
 
 
 def test_det_power_coeff_known_values():

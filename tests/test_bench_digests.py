@@ -1,0 +1,38 @@
+"""The benchmark's workloads still produce their recorded report bytes.
+
+Slot 0 of each workload in perfbench/workloads.py runs in-process through
+the CLI, and its report must pass perfbench/gate.py against the digest
+recorded in perfbench/digests.json.  Nothing under perfbench/ is written.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from alphadet.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = _load("gate")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_slot_0_report_matches_recorded_digest(name, tmp_path, capsys):
+    workload = workloads.WORKLOADS[name]
+    report = tmp_path / "report.json"
+    exit_code = main([*workloads.suite_argv(workload, 0), "--json", str(report)])
+    capsys.readouterr()
+    digest = gate.load_digests()[name][0]
+    assert gate.check_run(exit_code, report.read_bytes(), workload.case_count, digest) == []

@@ -121,7 +121,9 @@ def test_verify_pass_and_report(tmp_path, capsys):
 
 
 def test_verify_cap_exit_code(capsys):
-    assert main(["verify", "theorem", "--k", "2", "--n", "4", "--trials", "1", "--seed", "0"]) == 2
+    assert main(["verify", "theorem", "--k", "2", "--n", "4", "--trials", "1", "--seed", "0"]) == 0
+    assert "status=pass" in capsys.readouterr().out
+    assert main(["verify", "theorem", "--k", "3", "--n", "3", "--trials", "1", "--seed", "0"]) == 2
     assert "error" in capsys.readouterr().err
 
 

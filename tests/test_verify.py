@@ -34,8 +34,9 @@ def test_theorem_suite_k1():
 
 
 def test_theorem_cap():
+    assert verify_theorem(4, 2, trials=1, seed=0).passed  # kn = 8 is the cap
     with pytest.raises(SizeCapExceeded):
-        verify_theorem(2, 4, trials=1, seed=0)
+        verify_theorem(3, 3, trials=1, seed=0)
 
 
 def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
@@ -105,7 +106,12 @@ def test_stanley_m_one_value():
 
 
 def test_size_caps_are_the_module_constants():
-    # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP
+    # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP;
+    # zsf's is ADET_CAP (9): it runs wrdet on the kn x kn inflation and never
+    # a two-parameter sum
+    assert verify_zsf(3, 3, samples=2, seed=1).passed
+    with pytest.raises(SizeCapExceeded, match=r"^kn=10 exceeds cap 9$"):
+        verify_zsf(2, 5, samples=1, seed=1)
     assert verify_stanley(11, 1, 1, seed=0).passed
     assert verify_stanley(6, 2, 2, seed=0).passed
     with pytest.raises(SizeCapExceeded, match="character-evaluation cap 12"):
