@@ -7,22 +7,25 @@ accumulated counts are combined at the end.
 
 Every permutation sum of an entry product runs through one zero-pruning
 cycle walk, ``class_sums``; naive enumeration lives only in the tests, as
-the oracle of each path.  Every two-parameter sum is ``adet2_poly`` on the
-cycle-class tables, under the one cap ``ADET2_CAP``: the structured value
-is ``adet2_poly`` of P(g) 1_mu, and the wreath average is the
-two-parameter determinant of the inflation at beta = -1/k.
+the oracle of each path.  Every two-parameter sum weighs the cycle-class
+tables of S_n by those sums, under the one cap ``ADET2_CAP``; one builder,
+``class_tables``, makes all the tables of S_n at once by Jucys-Murphy
+cut-and-join, without enumerating S_n.  The structured value is that sum
+on P(g) 1_mu, whose 0/1 rows come straight from (g, mu), and the wreath
+average is the two-parameter determinant of the inflation at beta = -1/k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import SizeCapExceeded
+from .errors import IdentityViolation, SizeCapExceeded
 from .matrices import PermutedBlockOnes, RatMatrix, inflate, scaled_int_rows
-from .perms import Perm, _embed, _trans_len, perm_of_cycle_type, perm_tuples
+from .partitions import partitions_of
+from .perms import Perm, _embed, _trans_len, perm_tuples
 from .polynomials import QPoly, QPoly2
 
 ADET_CAP = 9
@@ -76,37 +79,102 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     }
 
 
-@cache
-def _trans_lens(n: int) -> bytes:
-    """Transposition lengths of perm_tuples(n), in enumeration order."""
-    return bytes(_trans_len(p) for p in perm_tuples(n))
+def _add_part(rest: tuple[int, ...], part: int) -> tuple[int, ...]:
+    return tuple(sorted(rest + (part,), reverse=True))
+
+
+def _drop_part(rho: tuple[int, ...], part: int) -> tuple[int, ...]:
+    i = rho.index(part)
+    return rho[:i] + rho[i + 1 :]
 
 
 @cache
-def class_table(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """K[i][j] = #{sigma in S_n : len(g sigma) = i, len(sigma) = j} for any
-    g of cycle type rho.
+def class_tables(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Every cycle-class table of S_n, keyed by cycle type rho:
+    K_rho[i][j] = #{sigma in S_n : len(g sigma) = i, len(sigma) = j} for any
+    g of type rho, with i, j = 0..n.
 
-    Conjugating g by c relabels sigma as c sigma c^-1 without changing
-    either length, so the table depends only on rho.
+    With c = n - len the number of cycles, prod_{m=1..n} (x + J_m) is
+    sum_sigma x^c(sigma) sigma for the Jucys-Murphy elements
+    J_m = sum_{i<m} (i m), so sum_sigma x^c(g sigma) y^c(sigma) is the
+    coefficient of g in P_n = prod_m (x + J_m)(y + J_m).  P_t is central in
+    S_t, a function of cycle type.  Multiplying it by (y + J_{t+1}), then by
+    (x + J_{t+1}), gives values W, then V, on marked types (rest, L), where L
+    is the length of the cycle through the letter t+1; P_{t+1}(type) is V at
+    any marking of the type, and all markings must agree.  No permutation is
+    enumerated and no character is used.
+
+    A value is a polynomial in x, y whose coefficients are counts of at most
+    n! permutations, packed into one integer: the coefficient of x^a y^b
+    fills the w bits from w (a (n+1) + b), so multiplying by x or y is a
+    shift.
     """
-    n = sum(rho)
-    # g0[v] = g(v) - 1: walks the cycles of g sigma from 1-based images of sigma
-    g0 = (0,) + tuple(v - 1 for v in perm_of_cycle_type(rho, n).images)
-    flat = [0] * (n * n)
-    letters = range(n)
-    for p, len_sigma in zip(perm_tuples(n), _trans_lens(n)):
-        seen = bytearray(n)
-        cycles = 0
-        for i in letters:
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = 1
-                    j = g0[p[j]]
-        flat[(n - cycles) * n + len_sigma] += 1
-    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    if n > ADET2_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds two-parameter cap {ADET2_CAP}")
+    w = factorial(n).bit_length()
+    y_shift, x_shift = w, w * (n + 1)
+    prev = {(): 1}
+
+    def marked(rest: tuple[int, ...], length: int) -> int:
+        # W(rest, L) = P_t(rest) times y if L = 1, else P_t(rest with L - 1)
+        if length == 1:
+            return prev[rest] << y_shift
+        return prev[_add_part(rest, length - 1)]
+
+    for t in range(1, n + 1):
+        current = {}
+        for rho in partitions_of(t):
+            values = set()
+            for length in set(rho):
+                rest = _drop_part(rho, length)
+                v = marked(rest, length) << x_shift
+                for s in range(1, length):  # cut the marked cycle into s and L - s
+                    v += marked(_add_part(rest, s), length - s)
+                for m in set(rest):  # join one of the rest's m-cycles to it
+                    v += rest.count(m) * m * marked(_drop_part(rest, m), length + m)
+                values.add(v)
+            if len(values) != 1:
+                raise IdentityViolation(
+                    f"the markings of cycle type {rho} in S_{t} disagree",
+                    witness={"type": rho},
+                )
+            current[rho] = values.pop()
+        prev = current
+    mask = (1 << w) - 1
+    return {
+        rho: tuple(
+            tuple(v >> (x_shift * (n - i) + y_shift * (n - j)) & mask for j in range(n + 1))
+            for i in range(n + 1)
+        )
+        for rho, v in prev.items()
+    }
+
+
+@lru_cache(maxsize=1)
+def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
+    P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
+
+    One entry is kept because the omega suite asks for the two-parameter
+    value and the character average of the same (g, mu) in a row.
+    """
+    return tuple(class_sums(PermutedBlockOnes(g, mu).int_rows()).items())
+
+
+def _weigh_tables(
+    tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]],
+    sums: Iterable[tuple[tuple[int, ...], int]],
+    denom: int,
+) -> QPoly2:
+    """(sum over (rho, w) in sums of w K_rho) / denom as a polynomial in
+    alpha, beta."""
+    # every table of S_n is (n+1) x (n+1)
+    joint = [[0] * len(row) for row in next(iter(tables.values()))]
+    for rho, w in sums:
+        for row, counts in zip(joint, tables[rho]):
+            for j, c in enumerate(counts):
+                row[j] += w * c
+    return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
 
 
 def adet_poly(a: RatMatrix) -> QPoly:
@@ -137,32 +205,20 @@ def adet2_poly(a: RatMatrix) -> QPoly2:
     pi's cycle type.
     """
     n = a.require_square()
-    if n > ADET2_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds two-parameter cap {ADET2_CAP}")
-    if n == 0:
-        return QPoly2([[1]])
+    tables = class_tables(n)  # its cap refuses n before the walk
     rows, scale = scaled_int_rows(a)
-    joint = [[0] * n for _ in range(n)]
-    for rho, w in class_sums(rows).items():
-        for row, counts in zip(joint, class_table(rho)):
-            for j, c in enumerate(counts):
-                row[j] += w * c
-    denom = scale**n
-    return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
+    return _weigh_tables(tables, class_sums(rows).items(), scale**n)
 
 
 def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction:
     """Two-parameter value on a row-permuted block-ones matrix.
 
     The entry product of a pair (tau, sigma) is 1 exactly when
-    tau sigma^-1 = g h with h in S_mu, and 0 otherwise; the nonzero entry
-    products of P(g) 1_mu are exactly these translates, so ``adet2_poly``
-    of the matrix sums the class tables of g h over S_mu.
+    tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so this is
+    ``adet2_poly`` of P(g) 1_mu: the class tables of the translates g h.
     """
-    # before materializing, so a huge g is refused without an n x n matrix
-    if s.g.n > ADET2_CAP:
-        raise SizeCapExceeded(f"n={s.g.n} exceeds two-parameter cap {ADET2_CAP}")
-    return adet2_poly(s.materialize()).eval(x, y)
+    tables = class_tables(s.g.n)  # its cap refuses a huge g before any n x n work
+    return _weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu)), 1).eval(x, y)
 
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .adet import class_sums
+from .adet import class_sums, translate_class_sums
 from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
-from .matrices import PermutedBlockOnes, RatMatrix, scaled_int_rows
+from .matrices import RatMatrix, scaled_int_rows
 from .partitions import (
     check_partition,
     content_poly,
@@ -121,10 +121,7 @@ def subgroup_averaged_character(
     order = young_subgroup_order(mu)
     if order > YOUNG_ORDER_CAP:
         raise SizeCapExceeded(f"Young subgroup of {mu} exceeds {YOUNG_ORDER_CAP}")
-    # the nonzero entry products of P(g) 1_mu are the translates g tau
-    rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
-    by_type = class_sums(rows)
-    total = sum(character(shape, ct) * cnt for ct, cnt in by_type.items())
+    total = sum(character(shape, ct) * cnt for ct, cnt in translate_class_sums(g, mu))
     return Fraction(total, order)
 
 

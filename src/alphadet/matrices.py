@@ -190,5 +190,11 @@ class PermutedBlockOnes:
         if self.g.n != sum(self.mu):
             raise DimensionMismatch("permutation size != sum(mu)")
 
+    def int_rows(self) -> list[tuple[int, ...]]:
+        """The 0/1 entries as integer rows, straight from (g, mu): row r
+        marks the block of g^-1(r)."""
+        block = [b for b, part in enumerate(self.mu) for _ in range(part)]
+        return [tuple(int(block[v - 1] == b) for b in block) for v in self.g.inverse().images]
+
     def materialize(self) -> RatMatrix:
-        return block_ones(self.mu).permute_rows(self.g)
+        return RatMatrix(self.int_rows())

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 from .adet import (
     ADET2_CAP,
     ADET_CAP,
+    DET_POWER_TERM_CAP,
     adet2_structured,
     adet_at,
     det_power_coeff,
@@ -64,7 +65,6 @@ ZSF_EXHAUSTIVE_CAP = 7
 WEAK_ALT_CAP = 7
 STANLEY_M_CAP = 6
 FOURIER_JM_CAP = 6  # the JM product has n! support; size 7 runs the expansion only
-DET_POWER_ROUTE_CAP = 10**7
 
 
 @dataclass
@@ -361,8 +361,8 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
         raise SizeCapExceeded(
             f"exhaustive run needs kn <= {ZSF_EXHAUSTIVE_CAP}; pass samples for kn={size}"
         )
-    if factorial(n) ** k > DET_POWER_ROUTE_CAP:
-        raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_ROUTE_CAP}")
+    if factorial(n) ** k > DET_POWER_TERM_CAP:
+        raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_TERM_CAP}")
     t0 = time.monotonic()
     if samples > 0:
         rng = SplitMix64(seed)

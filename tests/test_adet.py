@@ -1,16 +1,22 @@
 from fractions import Fraction as F
+from functools import cache
 from math import factorial
 
 import pytest
 
+import alphadet.adet as adet_module
+import alphadet.perms as perms_module
 from alphadet.adet import (
+    ADET2_CAP,
     adet2_poly,
     adet2_structured,
     adet_at,
     adet_poly,
     class_sums,
+    class_tables,
     det_power_coeff,
     subgroup_avg_adet,
+    translate_class_sums,
     wrdet,
     wreath_average_poly,
 )
@@ -24,7 +30,15 @@ from alphadet.matrices import (
     scaled_int_rows,
 )
 from alphadet.partitions import content_poly, partitions_of
-from alphadet.perms import Perm, block_profile, enumerate_perms, young_subgroup
+from alphadet.perms import (
+    Perm,
+    _trans_len,
+    block_profile,
+    enumerate_perms,
+    perm_of_cycle_type,
+    perm_tuples,
+    young_subgroup,
+)
 from alphadet.polynomials import QPoly, QPoly2
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
 
@@ -66,6 +80,63 @@ def _adet_poly_naive(a: RatMatrix) -> QPoly:
     return QPoly(coeffs)
 
 
+@cache
+def _trans_lens(n: int) -> bytes:
+    """Transposition lengths of perm_tuples(n), in enumeration order."""
+    return bytes(_trans_len(p) for p in perm_tuples(n))
+
+
+def _class_table_naive(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Oracle: one pass over S_n for the type rho of g, counting
+    K[i][j] = #{sigma : len(g sigma) = i, len(sigma) = j}, i, j = 0..n."""
+    n = sum(rho)
+    # g0[v] = g(v) - 1: walks the cycles of g sigma from 1-based images of sigma
+    g0 = (0,) + tuple(v - 1 for v in perm_of_cycle_type(rho, n).images)
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    letters = range(n)
+    for p, len_sigma in zip(perm_tuples(n), _trans_lens(n)):
+        seen = bytearray(n)
+        cycles = 0
+        for i in letters:
+            if not seen[i]:
+                cycles += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = 1
+                    j = g0[p[j]]
+        table[n - cycles][len_sigma] += 1
+    return tuple(tuple(row) for row in table)
+
+
+def test_class_tables_match_per_type_scan():
+    for n in range(1, 9):
+        tables = class_tables(n)
+        assert sorted(tables) == sorted(partitions_of(n)), n
+        for rho in partitions_of(n):
+            assert tables[rho] == _class_table_naive(rho), rho
+
+
+def test_class_tables_cap_and_empty_size(monkeypatch):
+    def no_work(n):
+        raise AssertionError("the cap must be checked before any work")
+
+    monkeypatch.setattr(adet_module, "partitions_of", no_work)
+    with pytest.raises(SizeCapExceeded, match=f"^n={ADET2_CAP + 1} exceeds two-parameter cap"):
+        class_tables(ADET2_CAP + 1)
+    assert class_tables(0) == {(): ((1,),)}
+    assert adet2_poly(RatMatrix(())) == QPoly2([[1]])
+
+
+def test_class_tables_enumerate_no_permutations(monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("the table builder must not enumerate S_n")
+
+    monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
+    monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
+    class_tables.cache_clear()
+    assert len(class_tables(8)) == len(partitions_of(8))
+
+
 def test_class_sums_matches_full_scan():
     rng = SplitMix64(4040)
     for n in range(8):
@@ -90,6 +161,7 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
             for g in (cycle, random_perm(n, rng)):
                 rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
                 assert class_sums(rows) == _translate_cycle_types(g, mu), (g, mu)
+                assert dict(translate_class_sums(g, mu)) == _translate_cycle_types(g, mu)
 
 
 def test_adet_poly_matches_naive_sum():
@@ -512,6 +584,7 @@ def test_structured_cap(monkeypatch):
         raise AssertionError("the cap must be checked before materializing")
 
     monkeypatch.setattr(PermutedBlockOnes, "materialize", no_matrix)
+    monkeypatch.setattr(PermutedBlockOnes, "int_rows", no_matrix)
     with pytest.raises(SizeCapExceeded):
         adet2_structured(PermutedBlockOnes(Perm.identity(9), (1,) * 9), F(1), F(1))
     with pytest.raises(SizeCapExceeded):

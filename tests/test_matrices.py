@@ -11,8 +11,9 @@ from alphadet.matrices import (
     inflate,
     perm_matrix,
 )
+from alphadet.partitions import partitions_of
 from alphadet.perms import Perm, young_subgroup
-from alphadet.randmat import SplitMix64, random_matrix
+from alphadet.randmat import SplitMix64, random_matrix, random_perm
 
 
 def test_json_round_trip():
@@ -73,6 +74,12 @@ def test_permuted_block_ones_materialization():
         for c in range(4):
             same_block = (g.inverse()(r + 1) - 1) // 2 == c // 2
             assert m[r, c] == (1 if same_block else 0)
+    # the 0/1 rows come straight from (g, mu); P(g) times block_ones(mu) is the oracle
+    rng = SplitMix64(77)
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            g = random_perm(n, rng)
+            assert PermutedBlockOnes(g, mu).materialize() == block_ones(mu).permute_rows(g)
 
 
 def test_random_matrix_deterministic():

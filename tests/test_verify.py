@@ -1,7 +1,10 @@
 import json
+from math import factorial
 
 import pytest
 
+import alphadet.adet as adet_module
+import alphadet.characters as characters_module
 import alphadet.verify as verify_module
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.perms import Perm
@@ -75,6 +78,24 @@ def test_omega_suite_kostka_cross_check_at_six():
     assert report.passed
 
 
+def test_omega_case_walks_the_translates_once(monkeypatch):
+    # the two-parameter value and the character average share one walk of P(g) 1_mu
+    walked = []
+
+    def counting(rows):
+        walked.append(rows)
+        return real(rows)
+
+    real = adet_module.class_sums
+    monkeypatch.setattr(adet_module, "class_sums", counting)
+    monkeypatch.setattr(characters_module, "class_sums", counting)
+    adet_module.translate_class_sums.cache_clear()
+    result = verify_module._omega_case((2, 2, (2, 1, 1), (2, 3, 4, 1)))
+    assert result.status == "pass"
+    assert len(walked) == 1
+    assert adet_module.translate_class_sums.cache_info().maxsize == 1
+
+
 def test_chi_suite_exhaustive():
     report = verify_chi(2, 2, seed=0)
     assert report.passed
@@ -105,10 +126,18 @@ def test_stanley_m_one_value():
     assert report.passed
 
 
-def test_size_caps_are_the_module_constants():
+def test_size_caps_are_the_module_constants(monkeypatch):
     # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP;
     # zsf's is ADET_CAP (9): it runs wrdet on the kn x kn inflation and never
-    # a two-parameter sum
+    # a two-parameter sum; its coefficient-route bound is det_power_coeff's
+    assert verify_module.DET_POWER_TERM_CAP is adet_module.DET_POWER_TERM_CAP
+    assert adet_module.DET_POWER_TERM_CAP == 10**7
+    assert not hasattr(verify_module, "DET_POWER_ROUTE_CAP")
+    with monkeypatch.context() as m:
+        m.setattr(verify_module, "DET_POWER_TERM_CAP", factorial(4) ** 2 - 1)
+        message = r"^\(n!\)\^k exceeds coefficient-route cap 575$"
+        with pytest.raises(SizeCapExceeded, match=message):
+            verify_zsf(2, 4, samples=1, seed=1)
     assert verify_zsf(3, 3, samples=2, seed=1).passed
     with pytest.raises(SizeCapExceeded, match=r"^kn=10 exceeds cap 9$"):
         verify_zsf(2, 5, samples=1, seed=1)
