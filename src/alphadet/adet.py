@@ -5,21 +5,24 @@ homogeneous of degree n in the entries), permutation sums accumulate plain
 integers grouped by cycle statistic, and rationals only appear when the
 accumulated counts are combined at the end.
 
-Every permutation sum of an entry product runs through one zero-pruning
-cycle walk, ``class_sums``; naive enumeration lives only in the tests, as
-the oracle of each path.  Every two-parameter sum weighs the cycle-class
-tables of S_n by those sums, under the one cap ``ADET2_CAP``; one builder,
-``class_tables``, makes all the tables of S_n at once by Jucys-Murphy
-cut-and-join, without enumerating S_n.  The structured value is that sum
-on P(g) 1_mu, whose 0/1 rows come straight from (g, mu), and the wreath
-average is the two-parameter determinant of the inflation at beta = -1/k.
+Every permutation sum of an entry product runs through one kernel,
+``class_sums``, with two exact regroupings of the naive sum: a zero-pruning
+cycle walk, and a subset DP over letter sets that costs about 3^n.  It runs
+the DP when an exact bound B on the walk's leaves exceeds 3^n, and the walk
+otherwise; naive enumeration lives only in the tests, as the oracle of each
+path.  Every two-parameter sum weighs the cycle-class tables of S_n by those
+sums, under the one cap ``ADET2_CAP``; one builder, ``class_tables``, makes
+all the tables of S_n at once by Jucys-Murphy cut-and-join, without
+enumerating S_n.  The structured value is that sum on P(g) 1_mu, whose 0/1
+rows come straight from (g, mu), and the wreath average is the
+two-parameter determinant of the inflation at beta = -1/k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, SizeCapExceeded
@@ -36,7 +39,48 @@ DET_POWER_TERM_CAP = 10**7
 
 def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """Integer sums of the products prod_j rows[p(j)][j] over the
-    permutations p of each cycle type.
+    permutations p of each cycle type, keeping only nonzero totals.
+
+    Two exact regroupings of the naive S_n sum compute it; the cheaper one
+    runs.  The cycle walk visits each permutation with a nonzero product
+    once, so its leaves are at most B = prod_i min(c_(i), n - i) for the
+    column nonzero counts c sorted in descending order: it places each
+    column once, and the i-th placed column has at most n - i free letters.
+    The subset DP costs about 3^n whatever the entries, so it runs when
+    B > 3^n: on dense matrices from n = 7 (7! > 3^7), while sparse inputs
+    such as permutation matrices and inflated replicators keep the walk.
+    """
+    columns, nonzero = _columns(rows)
+    n = len(columns)
+    counts = sorted((m.bit_count() for m in nonzero), reverse=True)
+    if prod(min(c, n - i) for i, c in enumerate(counts)) > 3**n:
+        return _class_sums_subsets(columns, nonzero)
+    return _class_sums_walk(columns, nonzero)
+
+
+def _columns(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The columns of a square matrix, and for each column the mask of its
+    nonzero rows: the input of both ``class_sums`` paths."""
+    columns = list(zip(*rows))
+    return columns, [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
+
+
+def _cycle_types(by_key: dict[int, int], n: int) -> dict[tuple[int, ...], int]:
+    """Decode base-(n+1) keys, whose digit L-1 counts the cycles of length L,
+    to cycle types; zero totals are dropped."""
+    base = n + 1
+    lengths = range(n, 0, -1)
+    return {
+        tuple(ln for ln in lengths for _ in range(key // base ** (ln - 1) % base)): total
+        for key, total in by_key.items()
+        if total
+    }
+
+
+def _class_sums_walk(
+    columns: list[tuple[int, ...]], nonzero: list[int]
+) -> dict[tuple[int, ...], int]:
+    """``class_sums`` by a zero-pruning cycle walk over the permutations.
 
     Each p is built cycle by cycle: a cycle opens at the smallest letter not
     yet placed and follows only nonzero entries of the current column, so a
@@ -44,10 +88,8 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     mask ``free``; the running key adds (n+1)^(L-1) per closed cycle of
     length L, so its base-(n+1) digits are the multiplicities of the lengths.
     """
-    n = len(rows)
+    n = len(columns)
     base = n + 1
-    columns = [tuple(row[c] for row in rows) for c in range(n)]
-    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
     by_key: dict[int, int] = {}
 
     def open_cycle(free: int, key: int, prod: int) -> None:
@@ -72,11 +114,77 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
             extend(free ^ bit, start, r, unit, key, prod * column[r])
 
     open_cycle((1 << n) - 1, 0, 1)
-    lengths = range(n, 0, -1)
-    return {
-        tuple(ln for ln in lengths for _ in range(key // base ** (ln - 1) % base)): total
-        for key, total in by_key.items()
-    }
+    return _cycle_types(by_key, n)
+
+
+def _class_sums_subsets(
+    columns: list[tuple[int, ...]], nonzero: list[int]
+) -> dict[tuple[int, ...], int]:
+    """``class_sums`` by a DP over letter subsets, in about 2^n n^2 + 3^n p(n)
+    integer operations.
+
+    cycle[T] sums the weights of the single cycles on the letter set T,
+    rooted at min T; a Held-Karp table over (mask, last) builds it from the
+    root through letters above it, along nonzero entries only.  A
+    permutation of S splits into the cycle through min S and a permutation
+    of the rest, so sums[S] = sum over T with min S in T of
+    cycle[T] * sums[S - T], with the cycle's length shifting the key as in
+    the walk.  Only sets without the letter 0, and the full set, are needed.
+    """
+    n = len(columns)
+    if not n:
+        return {(): 1}
+    base = n + 1
+    full = (1 << n) - 1
+    cycle = [0] * (full + 1)
+    # paths[mask][last]: summed weight of the paths from min mask through
+    # mask to last; a mask is dropped once its paths are extended
+    paths: list[dict[int, int] | None] = [None] * (full + 1)
+    for v in range(n):
+        paths[1 << v] = {v: 1}
+    for mask in range(1, full + 1):
+        ends = paths[mask]
+        if ends is None:
+            continue
+        paths[mask] = None
+        low = mask & -mask
+        root = low.bit_length() - 1
+        fresh = full & ~mask & ~(low - 1)  # letters above the root, not yet on the path
+        total = 0
+        for last, weight in ends.items():
+            column = columns[last]
+            if nonzero[last] & low:
+                total += weight * column[root]
+            rest = nonzero[last] & fresh
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                r = bit.bit_length() - 1
+                grown = paths[mask | bit]
+                if grown is None:
+                    grown = paths[mask | bit] = {}
+                grown[r] = grown.get(r, 0) + weight * column[r]
+        cycle[mask] = total
+
+    units = [0] + [base**k for k in range(n)]  # units[L] = (n+1)^(L-1)
+    sums: dict[int, dict[int, int]] = {0: {0: 1}}
+    for s in (*range(2, full, 2), full):
+        low = s & -s
+        rest = s ^ low
+        acc: dict[int, int] = {}
+        sub = rest
+        while True:
+            t = sub | low
+            weight = cycle[t]
+            if weight:
+                unit = units[t.bit_count()]
+                for key, v in sums[s ^ t].items():
+                    acc[key + unit] = acc.get(key + unit, 0) + weight * v
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        sums[s] = acc
+    return _cycle_types(sums[full], n)
 
 
 def _add_part(rest: tuple[int, ...], part: int) -> tuple[int, ...]:
@@ -164,17 +272,16 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
 def _weigh_tables(
     tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]],
     sums: Iterable[tuple[tuple[int, ...], int]],
-    denom: int,
-) -> QPoly2:
-    """(sum over (rho, w) in sums of w K_rho) / denom as a polynomial in
-    alpha, beta."""
+) -> list[list[int]]:
+    """The integer grid sum over (rho, w) in sums of w K_rho; entry [i][j]
+    is the coefficient of alpha^i beta^j."""
     # every table of S_n is (n+1) x (n+1)
     joint = [[0] * len(row) for row in next(iter(tables.values()))]
     for rho, w in sums:
         for row, counts in zip(joint, tables[rho]):
             for j, c in enumerate(counts):
                 row[j] += w * c
-    return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
+    return joint
 
 
 def adet_poly(a: RatMatrix) -> QPoly:
@@ -207,7 +314,9 @@ def adet2_poly(a: RatMatrix) -> QPoly2:
     n = a.require_square()
     tables = class_tables(n)  # its cap refuses n before the walk
     rows, scale = scaled_int_rows(a)
-    return _weigh_tables(tables, class_sums(rows).items(), scale**n)
+    denom = scale**n
+    joint = _weigh_tables(tables, class_sums(rows).items())
+    return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
 
 
 def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction:
@@ -216,9 +325,19 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     The entry product of a pair (tau, sigma) is 1 exactly when
     tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so this is
     ``adet2_poly`` of P(g) 1_mu: the class tables of the translates g h.
+    With x = p/q and y = r/t the integer grid is evaluated as
+    sum joint[i][j] p^i q^(n-i) r^j t^(n-j), over q^n t^n.
     """
-    tables = class_tables(s.g.n)  # its cap refuses a huge g before any n x n work
-    return _weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu)), 1).eval(x, y)
+    n = s.g.n
+    tables = class_tables(n)  # its cap refuses a huge g before any n x n work
+    joint = _weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu)))
+    p, q, r, t = x.numerator, x.denominator, y.numerator, y.denominator
+    x_terms = [p**i * q ** (n - i) for i in range(n + 1)]
+    y_terms = [r**j * t ** (n - j) for j in range(n + 1)]
+    total = sum(
+        xi * sum(c * yj for c, yj in zip(row, y_terms)) for xi, row in zip(x_terms, joint)
+    )
+    return Fraction(total, q**n * t**n)
 
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:

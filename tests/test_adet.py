@@ -8,6 +8,9 @@ import alphadet.adet as adet_module
 import alphadet.perms as perms_module
 from alphadet.adet import (
     ADET2_CAP,
+    _class_sums_subsets,
+    _class_sums_walk,
+    _columns,
     adet2_poly,
     adet2_structured,
     adet_at,
@@ -45,7 +48,8 @@ from alphadet.randmat import SplitMix64, random_matrix, random_perm
 
 def _class_sums_naive(rows) -> dict:
     """Oracle: the full S_n scan, each nonzero product prod_j rows[p(j)][j]
-    added under the cycle type of p."""
+    added under the cycle type of p; types whose products cancel to 0 are
+    dropped."""
     n = len(rows)
     sums: dict = {}
     for p in enumerate_perms(n):
@@ -55,7 +59,7 @@ def _class_sums_naive(rows) -> dict:
         if prod:
             ct = p.cycle_type()
             sums[ct] = sums.get(ct, 0) + prod
-    return sums
+    return {ct: total for ct, total in sums.items() if total}
 
 
 def _translate_cycle_types(g: Perm, mu) -> dict:
@@ -137,31 +141,66 @@ def test_class_tables_enumerate_no_permutations(monkeypatch):
     assert len(class_tables(8)) == len(partitions_of(8))
 
 
+def _walk(rows) -> dict:
+    return _class_sums_walk(*_columns(rows))
+
+
+def _subsets(rows) -> dict:
+    return _class_sums_subsets(*_columns(rows))
+
+
+CLASS_SUMS_PATHS = (class_sums, _walk, _subsets)
+
+
 def test_class_sums_matches_full_scan():
+    # both exact paths, and the choice between them, against the S_n scan
     rng = SplitMix64(4040)
-    for n in range(8):
+    for n in range(9):
         dense = [[rng.randint(1, 9) * (-1) ** rng.below(2) for _ in range(n)] for _ in range(n)]
         sparse = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        for rows in (dense, sparse):
-            assert class_sums(rows) == _class_sums_naive(rows), (n, rows)
+        cases = [dense, sparse]
         if n:
-            dense[0][rng.below(n)] = 0
-            assert class_sums(dense) == _class_sums_naive(dense), (n, dense)
-            zero_column = [[0 if j == n - 1 else v for j, v in enumerate(r)] for r in dense]
-            assert class_sums(zero_column) == {}
-    assert class_sums([]) == {(): 1}
+            zero_entry = [list(row) for row in dense]
+            zero_entry[0][rng.below(n)] = 0
+            zero_column = [[0 if j == n - 1 else v for j, v in enumerate(r)] for r in zero_entry]
+            cases += [zero_entry, zero_column]
+        for rows in cases:
+            expected = _class_sums_naive(rows)
+            for path in CLASS_SUMS_PATHS:
+                assert path(rows) == expected, (path.__name__, n, rows)
+        if n:
+            assert expected == {}  # the zero column kills every product
+    # (1 2 3) weighs +1 and (1 3 2) weighs -1, so type (3,) is not a key;
+    # only (2 3), of type (2, 1), survives
+    cancelling = [[2, 1, 1], [1, 0, 1], [-1, 1, 0]]
+    assert _class_sums_naive(cancelling) == {(2, 1): 2}
+    for path in CLASS_SUMS_PATHS:
+        assert path([]) == {(): 1}, path.__name__
+        assert path(cancelling) == {(2, 1): 2}, path.__name__
+
+
+def test_class_sums_subsets_match_walk_at_nine():
+    rng = SplitMix64(9090)
+    for signed in (False, True):
+        rows = [
+            [rng.randint(1, 9) * (-1) ** (signed * rng.below(2)) for _ in range(9)]
+            for _ in range(9)
+        ]
+        assert _subsets(rows) == _walk(rows), rows
 
 
 def test_class_sums_of_permuted_block_ones_counts_translates():
     # the nonzero products of P(g) 1_mu are exactly the translates g h, h in S_mu
     rng = SplitMix64(5050)
-    for n in range(1, 7):
+    for n in range(1, 9):
         cycle = Perm.from_cycles(n, [tuple(range(1, n + 1))])
         for mu in partitions_of(n):
             for g in (cycle, random_perm(n, rng)):
+                expected = _translate_cycle_types(g, mu)
                 rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
-                assert class_sums(rows) == _translate_cycle_types(g, mu), (g, mu)
-                assert dict(translate_class_sums(g, mu)) == _translate_cycle_types(g, mu)
+                for path in CLASS_SUMS_PATHS:
+                    assert path(rows) == expected, (path.__name__, g, mu)
+                assert dict(translate_class_sums(g, mu)) == expected, (g, mu)
 
 
 def test_adet_poly_matches_naive_sum():

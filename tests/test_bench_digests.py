@@ -1,8 +1,10 @@
 """The benchmark's workloads still produce their recorded report bytes.
 
-Slot 0 of each workload in perfbench/workloads.py runs in-process through
-the CLI, and its report must pass perfbench/gate.py against the digest
-recorded in perfbench/digests.json.  Nothing under perfbench/ is written.
+Slot 0 of each workload in perfbench/workloads.py, and every slot of
+omega-weights, whose P(g) 1_mu sums take both class_sums paths, runs
+in-process through the CLI; its report must pass perfbench/gate.py against
+the digest recorded in perfbench/digests.json.  Nothing under perfbench/ is
+written.
 """
 
 import importlib.util
@@ -28,11 +30,20 @@ gate = _load("gate")
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_slot_0_report_matches_recorded_digest(name, tmp_path, capsys):
+def _check_slot(name: str, slot: int, tmp_path, capsys) -> None:
     workload = workloads.WORKLOADS[name]
     report = tmp_path / "report.json"
-    exit_code = main([*workloads.suite_argv(workload, 0), "--json", str(report)])
+    exit_code = main([*workloads.suite_argv(workload, slot), "--json", str(report)])
     capsys.readouterr()
-    digest = gate.load_digests()[name][0]
+    digest = gate.load_digests()[name][slot]
     assert gate.check_run(exit_code, report.read_bytes(), workload.case_count, digest) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_slot_0_report_matches_recorded_digest(name, tmp_path, capsys):
+    _check_slot(name, 0, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("slot", range(1, workloads.DIGEST_SLOTS))
+def test_omega_weights_slot_matches_recorded_digest(slot, tmp_path, capsys):
+    _check_slot("omega-weights", slot, tmp_path, capsys)
