@@ -6,15 +6,15 @@ integers grouped by cycle statistic, and rationals only appear when the
 accumulated counts are combined at the end.
 
 Every permutation sum of an entry product runs through one kernel,
-``class_sums``, with two exact regroupings of the naive sum: a zero-pruning
-cycle walk, and a subset DP over letter sets that costs about 3^n.  It runs
-the DP when an exact bound B on the walk's leaves exceeds 3^n, and the walk
-otherwise; naive enumeration lives only in the tests, as the oracle of each
-path.  Every two-parameter sum weighs the cycle-class tables of S_n by those
-sums, under the one cap ``ADET2_CAP``; one builder, ``class_tables``, makes
-all the tables of S_n at once by Jucys-Murphy cut-and-join, without
-enumerating S_n.  The structured value is that sum on P(g) 1_mu, whose 0/1
-rows come straight from (g, mu), and the wreath average is the
+``class_sums``: a DP over letter sets that splits off the cycle through the
+least letter, with single-cycle sums from a Held-Karp table grown along
+nonzero entries only, so zeros prune it and no permutation is enumerated;
+naive enumeration lives only in the tests, as its oracle.  Every
+two-parameter sum weighs the cycle-class tables of S_n by those sums, under
+the one cap ``ADET2_CAP``; one builder, ``class_tables``, makes all the
+tables of S_n at once by Jucys-Murphy cut-and-join, without enumerating
+S_n.  The structured value is that sum on P(g) 1_mu, whose 0/1 rows come
+straight from (g, mu), and the wreath average is the
 two-parameter determinant of the inflation at beta = -1/k.
 """
 
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, SizeCapExceeded
 from .matrices import PermutedBlockOnes, RatMatrix, inflate, scaled_int_rows
 from .partitions import partitions_of
 from .perms import Perm, _embed, _trans_len, perm_tuples
-from .polynomials import QPoly, QPoly2
+from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
 ADET2_CAP = 8
@@ -41,150 +41,87 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """Integer sums of the products prod_j rows[p(j)][j] over the
     permutations p of each cycle type, keeping only nonzero totals.
 
-    Two exact regroupings of the naive S_n sum compute it; the cheaper one
-    runs.  The cycle walk visits each permutation with a nonzero product
-    once, so its leaves are at most B = prod_i min(c_(i), n - i) for the
-    column nonzero counts c sorted in descending order: it places each
-    column once, and the i-th placed column has at most n - i free letters.
-    The subset DP costs about 3^n whatever the entries, so it runs when
-    B > 3^n: on dense matrices from n = 7 (7! > 3^7), while sparse inputs
-    such as permutation matrices and inflated replicators keep the walk.
+    A permutation of a letter set S splits into the cycle through min S and
+    a permutation of the rest, so with cycle[T] the summed weight of the
+    single cycles on T,
+        sums[S] = sum over T with min S in T, T within S, of cycle[T] * sums[S - T],
+    where the cycle's length shifts the key.  sums is filled top-down from
+    the full set, so only the sets that nonzero cycles leave over are
+    visited.  The cycles rooted at r come from a Held-Karp table over
+    (path letters, last letter) that grows paths from r through larger
+    letters along nonzero entries only, built the first time a set with
+    least letter r is visited.  A zero entry thus prunes every cycle through
+    it: past reading the entries, a permutation matrix costs O(n) steps and
+    a dense one about 2^n n^2 for the tables and 4^n / 12 subset tests for
+    the split, not n!.  Letters are bits; a key adds (n+1)^(L-1) per cycle
+    of length L, so its base-(n+1) digits are the multiplicities of the
+    lengths.
     """
-    columns, nonzero = _columns(rows)
-    n = len(columns)
-    counts = sorted((m.bit_count() for m in nonzero), reverse=True)
-    if prod(min(c, n - i) for i, c in enumerate(counts)) > 3**n:
-        return _class_sums_subsets(columns, nonzero)
-    return _class_sums_walk(columns, nonzero)
-
-
-def _columns(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The columns of a square matrix, and for each column the mask of its
-    nonzero rows: the input of both ``class_sums`` paths."""
     columns = list(zip(*rows))
-    return columns, [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
+    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
+    n = len(columns)
+    units = [0] + [(n + 1) ** k for k in range(n)]  # units[L] = (n+1)^(L-1)
+    rooted: dict[int, list[tuple[int, int, int]]] = {}
 
+    def cycles_at(root: int) -> list[tuple[int, int, int]]:
+        # (letter set, summed weight, key unit) of every letter set whose
+        # single cycles rooted at root weigh a nonzero total
+        found = []
+        low = 1 << root
+        above = ~(2 * low - 1)
+        layer = {low: {root: 1}}  # letter set -> last letter -> summed path weight
+        while layer:
+            grown_layer: dict[int, dict[int, int]] = {}
+            for mask, ends in layer.items():
+                fresh = above & ~mask
+                total = 0
+                for last, weight in ends.items():
+                    column = columns[last]
+                    if nonzero[last] & low:
+                        total += weight * column[root]
+                    rest = nonzero[last] & fresh
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        r = bit.bit_length() - 1
+                        grown = grown_layer.get(mask | bit)
+                        if grown is None:
+                            grown = grown_layer[mask | bit] = {}
+                        grown[r] = grown.get(r, 0) + weight * column[r]
+                if total:
+                    found.append((mask, total, units[mask.bit_count()]))
+            layer = grown_layer
+        return found
 
-def _cycle_types(by_key: dict[int, int], n: int) -> dict[tuple[int, ...], int]:
-    """Decode base-(n+1) keys, whose digit L-1 counts the cycles of length L,
-    to cycle types; zero totals are dropped."""
-    base = n + 1
-    lengths = range(n, 0, -1)
+    sums: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def sums_of(s: int) -> dict[int, int]:
+        acc = sums.get(s)
+        if acc is None:
+            acc = sums[s] = {}
+            root = (s & -s).bit_length() - 1
+            found = rooted.get(root)
+            if found is None:
+                found = rooted[root] = cycles_at(root)
+            for t, weight, unit in found:
+                if t & ~s:
+                    continue
+                for key, v in sums_of(s ^ t).items():
+                    acc[key + unit] = acc.get(key + unit, 0) + weight * v
+        return acc
+
     return {
-        tuple(ln for ln in lengths for _ in range(key // base ** (ln - 1) % base)): total
-        for key, total in by_key.items()
+        _cycle_type(key, n): total
+        for key, total in sums_of((1 << n) - 1).items()
         if total
     }
 
 
-def _class_sums_walk(
-    columns: list[tuple[int, ...]], nonzero: list[int]
-) -> dict[tuple[int, ...], int]:
-    """``class_sums`` by a zero-pruning cycle walk over the permutations.
-
-    Each p is built cycle by cycle: a cycle opens at the smallest letter not
-    yet placed and follows only nonzero entries of the current column, so a
-    zero entry prunes every permutation through it.  Letters are bits of the
-    mask ``free``; the running key adds (n+1)^(L-1) per closed cycle of
-    length L, so its base-(n+1) digits are the multiplicities of the lengths.
-    """
-    n = len(columns)
+@cache
+def _cycle_type(key: int, n: int) -> tuple[int, ...]:
+    """The cycle type whose base-(n+1) key digit L-1 counts its L-cycles."""
     base = n + 1
-    by_key: dict[int, int] = {}
-
-    def open_cycle(free: int, key: int, prod: int) -> None:
-        if not free:
-            by_key[key] = by_key.get(key, 0) + prod
-            return
-        start = free & -free
-        extend(free ^ start, start, start.bit_length() - 1, 1, key, prod)
-
-    def extend(free: int, start: int, col: int, unit: int, key: int, prod: int) -> None:
-        # col ends the open cycle, which began at the letter bit `start`;
-        # unit is (n+1)^(L-1) for the cycle's length L so far
-        column = columns[col]
-        if nonzero[col] & start:
-            open_cycle(free, key + unit, prod * column[start.bit_length() - 1])
-        unit *= base
-        rest = free & nonzero[col]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            r = bit.bit_length() - 1
-            extend(free ^ bit, start, r, unit, key, prod * column[r])
-
-    open_cycle((1 << n) - 1, 0, 1)
-    return _cycle_types(by_key, n)
-
-
-def _class_sums_subsets(
-    columns: list[tuple[int, ...]], nonzero: list[int]
-) -> dict[tuple[int, ...], int]:
-    """``class_sums`` by a DP over letter subsets, in about 2^n n^2 + 3^n p(n)
-    integer operations.
-
-    cycle[T] sums the weights of the single cycles on the letter set T,
-    rooted at min T; a Held-Karp table over (mask, last) builds it from the
-    root through letters above it, along nonzero entries only.  A
-    permutation of S splits into the cycle through min S and a permutation
-    of the rest, so sums[S] = sum over T with min S in T of
-    cycle[T] * sums[S - T], with the cycle's length shifting the key as in
-    the walk.  Only sets without the letter 0, and the full set, are needed.
-    """
-    n = len(columns)
-    if not n:
-        return {(): 1}
-    base = n + 1
-    full = (1 << n) - 1
-    cycle = [0] * (full + 1)
-    # paths[mask][last]: summed weight of the paths from min mask through
-    # mask to last; a mask is dropped once its paths are extended
-    paths: list[dict[int, int] | None] = [None] * (full + 1)
-    for v in range(n):
-        paths[1 << v] = {v: 1}
-    for mask in range(1, full + 1):
-        ends = paths[mask]
-        if ends is None:
-            continue
-        paths[mask] = None
-        low = mask & -mask
-        root = low.bit_length() - 1
-        fresh = full & ~mask & ~(low - 1)  # letters above the root, not yet on the path
-        total = 0
-        for last, weight in ends.items():
-            column = columns[last]
-            if nonzero[last] & low:
-                total += weight * column[root]
-            rest = nonzero[last] & fresh
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                r = bit.bit_length() - 1
-                grown = paths[mask | bit]
-                if grown is None:
-                    grown = paths[mask | bit] = {}
-                grown[r] = grown.get(r, 0) + weight * column[r]
-        cycle[mask] = total
-
-    units = [0] + [base**k for k in range(n)]  # units[L] = (n+1)^(L-1)
-    sums: dict[int, dict[int, int]] = {0: {0: 1}}
-    for s in (*range(2, full, 2), full):
-        low = s & -s
-        rest = s ^ low
-        acc: dict[int, int] = {}
-        sub = rest
-        while True:
-            t = sub | low
-            weight = cycle[t]
-            if weight:
-                unit = units[t.bit_count()]
-                for key, v in sums[s ^ t].items():
-                    acc[key + unit] = acc.get(key + unit, 0) + weight * v
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        sums[s] = acc
-    return _cycle_types(sums[full], n)
+    return tuple(ln for ln in range(n, 0, -1) for _ in range(key // base ** (ln - 1) % base))
 
 
 def _add_part(rest: tuple[int, ...], part: int) -> tuple[int, ...]:
@@ -325,19 +262,10 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     The entry product of a pair (tau, sigma) is 1 exactly when
     tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so this is
     ``adet2_poly`` of P(g) 1_mu: the class tables of the translates g h.
-    With x = p/q and y = r/t the integer grid is evaluated as
-    sum joint[i][j] p^i q^(n-i) r^j t^(n-j), over q^n t^n.
     """
     n = s.g.n
     tables = class_tables(n)  # its cap refuses a huge g before any n x n work
-    joint = _weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu)))
-    p, q, r, t = x.numerator, x.denominator, y.numerator, y.denominator
-    x_terms = [p**i * q ** (n - i) for i in range(n + 1)]
-    y_terms = [r**j * t ** (n - j) for j in range(n + 1)]
-    total = sum(
-        xi * sum(c * yj for c, yj in zip(row, y_terms)) for xi, row in zip(x_terms, joint)
-    )
-    return Fraction(total, q**n * t**n)
+    return eval_grid(_weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu))), 1, x, y)
 
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:

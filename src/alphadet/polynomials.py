@@ -10,6 +10,7 @@ structural equality and values are safe to hash and share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DivisionByZeroPoly, NotDivisible
@@ -150,6 +151,24 @@ class QPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def eval_grid(grid: Sequence[Sequence[int]], denom: int, x, y) -> Fraction:
+    """sum grid[i][j] x^i y^j / denom for an integer grid with rows of equal
+    length, exactly.  With x = p/q, y = r/s and I, J the top exponents, the
+    numerator sum grid[i][j] p^i q^(I-i) r^j s^(J-j) is integer arithmetic,
+    and one Fraction over denom q^I s^J is reduced at the end."""
+    x, y = _frac(x), _frac(y)
+    if not grid:
+        return Fraction(0)
+    top_i, top_j = len(grid) - 1, len(grid[0]) - 1
+    p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+    x_terms = [p**i * q ** (top_i - i) for i in range(top_i + 1)]
+    y_terms = [r**j * s ** (top_j - j) for j in range(top_j + 1)]
+    total = sum(
+        xi * sum(c * yj for c, yj in zip(row, y_terms)) for xi, row in zip(x_terms, grid)
+    )
+    return Fraction(total, denom * q**top_i * s**top_j)
+
+
 class QPoly2:
     """Bivariate polynomial; ``grid[i][j]`` is the coefficient of a^i * b^j."""
 
@@ -214,14 +233,11 @@ class QPoly2:
     __rmul__ = __mul__
 
     def eval(self, x, y) -> Fraction:
-        x, y = _frac(x), _frac(y)
-        acc = Fraction(0)
-        for row in reversed(self.grid):
-            inner = Fraction(0)
-            for c in reversed(row):
-                inner = inner * y + c
-            acc = acc * x + inner
-        return acc
+        """Evaluate exactly at a rational point, by ``eval_grid`` over the
+        lcm of the coefficient denominators."""
+        d = lcm(*(c.denominator for row in self.grid for c in row))
+        scaled = [[c.numerator * (d // c.denominator) for c in row] for row in self.grid]
+        return eval_grid(scaled, d, x, y)
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient grid equals its transpose."""

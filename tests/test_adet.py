@@ -8,9 +8,6 @@ import alphadet.adet as adet_module
 import alphadet.perms as perms_module
 from alphadet.adet import (
     ADET2_CAP,
-    _class_sums_subsets,
-    _class_sums_walk,
-    _columns,
     adet2_poly,
     adet2_structured,
     adet_at,
@@ -141,19 +138,7 @@ def test_class_tables_enumerate_no_permutations(monkeypatch):
     assert len(class_tables(8)) == len(partitions_of(8))
 
 
-def _walk(rows) -> dict:
-    return _class_sums_walk(*_columns(rows))
-
-
-def _subsets(rows) -> dict:
-    return _class_sums_subsets(*_columns(rows))
-
-
-CLASS_SUMS_PATHS = (class_sums, _walk, _subsets)
-
-
 def test_class_sums_matches_full_scan():
-    # both exact paths, and the choice between them, against the S_n scan
     rng = SplitMix64(4040)
     for n in range(9):
         dense = [[rng.randint(1, 9) * (-1) ** rng.below(2) for _ in range(n)] for _ in range(n)]
@@ -165,28 +150,52 @@ def test_class_sums_matches_full_scan():
             zero_column = [[0 if j == n - 1 else v for j, v in enumerate(r)] for r in zero_entry]
             cases += [zero_entry, zero_column]
         for rows in cases:
-            expected = _class_sums_naive(rows)
-            for path in CLASS_SUMS_PATHS:
-                assert path(rows) == expected, (path.__name__, n, rows)
+            assert class_sums(rows) == _class_sums_naive(rows), (n, rows)
         if n:
-            assert expected == {}  # the zero column kills every product
+            assert class_sums(zero_column) == {}  # the zero column kills every product
     # (1 2 3) weighs +1 and (1 3 2) weighs -1, so type (3,) is not a key;
     # only (2 3), of type (2, 1), survives
     cancelling = [[2, 1, 1], [1, 0, 1], [-1, 1, 0]]
     assert _class_sums_naive(cancelling) == {(2, 1): 2}
-    for path in CLASS_SUMS_PATHS:
-        assert path([]) == {(): 1}, path.__name__
-        assert path(cancelling) == {(2, 1): 2}, path.__name__
+    assert class_sums(cancelling) == {(2, 1): 2}
+    assert class_sums([]) == {(): 1}
 
 
-def test_class_sums_subsets_match_walk_at_nine():
+def _class_sums_walk(rows) -> dict:
+    """Oracle: each permutation with a nonzero product, built cycle by cycle
+    along nonzero entries from the smallest letter not yet placed."""
+    n = len(rows)
+    sums: dict = {}
+
+    def open_cycle(free: frozenset, lengths: tuple, weight: int) -> None:
+        if not free:
+            ct = tuple(sorted(lengths, reverse=True))
+            sums[ct] = sums.get(ct, 0) + weight
+            return
+        start = min(free)
+        extend(free - {start}, start, start, 1, lengths, weight)
+
+    def extend(free, start, col, length, lengths, weight) -> None:
+        if rows[start][col]:
+            open_cycle(free, lengths + (length,), weight * rows[start][col])
+        for r in free:
+            if rows[r][col]:
+                extend(free - {r}, start, r, length + 1, lengths, weight * rows[r][col])
+
+    open_cycle(frozenset(range(n)), (), 1)
+    return {ct: total for ct, total in sums.items() if total}
+
+
+def test_class_sums_matches_walk_at_nine():
     rng = SplitMix64(9090)
     for signed in (False, True):
         rows = [
             [rng.randint(1, 9) * (-1) ** (signed * rng.below(2)) for _ in range(9)]
             for _ in range(9)
         ]
-        assert _subsets(rows) == _walk(rows), rows
+        assert class_sums(rows) == _class_sums_walk(rows), rows
+    sparse = [[rng.randint(-1, 1) * rng.below(2) for _ in range(9)] for _ in range(9)]
+    assert class_sums(sparse) == _class_sums_walk(sparse), sparse
 
 
 def test_class_sums_of_permuted_block_ones_counts_translates():
@@ -198,8 +207,7 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
             for g in (cycle, random_perm(n, rng)):
                 expected = _translate_cycle_types(g, mu)
                 rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
-                for path in CLASS_SUMS_PATHS:
-                    assert path(rows) == expected, (path.__name__, g, mu)
+                assert class_sums(rows) == expected, (g, mu)
                 assert dict(translate_class_sums(g, mu)) == expected, (g, mu)
 
 

@@ -93,6 +93,13 @@ def test_qpoly2_canonical_and_eval():
     assert p.transpose() == QPoly2([[1, 0], [0, 2]])
 
 
+@given(polys_st, polys_st, fractions_st, fractions_st)
+def test_qpoly2_eval_over_common_denominator_matches_horner(p, q, x, y):
+    # QPoly2.eval scales to one integer grid; QPoly.eval is Horner on Fractions
+    grid = QPoly2.outer(p, q) + QPoly2.outer(q, p)
+    assert grid.eval(x, y) == p.eval(x) * q.eval(y) + q.eval(x) * p.eval(y)
+
+
 def test_qpoly2_outer_and_arithmetic():
     a = QPoly([1, 1])
     b = QPoly([1, -2])

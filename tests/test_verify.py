@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction as F
 from math import factorial
 
 import pytest
@@ -7,12 +6,8 @@ import pytest
 import alphadet.adet as adet_module
 import alphadet.characters as characters_module
 import alphadet.verify as verify_module
-from alphadet.adet import adet2_structured, class_sums
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
-from alphadet.matrices import PermutedBlockOnes, scaled_int_rows
-from alphadet.partitions import content_poly
 from alphadet.perms import Perm
-from alphadet.randmat import random_matrix
 from alphadet.verify import (
     verify_chi,
     verify_omega,
@@ -99,33 +94,6 @@ def test_omega_case_walks_the_translates_once(monkeypatch):
     assert result.status == "pass"
     assert len(walked) == 1
     assert adet_module.translate_class_sums.cache_info().maxsize == 1
-
-
-def _refuse(columns, nonzero):
-    raise AssertionError("this input must take the other class_sums path")
-
-
-def test_sparse_and_small_inputs_keep_the_walk(monkeypatch):
-    # each walk has at most B <= 3^n leaves: dense 6x6 (720 < 729), the 8x8
-    # inflated replicators and the permutation matrices of mu = 1^8 (B = 1)
-    monkeypatch.setattr(adet_module, "_class_sums_subsets", _refuse)
-    adet_module.translate_class_sums.cache_clear()
-    assert verify_theorem(2, 3, trials=1, seed=3).passed
-    assert verify_zsf(2, 4, samples=1, seed=3).passed
-    assert verify_chi(2, 4, samples=1, seed=3).passed  # adet2_structured at mu = 1^8
-
-
-def test_dense_and_coset_inputs_take_the_subset_dp(monkeypatch):
-    rows, _ = scaled_int_rows(random_matrix(8, 8, 88))
-    expected = adet_module._class_sums_walk(*adet_module._columns(rows))
-    monkeypatch.setattr(adet_module, "_class_sums_walk", _refuse)
-    adet_module.translate_class_sums.cache_clear()
-    assert class_sums(rows) == expected
-    # P(g) 1_(8) is all ones, so tau and sigma each run over all of S_8
-    g = Perm((3, 1, 4, 8, 5, 2, 7, 6))
-    x, y = F(-1, 2), F(1, 4)
-    row = content_poly((8,))
-    assert adet2_structured(PermutedBlockOnes(g, (8,)), x, y) == row.eval(x) * row.eval(y)
 
 
 def test_chi_suite_exhaustive():
