@@ -1,9 +1,13 @@
 """Determinant-like functionals built on permutation sums.
 
-Everything is exact: matrices are scaled to integers up front (the sums are
-homogeneous of degree n in the entries), permutation sums accumulate plain
-integers grouped by cycle statistic, and rationals only appear when the
-accumulated counts are combined at the end.
+Everything is exact and stays in integers until one division at the end.
+A matrix is scaled to integer rows over a common denominator L (the sums
+are homogeneous of degree n in the entries, so the result is over L^n);
+permutation sums accumulate plain integers grouped by cycle statistic; and
+a value at a rational parameter is the integer coefficients evaluated by
+``polynomials.eval_grid``, which builds one ``Fraction`` from an integer
+numerator and denominator.  Only the polynomial-valued results turn their
+integer coefficients into Fractions.
 
 Every permutation sum of an entry product runs through one kernel,
 ``class_sums``: a DP over letter sets that splits off the cycle through the
@@ -15,7 +19,8 @@ the one cap ``ADET2_CAP``; one builder, ``class_tables``, makes all the
 tables of S_n at once by Jucys-Murphy cut-and-join, without enumerating
 S_n.  The structured value is that sum on P(g) 1_mu, whose 0/1 rows come
 straight from (g, mu), and the wreath average is the
-two-parameter determinant of the inflation at beta = -1/k.
+two-parameter determinant of the inflation at beta = -1/k: each row of its
+integer grid is evaluated there by ``eval_grid``.
 """
 
 from __future__ import annotations
@@ -221,23 +226,40 @@ def _weigh_tables(
     return joint
 
 
-def adet_poly(a: RatMatrix) -> QPoly:
-    """The alpha-determinant as an exact polynomial: coefficient d collects
-    the permutations at transposition length d."""
+def _adet_counts(a: RatMatrix) -> tuple[list[int], int]:
+    """(counts, denom) with the alpha-determinant sum_d counts[d] alpha^d / denom:
+    counts[d] collects the integer-scaled permutation products at
+    transposition length d."""
     n = a.require_square()
     if n > ADET_CAP:
         raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
     rows, scale = scaled_int_rows(a)
-    acc = [0] * (n + 1)
+    counts = [0] * (n + 1)
     for rho, total in class_sums(rows).items():
-        acc[n - len(rho)] += total
-    denom = scale**n
-    return QPoly(Fraction(v, denom) for v in acc)
+        counts[n - len(rho)] += total
+    return counts, scale**n
+
+
+def adet_poly(a: RatMatrix) -> QPoly:
+    """The alpha-determinant as an exact polynomial: coefficient d collects
+    the permutations at transposition length d."""
+    counts, denom = _adet_counts(a)
+    return QPoly(Fraction(v, denom) for v in counts)
 
 
 def adet_at(a: RatMatrix, x: Fraction) -> Fraction:
     """The alpha-determinant evaluated at a rational parameter value."""
-    return adet_poly(a).eval(x)
+    counts, denom = _adet_counts(a)
+    return eval_grid([counts], denom, 0, x)  # one row: a polynomial in the second variable
+
+
+def _adet2_counts(a: RatMatrix) -> tuple[list[list[int]], int]:
+    """(joint, denom) with the two-parameter sum
+    sum_ij joint[i][j] alpha^i beta^j / denom."""
+    n = a.require_square()
+    tables = class_tables(n)  # its cap refuses n before the walk
+    rows, scale = scaled_int_rows(a)
+    return _weigh_tables(tables, class_sums(rows).items()), scale**n
 
 
 def adet2_poly(a: RatMatrix) -> QPoly2:
@@ -248,11 +270,7 @@ def adet2_poly(a: RatMatrix) -> QPoly2:
     double sum is the sum over pi of that product times the class table of
     pi's cycle type.
     """
-    n = a.require_square()
-    tables = class_tables(n)  # its cap refuses n before the walk
-    rows, scale = scaled_int_rows(a)
-    denom = scale**n
-    joint = _weigh_tables(tables, class_sums(rows).items())
+    joint, denom = _adet2_counts(a)
     return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
 
 
@@ -268,10 +286,18 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     return eval_grid(_weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu))), 1, x, y)
 
 
+def _capped_inflate(a: RatMatrix, k: int, cap: int, kind: str) -> RatMatrix:
+    """inflate(a, k), refused by the cap on kn before the kn x kn matrix is
+    built; inflate itself refuses k < 1 and a shape that is not kn x n."""
+    if a.rows == k * a.cols > cap:
+        raise SizeCapExceeded(f"n={a.rows} exceeds {kind} cap {cap}")
+    return inflate(a, k)
+
+
 def wrdet(a: RatMatrix, k: int) -> Fraction:
     """k-wreath determinant of a kn x n matrix: the alpha-determinant of
     the k-fold column inflation, evaluated at -1/k."""
-    return adet_at(inflate(a, k), Fraction(-1, k))
+    return adet_at(_capped_inflate(a, k, ADET_CAP, "alpha-determinant"), Fraction(-1, k))
 
 
 def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
@@ -280,11 +306,12 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
 
     That is the two-parameter determinant of the inflation at beta = -1/k:
     the pair (tau, sigma) contributes alpha^len(tau) (-1/k)^len(sigma) times
-    the entry product of tau on the column-permuted inflation.
+    the entry product of tau on the column-permuted inflation.  Row i of the
+    integer grid, evaluated at beta, is the coefficient of alpha^i.
     """
-    b = inflate(a, k)
+    joint, denom = _adet2_counts(_capped_inflate(a, k, ADET2_CAP, "two-parameter"))
     beta = Fraction(-1, k)
-    return QPoly(QPoly(row).eval(beta) for row in adet2_poly(b).grid)
+    return QPoly(eval_grid([row], denom, 0, beta) for row in joint)
 
 
 def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:

@@ -138,7 +138,7 @@ def scaled_int_rows(a: RatMatrix) -> tuple[list[tuple[int, ...]], int]:
             d = e.denominator
             if d != 1:
                 scale = scale // gcd(scale, d) * d
-    rows = [tuple(int(e * scale) for e in row) for row in a.entries]
+    rows = [tuple(e.numerator * (scale // e.denominator) for e in row) for row in a.entries]
     return rows, scale
 
 

@@ -325,12 +325,11 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
 
 
 def _zsf_case(args) -> CaseResult:
-    k, n, g_images = args
+    k, n, g_images, rep_wrdet = args
     g = Perm(g_images)
     shape = (k,) * n
     average = subgroup_averaged_character(shape, shape, g)
-    rep = column_replicator(n, k)
-    ratio = wrdet(rep.permute_rows(g), k) / wrdet(rep, k)
+    ratio = wrdet(column_replicator(n, k).permute_rows(g), k) / rep_wrdet
     coeff = Fraction(
         det_power_coeff(block_profile(g, n, k), k), double_coset_index(g, n, k)
     )
@@ -369,7 +368,10 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
         perms = [random_perm(size, rng) for _ in range(samples)]
     else:
         perms = list(enumerate_perms(size))
-    args = [(k, n, p.images) for p in perms]
+    # the ratio's denominator is the same for every g: computed once, and
+    # passed with each case's arguments so that the pool's workers get it too
+    rep_wrdet = wrdet(column_replicator(n, k), k)
+    args = [(k, n, p.images, rep_wrdet) for p in perms]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
     cases = _run_cases(_zsf_case, args, workers)
     return _report("zsf", params, seed, cases, t0)

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -20,7 +20,7 @@ from alphadet.adet import (
     wrdet,
     wreath_average_poly,
 )
-from alphadet.errors import NotSquare, SizeCapExceeded
+from alphadet.errors import DimensionMismatch, NotSquare, SizeCapExceeded
 from alphadet.matrices import (
     PermutedBlockOnes,
     RatMatrix,
@@ -287,6 +287,41 @@ def test_adet_with_rational_entries():
     assert adet_poly(m) == QPoly([F(7, 2), F(-2, 5)])
 
 
+def test_scaled_int_rows_matches_fraction_scaling():
+    # the integer rows are numerator * (L / denominator), never a Fraction product
+    cases = [
+        RatMatrix(()),
+        RatMatrix([[0, 0], [0, 0]]),
+        RatMatrix([[F(-3, 4), F(5, 6), 0], [F(7), F(-1, 9), F(2, 3)], [0, F(-11, 12), F(1, 4)]]),
+        RatMatrix([[F(-1, 2), F(1, 3)], [F(5, 8), F(-7)], [0, F(9, 10)]]),
+        _rational_matrix(6, 3),
+        random_matrix(4, 4, 9),
+    ]
+    for a in cases:
+        rows, scale = scaled_int_rows(a)
+        assert scale == lcm(1, *(e.denominator for row in a.entries for e in row))
+        assert rows == [tuple(int(e * scale) for e in row) for row in a.entries]
+        assert all(type(v) is int for row in rows for v in row)
+    assert scaled_int_rows(RatMatrix(())) == ([], 1)
+
+
+_RATIONAL_POINTS = (F(0), F(1), F(-1), F(-1, 2), F(3, 7), F(-5, 2))
+
+
+def test_adet_at_matches_oracle_at_rational_points():
+    # adet_at evaluates the integer counts, never a Fraction polynomial:
+    # gated against the S_n sum up to n = 7, and against adet_poly at n = 8
+    for n in range(9):
+        if n == 0:
+            matrices = [RatMatrix(())]
+        else:
+            matrices = [random_matrix(n, n, 70 + n), _rational_matrix(n, 80 + n)]
+        for a in matrices:
+            poly = _adet_poly_naive(a) if n <= 7 else adet_poly(a)
+            for x in _RATIONAL_POINTS:
+                assert adet_at(a, x) == poly.eval(x), (n, x)
+
+
 def test_adet_column_multilinearity():
     rng = SplitMix64(2)
     a = random_matrix(4, 4, 100)
@@ -523,6 +558,24 @@ def test_wreath_average_matches_naive_double_sum():
     assert wreath_average_poly(a, 2) == _wreath_average_naive(a, 2)
 
 
+def _wreath_average_by_rows(a: RatMatrix, k: int) -> QPoly:
+    """Oracle: each row of the Fraction grid of adet2_poly(inflate(a, k))
+    evaluated at beta = -1/k by QPoly's Horner."""
+    return QPoly(QPoly(row).eval(F(-1, k)) for row in adet2_poly(inflate(a, k)).grid)
+
+
+def test_wreath_average_matches_row_by_row_route():
+    for k in range(1, ADET2_CAP + 1):
+        for n in range(1, ADET2_CAP // k + 1):
+            a = random_matrix(k * n, n, 100 * k + n)
+            assert wreath_average_poly(a, k) == _wreath_average_by_rows(a, k), (k, n)
+            rational = RatMatrix(
+                [[e / (1 + (i + 2 * j) % 4) for j, e in enumerate(row)]
+                 for i, row in enumerate(a.entries)]
+            )
+            assert wreath_average_poly(rational, k) == _wreath_average_by_rows(rational, k), (k, n)
+
+
 def test_wreath_average_empty_and_bad_k():
     assert wreath_average_poly(RatMatrix(()), 2) == QPoly.one()
     with pytest.raises(ValueError):
@@ -641,6 +694,26 @@ def test_structured_cap(monkeypatch):
 def test_wreath_average_cap():
     with pytest.raises(SizeCapExceeded):
         wreath_average_poly(random_matrix(9, 3, 1), 3)
+
+
+def test_inflation_caps_come_before_inflate(monkeypatch):
+    # kn is checked against the cap first, so an oversized kn x kn inflation
+    # is refused without being built
+    def no_inflation(a, k):
+        raise AssertionError("the cap must be checked before inflating")
+
+    with monkeypatch.context() as m:
+        m.setattr(adet_module, "inflate", no_inflation)
+        with pytest.raises(SizeCapExceeded, match=r"^n=3000 exceeds alpha-determinant cap 9$"):
+            wrdet(RatMatrix.ones(3000, 1), 3000)
+        with pytest.raises(SizeCapExceeded, match=r"^n=9 exceeds two-parameter cap 8$"):
+            wreath_average_poly(random_matrix(9, 3, 1), 3)
+    # a bad shape or k is still inflate's to refuse, whatever its size
+    for fn in (wrdet, wreath_average_poly):
+        with pytest.raises(DimensionMismatch):
+            fn(RatMatrix.ones(20, 3), 5)
+        with pytest.raises(ValueError):
+            fn(RatMatrix.ones(20, 4), 0)
 
 
 def test_det_power_coeff_known_values():

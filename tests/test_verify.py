@@ -161,6 +161,29 @@ def test_zsf_suite_sampled_at_six():
     assert report.case_count == 40
 
 
+def test_zsf_evaluates_the_replicator_once(monkeypatch):
+    # the ratio's denominator wrdet(column_replicator(n, k), k) is computed
+    # once per suite, so s cases make s + 1 wrdet calls
+    calls = []
+    real = verify_module.wrdet
+
+    def spy(a, k):
+        calls.append(a)
+        return real(a, k)
+
+    monkeypatch.setattr(verify_module, "wrdet", spy)
+    for samples in (1, 5):
+        calls.clear()
+        assert verify_zsf(2, 3, samples=samples, seed=4).passed
+        assert len(calls) == samples + 1
+
+
+def test_zsf_report_identical_with_the_constant_pickled_to_workers():
+    serial = verify_zsf(2, 3, workers=1)
+    assert serial.passed and serial.case_count == 720
+    assert _stripped(verify_zsf(2, 3, workers=2)) == _stripped(serial)
+
+
 def test_weak_alt_suite():
     report = verify_weak_alternating(5, 2, trials=5, seed=4)
     assert report.passed
