@@ -7,6 +7,7 @@ from .adet import (
     adet2_structured,
     adet_at,
     adet_poly,
+    adet_structured,
     det_power_coeff,
     subgroup_avg_adet,
     wrdet,

@@ -17,10 +17,10 @@ naive enumeration lives only in the tests, as its oracle.  Every
 two-parameter sum weighs the cycle-class tables of S_n by those sums, under
 the one cap ``ADET2_CAP``; one builder, ``class_tables``, makes all the
 tables of S_n at once by Jucys-Murphy cut-and-join, without enumerating
-S_n.  The structured value is that sum on P(g) 1_mu, whose 0/1 rows come
-straight from (g, mu), and the wreath average is the
-two-parameter determinant of the inflation at beta = -1/k: each row of its
-integer grid is evaluated there by ``eval_grid``.
+S_n.  The structured values, one- and two-parameter, read the class sums of
+P(g) 1_mu, whose 0/1 rows come straight from (g, mu), and the wreath average
+is the two-parameter determinant of the inflation at beta = -1/k: each row of
+its integer grid is evaluated there by ``eval_grid``.
 """
 
 from __future__ import annotations
@@ -205,8 +205,10 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
 
-    One entry is kept because the omega suite asks for the two-parameter
-    value and the character average of the same (g, mu) in a row.
+    One entry is kept because each suite case asks for two values of the
+    same (g, mu) in a row: the omega suite the two-parameter value and the
+    character average, the zsf suite the character average and the
+    alpha-determinant of P(g) 1_(k^n).
     """
     return tuple(class_sums(PermutedBlockOnes(g, mu).int_rows()).items())
 
@@ -226,18 +228,28 @@ def _weigh_tables(
     return joint
 
 
+def _check_adet_cap(n: int) -> None:
+    if n > ADET_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
+
+
+def _length_counts(sums: Iterable[tuple[tuple[int, ...], int]], n: int) -> list[int]:
+    """Class sums of S_n folded by transposition length: entry d collects
+    the cycle types rho with n - len(rho) = d."""
+    counts = [0] * (n + 1)
+    for rho, total in sums:
+        counts[n - len(rho)] += total
+    return counts
+
+
 def _adet_counts(a: RatMatrix) -> tuple[list[int], int]:
     """(counts, denom) with the alpha-determinant sum_d counts[d] alpha^d / denom:
     counts[d] collects the integer-scaled permutation products at
     transposition length d."""
     n = a.require_square()
-    if n > ADET_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
+    _check_adet_cap(n)
     rows, scale = scaled_int_rows(a)
-    counts = [0] * (n + 1)
-    for rho, total in class_sums(rows).items():
-        counts[n - len(rho)] += total
-    return counts, scale**n
+    return _length_counts(class_sums(rows).items(), n), scale**n
 
 
 def adet_poly(a: RatMatrix) -> QPoly:
@@ -286,6 +298,17 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     return eval_grid(_weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu))), 1, x, y)
 
 
+def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
+    """The alpha-determinant of a row-permuted block-ones matrix at x: the
+    translates g h, h in S_mu, weighted by x^len(g h).  At mu = (k^n) and
+    x = -1/k this is the k-wreath determinant of P(g) R for the column
+    replicator R, since inflate(P(g) R, k) = P(g) 1_(k^n)."""
+    n = s.g.n
+    _check_adet_cap(n)
+    counts = _length_counts(translate_class_sums(s.g, tuple(s.mu)), n)
+    return eval_grid([counts], 1, 0, x)  # one row: a polynomial in the second variable
+
+
 def _capped_inflate(a: RatMatrix, k: int, cap: int, kind: str) -> RatMatrix:
     """inflate(a, k), refused by the cap on kn before the kn x kn matrix is
     built; inflate itself refuses k < 1 and a shape that is not kn x n."""
@@ -329,27 +352,46 @@ def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:
     return total
 
 
+@cache
+def _signed_perms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every image tuple of S_n with its sign."""
+    return tuple((p, -1 if _trans_len(p) % 2 else 1) for p in perm_tuples(n))
+
+
 def det_power_coeff(profile, k: int) -> int:
     """Coefficient of the monomial prod x_ij^m_ij in the k-th power of the
     determinant of an n x n matrix of indeterminates, by expanding over
-    k-tuples of permutations with sign products."""
+    k-tuples of permutations with sign products.
+
+    Tuples are extended one permutation at a time while their matrices sum
+    to at most m entrywise.  After k - 1 of them the residual has every row
+    and column sum 1, so it is the matrix of the one permutation that closes
+    the tuple, and only its sign is added; at k = 1 no permutation is
+    enumerated.
+    """
     n = profile.n
     nperms = factorial(n)
     if nperms**k > DET_POWER_TERM_CAP:
         raise SizeCapExceeded(f"(n!)^k = {nperms**k} exceeds {DET_POWER_TERM_CAP}")
+    if k < 1 or k != profile.k:
+        raise ValueError(f"k={k} must be positive and equal the profile's sums {profile.k}")
     target = profile.m
-    perms = list(perm_tuples(n))
-    signs = [-1 if _trans_len(p) % 2 else 1 for p in perms]
+    used = [[0] * n for _ in range(n)]
+
+    def closing_sign() -> int:
+        closing = [
+            next(j for j in range(n) if target[i][j] > used[i][j]) + 1 for i in range(n)
+        ]
+        return -1 if _trans_len(closing) % 2 else 1
 
     total = 0
-    used = [[0] * n for _ in range(n)]
 
     def extend(t: int, sign: int) -> None:
         nonlocal total
-        if t == k:
-            total += sign
+        if t == k - 1:
+            total += sign * closing_sign()
             return
-        for p, s in zip(perms, signs):
+        for p, s in _signed_perms(n):
             placed = 0
             for i in range(n):
                 j = p[i] - 1

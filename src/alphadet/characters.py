@@ -121,7 +121,8 @@ def subgroup_averaged_character(
     order = young_subgroup_order(mu)
     if order > YOUNG_ORDER_CAP:
         raise SizeCapExceeded(f"Young subgroup of {mu} exceeds {YOUNG_ORDER_CAP}")
-    total = sum(character(shape, ct) * cnt for ct, cnt in translate_class_sums(g, mu))
+    # shape and the class sums' cycle types are valid partitions of n already
+    total = sum(_mn(shape, ct) * cnt for ct, cnt in translate_class_sums(g, mu))
     return Fraction(total, order)
 
 

@@ -25,6 +25,7 @@ from .adet import (
     DET_POWER_TERM_CAP,
     adet2_structured,
     adet_at,
+    adet_structured,
     det_power_coeff,
     subgroup_avg_adet,
     wrdet,
@@ -329,7 +330,7 @@ def _zsf_case(args) -> CaseResult:
     g = Perm(g_images)
     shape = (k,) * n
     average = subgroup_averaged_character(shape, shape, g)
-    ratio = wrdet(column_replicator(n, k).permute_rows(g), k) / rep_wrdet
+    ratio = adet_structured(PermutedBlockOnes(g, shape), Fraction(-1, k)) / rep_wrdet
     coeff = Fraction(
         det_power_coeff(block_profile(g, n, k), k), double_coset_index(g, n, k)
     )
@@ -351,7 +352,13 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     """Three-way agreement for the rectangular diagonal average: character
     average over the Young subgroup, ratio of wreath determinants of the
     row-permuted column replicator, and determinant-power coefficient over
-    the double-coset index."""
+    the double-coset index.
+
+    The ratio's numerator wrdet(P(g) R, k), for the column replicator R, is
+    the alpha-determinant at -1/k of inflate(P(g) R, k) = P(g) 1_(k^n), so it
+    is evaluated from the class sums of the translates g h, h in S_k^n, that
+    the character average reads too; its denominator wrdet(R, k) is computed
+    once per suite."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     if size > ADET_CAP:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from functools import cache
 from math import factorial, lcm
@@ -12,6 +13,7 @@ from alphadet.adet import (
     adet2_structured,
     adet_at,
     adet_poly,
+    adet_structured,
     class_sums,
     class_tables,
     det_power_coeff,
@@ -31,6 +33,7 @@ from alphadet.matrices import (
 )
 from alphadet.partitions import content_poly, partitions_of
 from alphadet.perms import (
+    BlockProfile,
     Perm,
     _trans_len,
     block_profile,
@@ -522,6 +525,31 @@ def test_wrdet_of_column_replicator():
         ) ** n
 
 
+def test_structured_adet_is_wrdet_of_the_permuted_replicator():
+    # inflate(P(g) R, k) = P(g) 1_(k^n) for the column replicator R
+    def check(g, n, k):
+        lhs = adet_structured(PermutedBlockOnes(g, (k,) * n), F(-1, k))
+        assert lhs == wrdet(column_replicator(n, k).permute_rows(g), k), (g, n, k)
+
+    for n, k in [(2, 2), (3, 2), (2, 3), (1, 6), (6, 1)]:
+        for g in enumerate_perms(n * k):
+            check(g, n, k)
+    rng = SplitMix64(31)
+    for _ in range(20):
+        check(random_perm(8, rng), 4, 2)
+
+
+def test_structured_adet_matches_adet_at_and_its_cap():
+    rng = SplitMix64(32)
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            s = PermutedBlockOnes(random_perm(n, rng), mu)
+            for x in (F(-1, 2), F(3, 5), F(1)):
+                assert adet_structured(s, x) == adet_at(s.materialize(), x), (s, x)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        adet_structured(PermutedBlockOnes(Perm.identity(10), (10,)), F(1))
+
+
 def test_wrdet_worked_example_against_minor_sum():
     a = RatMatrix([[1, 0], [0, 1], [1, 1], [1, 2]])
     assert wrdet(a, 2) == F(-3, 8)
@@ -725,3 +753,51 @@ def test_det_power_coeff_known_values():
     swap = block_profile(Perm.from_cycles(4, [(1, 3), (2, 4)]), 2, 2)
     assert swap.m == ((0, 2), (2, 0))
     assert det_power_coeff(swap, 2) == 1
+
+
+def _det_power_coeff_naive(profile, k: int) -> int:
+    """Oracle: the sign products of every k-tuple of permutations of S_n
+    whose permutation matrices sum to the profile, with no pruning."""
+    n = profile.n
+    perms = list(perm_tuples(n))
+    total = 0
+    for tup in itertools.product(perms, repeat=k):
+        grid = [[0] * n for _ in range(n)]
+        sign = 1
+        for p in tup:
+            sign *= -1 if _trans_len(p) % 2 else 1
+            for i in range(n):
+                grid[i][p[i] - 1] += 1
+        if tuple(map(tuple, grid)) == profile.m:
+            total += sign
+    return total
+
+
+def test_det_power_coeff_matches_unpruned_expansion():
+    rng = SplitMix64(44)
+    cases = [(n, 1) for n in range(1, 6)] + [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+    for n, k in cases:
+        for _ in range(6):
+            profile = block_profile(random_perm(n * k, rng), n, k)
+            assert det_power_coeff(profile, k) == _det_power_coeff_naive(profile, k), (
+                profile,
+                k,
+            )
+    mismatched = block_profile(Perm.identity(4), 2, 2)
+    for profile, k in [(mismatched, 1), (mismatched, 3), (BlockProfile(((0,),), 1, 0), 0)]:
+        with pytest.raises(ValueError):
+            det_power_coeff(profile, k)
+
+
+def test_det_power_coeff_at_k1_enumerates_no_permutation(monkeypatch):
+    # a profile of row and column sums 1 is a permutation matrix: the
+    # coefficient is its sign, read without listing S_n
+    def no_enumeration(n):
+        raise AssertionError("k = 1 must not enumerate S_n")
+
+    monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
+    rng = SplitMix64(45)
+    for _ in range(5):
+        sigma = random_perm(9, rng)
+        expected = -1 if sigma.transposition_length % 2 else 1
+        assert det_power_coeff(block_profile(sigma, 9, 1), 1) == expected

@@ -1,11 +1,15 @@
+from functools import cache
 from math import factorial
 
 import pytest
+
+import alphadet.perms as perms_module
 
 from alphadet.errors import SizeCapExceeded
 from alphadet.matrices import perm_matrix
 from alphadet.perms import (
     Perm,
+    _compose,
     block_profile,
     coset_factor,
     double_coset_index,
@@ -15,6 +19,7 @@ from alphadet.perms import (
     parse_perm,
     young_subgroup,
     young_subgroup_order,
+    young_subgroup_tuples,
 )
 from alphadet.polynomials import QPoly
 from alphadet.randmat import SplitMix64, random_perm
@@ -182,6 +187,46 @@ def test_block_profile_double_coset_invariance():
         g = subgroup[rng.below(len(subgroup))]
         h = subgroup[rng.below(len(subgroup))]
         assert block_profile(g * sigma * h, n, k).m == base
+
+
+@cache
+def _rectangle_subgroup(n: int, k: int) -> frozenset:
+    return frozenset(young_subgroup_tuples((k,) * n))
+
+
+def _double_coset_index_naive(sigma: Perm, n: int, k: int) -> int:
+    """Oracle: |H| / #{h in H : s h s^-1 in H} for H = S_k^n, by
+    enumerating H and membership-testing each conjugate."""
+    subgroup = _rectangle_subgroup(n, k)
+    s = sigma.images
+    s_inv = sigma.inverse().images
+    stable = sum(1 for h in subgroup if _compose(_compose(s, h), s_inv) in subgroup)
+    return len(subgroup) // stable
+
+
+def test_double_coset_index_matches_subgroup_enumeration():
+    for n, k in [(2, 2), (3, 2), (2, 3), (1, 6), (6, 1)]:
+        for sigma in enumerate_perms(n * k):
+            assert double_coset_index(sigma, n, k) == _double_coset_index_naive(sigma, n, k)
+    rng = SplitMix64(77)
+    for n, k in [(4, 2), (3, 3), (2, 4)]:
+        for _ in range(50):
+            sigma = random_perm(n * k, rng)
+            assert double_coset_index(sigma, n, k) == _double_coset_index_naive(sigma, n, k)
+
+
+def test_double_coset_index_enumerates_no_subgroup(monkeypatch):
+    def no_enumeration(mu):
+        raise AssertionError("double_coset_index must not enumerate H")
+
+    monkeypatch.setattr(perms_module, "young_subgroup_tuples", no_enumeration)
+    rng = SplitMix64(5)
+    # |S_4^3| = 24^3 and |S_12| = 12! were past the old enumeration cap
+    for n, k in [(2, 2), (3, 4), (1, 12), (12, 1)]:
+        index = double_coset_index(random_perm(n * k, rng), n, k)
+        assert factorial(k) ** n % index == 0
+    with pytest.raises(ValueError):
+        double_coset_index(Perm.identity(5), 2, 2)
 
 
 def test_double_coset_index_examples():

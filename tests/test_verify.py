@@ -128,8 +128,9 @@ def test_stanley_m_one_value():
 
 def test_size_caps_are_the_module_constants(monkeypatch):
     # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP;
-    # zsf's is ADET_CAP (9): it runs wrdet on the kn x kn inflation and never
-    # a two-parameter sum; its coefficient-route bound is det_power_coeff's
+    # zsf's is ADET_CAP (9): it runs alpha-determinants of kn x kn matrices
+    # and never a two-parameter sum; its coefficient-route bound is
+    # det_power_coeff's
     assert verify_module.DET_POWER_TERM_CAP is adet_module.DET_POWER_TERM_CAP
     assert adet_module.DET_POWER_TERM_CAP == 10**7
     assert not hasattr(verify_module, "DET_POWER_ROUTE_CAP")
@@ -162,8 +163,9 @@ def test_zsf_suite_sampled_at_six():
 
 
 def test_zsf_evaluates_the_replicator_once(monkeypatch):
-    # the ratio's denominator wrdet(column_replicator(n, k), k) is computed
-    # once per suite, so s cases make s + 1 wrdet calls
+    # the ratio's denominator wrdet(column_replicator(n, k), k) is the one
+    # wrdet call of a suite; each case's numerator reads the class sums that
+    # its character average has walked
     calls = []
     real = verify_module.wrdet
 
@@ -175,7 +177,32 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
     for samples in (1, 5):
         calls.clear()
         assert verify_zsf(2, 3, samples=samples, seed=4).passed
-        assert len(calls) == samples + 1
+        assert len(calls) == 1
+
+
+def test_zsf_walks_the_class_sums_once_per_case(monkeypatch):
+    walks = []
+    real = adet_module.class_sums
+
+    def spy(rows):
+        walks.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(adet_module, "class_sums", spy)
+    for samples in (1, 5):
+        adet_module.translate_class_sums.cache_clear()
+        walks.clear()
+        assert verify_zsf(2, 3, samples=samples, seed=4).passed
+        assert len(walks) == samples + 1  # and one for the replicator's wrdet
+
+
+@pytest.mark.parametrize("k, n", [(6, 1), (1, 6)])
+def test_zsf_one_block_edges_exhaustive(k, n):
+    # one block (n = 1) makes H all of S_6; blocks of one letter (k = 1)
+    # make every case a lone determinant coefficient
+    report = verify_zsf(k, n, seed=0)
+    assert report.passed
+    assert report.case_count == 720
 
 
 def test_zsf_report_identical_with_the_constant_pickled_to_workers():
