@@ -31,7 +31,14 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, SizeCapExceeded
-from .matrices import PermutedBlockOnes, RatMatrix, inflate, scaled_int_rows
+from .matrices import (
+    PermutedBlockOnes,
+    RatMatrix,
+    block_word_rows,
+    coset_word,
+    inflate,
+    scaled_int_rows,
+)
 from .partitions import partitions_of
 from .perms import Perm, _embed, _trans_len, perm_tuples
 from .polynomials import QPoly, QPoly2, eval_grid
@@ -200,17 +207,22 @@ def class_tables(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     }
 
 
-@lru_cache(maxsize=1)
 def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
 
-    One entry is kept because each suite case asks for two values of the
-    same (g, mu) in a row: the omega suite the two-parameter value and the
-    character average, the zsf suite the character average and the
-    alpha-determinant of P(g) 1_(k^n).
+    The walk is memoized on the coset word of g S_mu, which P(g) 1_mu depends
+    on alone: every g of one coset reads the same entry, and its rows are
+    built only on a miss.
     """
-    return tuple(class_sums(PermutedBlockOnes(g, mu).int_rows()).items())
+    return _coset_class_sums(*coset_word(g, mu))
+
+
+@lru_cache(maxsize=1)
+def _coset_class_sums(
+    word: tuple[int, ...], labels: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple(class_sums(block_word_rows(word, labels)).items())
 
 
 def _weigh_tables(

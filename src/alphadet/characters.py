@@ -11,6 +11,7 @@ strip height is the number of beta numbers jumped over.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Sequence
 
@@ -40,8 +41,6 @@ IMMANANT_CAP = 8
 CONVOLUTION_CAP = 6
 EXPANSION_CAP = 8
 
-_char_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
 
 def _beta_numbers(shape: tuple[int, ...]) -> tuple[int, ...]:
     length = len(shape)
@@ -56,13 +55,10 @@ def _shape_from_betas(betas: Sequence[int]) -> tuple[int, ...]:
     )
 
 
+@cache
 def _mn(shape: tuple[int, ...], rho: tuple[int, ...]) -> int:
     if not rho:
         return 1
-    key = (shape, rho)
-    cached = _char_cache.get(key)
-    if cached is not None:
-        return cached
     strip, rest = rho[0], rho[1:]
     betas = _beta_numbers(shape)
     beta_set = set(betas)
@@ -75,7 +71,6 @@ def _mn(shape: tuple[int, ...], rho: tuple[int, ...]) -> int:
         sub = _shape_from_betas([nb if j == i else v for j, v in enumerate(betas)])
         term = _mn(sub, rest)
         total += -term if height % 2 else term
-    _char_cache[key] = total
     return total
 
 

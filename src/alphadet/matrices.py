@@ -191,10 +191,28 @@ class PermutedBlockOnes:
             raise DimensionMismatch("permutation size != sum(mu)")
 
     def int_rows(self) -> list[tuple[int, ...]]:
-        """The 0/1 entries as integer rows, straight from (g, mu): row r
-        marks the block of g^-1(r)."""
-        block = [b for b, part in enumerate(self.mu) for _ in range(part)]
-        return [tuple(int(block[v - 1] == b) for b in block) for v in self.g.inverse().images]
+        """The 0/1 entries as integer rows, straight from (g, mu)."""
+        return block_word_rows(*coset_word(self.g, self.mu))
 
     def materialize(self) -> RatMatrix:
         return RatMatrix(self.int_rows())
+
+
+def coset_word(g: Perm, mu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(word, labels) for P(g) 1_mu, in one pass over g: labels[i] is the
+    mu-block of letter i + 1, and word[g(i) - 1] = labels[i - 1] is the block
+    that row g(i) marks.  The word depends on g only through the coset
+    g S_mu, and so does the matrix."""
+    labels: list[int] = []
+    for b, part in enumerate(mu):
+        labels += [b] * part
+    word = [0] * len(labels)
+    for label, v in zip(labels, g.images):
+        word[v - 1] = label
+    return tuple(word), tuple(labels)
+
+
+def block_word_rows(word: Sequence[int], labels: Sequence[int]) -> list[tuple[int, ...]]:
+    """The 0/1 rows of P(g) 1_mu from its coset word: row r has a 1 in the
+    columns of block word[r]."""
+    return [tuple(int(w == b) for b in labels) for w in word]

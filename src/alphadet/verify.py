@@ -23,9 +23,11 @@ from .adet import (
     ADET2_CAP,
     ADET_CAP,
     DET_POWER_TERM_CAP,
+    SUBGROUP_AVG_CAP,
     adet2_structured,
     adet_at,
     adet_structured,
+    class_tables,
     det_power_coeff,
     subgroup_avg_adet,
     wrdet,
@@ -61,10 +63,8 @@ from .polynomials import QPoly
 from .randmat import SplitMix64, random_matrix, random_perm
 from .rationals import format_rational
 
-CHI_EXHAUSTIVE_CAP = 7
-ZSF_EXHAUSTIVE_CAP = 7
-WEAK_ALT_CAP = 7
-STANLEY_M_CAP = 6
+EXHAUSTIVE_CAP = 7  # chi and zsf without samples run all (kn)! cases
+STANLEY_M_CAP = 6  # bounds the m! cases; each case reads one class table of S_m
 FOURIER_JM_CAP = 6  # the JM product has n! support; size 7 runs the expansion only
 
 
@@ -137,6 +137,30 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _agree(case_id: str, **values: Fraction) -> CaseResult:
+    """Pass when every route gives the same value; the witness of a failure
+    is each route's value, in argument order."""
+    first, *rest = values.values()
+    if all(v == first for v in rest):
+        return CaseResult(case_id, "pass")
+    return CaseResult(
+        case_id, "fail", witness={name: format_rational(v) for name, v in values.items()}
+    )
+
+
+def _case_perms(size: int, samples: int, seed: int) -> list[Perm]:
+    """The permutations of a chi or zsf run: seeded samples of S_size, or
+    all of S_size when samples is 0."""
+    if samples > 0:
+        rng = SplitMix64(seed)
+        return [random_perm(size, rng) for _ in range(samples)]
+    if size > EXHAUSTIVE_CAP:
+        raise SizeCapExceeded(
+            f"exhaustive run needs kn <= {EXHAUSTIVE_CAP}; pass samples for kn={size}"
+        )
+    return list(enumerate_perms(size))
+
+
 # --- main averaging identity ------------------------------------------------
 
 
@@ -198,14 +222,7 @@ def _omega_case(args) -> CaseResult:
     }
     if g.is_identity():
         values["kostka_ssyt"] = Fraction(kostka_ssyt(shape, mu))
-    case_id = f"mu={format_partition(mu)};g={format_perm(g)}"
-    if len(set(values.values())) == 1:
-        return CaseResult(case_id, "pass")
-    return CaseResult(
-        case_id,
-        "fail",
-        witness={name: format_rational(v) for name, v in values.items()},
-    )
+    return _agree(f"mu={format_partition(mu)};g={format_perm(g)}", **values)
 
 
 def verify_omega(
@@ -243,14 +260,7 @@ def _chi_case(args) -> CaseResult:
     f = num_standard_tableaux(shape)
     lhs = Fraction(character(shape, g.cycle_type()), f)
     rhs = rect_formula_value(k, n, (1,) * size, g) / f
-    case_id = f"g={format_perm(g)}"
-    if lhs == rhs:
-        return CaseResult(case_id, "pass")
-    return CaseResult(
-        case_id,
-        "fail",
-        witness={"character_ratio": format_rational(lhs), "adet_ratio": format_rational(rhs)},
-    )
+    return _agree(f"g={format_perm(g)}", character_ratio=lhs, adet_ratio=rhs)
 
 
 def verify_chi(
@@ -263,17 +273,8 @@ def verify_chi(
     size = k * n
     if size > ADET2_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds cap {ADET2_CAP}")
-    if samples <= 0 and size > CHI_EXHAUSTIVE_CAP:
-        raise SizeCapExceeded(
-            f"exhaustive run needs kn <= {CHI_EXHAUSTIVE_CAP}; pass samples for kn={size}"
-        )
     t0 = time.monotonic()
-    if samples > 0:
-        rng = SplitMix64(seed)
-        perms = [random_perm(size, rng) for _ in range(samples)]
-    else:
-        perms = list(enumerate_perms(size))
-    args = [(k, n, p.images) for p in perms]
+    args = [(k, n, p.images) for p in _case_perms(size, samples, seed)]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
     cases = _run_cases(_chi_case, args, workers)
     return _report("chi", params, seed, cases, t0)
@@ -292,24 +293,28 @@ def _stanley_case(args) -> CaseResult:
     lhs = Fraction(factorial(size), factorial(size - m)) * Fraction(
         character(shape, embedded.cycle_type()), f
     )
-    total = 0
-    for s in enumerate_perms(m):
-        total += (-k) ** (w * s).cycle_count * n**s.cycle_count
-    rhs = Fraction((-1) ** m * total)
-    case_id = f"w={format_perm(w)}"
-    if lhs == rhs:
-        return CaseResult(case_id, "pass")
-    return CaseResult(
-        case_id,
-        "fail",
-        witness={"character_side": format_rational(lhs), "sum_side": format_rational(rhs)},
+    return _agree(f"w={format_perm(w)}", character_side=lhs, sum_side=_stanley_sum(k, n, w))
+
+
+def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
+    """(-1)^m sum over s in S_m of (-k)^c(ws) n^c(s), for c the number of
+    cycles: the class table of w, K[i][j] = #{s : len(ws) = i, len(s) = j},
+    weighted by (-k)^(m-i) n^(m-j)."""
+    m = w.n
+    table = class_tables(m)[w.cycle_type()]
+    total = sum(
+        c * (-k) ** (m - i) * n ** (m - j)
+        for i, row in enumerate(table)
+        for j, c in enumerate(row)
     )
+    return Fraction((-1) ** m * total)
 
 
 def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:
     """Rescaled rectangular character on a permutation supported on the
     first m letters equals the signed double-power sum over S_m, for every
-    w in S_m."""
+    w in S_m.  The sum side is read from the cycle-class table of w, so no
+    case enumerates S_m."""
     _require(k >= 1 and n >= 1 and m >= 1, "k, n, m must be positive")
     size = k * n
     if m > min(size, STANLEY_M_CAP):
@@ -334,17 +339,11 @@ def _zsf_case(args) -> CaseResult:
     coeff = Fraction(
         det_power_coeff(block_profile(g, n, k), k), double_coset_index(g, n, k)
     )
-    case_id = f"g={format_perm(g)}"
-    if average == ratio == coeff:
-        return CaseResult(case_id, "pass")
-    return CaseResult(
-        case_id,
-        "fail",
-        witness={
-            "character_average": format_rational(average),
-            "wreath_ratio": format_rational(ratio),
-            "coefficient_over_index": format_rational(coeff),
-        },
+    return _agree(
+        f"g={format_perm(g)}",
+        character_average=average,
+        wreath_ratio=ratio,
+        coefficient_over_index=coeff,
     )
 
 
@@ -363,18 +362,10 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     size = k * n
     if size > ADET_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds cap {ADET_CAP}")
-    if samples <= 0 and size > ZSF_EXHAUSTIVE_CAP:
-        raise SizeCapExceeded(
-            f"exhaustive run needs kn <= {ZSF_EXHAUSTIVE_CAP}; pass samples for kn={size}"
-        )
     if factorial(n) ** k > DET_POWER_TERM_CAP:
         raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_TERM_CAP}")
     t0 = time.monotonic()
-    if samples > 0:
-        rng = SplitMix64(seed)
-        perms = [random_perm(size, rng) for _ in range(samples)]
-    else:
-        perms = list(enumerate_perms(size))
+    perms = _case_perms(size, samples, seed)
     # the ratio's denominator is the same for every g: computed once, and
     # passed with each case's arguments so that the pool's workers get it too
     rep_wrdet = wrdet(column_replicator(n, k), k)
@@ -432,8 +423,8 @@ def verify_weak_alternating(
     (k+1 columns cannot fit) and only the divisibility part runs."""
     _require(size >= 2 and trials >= 1, "size >= 2 and trials >= 1 required")
     _require(1 <= k <= size, "need 1 <= k <= size")
-    if size > WEAK_ALT_CAP:
-        raise SizeCapExceeded(f"size={size} exceeds cap {WEAK_ALT_CAP}")
+    if size > SUBGROUP_AVG_CAP:  # the bound of subgroup_avg_adet, which every run calls
+        raise SizeCapExceeded(f"size={size} exceeds cap {SUBGROUP_AVG_CAP}")
     t0 = time.monotonic()
     rng = SplitMix64(seed)
     args = []

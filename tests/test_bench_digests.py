@@ -1,12 +1,9 @@
 """The benchmark's workloads still produce their recorded report bytes.
 
-Slot 0 of each workload in perfbench/workloads.py, every slot of
-omega-weights, whose P(g) 1_mu sums take both class_sums paths, and every
-slot of zsf-sampled, whose three routes read the translate class sums, a
-multinomial index and a closed determinant-power coefficient, runs
+Every input slot of every workload in perfbench/workloads.py runs
 in-process through the CLI; its report must pass perfbench/gate.py against
 the digest recorded in perfbench/digests.json.  Nothing under perfbench/ is
-written.
+written.  The last test covers the slots that the first three leave over.
 """
 
 import importlib.util
@@ -54,3 +51,16 @@ def test_omega_weights_slot_matches_recorded_digest(slot, tmp_path, capsys):
 @pytest.mark.parametrize("slot", range(1, workloads.DIGEST_SLOTS))
 def test_zsf_sampled_slot_matches_recorded_digest(slot, tmp_path, capsys):
     _check_slot("zsf-sampled", slot, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "name, slot",
+    [
+        (name, slot)
+        for name in sorted(workloads.WORKLOADS)
+        if name not in ("omega-weights", "zsf-sampled")
+        for slot in range(1, workloads.DIGEST_SLOTS)
+    ],
+)
+def test_remaining_slot_matches_recorded_digest(name, slot, tmp_path, capsys):
+    _check_slot(name, slot, tmp_path, capsys)

@@ -5,9 +5,10 @@ import pytest
 
 import alphadet.adet as adet_module
 import alphadet.characters as characters_module
+import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
-from alphadet.perms import Perm
+from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
     verify_chi,
     verify_omega,
@@ -78,22 +79,28 @@ def test_omega_suite_kostka_cross_check_at_six():
     assert report.passed
 
 
-def test_omega_case_walks_the_translates_once(monkeypatch):
-    # the two-parameter value and the character average share one walk of P(g) 1_mu
-    walked = []
+@pytest.fixture
+def walks(monkeypatch):
+    """The rows of every class_sums walk, starting from an empty memo."""
+    seen = []
+    real = adet_module.class_sums
 
-    def counting(rows):
-        walked.append(rows)
+    def spy(rows):
+        seen.append(rows)
         return real(rows)
 
-    real = adet_module.class_sums
-    monkeypatch.setattr(adet_module, "class_sums", counting)
-    monkeypatch.setattr(characters_module, "class_sums", counting)
-    adet_module.translate_class_sums.cache_clear()
+    monkeypatch.setattr(adet_module, "class_sums", spy)
+    monkeypatch.setattr(characters_module, "class_sums", spy)
+    adet_module._coset_class_sums.cache_clear()
+    return seen
+
+
+def test_omega_case_walks_the_translates_once(walks):
+    # the two-parameter value and the character average share one walk of P(g) 1_mu
     result = verify_module._omega_case((2, 2, (2, 1, 1), (2, 3, 4, 1)))
     assert result.status == "pass"
-    assert len(walked) == 1
-    assert adet_module.translate_class_sums.cache_info().maxsize == 1
+    assert len(walks) == 1
+    assert adet_module._coset_class_sums.cache_info().maxsize == 1
 
 
 def test_chi_suite_exhaustive():
@@ -126,6 +133,76 @@ def test_stanley_m_one_value():
     assert report.passed
 
 
+def _stanley_sum_naive(k, n, w):
+    # (-1)^m sum over s in S_m of (-k)^c(ws) n^c(s), one permutation at a time
+    total = 0
+    for s in enumerate_perms(w.n):
+        total += (-k) ** (w * s).cycle_count * n**s.cycle_count
+    return (-1) ** w.n * total
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stanley_sum_matches_the_s_m_scan(m):
+    # every k, n in 1..3 up to m = 5; the m = 6 scan is 720^2 products per (k, n)
+    kns = [(2, 3)] if m == 6 else [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    for w in enumerate_perms(m):
+        for k, n in kns:
+            got = verify_module._stanley_sum(k, n, w)
+            assert got == _stanley_sum_naive(k, n, w), (k, n, w)
+
+
+def test_stanley_case_enumerates_no_permutations(monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("the sum side reads the class table")
+
+    monkeypatch.setattr(verify_module, "enumerate_perms", no_enumeration)
+    monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
+    monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
+    for w_images in [(1, 2, 3, 4, 5), (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)]:
+        assert verify_module._stanley_case((3, 2, 5, w_images)).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "route, run, case_id, witness",
+    [
+        (
+            "character",
+            lambda: verify_chi(2, 2, seed=0),
+            "g=1,2,3,4",
+            {"character_ratio": "3/2", "adet_ratio": "1"},
+        ),
+        (
+            "character",
+            lambda: verify_stanley(2, 2, 3, seed=0),
+            "w=1,2,3",
+            {"character_side": "36", "sum_side": "24"},
+        ),
+        (
+            "det_power_coeff",
+            lambda: verify_zsf(2, 2, seed=0),
+            "g=1,2,3,4",
+            {"character_average": "1", "wreath_ratio": "1", "coefficient_over_index": "2"},
+        ),
+        (
+            "kostka_ssyt",
+            lambda: verify_omega(2, 2, mu=(2, 1, 1), seed=0),
+            "mu=2,1,1;g=1,2,3,4",
+            {"rect_formula": "1", "character_average": "1", "kostka_ssyt": "2"},
+        ),
+    ],
+)
+def test_failing_case_witness_lists_every_route(monkeypatch, route, run, case_id, witness):
+    # one route off by one: the witness names each route's value, in the
+    # order the case computes them
+    real = getattr(verify_module, route)
+    monkeypatch.setattr(verify_module, route, lambda *args: real(*args) + 1)
+    report = run()
+    assert report.status == "fail"
+    failing = next(c for c in report.cases if c.status == "fail")
+    assert failing.id == case_id
+    assert list(failing.witness.items()) == list(witness.items())
+
+
 def test_size_caps_are_the_module_constants(monkeypatch):
     # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP;
     # zsf's is ADET_CAP (9): it runs alpha-determinants of kn x kn matrices
@@ -148,6 +225,16 @@ def test_size_caps_are_the_module_constants(monkeypatch):
         verify_stanley(13, 1, 1, seed=0)
     with pytest.raises(SizeCapExceeded, match=r"^size=9 exceeds expansion cap 8$"):
         verify_fourier_jm(9, seed=0)
+    # weak-alt's bound is subgroup_avg_adet's; chi and zsf share one
+    # exhaustive bound
+    for gone in ("CHI_EXHAUSTIVE_CAP", "ZSF_EXHAUSTIVE_CAP", "WEAK_ALT_CAP"):
+        assert not hasattr(verify_module, gone)
+    with pytest.raises(SizeCapExceeded, match=r"^size=8 exceeds cap 7$"):
+        verify_weak_alternating(8, 2, 1, 0)
+    exhaustive = r"^exhaustive run needs kn <= 7; pass samples for kn=8$"
+    for suite in (verify_chi, verify_zsf):
+        with pytest.raises(SizeCapExceeded, match=exhaustive):
+            suite(2, 4)
 
 
 def test_zsf_suite_exhaustive():
@@ -180,20 +267,21 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_zsf_walks_the_class_sums_once_per_case(monkeypatch):
-    walks = []
-    real = adet_module.class_sums
-
-    def spy(rows):
-        walks.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(adet_module, "class_sums", spy)
+def test_zsf_walks_the_class_sums_once_per_case(walks):
     for samples in (1, 5):
-        adet_module.translate_class_sums.cache_clear()
+        adet_module._coset_class_sums.cache_clear()
         walks.clear()
         assert verify_zsf(2, 3, samples=samples, seed=4).passed
-        assert len(walks) == samples + 1  # and one for the replicator's wrdet
+        assert len(walks) <= samples + 1  # and one for the replicator's wrdet
+
+
+def test_zsf_walks_each_coset_once(walks):
+    # P(g) 1_mu depends on g only through g S_mu: at n = 1 every g of S_6
+    # lies in the one coset, so the suite walks it once, plus the
+    # replicator's wrdet
+    report = verify_zsf(6, 1, seed=0)
+    assert report.passed and report.case_count == 720
+    assert len(walks) == 2
 
 
 @pytest.mark.parametrize("k, n", [(6, 1), (1, 6)])
