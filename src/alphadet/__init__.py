@@ -16,8 +16,6 @@ from .adet import (
 from .characters import (
     alpha_power_expansion,
     character,
-    class_size,
-    convolve_characters,
     immanant,
     subgroup_averaged_character,
 )
@@ -26,8 +24,6 @@ from .errors import (
     DimensionMismatch,
     DivisionByZeroPoly,
     IdentityViolation,
-    NoFactorFound,
-    NonUniqueFactor,
     NotDivisible,
     NotSquare,
     ShapeWeightMismatch,
@@ -53,11 +49,9 @@ from .perms import (
     BlockProfile,
     Perm,
     block_profile,
-    coset_factor,
     double_coset_index,
     enumerate_perms,
     jucys_murphy_product,
-    young_subgroup,
 )
 from .polynomials import QPoly, QPoly2
 from .randmat import SplitMix64, random_matrix

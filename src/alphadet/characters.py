@@ -1,6 +1,6 @@
 """Irreducible characters of the symmetric group and the functionals built
-from them: Young-subgroup averages, immanants, convolutions and the
-character-basis expansion of the alpha power weight.
+from them: Young-subgroup averages, immanants and the character-basis
+expansion of the alpha power weight.
 
 Characters are evaluated by the Murnaghan-Nakayama border-strip recursion,
 implemented on first-column hook lengths (beta numbers): removing a strip
@@ -24,22 +24,13 @@ from .partitions import (
     num_standard_tableaux,
     partitions_of,
 )
-from .perms import (
-    YOUNG_ORDER_CAP,
-    Perm,
-    _compose,
-    _cycle_type,
-    _trans_len,
-    perm_of_cycle_type,
-    perm_tuples,
-    young_subgroup_order,
-)
+from .perms import Perm, _cycle_type, _trans_len, perm_tuples, young_subgroup_order
 from .polynomials import QPoly
 
 CHARACTER_CAP = 12
 IMMANANT_CAP = 8
-CONVOLUTION_CAP = 6
 EXPANSION_CAP = 8
+YOUNG_ORDER_CAP = 10**6
 
 
 def _beta_numbers(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -86,22 +77,6 @@ def character(shape: Sequence[int], rho: Sequence[int]) -> int:
     return _mn(shape, rho)
 
 
-def centralizer_order(rho: Sequence[int]) -> int:
-    """Order of the centralizer of a permutation of cycle type rho
-    (product over cycle lengths l of l^mult * mult!)."""
-    out = 1
-    mult: dict[int, int] = {}
-    for part in rho:
-        mult[part] = mult.get(part, 0) + 1
-    for length, count in mult.items():
-        out *= length**count * factorial(count)
-    return out
-
-
-def class_size(rho: Sequence[int]) -> int:
-    return factorial(sum(rho)) // centralizer_order(rho)
-
-
 def subgroup_averaged_character(
     shape: Sequence[int], mu: Sequence[int], g: Perm
 ) -> Fraction:
@@ -134,32 +109,6 @@ def immanant(shape: Sequence[int], a: RatMatrix) -> Fraction:
     by_type = class_sums(rows)
     total = sum(character(shape, ct) * acc for ct, acc in by_type.items())
     return Fraction(total, scale**n)
-
-
-def convolve_characters(
-    shape: Sequence[int], rho: Sequence[int]
-) -> dict[tuple[int, ...], Fraction]:
-    """Convolution of two irreducible characters, tabulated per conjugacy
-    class: value at class c is sum over sigma of chi_shape(x sigma) *
-    chi_rho(sigma^-1) for any x of cycle type c."""
-    shape = check_partition(shape)
-    rho = check_partition(rho)
-    n = sum(shape)
-    if sum(rho) != n:
-        raise ShapeWeightMismatch(f"|{shape}| != |{rho}|")
-    if n > CONVOLUTION_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds convolution cap {CONVOLUTION_CAP}")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for cls in partitions_of(n):
-        x = perm_of_cycle_type(cls, n).images
-        total = 0
-        for sigma in perm_tuples(n):
-            # sigma^-1 has the same cycle type as sigma
-            total += character(shape, _cycle_type(_compose(x, sigma))) * character(
-                rho, _cycle_type(sigma)
-            )
-        out[cls] = Fraction(total)
-    return out
 
 
 def alpha_power_expansion(n: int) -> dict[tuple[int, ...], QPoly]:

@@ -33,18 +33,6 @@ class ShapeWeightMismatch(AlphadetError):
     """Partition arguments must partition the same integer."""
 
 
-class NoFactorFound(AlphadetError):
-    """No coset factor satisfies the additivity condition.
-
-    The factor is guaranteed to exist; raising this aborts a verification
-    run loudly rather than letting a falsified claim pass quietly.
-    """
-
-
-class NonUniqueFactor(AlphadetError):
-    """More than one coset factor satisfies the additivity condition."""
-
-
 class IdentityViolation(AlphadetError):
     """An exact identity that must hold failed; carries the witness."""
 

@@ -1,6 +1,6 @@
-"""Permutations of {1..n}: cycle statistics, enumeration, class
-representatives, Young subgroups, coset factors, the Jucys-Murphy
-group-algebra product, block profiles and double-coset indices.
+"""Permutations of {1..n}: cycle statistics, enumeration, Young-subgroup
+blocks and orders, the Jucys-Murphy group-algebra product, block profiles
+and double-coset indices.
 
 One-line notation is 1-based everywhere, matching the serialized form
 "2,1,3".  Everything is exhaustive by design, except the double-coset
@@ -15,18 +15,11 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    NoFactorFound,
-    NonUniqueFactor,
-    ShapeWeightMismatch,
-    SizeCapExceeded,
-)
+from .errors import SizeCapExceeded
 from .polynomials import QPoly
 
 ENUM_CAP = 10  # 10! ~ 3.6M permutations
 JM_CAP = 7  # group-algebra product has n! support
-COSET_FACTOR_CAP = 8
-YOUNG_ORDER_CAP = 10**6
 
 
 def _trans_len(images: Sequence[int]) -> int:
@@ -171,18 +164,6 @@ def enumerate_perms(n: int) -> Iterator[Perm]:
         yield p
 
 
-def perm_of_cycle_type(rho: Sequence[int], n: int) -> Perm:
-    """Canonical representative: cycles laid out on consecutive letters."""
-    if sum(rho) != n:
-        raise ShapeWeightMismatch(f"|{tuple(rho)}| != {n}")
-    cycles = []
-    start = 1
-    for length in rho:
-        cycles.append(tuple(range(start, start + length)))
-        start += length
-    return Perm.from_cycles(n, cycles)
-
-
 def young_blocks(mu: Sequence[int]) -> list[range]:
     """Consecutive letter blocks of sizes mu_1, mu_2, ... (1-based values)."""
     blocks = []
@@ -200,65 +181,8 @@ def young_subgroup_order(mu: Sequence[int]) -> int:
     return out
 
 
-def young_subgroup_tuples(mu: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Raw image tuples of the Young subgroup (blockwise permutations)."""
-    if young_subgroup_order(mu) > YOUNG_ORDER_CAP:
-        raise SizeCapExceeded(f"Young subgroup of {tuple(mu)} exceeds {YOUNG_ORDER_CAP}")
-    blocks = young_blocks(mu)
-    per_block = [list(itertools.permutations(b)) for b in blocks]
-    for choice in itertools.product(*per_block):
-        merged = []
-        for part in choice:
-            merged.extend(part)
-        yield tuple(merged)
-
-
-def young_subgroup(mu: Sequence[int]) -> Iterator[Perm]:
-    """All elements of the Young subgroup of S_n, n = sum(mu)."""
-    for t in young_subgroup_tuples(mu):
-        p = Perm.__new__(Perm)
-        p.images = t
-        yield p
-
-
 def _embed(images: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(images) + tuple(range(len(images) + 1, n + 1))
-
-
-def coset_factor(tau: Perm, k: int) -> Perm:
-    """The unique c in S_k (fixing k+1..n) with
-    transposition_length(tau * s) = transposition_length(tau * c^-1)
-    + transposition_length(c * s) for every s in S_k.
-
-    Found by exhaustive search over all k! candidates, each checked against
-    all k! right factors; existence and uniqueness are part of the claim, so
-    zero or multiple survivors abort loudly.
-    """
-    n = tau.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    if n > COSET_FACTOR_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds coset-factor cap {COSET_FACTOR_CAP}")
-    t = tau.images
-    subgroup = [_embed(s, n) for s in perm_tuples(k)]
-    found = []
-    for cand in subgroup:
-        inv = [0] * n
-        for i, v in enumerate(cand):
-            inv[v - 1] = i + 1
-        base = _trans_len(_compose(t, inv))
-        ok = True
-        for s in subgroup:
-            if _trans_len(_compose(t, s)) != base + _trans_len(_compose(cand, s)):
-                ok = False
-                break
-        if ok:
-            found.append(cand)
-    if not found:
-        raise NoFactorFound(f"no coset factor for {tau!r} with k={k}")
-    if len(found) > 1:
-        raise NonUniqueFactor(f"{len(found)} coset factors for {tau!r} with k={k}")
-    return Perm(found[0])
 
 
 def jucys_murphy_product(n: int) -> dict[Perm, QPoly]:

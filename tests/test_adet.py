@@ -38,12 +38,12 @@ from alphadet.perms import (
     _trans_len,
     block_profile,
     enumerate_perms,
-    perm_of_cycle_type,
     perm_tuples,
-    young_subgroup,
 )
 from alphadet.polynomials import QPoly, QPoly2
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
+
+from test_perms import _perm_of_cycle_type, _young_subgroup
 
 
 def _class_sums_naive(rows) -> dict:
@@ -66,7 +66,7 @@ def _translate_cycle_types(g: Perm, mu) -> dict:
     """Oracle: the cycle types of the translates g h, h in the Young
     subgroup of mu, with the number of h giving each type."""
     by_type: dict = {}
-    for h in young_subgroup(mu):
+    for h in _young_subgroup(mu):
         ct = (g * h).cycle_type()
         by_type[ct] = by_type.get(ct, 0) + 1
     return by_type
@@ -95,7 +95,7 @@ def _class_table_naive(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     K[i][j] = #{sigma : len(g sigma) = i, len(sigma) = j}, i, j = 0..n."""
     n = sum(rho)
     # g0[v] = g(v) - 1: walks the cycles of g sigma from 1-based images of sigma
-    g0 = (0,) + tuple(v - 1 for v in perm_of_cycle_type(rho, n).images)
+    g0 = (0,) + tuple(v - 1 for v in _perm_of_cycle_type(rho, n).images)
     table = [[0] * (n + 1) for _ in range(n + 1)]
     letters = range(n)
     for p, len_sigma in zip(perm_tuples(n), _trans_lens(n)):
@@ -633,7 +633,7 @@ def test_main_identity_random_matrices():
 
 def test_wreath_average_left_invariance():
     a = random_matrix(4, 2, 33)
-    for g in young_subgroup((2, 2)):
+    for g in _young_subgroup((2, 2)):
         assert wreath_average_poly(a.permute_rows(g), 2) == wreath_average_poly(a, 2)
 
 

@@ -8,8 +8,6 @@ from alphadet.adet import adet_poly
 from alphadet.characters import (
     alpha_power_expansion,
     character,
-    class_size,
-    convolve_characters,
     immanant,
     subgroup_averaged_character,
 )
@@ -23,13 +21,42 @@ from alphadet.partitions import (
 )
 from alphadet.perms import (
     Perm,
+    _compose,
+    _cycle_type,
     enumerate_perms,
-    perm_of_cycle_type,
-    young_subgroup,
+    perm_tuples,
     young_subgroup_order,
 )
 from alphadet.polynomials import QPoly
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
+
+from test_perms import _perm_of_cycle_type, _young_subgroup
+
+
+def _class_size(rho) -> int:
+    """Oracle: n! over the centralizer order, the product over cycle
+    lengths l of l^mult * mult!."""
+    centralizer = 1
+    for length in set(rho):
+        mult = rho.count(length)
+        centralizer *= length**mult * factorial(mult)
+    return factorial(sum(rho)) // centralizer
+
+
+def _convolve_characters(shape, rho) -> dict:
+    """Oracle: the convolution of two irreducible characters, per conjugacy
+    class c: sum over sigma in S_n of chi_shape(x sigma) * chi_rho(sigma^-1)
+    for the x of cycle type c."""
+    n = sum(shape)
+    out = {}
+    for cls in partitions_of(n):
+        x = _perm_of_cycle_type(cls, n).images
+        # sigma^-1 has the same cycle type as sigma
+        out[cls] = sum(
+            character(shape, _cycle_type(_compose(x, sigma))) * character(rho, _cycle_type(sigma))
+            for sigma in perm_tuples(n)
+        )
+    return out
 
 
 def test_trivial_and_sign_characters():
@@ -60,7 +87,7 @@ def test_first_orthogonality():
         for a in shapes:
             for b in shapes:
                 total = sum(
-                    class_size(rho) * character(a, rho) * character(b, rho)
+                    _class_size(rho) * character(a, rho) * character(b, rho)
                     for rho in partitions_of(n)
                 )
                 assert total == (factorial(n) if a == b else 0)
@@ -68,7 +95,7 @@ def test_first_orthogonality():
 
 def test_class_sizes_sum_to_group_order():
     for n in range(1, 9):
-        assert sum(class_size(rho) for rho in partitions_of(n)) == factorial(n)
+        assert sum(_class_size(rho) for rho in partitions_of(n)) == factorial(n)
 
 
 def test_averaged_character_trivial_subgroup():
@@ -99,7 +126,7 @@ def test_averaged_character_matches_translate_average():
         for mu in partitions_of(n):
             g = random_perm(n, rng)
             for shape in partitions_of(n):
-                total = sum(character(shape, (g * h).cycle_type()) for h in young_subgroup(mu))
+                total = sum(character(shape, (g * h).cycle_type()) for h in _young_subgroup(mu))
                 expected = F(total, young_subgroup_order(mu))
                 assert subgroup_averaged_character(shape, mu, g) == expected, (shape, mu, g)
 
@@ -114,7 +141,7 @@ def test_averaged_character_young_order_cap():
 
 def test_averaged_character_biinvariance():
     mu = (3, 2, 1)
-    subgroup = list(young_subgroup(mu))
+    subgroup = list(_young_subgroup(mu))
     rng = SplitMix64(15)
     for _ in range(6):
         g = random_perm(6, rng)
@@ -178,16 +205,16 @@ def test_immanant_of_permuted_block_ones_is_scaled_average():
 
 
 def test_convolution_identities():
-    conv = convolve_characters((2, 1), (2, 1))
+    conv = _convolve_characters((2, 1), (2, 1))
     f = num_standard_tableaux((2, 1))
     for rho, value in conv.items():
         assert value == F(factorial(3), f) * character((2, 1), rho)
 
-    conv = convolve_characters((3,), (1, 1, 1))
+    conv = _convolve_characters((3,), (1, 1, 1))
     assert all(v == 0 for v in conv.values())
 
     for n in (2, 3, 4):
-        conv = convolve_characters((n,), (n,))
+        conv = _convolve_characters((n,), (n,))
         assert all(v == factorial(n) for v in conv.values())
 
 
@@ -196,7 +223,7 @@ def test_convolution_orthogonality_full():
     shapes = partitions_of(n)
     for a in shapes:
         for b in shapes:
-            conv = convolve_characters(a, b)
+            conv = _convolve_characters(a, b)
             for rho, value in conv.items():
                 if a == b:
                     expected = F(factorial(n), num_standard_tableaux(a)) * character(a, rho)
@@ -242,6 +269,6 @@ def test_character_weighted_average_all_shapes():
 
 
 def test_perm_of_cycle_type():
-    p = perm_of_cycle_type((3, 2, 1), 6)
+    p = _perm_of_cycle_type((3, 2, 1), 6)
     assert p.cycle_type() == (3, 2, 1)
-    assert perm_of_cycle_type((1, 1), 2).is_identity()
+    assert _perm_of_cycle_type((1, 1), 2).is_identity()

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from alphadet.cli import main
+from alphadet.errors import IdentityViolation
 from alphadet.matrices import RatMatrix
+import alphadet.adet as adet_module
 import alphadet.cli as cli_module
 from alphadet.verify import CaseResult, SuiteReport
 
@@ -157,6 +159,29 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "status=fail" in out
     assert "FAIL trial=0" in out
+
+
+def test_disagreeing_class_table_markings_exit_1(monkeypatch, capsys):
+    # a cut-and-join step that splits every 2-cycle into two fixed points
+    # makes the markings of (2, 1) disagree; the builder must refuse, and the
+    # CLI must report a falsified claim rather than a usage error
+    add_part = adet_module._add_part
+
+    def split_twos(rest, part):
+        return add_part(add_part(rest, 1), 1) if part == 2 else add_part(rest, part)
+
+    monkeypatch.setattr(adet_module, "_add_part", split_twos)
+    adet_module.class_tables.cache_clear()
+    try:
+        disagree = r"the markings of cycle type \(2, 1\) in S_3 disagree"
+        with pytest.raises(IdentityViolation, match=disagree):
+            adet_module.class_tables(3)
+        assert main(["verify", "chi", "--k", "1", "--n", "3", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FALSIFIED CLAIM:")
+        assert "Traceback" not in err
+    finally:
+        adet_module.class_tables.cache_clear()
 
 
 def test_verify_workers_flag(capsys):

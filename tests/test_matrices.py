@@ -12,8 +12,10 @@ from alphadet.matrices import (
     perm_matrix,
 )
 from alphadet.partitions import partitions_of
-from alphadet.perms import Perm, young_subgroup
+from alphadet.perms import Perm
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
+
+from test_perms import _young_subgroup
 
 
 def test_json_round_trip():
@@ -40,7 +42,7 @@ def test_inflate_examples():
 def test_inflate_right_invariance():
     a = random_matrix(4, 2, 10)
     b = inflate(a, 2)
-    for g in young_subgroup((2, 2)):
+    for g in _young_subgroup((2, 2)):
         assert b.permute_columns(g) == b
 
 

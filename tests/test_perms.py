@@ -1,3 +1,4 @@
+import itertools
 from functools import cache
 from math import factorial
 
@@ -7,22 +8,80 @@ import alphadet.perms as perms_module
 
 from alphadet.errors import SizeCapExceeded
 from alphadet.matrices import perm_matrix
+from alphadet.partitions import content_poly
 from alphadet.perms import (
     Perm,
     _compose,
+    _embed,
+    _trans_len,
     block_profile,
-    coset_factor,
     double_coset_index,
     enumerate_perms,
     format_perm,
     jucys_murphy_product,
     parse_perm,
-    young_subgroup,
+    perm_tuples,
+    young_blocks,
     young_subgroup_order,
-    young_subgroup_tuples,
 )
 from alphadet.polynomials import QPoly
 from alphadet.randmat import SplitMix64, random_perm
+
+
+def _young_subgroup(mu):
+    """Oracle: every element of the Young subgroup of mu, the blockwise
+    permutations of S_n, n = sum(mu)."""
+    per_block = [itertools.permutations(b) for b in young_blocks(mu)]
+    for choice in itertools.product(*per_block):
+        yield Perm(v for part in choice for v in part)
+
+
+def _perm_of_cycle_type(rho, n):
+    """Oracle: a permutation of cycle type rho, its cycles laid out on
+    consecutive letters."""
+    assert sum(rho) == n
+    cycles = []
+    start = 1
+    for length in rho:
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    return Perm.from_cycles(n, cycles)
+
+
+def _coset_factor(tau: Perm, k: int) -> Perm:
+    """Oracle: the unique c in S_k (fixing k+1..n) with
+    transposition_length(tau * s) = transposition_length(tau * c^-1)
+    + transposition_length(c * s) for every s in S_k.
+
+    Found by exhaustive search over all k! candidates, each checked against
+    all k! right factors; existence and uniqueness are part of the claim, so
+    zero or several survivors fail the test.
+    """
+    n = tau.n
+    t = tau.images
+    subgroup = [_embed(s, n) for s in perm_tuples(k)]
+    found = []
+    for cand in subgroup:
+        base = _trans_len(_compose(t, Perm(cand).inverse().images))
+        if all(
+            _trans_len(_compose(t, s)) == base + _trans_len(_compose(cand, s))
+            for s in subgroup
+        ):
+            found.append(cand)
+    assert len(found) == 1, f"{len(found)} coset factors for {tau!r} with k={k}"
+    return Perm(found[0])
+
+
+def _check_weak_alternating(tau: Perm, k: int) -> None:
+    """Check the lemma the coset factor c of tau serves: sum over s in S_k
+    of a^len(tau s) = a^len(tau c^-1) * content_poly((k,))."""
+    c = _coset_factor(tau, k)
+    n = tau.n
+    coeffs = [0] * n
+    for s in perm_tuples(k):
+        coeffs[_trans_len(_compose(tau.images, _embed(s, n)))] += 1
+    base = (tau * c.inverse()).transposition_length
+    assert QPoly(coeffs) == QPoly.monomial(base) * content_poly((k,)), (tau, k)
 
 
 def test_enumerate_small():
@@ -92,40 +151,40 @@ def test_serialization():
 
 
 def test_young_subgroup_small():
-    assert list(young_subgroup((1, 1, 1, 1))) == [Perm.identity(4)]
-    members = set(young_subgroup((2, 2)))
+    assert list(_young_subgroup((1, 1, 1, 1))) == [Perm.identity(4)]
+    members = set(_young_subgroup((2, 2)))
     assert members == {
         Perm.identity(4),
         Perm.from_cycles(4, [(1, 2)]),
         Perm.from_cycles(4, [(3, 4)]),
         Perm.from_cycles(4, [(1, 2), (3, 4)]),
     }
-    assert set(young_subgroup((4,))) == set(enumerate_perms(4))
+    assert set(_young_subgroup((4,))) == set(enumerate_perms(4))
     assert young_subgroup_order((3, 2, 1)) == 12
 
 
 def test_coset_factor_examples():
-    assert coset_factor(Perm.identity(4), 2) == Perm.identity(4)
-    assert coset_factor(Perm.from_cycles(4, [(1, 2)]), 2) == Perm.from_cycles(4, [(1, 2)])
-    assert coset_factor(Perm.from_cycles(4, [(1, 3)]), 2) == Perm.identity(4)
+    assert _coset_factor(Perm.identity(4), 2) == Perm.identity(4)
+    assert _coset_factor(Perm.from_cycles(4, [(1, 2)]), 2) == Perm.from_cycles(4, [(1, 2)])
+    assert _coset_factor(Perm.from_cycles(4, [(1, 3)]), 2) == Perm.identity(4)
 
 
 def test_coset_factor_exists_uniquely_exhaustive():
-    # existence and uniqueness are verified inside coset_factor itself
+    # existence and uniqueness are verified inside _coset_factor itself
     for n in range(1, 6):
         for tau in enumerate_perms(n):
             for k in range(1, n + 1):
-                coset_factor(tau, k)
+                _check_weak_alternating(tau, k)
 
 
 def test_coset_factor_at_six():
     for tau in enumerate_perms(6):
-        coset_factor(tau, 2)
+        _check_weak_alternating(tau, 2)
     rng = SplitMix64(77)
     for _ in range(40):
         tau = random_perm(6, rng)
         for k in (3, 4, 5, 6):
-            coset_factor(tau, k)
+            _check_weak_alternating(tau, k)
 
 
 def test_jucys_murphy_small():
@@ -148,11 +207,6 @@ def test_jucys_murphy_matches_length_weight():
 def test_jucys_murphy_cap():
     with pytest.raises(SizeCapExceeded):
         jucys_murphy_product(8)
-
-
-def test_young_subgroup_cap():
-    with pytest.raises(SizeCapExceeded):
-        list(young_subgroup((10,)))
 
 
 def test_block_profile_examples():
@@ -180,7 +234,7 @@ def test_block_profile_row_column_sums():
 def test_block_profile_double_coset_invariance():
     n = k = 2
     rng = SplitMix64(9)
-    subgroup = list(young_subgroup((k,) * n))
+    subgroup = list(_young_subgroup((k,) * n))
     for _ in range(15):
         sigma = random_perm(n * k, rng)
         base = block_profile(sigma, n, k).m
@@ -191,7 +245,7 @@ def test_block_profile_double_coset_invariance():
 
 @cache
 def _rectangle_subgroup(n: int, k: int) -> frozenset:
-    return frozenset(young_subgroup_tuples((k,) * n))
+    return frozenset(h.images for h in _young_subgroup((k,) * n))
 
 
 def _double_coset_index_naive(sigma: Perm, n: int, k: int) -> int:
@@ -216,10 +270,10 @@ def test_double_coset_index_matches_subgroup_enumeration():
 
 
 def test_double_coset_index_enumerates_no_subgroup(monkeypatch):
-    def no_enumeration(mu):
-        raise AssertionError("double_coset_index must not enumerate H")
+    def no_enumeration(n):
+        raise AssertionError("double_coset_index must not enumerate permutations")
 
-    monkeypatch.setattr(perms_module, "young_subgroup_tuples", no_enumeration)
+    monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
     rng = SplitMix64(5)
     # |S_4^3| = 24^3 and |S_12| = 12! were past the old enumeration cap
     for n, k in [(2, 2), (3, 4), (1, 12), (12, 1)]:

@@ -6,6 +6,25 @@ import alphadet
 PACKAGE = Path(alphadet.__file__).parent
 
 
+def test_every_error_type_is_raised():
+    # an error class that nothing raises is dead surface in the public API
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name != "AlphadetError"
+    }
+    assert defined
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert not defined - raised, f"never raised: {sorted(defined - raised)}"
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so invariants in the package must raise
     paths = sorted(PACKAGE.glob("*.py"))
