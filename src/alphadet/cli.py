@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from .adet import adet2_poly, adet_at, adet_poly, wrdet
 from .characters import character, subgroup_averaged_character
@@ -139,103 +140,118 @@ def _workers(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_RATIONAL = 'rational "p/q"; write --alpha=-1/2 for negative values'
+_K = ("--k", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_SAMPLES = ("--samples", {"type": int, "default": 0, "help": "0 = exhaustive"})
+
+# name -> (help, handler, options) of each command and of each verify suite
+COMMANDS = {
+    "adet": ("alpha-determinant of a square matrix", _cmd_adet, [
+        ("--matrix", {"required": True, "help": "path to matrix JSON"}),
+        ("--alpha", {"help": f"evaluate at a {_RATIONAL} (default: the polynomial)"}),
+    ]),
+    "adet2": ("two-parameter alpha-determinant", _cmd_adet2, [
+        ("--matrix", {"required": True}),
+        ("--alpha", {"help": _RATIONAL}),
+        ("--beta", {"help": _RATIONAL}),
+    ]),
+    "wrdet": ("k-wreath determinant of a kn x n matrix", _cmd_wrdet, [
+        ("--matrix", {"required": True}),
+        _K,
+    ]),
+    "kostka": ("Kostka number of a shape and weight", _cmd_kostka, [
+        ("--shape", {"required": True}),
+        ("--weight", {"required": True}),
+        ("--method", {"choices": ["oracle", "rect-formula"], "default": "oracle"}),
+    ]),
+    "character": ("irreducible character value", _cmd_character, [
+        ("--shape", {"required": True}),
+        ("--cycle-type", {"required": True}),
+    ]),
+    "omega": ("Young-subgroup average of a character", _cmd_omega, [
+        ("--shape", {"required": True}),
+        ("--mu", {"required": True}),
+        ("--perm", {"required": True}),
+    ]),
+    "verify": ("run an identity-verification suite", _cmd_verify, []),
+}
+SUITES = {
+    "theorem": ("main averaging identity", _cmd_verify, [
+        _K,
+        _N,
+        ("--trials", {"type": int, "default": 5}),
+    ]),
+    "omega": ("rectangular subgroup-average formula", _cmd_verify, [
+        _K,
+        _N,
+        ("--mu", {"help": "single weight (default: all weights of kn)"}),
+        ("--perm", {"help": "group element (default: identity)"}),
+    ]),
+    "chi": ("rectangular character formula", _cmd_verify, [_K, _N, _SAMPLES]),
+    "stanley": ("small-support character formula", _cmd_verify, [
+        _K,
+        _N,
+        ("--m", {"type": int, "required": True}),
+    ]),
+    "zsf": ("diagonal average, three routes", _cmd_verify, [_K, _N, _SAMPLES]),
+    "weak-alt": ("vanishing and divisibility checks", _cmd_verify, [
+        ("--size", {"type": int, "required": True, "help": "matrix size"}),
+        _K,
+        ("--trials", {"type": int, "default": 25}),
+    ]),
+    "fourier": ("alpha-power expansion and JM product", _cmd_verify, [
+        ("--size", {"type": int, "required": True}),
+    ]),
+}
+_SUITE_COMMON = [
+    ("--seed", {"type": _seed, "required": True, "help": "integer in [0, 2^64)"}),
+    ("--json", {"help": "write the JSON report to this path"}),
+    ("--workers", {"type": _workers, "default": 1, "help": "positive integer"}),
+]
+
+
+def _add_parsers(sub, table: dict, word: str | None, common=()) -> dict:
+    """Add to sub the parser of only the name that word gives, or of every
+    name in table when word gives none; returns them by name.  A lone
+    parser keeps all names in sub's usage metavar, so that a usage error
+    reads as it does with every parser added."""
+    names = list(table)
+    if word in table:
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [word]
+    parsers = {}
+    for name in names:
+        help_text, handler, options = table[name]
+        p = parsers[name] = sub.add_parser(name, help=help_text)
+        for flag, kwargs in [*options, *common]:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
+    return parsers
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for argv.  It adds only the command that argv's first word
+    names and, under verify, only the suite that its second word names; a
+    word that names none (-h, a typo, no word) adds every choice, so help
+    and usage errors are those of the full parser, build_parser()."""
     parser = argparse.ArgumentParser(
         prog="alphadet",
         description="Exact alpha-determinant computations and identity verification.",
     )
+    command = argv[0] if argv else None
     sub = parser.add_subparsers(dest="command", required=True)
-
-    rational_hint = 'rational "p/q"; write --alpha=-1/2 for negative values'
-
-    p = sub.add_parser("adet", help="alpha-determinant of a square matrix")
-    p.add_argument("--matrix", required=True, help="path to matrix JSON")
-    p.add_argument("--alpha", help=f"evaluate at a {rational_hint} (default: the polynomial)")
-    p.set_defaults(func=_cmd_adet)
-
-    p = sub.add_parser("adet2", help="two-parameter alpha-determinant")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--alpha", help=rational_hint)
-    p.add_argument("--beta", help=rational_hint)
-    p.set_defaults(func=_cmd_adet2)
-
-    p = sub.add_parser("wrdet", help="k-wreath determinant of a kn x n matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_wrdet)
-
-    p = sub.add_parser("kostka", help="Kostka number of a shape and weight")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--method", choices=["oracle", "rect-formula"], default="oracle")
-    p.set_defaults(func=_cmd_kostka)
-
-    p = sub.add_parser("character", help="irreducible character value")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--cycle-type", required=True)
-    p.set_defaults(func=_cmd_character)
-
-    p = sub.add_parser("omega", help="Young-subgroup average of a character")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--perm", required=True)
-    p.set_defaults(func=_cmd_omega)
-
-    v = sub.add_parser("verify", help="run an identity-verification suite")
-    vsub = v.add_subparsers(dest="suite", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2^64)")
-        sp.add_argument("--json", help="write the JSON report to this path")
-        sp.add_argument("--workers", type=_workers, default=1, help="positive integer")
-        sp.set_defaults(func=_cmd_verify)
-
-    sp = vsub.add_parser("theorem", help="main averaging identity")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=5)
-    common(sp)
-
-    sp = vsub.add_parser("omega", help="rectangular subgroup-average formula")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", help="single weight (default: all weights of kn)")
-    sp.add_argument("--perm", help="group element (default: identity)")
-    common(sp)
-
-    sp = vsub.add_parser("chi", help="rectangular character formula")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=0, help="0 = exhaustive")
-    common(sp)
-
-    sp = vsub.add_parser("stanley", help="small-support character formula")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    common(sp)
-
-    sp = vsub.add_parser("zsf", help="diagonal average, three routes")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=0, help="0 = exhaustive")
-    common(sp)
-
-    sp = vsub.add_parser("weak-alt", help="vanishing and divisibility checks")
-    sp.add_argument("--size", type=int, required=True, help="matrix size")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=25)
-    common(sp)
-
-    sp = vsub.add_parser("fourier", help="alpha-power expansion and JM product")
-    sp.add_argument("--size", type=int, required=True)
-    common(sp)
-
+    verify = _add_parsers(sub, COMMANDS, command).get("verify")
+    if verify is not None:
+        suite = argv[1] if command == "verify" and len(argv) > 1 else None
+        vsub = verify.add_subparsers(dest="suite", required=True)
+        _add_parsers(vsub, SUITES, suite, _SUITE_COMMON)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except IdentityViolation as exc:

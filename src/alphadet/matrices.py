@@ -7,7 +7,6 @@ JSON wire form: {"rows": R, "cols": C, "entries": [["p/q", ...], ...]}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -178,17 +177,28 @@ def column_replicator(n: int, k: int) -> RatMatrix:
     )
 
 
-@dataclass(frozen=True)
 class PermutedBlockOnes:
     """The row-permuted block-ones matrix P(g) * block_ones(mu), kept
-    unmaterialized: entry (r, s) = 1 iff g^-1(r) and s share a mu-block."""
+    unmaterialized: entry (r, s) = 1 iff g^-1(r) and s share a mu-block.
+    Equal (g, mu) compare and hash equal."""
 
-    g: Perm
-    mu: tuple[int, ...]
+    __slots__ = ("g", "mu")
 
-    def __post_init__(self):
-        if self.g.n != sum(self.mu):
+    def __init__(self, g: Perm, mu: tuple[int, ...]):
+        if g.n != sum(mu):
             raise DimensionMismatch("permutation size != sum(mu)")
+        self.g, self.mu = g, mu
+
+    def __eq__(self, other):
+        if type(other) is not PermutedBlockOnes:
+            return NotImplemented
+        return (self.g, self.mu) == (other.g, other.mu)
+
+    def __hash__(self):
+        return hash((self.g, self.mu))
+
+    def __repr__(self):
+        return f"PermutedBlockOnes(g={self.g!r}, mu={self.mu!r})"
 
     def int_rows(self) -> list[tuple[int, ...]]:
         """The 0/1 entries as integer rows, straight from (g, mu)."""

@@ -11,7 +11,6 @@ SizeCapExceeded instead of degrading.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -210,21 +209,31 @@ def jucys_murphy_product(n: int) -> dict[Perm, QPoly]:
     return {Perm(t): c for t, c in state.items()}
 
 
-@dataclass(frozen=True)
 class BlockProfile:
     """n x n grid counting how a permutation of kn letters maps size-k
-    letter blocks to size-k letter blocks; all row/column sums equal k."""
+    letter blocks to size-k letter blocks; all row/column sums equal k.
+    Equal grids compare and hash equal."""
 
-    m: tuple[tuple[int, ...], ...]
-    n: int
-    k: int
+    __slots__ = ("m", "n", "k")
 
-    def __post_init__(self):
-        if len(self.m) != self.n or any(len(r) != self.n for r in self.m):
+    def __init__(self, m: tuple[tuple[int, ...], ...], n: int, k: int):
+        if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("profile grid must be n x n")
-        for i in range(self.n):
-            if sum(self.m[i]) != self.k or sum(r[i] for r in self.m) != self.k:
+        for i in range(n):
+            if sum(m[i]) != k or sum(r[i] for r in m) != k:
                 raise ValueError("row and column sums must all equal k")
+        self.m, self.n, self.k = m, n, k
+
+    def __eq__(self, other):
+        if type(other) is not BlockProfile:
+            return NotImplemented
+        return (self.m, self.n, self.k) == (other.m, other.n, other.k)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.k))
+
+    def __repr__(self):
+        return f"BlockProfile(m={self.m!r}, n={self.n!r}, k={self.k!r})"
 
 
 def block_profile(sigma: Perm, n: int, k: int) -> BlockProfile:

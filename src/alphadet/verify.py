@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
@@ -68,11 +66,11 @@ STANLEY_M_CAP = 6  # bounds the m! cases; each case reads one class table of S_m
 FOURIER_JM_CAP = 6  # the JM product has n! support; size 7 runs the expansion only
 
 
-@dataclass
 class CaseResult:
-    id: str
-    status: str
-    witness: dict | None = None
+    def __init__(self, id: str, status: str, witness: dict | None = None):
+        self.id = id
+        self.status = status
+        self.witness = witness
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "status": self.status}
@@ -81,15 +79,24 @@ class CaseResult:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    params: dict
-    seed: int
-    case_count: int
-    cases: list[CaseResult]
-    status: str
-    wall_time_s: float
+    def __init__(
+        self,
+        suite: str,
+        params: dict,
+        seed: int,
+        case_count: int,
+        cases: list[CaseResult],
+        status: str,
+        wall_time_s: float,
+    ):
+        self.suite = suite
+        self.params = params
+        self.seed = seed
+        self.case_count = case_count
+        self.cases = cases
+        self.status = status
+        self.wall_time_s = wall_time_s
 
     @property
     def passed(self) -> bool:
@@ -115,6 +122,9 @@ def _run_cases(case_fn: Callable, case_args: list, workers: int) -> list[CaseRes
     workers = min(workers, len(case_args), os.cpu_count() or 1)
     if workers <= 1:
         return [case_fn(a) for a in case_args]
+    # imported here so that a serial run never loads the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(case_fn, case_args))
 

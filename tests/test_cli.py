@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
 
-from alphadet.cli import main
+from alphadet.cli import COMMANDS, SUITES, build_parser, main
 from alphadet.errors import IdentityViolation
 from alphadet.matrices import RatMatrix
 import alphadet.adet as adet_module
 import alphadet.cli as cli_module
 from alphadet.verify import CaseResult, SuiteReport
+from test_bench_digests import workloads
 
 
 @pytest.fixture
@@ -255,3 +258,66 @@ def test_verify_rejects_out_of_range_seed_and_workers(flag, capsys):
 def test_verify_accepts_largest_seed(capsys):
     argv = ["verify", "theorem", "--k", "1", "--n", "2", "--trials", "1"]
     assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+_SEED = ["--seed", "3"]
+_PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["verify", "-h"],
+    *([command, "-h"] for command in COMMANDS),
+    *(["verify", suite, "-h"] for suite in SUITES),
+    ["verfy"],
+    ["verify", "chii"],
+    ["verify"],
+    ["verify", "--seed", "3", "chi"],
+    *(workloads.suite_argv(w, 0) for w in workloads.WORKLOADS.values()),
+    ["verify", "omega", "--k", "2", "--n", "2", "--mu", "2,2", *_SEED],
+    ["omega", "--shape", "2,2", "--mu", "2,2", "--perm", "2,1,3,4"],
+    ["verify", "omega", "--k", "2"],
+    ["omega", "--shape", "2,2"],
+    ["adet", "--matrix", "m.json", "extra"],  # the top-level usage line
+    ["verify", "chi", "--k", "2", "--n", "2", *_SEED, "extra"],
+    ["verify", "zsf", "--k", "2", "--n", "2", *_SEED, "--workers", "0"],
+    ["kostka", "--shape", "2,2", "--weight", "2,2", "--method", "bad"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_branch_parser_acts_as_the_full_parser(argv):
+    # help, usage errors and the namespace are the full parser's, byte for byte
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def test_branch_parser_registers_only_the_named_branch():
+    for argv, other in [
+        (["adet", "--matrix", "m.json"], ["wrdet", "--matrix", "m.json", "--k", "1"]),
+        (["verify", "chi", "--k", "2", "--n", "2", *_SEED], ["omega", "--shape", "1", "--mu", "1", "--perm", "1"]),
+        (["verify", "chi", "--k", "2", "--n", "2", *_SEED], ["verify", "zsf", "--k", "2", "--n", "2", *_SEED]),
+        (["omega", "--shape", "1", "--mu", "1", "--perm", "1"], ["verify", "omega", "--k", "1", "--n", "1", *_SEED]),
+    ]:
+        assert _parse(build_parser(argv), argv)[0] is None
+        code, _, err, _ = _parse(build_parser(argv), other)
+        assert code == 2 and "invalid choice" in err
+
+
+@pytest.mark.parametrize("argv, choices", [(["verfy"], COMMANDS), (["verify", "chii"], SUITES)])
+def test_mistyped_choice_lists_every_choice(argv, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert all(repr(name) in err for name in choices)

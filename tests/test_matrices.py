@@ -84,6 +84,22 @@ def test_permuted_block_ones_materialization():
             assert PermutedBlockOnes(g, mu).materialize() == block_ones(mu).permute_rows(g)
 
 
+def test_permuted_block_ones_checks_size_and_is_a_value():
+    g = Perm.from_cycles(4, [(2, 3)])
+    with pytest.raises(DimensionMismatch, match=r"^permutation size != sum\(mu\)$"):
+        PermutedBlockOnes(g, (2, 1))
+    with pytest.raises(DimensionMismatch):
+        PermutedBlockOnes(g=g, mu=(3, 2))
+    s = PermutedBlockOnes(g=g, mu=(2, 2))
+    assert (s.g, s.mu) == (g, (2, 2))
+    same = PermutedBlockOnes(Perm([1, 3, 2, 4]), (2, 2))
+    assert s == same and hash(s) == hash(same)
+    assert len({s, same}) == 1
+    assert s != PermutedBlockOnes(g, (3, 1))
+    assert s != PermutedBlockOnes(Perm.identity(4), (2, 2))
+    assert s != (g, (2, 2))
+
+
 def test_random_matrix_deterministic():
     a = random_matrix(3, 2, 42)
     b = random_matrix(3, 2, 42)

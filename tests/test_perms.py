@@ -10,6 +10,7 @@ from alphadet.errors import SizeCapExceeded
 from alphadet.matrices import perm_matrix
 from alphadet.partitions import content_poly
 from alphadet.perms import (
+    BlockProfile,
     Perm,
     _compose,
     _embed,
@@ -212,6 +213,24 @@ def test_jucys_murphy_cap():
 def test_block_profile_examples():
     assert block_profile(Perm.identity(4), 2, 2).m == ((2, 0), (0, 2))
     assert block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2).m == ((1, 1), (1, 1))
+
+
+def test_block_profile_checks_its_grid_and_is_a_value():
+    with pytest.raises(ValueError, match=r"^profile grid must be n x n$"):
+        BlockProfile(((2, 0),), 2, 2)
+    with pytest.raises(ValueError, match=r"^profile grid must be n x n$"):
+        BlockProfile(((2, 0), (0, 1, 1)), 2, 2)
+    with pytest.raises(ValueError, match=r"^row and column sums must all equal k$"):
+        BlockProfile(((2, 1), (0, 1)), 2, 2)  # rows sum to k = 3 and 1
+    with pytest.raises(ValueError, match=r"^row and column sums must all equal k$"):
+        BlockProfile(((2, 0), (2, 0)), 2, 2)  # columns sum to 4 and 0
+    profile = BlockProfile(m=((1, 1), (1, 1)), n=2, k=2)
+    assert (profile.m, profile.n, profile.k) == (((1, 1), (1, 1)), 2, 2)
+    same = block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2)
+    assert profile == same and hash(profile) == hash(same)
+    assert len({profile, same, block_profile(Perm.from_cycles(4, [(1, 4)]), 2, 2)}) == 1
+    assert profile != block_profile(Perm.identity(4), 2, 2)
+    assert profile != ((1, 1), (1, 1))
 
 
 def test_block_profile_row_column_sums():

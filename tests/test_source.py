@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import alphadet
@@ -34,3 +37,15 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_cli_import_loads_no_process_pool_or_dataclasses():
+    # every `alphadet` run pays for what `import alphadet.cli` loads; -S keeps
+    # site's own imports out of the count
+    heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
+    code = f"import sys, alphadet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from math import factorial
 
@@ -363,7 +364,7 @@ class _PoolSpy:
 )
 def test_worker_pool_is_clamped(monkeypatch, workers, cases, cpus, expected):
     _PoolSpy.sizes = []
-    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSpy)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
     assert verify_module._run_cases(str, list(range(cases)), workers) == [
         str(i) for i in range(cases)
@@ -395,3 +396,32 @@ def test_report_json_schema():
     assert data["status"] == "pass"
     for case in data["cases"]:
         assert set(case) <= {"id", "status", "witness"}
+
+
+def test_report_records_construct_by_keyword():
+    # the CLI's tests substitute canned reports built this way
+    passing = verify_module.CaseResult(id="a", status="pass")
+    failing = verify_module.CaseResult("b", "fail", witness={"lhs": "0", "rhs": "1"})
+    assert (passing.id, passing.status, passing.witness) == ("a", "pass", None)
+    report = verify_module.SuiteReport(
+        suite="theorem",
+        params={"k": 2},
+        seed=7,
+        case_count=2,
+        cases=[passing, failing],
+        status="fail",
+        wall_time_s=0.5,
+    )
+    assert not report.passed
+    assert json.loads(report.to_json()) == {
+        "suite": "theorem",
+        "params": {"k": 2},
+        "seed": 7,
+        "case_count": 2,
+        "cases": [
+            {"id": "a", "status": "pass"},
+            {"id": "b", "status": "fail", "witness": {"lhs": "0", "rhs": "1"}},
+        ],
+        "status": "fail",
+        "wall_time_s": 0.5,
+    }
