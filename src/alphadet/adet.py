@@ -20,7 +20,9 @@ tables of S_n at once by Jucys-Murphy cut-and-join, without enumerating
 S_n.  The structured values, one- and two-parameter, read the class sums of
 P(g) 1_mu, whose 0/1 rows come straight from (g, mu), and the wreath average
 is the two-parameter determinant of the inflation at beta = -1/k: each row of
-its integer grid is evaluated there by ``eval_grid``.
+its integer grid is evaluated there by ``eval_grid``.  The wreath determinant
+is the alpha-determinant of the same inflation at -1/k, so one memoized walk
+of the inflation serves both sides of the main identity.
 """
 
 from __future__ import annotations
@@ -225,6 +227,31 @@ def _coset_class_sums(
     return tuple(class_sums(block_word_rows(word, labels)).items())
 
 
+def _capped_inflation_sums(
+    a: RatMatrix, k: int, cap: int, kind: str
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """(pairs, denom): the class sums of inflate(a, k) scaled to integer rows
+    over the common denominator denom, refused by the cap on kn before the
+    kn x kn inflation is built; inflate itself refuses k < 1 and a shape
+    that is not kn x n.
+
+    The walk is memoized on (a, k), and a RatMatrix hashes and compares by
+    its entries, so ``wreath_average_poly`` and ``wrdet`` of one matrix, the
+    two sides of the main identity, share one walk of the inflation.
+    """
+    if a.rows == k * a.cols > cap:
+        raise SizeCapExceeded(f"n={a.rows} exceeds {kind} cap {cap}")
+    return _inflation_class_sums(a, k)
+
+
+@lru_cache(maxsize=1)
+def _inflation_class_sums(
+    a: RatMatrix, k: int
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    rows, scale = scaled_int_rows(inflate(a, k))
+    return tuple(class_sums(rows).items()), scale ** len(rows)
+
+
 def _weigh_tables(
     tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]],
     sums: Iterable[tuple[tuple[int, ...], int]],
@@ -321,18 +348,12 @@ def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
     return eval_grid([counts], 1, 0, x)  # one row: a polynomial in the second variable
 
 
-def _capped_inflate(a: RatMatrix, k: int, cap: int, kind: str) -> RatMatrix:
-    """inflate(a, k), refused by the cap on kn before the kn x kn matrix is
-    built; inflate itself refuses k < 1 and a shape that is not kn x n."""
-    if a.rows == k * a.cols > cap:
-        raise SizeCapExceeded(f"n={a.rows} exceeds {kind} cap {cap}")
-    return inflate(a, k)
-
-
 def wrdet(a: RatMatrix, k: int) -> Fraction:
     """k-wreath determinant of a kn x n matrix: the alpha-determinant of
     the k-fold column inflation, evaluated at -1/k."""
-    return adet_at(_capped_inflate(a, k, ADET_CAP, "alpha-determinant"), Fraction(-1, k))
+    sums, denom = _capped_inflation_sums(a, k, ADET_CAP, "alpha-determinant")
+    # one row: a polynomial in the second variable
+    return eval_grid([_length_counts(sums, a.rows)], denom, 0, Fraction(-1, k))
 
 
 def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
@@ -344,7 +365,8 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     the entry product of tau on the column-permuted inflation.  Row i of the
     integer grid, evaluated at beta, is the coefficient of alpha^i.
     """
-    joint, denom = _adet2_counts(_capped_inflate(a, k, ADET2_CAP, "two-parameter"))
+    sums, denom = _capped_inflation_sums(a, k, ADET2_CAP, "two-parameter")
+    joint = _weigh_tables(class_tables(a.rows), sums)
     beta = Fraction(-1, k)
     return QPoly(eval_grid([row], denom, 0, beta) for row in joint)
 

@@ -631,6 +631,37 @@ def test_main_identity_random_matrices():
             assert wreath_average_poly(a, k) == content_poly((k,) * n) * wrdet(a, k)
 
 
+def test_inflation_memo_serves_no_stale_matrix():
+    # two matrices one entry apart, read alternately by both sides of the
+    # identity in both orders, must each get their own walk's values
+    k, n = 2, 3
+    a = random_matrix(k * n, n, 57)
+    b = a.with_column(0, [a[0, 0] + F(1, 2), *a.column(0)[1:]])
+    beta = F(-1, k)
+    oracle = {}
+    for m in (a, b):
+        sums = _class_sums_naive(inflate(m, k).entries)
+        oracle[m, wrdet] = sum(total * beta ** (k * n - len(ct)) for ct, total in sums.items())
+        oracle[m, wreath_average_poly] = QPoly(
+            sum(
+                total * sum(c * beta**j for j, c in enumerate(class_tables(k * n)[ct][i]))
+                for ct, total in sums.items()
+            )
+            for i in range(k * n + 1)
+        )
+    cold = {}
+    for key in oracle:
+        adet_module._inflation_class_sums.cache_clear()
+        m, fn = key
+        cold[key] = fn(m, k)
+    adet_module._inflation_class_sums.cache_clear()
+    for order in ((wrdet, wreath_average_poly), (wreath_average_poly, wrdet)):
+        for m in (a, b, a, b):
+            for fn in order:
+                assert fn(m, k) == cold[m, fn] == oracle[m, fn], (m, fn)
+    assert adet_module._inflation_class_sums.cache_info().hits == 8
+
+
 def test_wreath_average_left_invariance():
     a = random_matrix(4, 2, 33)
     for g in _young_subgroup((2, 2)):

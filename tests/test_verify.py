@@ -9,6 +9,7 @@ import alphadet.characters as characters_module
 import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
+from alphadet.partitions import content_poly
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
     verify_chi,
@@ -80,9 +81,16 @@ def test_omega_suite_kostka_cross_check_at_six():
     assert report.passed
 
 
+def clear_walk_memos():
+    """Empty the memos of class_sums walks, so that no walk of an earlier
+    test is served from them."""
+    adet_module._coset_class_sums.cache_clear()
+    adet_module._inflation_class_sums.cache_clear()
+
+
 @pytest.fixture
 def walks(monkeypatch):
-    """The rows of every class_sums walk, starting from an empty memo."""
+    """The rows of every class_sums walk, starting from empty memos."""
     seen = []
     real = adet_module.class_sums
 
@@ -92,7 +100,7 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(adet_module, "class_sums", spy)
     monkeypatch.setattr(characters_module, "class_sums", spy)
-    adet_module._coset_class_sums.cache_clear()
+    clear_walk_memos()
     return seen
 
 
@@ -102,6 +110,14 @@ def test_omega_case_walks_the_translates_once(walks):
     assert result.status == "pass"
     assert len(walks) == 1
     assert adet_module._coset_class_sums.cache_info().maxsize == 1
+
+
+def test_theorem_case_walks_the_inflation_once(walks):
+    # the wreath average and the wreath determinant share one walk of the inflation
+    result = verify_module._theorem_case((2, 3, 0, 91, content_poly((2, 2, 2))))
+    assert result.status == "pass"
+    assert len(walks) == 1
+    assert adet_module._inflation_class_sums.cache_info().maxsize == 1
 
 
 def test_chi_suite_exhaustive():
@@ -270,7 +286,7 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
 
 def test_zsf_walks_the_class_sums_once_per_case(walks):
     for samples in (1, 5):
-        adet_module._coset_class_sums.cache_clear()
+        clear_walk_memos()
         walks.clear()
         assert verify_zsf(2, 3, samples=samples, seed=4).passed
         assert len(walks) <= samples + 1  # and one for the replicator's wrdet
@@ -298,6 +314,12 @@ def test_zsf_report_identical_with_the_constant_pickled_to_workers():
     serial = verify_zsf(2, 3, workers=1)
     assert serial.passed and serial.case_count == 720
     assert _stripped(verify_zsf(2, 3, workers=2)) == _stripped(serial)
+
+
+def test_theorem_report_identical_with_the_content_pickled_to_workers():
+    serial = verify_theorem(2, 2, trials=6, seed=23, workers=1)
+    assert serial.passed and serial.case_count == 6
+    assert _stripped(verify_theorem(2, 2, trials=6, seed=23, workers=2)) == _stripped(serial)
 
 
 def test_weak_alt_suite():
