@@ -136,20 +136,6 @@ class QPoly:
     def __repr__(self) -> str:
         return f"QPoly({[format_rational(c) for c in self.coeffs]})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_rational(c))
-            else:
-                mon = "a" if i == 1 else f"a^{i}"
-                parts.append(mon if c == 1 else f"{format_rational(c)}*{mon}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def eval_grid(grid: Sequence[Sequence[int]], denom: int, x, y) -> Fraction:
     """sum grid[i][j] x^i y^j / denom for an integer grid with rows of equal

@@ -33,7 +33,6 @@ from .adet import (
 )
 from .characters import (
     CHARACTER_CAP,
-    EXPANSION_CAP,
     alpha_power_expansion,
     character,
     subgroup_averaged_character,
@@ -63,7 +62,7 @@ from .rationals import format_rational
 
 EXHAUSTIVE_CAP = 7  # chi and zsf without samples run all (kn)! cases
 STANLEY_M_CAP = 6  # bounds the m! cases; each case reads one class table of S_m
-FOURIER_JM_CAP = 6  # the JM product has n! support; size 7 runs the expansion only
+FOURIER_JM_CAP = 6  # the JM product has n! support; larger sizes run the expansion only
 
 
 class CaseResult:
@@ -482,12 +481,12 @@ def _fourier_case(args) -> CaseResult:
 
 
 def verify_fourier_jm(size: int, seed: int = 0, workers: int = 1) -> SuiteReport:
-    """Per-permutation check of the character-basis expansion of the alpha
-    power weight (size <= 8), plus the Jucys-Murphy product expansion whose
+    """Per-cycle-type check of the character-basis expansion of the alpha
+    power weight (size <= 12), plus the Jucys-Murphy product expansion whose
     coefficients must be the plain monomials (size <= 6)."""
     _require(size >= 1, "size must be positive")
-    if size > EXPANSION_CAP:
-        raise SizeCapExceeded(f"size={size} exceeds expansion cap {EXPANSION_CAP}")
+    if size > CHARACTER_CAP:
+        raise SizeCapExceeded(f"size={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
     args: list = [("expansion", size)]
     if size <= FOURIER_JM_CAP:

@@ -39,6 +39,7 @@ from alphadet.perms import (
     block_profile,
     enumerate_perms,
     perm_tuples,
+    young_subgroup_order,
 )
 from alphadet.polynomials import QPoly, QPoly2
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
@@ -212,6 +213,19 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
                 rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
                 assert class_sums(rows) == expected, (g, mu)
                 assert dict(translate_class_sums(g, mu)) == expected, (g, mu)
+
+
+def test_class_sums_matches_walk_on_block_ones_above_nine():
+    # the averaged character admits these sizes for any mu, so the DP is
+    # checked against the walk at n = 10 and 12; the totals count S_mu
+    rng = SplitMix64(1012)
+    for mu in [(8, 2), (7, 3), (6, 4, 2)]:
+        n = sum(mu)
+        for _ in range(2):
+            rows = PermutedBlockOnes(random_perm(n, rng), mu).int_rows()
+            sums = class_sums(rows)
+            assert sums == _class_sums_walk(rows), mu
+            assert sum(sums.values()) == young_subgroup_order(mu), mu
 
 
 def test_adet_poly_matches_naive_sum():

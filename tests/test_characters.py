@@ -4,7 +4,10 @@ from math import factorial
 
 import pytest
 
-from alphadet.adet import adet_poly
+import alphadet.adet as adet_module
+import alphadet.characters as characters_module
+import alphadet.perms as perms_module
+from alphadet.adet import adet_at, adet_poly
 from alphadet.characters import (
     alpha_power_expansion,
     character,
@@ -23,6 +26,7 @@ from alphadet.perms import (
     Perm,
     _compose,
     _cycle_type,
+    _trans_len,
     enumerate_perms,
     perm_tuples,
     young_subgroup_order,
@@ -131,12 +135,25 @@ def test_averaged_character_matches_translate_average():
                 assert subgroup_averaged_character(shape, mu, g) == expected, (shape, mu, g)
 
 
-def test_averaged_character_young_order_cap():
-    # |S_12| = 12! is far above the Young-order cap: refuse before any work
-    with pytest.raises(SizeCapExceeded, match="Young subgroup"):
-        subgroup_averaged_character((12,), (12,), Perm.identity(12))
+def test_averaged_character_answers_any_mu_at_twelve_letters(monkeypatch):
+    # S_mu is never enumerated, so mu! may be as large as 12!; only n is capped
+    ident = Perm.identity(12)
+    assert subgroup_averaged_character((12,), (12,), ident) == 1
+    assert subgroup_averaged_character((6, 6), (12,), ident) == 0
+    # at g = id the average is the Kostka number K(shape, (10, 2))
+    dominating = {(12,), (11, 1), (10, 2)}
+    for shape in partitions_of(12):
+        expected = 1 if shape in dominating else 0
+        assert subgroup_averaged_character(shape, (10, 2), ident) == expected, shape
+
+    def no_walk(g, mu):
+        raise AssertionError("n is checked before any walk")
+
+    monkeypatch.setattr(characters_module, "translate_class_sums", no_walk)
     with pytest.raises(SizeCapExceeded):
         subgroup_averaged_character((13,), (1,) * 13, Perm.identity(13))
+    with pytest.raises(SizeCapExceeded):
+        subgroup_averaged_character((13,), (13,), Perm.identity(13))
 
 
 def test_averaged_character_biinvariance():
@@ -183,6 +200,20 @@ def test_immanant_sign_and_trivial_cases():
         a = random_matrix(4, 4, seed)
         assert immanant((1, 1, 1, 1), a) == _det_cofactor(a)
         assert immanant((4,), a) == _per_enumeration(a)
+
+
+def test_immanant_at_nine_and_its_cap(monkeypatch):
+    # immanant runs the dense walk of adet_poly, so it shares ADET_CAP (9)
+    a = random_matrix(9, 9, 41)
+    assert immanant((1,) * 9, a) == adet_at(a, -1)
+    assert immanant((9,), a) == adet_at(a, 1)
+
+    def no_scaling(m):
+        raise AssertionError("the cap must be checked before scaling")
+
+    monkeypatch.setattr(characters_module, "scaled_int_rows", no_scaling)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        immanant((10,), random_matrix(10, 10, 41))
 
 
 def test_immanant_of_identity_is_tableau_count():
@@ -237,6 +268,26 @@ def test_alpha_power_expansion_small_cases():
     assert table[(1, 1)] == QPoly.one()
     assert table[(2,)] == QPoly([0, 1])
     alpha_power_expansion(5)
+
+
+def test_transposition_length_is_read_from_the_cycle_type():
+    # the regrouping behind alpha_power_expansion: len p = n - (number of parts)
+    for n in range(1, 9):
+        for p in perm_tuples(n):
+            assert _trans_len(p) == n - len(_cycle_type(p)), p
+
+
+def test_alpha_power_expansion_enumerates_no_permutation(monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("the expansion is checked once per cycle type")
+
+    for module in (perms_module, adet_module, characters_module):
+        monkeypatch.setattr(module, "perm_tuples", no_enumeration, raising=False)
+    for n in range(1, 13):
+        table = alpha_power_expansion(n)
+        assert table == {rho: QPoly.monomial(n - len(rho)) for rho in partitions_of(n)}
+    with pytest.raises(SizeCapExceeded):
+        alpha_power_expansion(13)
 
 
 def test_character_weighted_average_has_no_extra_factor():

@@ -218,9 +218,13 @@ def test_verify_rejects_negative_samples(suite, capsys):
     _exits_2_without_traceback(argv, capsys)
 
 
-def test_omega_young_order_cap_exits_2(capsys):
+def test_omega_answers_any_mu_at_twelve_letters(capsys):
+    # mu = (12) has 12! translates, yet the average is one walk of a 12x12
     perm = ",".join(str(i) for i in range(1, 13))
-    _exits_2_without_traceback(["omega", "--shape", "12", "--mu", "12", "--perm", perm], capsys)
+    assert main(["omega", "--shape", "12", "--mu", "12", "--perm", perm]) == 0
+    assert capsys.readouterr().out == "1\n"
+    perm13 = ",".join(str(i) for i in range(1, 14))
+    _exits_2_without_traceback(["omega", "--shape", "13", "--mu", "13", "--perm", perm13], capsys)
 
 
 @pytest.mark.parametrize(

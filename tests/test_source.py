@@ -28,6 +28,25 @@ def test_every_error_type_is_raised():
     assert not defined - raised, f"never raised: {sorted(defined - raised)}"
 
 
+def test_every_cap_is_checked():
+    # a cap that no comparison reads bounds no work and is dead surface
+    defined, compared = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                defined.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name) and t.id.endswith("_CAP")
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                compared.update(
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id.endswith("_CAP")
+                )
+    assert defined
+    assert not defined - compared, f"never compared: {sorted(defined - compared)}"
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so invariants in the package must raise
     paths = sorted(PACKAGE.glob("*.py"))

@@ -8,8 +8,9 @@ import alphadet.adet as adet_module
 import alphadet.characters as characters_module
 import alphadet.perms as perms_module
 import alphadet.verify as verify_module
+from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
-from alphadet.partitions import content_poly
+from alphadet.partitions import conjugate, content_poly
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
     verify_chi,
@@ -221,7 +222,7 @@ def test_failing_case_witness_lists_every_route(monkeypatch, route, run, case_id
 
 
 def test_size_caps_are_the_module_constants(monkeypatch):
-    # Stanley's cap is CHARACTER_CAP (12); Fourier's message names EXPANSION_CAP;
+    # Stanley's and Fourier's cap is CHARACTER_CAP (12);
     # zsf's is ADET_CAP (9): it runs alpha-determinants of kn x kn matrices
     # and never a two-parameter sum; its coefficient-route bound is
     # det_power_coeff's
@@ -240,8 +241,15 @@ def test_size_caps_are_the_module_constants(monkeypatch):
     assert verify_stanley(6, 2, 2, seed=0).passed
     with pytest.raises(SizeCapExceeded, match="character-evaluation cap 12"):
         verify_stanley(13, 1, 1, seed=0)
-    with pytest.raises(SizeCapExceeded, match=r"^size=9 exceeds expansion cap 8$"):
-        verify_fourier_jm(9, seed=0)
+    report = verify_fourier_jm(12, seed=0)
+    assert report.passed
+    assert [c.id for c in report.cases] == ["expansion"]
+    with pytest.raises(SizeCapExceeded, match=r"^size=13 exceeds character-evaluation cap 12$"):
+        verify_fourier_jm(13, seed=0)
+    # the Young-order, immanant and expansion caps bounded no work of their own
+    for gone in ("YOUNG_ORDER_CAP", "IMMANANT_CAP", "EXPANSION_CAP"):
+        assert not hasattr(characters_module, gone)
+        assert not hasattr(verify_module, gone)
     # weak-alt's bound is subgroup_avg_adet's; chi and zsf share one
     # exhaustive bound
     for gone in ("CHI_EXHAUSTIVE_CAP", "ZSF_EXHAUSTIVE_CAP", "WEAK_ALT_CAP"):
@@ -345,6 +353,22 @@ def test_fourier_suite():
     report7 = verify_fourier_jm(7, seed=0)
     assert report7.passed
     assert [c.id for c in report7.cases] == ["expansion"]
+
+
+def test_fourier_suite_fails_on_a_broken_expansion(monkeypatch):
+    # the conjugate shape's content polynomial negates every content, which
+    # multiplies each class's value by its sign: the first odd class, (4, 1),
+    # is the witness
+    monkeypatch.setattr(
+        characters_module, "content_poly", lambda shape: content_poly(conjugate(shape))
+    )
+    report = verify_fourier_jm(5, seed=0)
+    assert report.status == "fail"
+    expansion = report.cases[0]
+    assert (expansion.id, expansion.status) == ("expansion", "fail")
+    assert expansion.witness == {"detail": "expansion mismatch at cycle type (4, 1)"}
+    assert report.cases[1].status == "pass"  # the JM product does not read it
+    assert main(["verify", "fourier", "--size", "5", "--seed", "0"]) == 1
 
 
 def test_reports_reproducible_across_runs():
