@@ -14,14 +14,15 @@ Every permutation sum of an entry product runs through one kernel,
 least letter, with single-cycle sums from a Held-Karp table grown along
 nonzero entries only, so zeros prune it and no permutation is enumerated;
 naive enumeration lives only in the tests, as its oracle.  Every
-two-parameter sum weighs the cycle-class tables of S_n by those sums, under
-the one cap ``ADET2_CAP``; one builder, ``class_tables``, makes all the
-tables of S_n at once by Jucys-Murphy cut-and-join, without enumerating
-S_n.  The structured values, one- and two-parameter, read the class sums of
-P(g) 1_mu, whose 0/1 rows come straight from (g, mu), and the wreath average
-is the two-parameter determinant of the inflation at beta = -1/k: each row of
-its integer grid is evaluated there by ``eval_grid``.  The wreath determinant
-is the alpha-determinant of the same inflation at -1/k, so one memoized walk
+two-parameter sum weighs the cycle-class tables of S_n by those sums; one
+builder, ``class_tables``, makes all the tables of S_n at once by
+Jucys-Murphy cut-and-join, without enumerating S_n.  The walk and the
+tables, and so every sum, are bounded by the one cap ``ADET_CAP``.  The
+structured values, one- and two-parameter, read the class sums of P(g) 1_mu,
+whose 0/1 rows come straight from (g, mu), and the wreath average is the
+two-parameter determinant of the inflation at beta = -1/k: each row of its
+integer grid is evaluated there by ``eval_grid``.  The wreath determinant is
+the alpha-determinant of the same inflation at -1/k, so one memoized walk
 of the inflation serves both sides of the main identity.
 """
 
@@ -46,7 +47,6 @@ from .perms import Perm, _embed, _trans_len, perm_tuples
 from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
-ADET2_CAP = 8
 SUBGROUP_AVG_CAP = 7
 DET_POWER_TERM_CAP = 10**7
 
@@ -168,8 +168,7 @@ def class_tables(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     fills the w bits from w (a (n+1) + b), so multiplying by x or y is a
     shift.
     """
-    if n > ADET2_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds two-parameter cap {ADET2_CAP}")
+    _check_adet_cap(n)
     w = factorial(n).bit_length()
     y_shift, x_shift = w, w * (n + 1)
     prev = {(): 1}
@@ -227,8 +226,9 @@ def _coset_class_sums(
     return tuple(class_sums(block_word_rows(word, labels)).items())
 
 
-def _capped_inflation_sums(
-    a: RatMatrix, k: int, cap: int, kind: str
+@lru_cache(maxsize=1)
+def _inflation_class_sums(
+    a: RatMatrix, k: int
 ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """(pairs, denom): the class sums of inflate(a, k) scaled to integer rows
     over the common denominator denom, refused by the cap on kn before the
@@ -239,15 +239,8 @@ def _capped_inflation_sums(
     its entries, so ``wreath_average_poly`` and ``wrdet`` of one matrix, the
     two sides of the main identity, share one walk of the inflation.
     """
-    if a.rows == k * a.cols > cap:
-        raise SizeCapExceeded(f"n={a.rows} exceeds {kind} cap {cap}")
-    return _inflation_class_sums(a, k)
-
-
-@lru_cache(maxsize=1)
-def _inflation_class_sums(
-    a: RatMatrix, k: int
-) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    if a.rows == k * a.cols:
+        _check_adet_cap(a.rows)
     rows, scale = scaled_int_rows(inflate(a, k))
     return tuple(class_sums(rows).items()), scale ** len(rows)
 
@@ -351,7 +344,7 @@ def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
 def wrdet(a: RatMatrix, k: int) -> Fraction:
     """k-wreath determinant of a kn x n matrix: the alpha-determinant of
     the k-fold column inflation, evaluated at -1/k."""
-    sums, denom = _capped_inflation_sums(a, k, ADET_CAP, "alpha-determinant")
+    sums, denom = _inflation_class_sums(a, k)
     # one row: a polynomial in the second variable
     return eval_grid([_length_counts(sums, a.rows)], denom, 0, Fraction(-1, k))
 
@@ -365,7 +358,7 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     the entry product of tau on the column-permuted inflation.  Row i of the
     integer grid, evaluated at beta, is the coefficient of alpha^i.
     """
-    sums, denom = _capped_inflation_sums(a, k, ADET2_CAP, "two-parameter")
+    sums, denom = _inflation_class_sums(a, k)
     joint = _weigh_tables(class_tables(a.rows), sums)
     beta = Fraction(-1, k)
     return QPoly(eval_grid([row], denom, 0, beta) for row in joint)
@@ -404,11 +397,13 @@ def det_power_coeff(profile, k: int) -> int:
     enumerated.
     """
     n = profile.n
-    nperms = factorial(n)
-    if nperms**k > DET_POWER_TERM_CAP:
-        raise SizeCapExceeded(f"(n!)^k = {nperms**k} exceeds {DET_POWER_TERM_CAP}")
     if k < 1 or k != profile.k:
         raise ValueError(f"k={k} must be positive and equal the profile's sums {profile.k}")
+    nperms = factorial(n)
+    # n! >= 2 puts (n!)^k over the cap once k reaches the cap's bit length,
+    # so the power is never built past that
+    if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
+        raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
     target = profile.m
     used = [[0] * n for _ in range(n)]
 

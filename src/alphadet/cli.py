@@ -23,6 +23,7 @@ from .partitions import kostka_ssyt, parse_partition
 from .perms import Perm, parse_perm
 from .rationals import format_rational, parse_rational
 from .verify import (
+    check_kn_cap,
     rect_formula_value,
     verify_chi,
     verify_omega,
@@ -74,6 +75,7 @@ def _cmd_kostka(args) -> int:
     if len(set(shape)) != 1:
         raise ValueError("rect-formula requires a rectangular shape k,k,...,k")
     k, n = shape[0], len(shape)
+    check_kn_cap(k * n)  # before the identity of S_kn is built
     value = rect_formula_value(k, n, weight, Perm.identity(k * n))
     print(format_rational(value))
     return 0

@@ -124,7 +124,11 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "RatMatrix":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise DimensionMismatch("matrix JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def scaled_int_rows(a: RatMatrix) -> tuple[list[tuple[int, ...]], int]:

@@ -18,7 +18,6 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .adet import (
-    ADET2_CAP,
     ADET_CAP,
     DET_POWER_TERM_CAP,
     SUBGROUP_AVG_CAP,
@@ -60,8 +59,7 @@ from .polynomials import QPoly
 from .randmat import SplitMix64, random_matrix, random_perm
 from .rationals import format_rational
 
-EXHAUSTIVE_CAP = 7  # chi and zsf without samples run all (kn)! cases
-STANLEY_M_CAP = 6  # bounds the m! cases; each case reads one class table of S_m
+EXHAUSTIVE_CAP = 7  # chi and zsf without samples run all (kn)! cases, stanley all m!
 FOURIER_JM_CAP = 6  # the JM product has n! support; larger sizes run the expansion only
 
 
@@ -157,6 +155,12 @@ def _agree(case_id: str, **values: Fraction) -> CaseResult:
     )
 
 
+def check_kn_cap(size: int) -> None:
+    """Refuse a kn above the cap of the kn x kn class-sum walks."""
+    if size > ADET_CAP:
+        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET_CAP}")
+
+
 def _case_perms(size: int, samples: int, seed: int) -> list[Perm]:
     """The permutations of a chi or zsf run: seeded samples of S_size, or
     all of S_size when samples is 0."""
@@ -201,8 +205,7 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     one walk of its class sums serves both; the content polynomial is the
     same for every case and is built once per suite."""
     _require(k >= 1 and n >= 1 and trials >= 1, "k, n, trials must be positive")
-    if k * n > ADET2_CAP:
-        raise SizeCapExceeded(f"kn={k * n} exceeds two-parameter cap {ADET2_CAP}")
+    check_kn_cap(k * n)
     t0 = time.monotonic()
     rng = SplitMix64(seed)
     # passed with each case's arguments so that the pool's workers get it too
@@ -254,8 +257,7 @@ def verify_omega(
     explicit weight, all weights of kn are covered."""
     _require(k >= 1 and n >= 1, "k, n must be positive")
     size = k * n
-    if size > ADET2_CAP:
-        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET2_CAP}")
+    check_kn_cap(size)
     t0 = time.monotonic()
     if g is None:
         g = Perm.identity(size)
@@ -283,11 +285,10 @@ def verify_chi(
 ) -> SuiteReport:
     """Normalized rectangular character equals the two-parameter value of
     the bare permutation matrix over the all-ones normalization; exhaustive
-    in g up to kn = 7, seeded samples at kn = 8."""
+    in g up to kn = 7, seeded samples at kn = 8 and 9."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
-    if size > ADET2_CAP:
-        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET2_CAP}")
+    check_kn_cap(size)
     t0 = time.monotonic()
     args = [(k, n, p.images) for p in _case_perms(size, samples, seed)]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
@@ -332,8 +333,8 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     case enumerates S_m."""
     _require(k >= 1 and n >= 1 and m >= 1, "k, n, m must be positive")
     size = k * n
-    if m > min(size, STANLEY_M_CAP):
-        raise SizeCapExceeded(f"m={m} exceeds min(kn, {STANLEY_M_CAP})")
+    if m > min(size, EXHAUSTIVE_CAP):
+        raise SizeCapExceeded(f"m={m} exceeds min(kn, {EXHAUSTIVE_CAP})")
     if size > CHARACTER_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
@@ -375,8 +376,7 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     once per suite."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
-    if size > ADET_CAP:
-        raise SizeCapExceeded(f"kn={size} exceeds cap {ADET_CAP}")
+    check_kn_cap(size)
     if factorial(n) ** k > DET_POWER_TERM_CAP:
         raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_TERM_CAP}")
     t0 = time.monotonic()

@@ -8,7 +8,7 @@ import pytest
 import alphadet.adet as adet_module
 import alphadet.perms as perms_module
 from alphadet.adet import (
-    ADET2_CAP,
+    ADET_CAP,
     adet2_poly,
     adet2_structured,
     adet_at,
@@ -126,8 +126,8 @@ def test_class_tables_cap_and_empty_size(monkeypatch):
         raise AssertionError("the cap must be checked before any work")
 
     monkeypatch.setattr(adet_module, "partitions_of", no_work)
-    with pytest.raises(SizeCapExceeded, match=f"^n={ADET2_CAP + 1} exceeds two-parameter cap"):
-        class_tables(ADET2_CAP + 1)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        class_tables(ADET_CAP + 1)
     assert class_tables(0) == {(): ((1,),)}
     assert adet2_poly(RatMatrix(())) == QPoly2([[1]])
 
@@ -139,7 +139,7 @@ def test_class_tables_enumerate_no_permutations(monkeypatch):
     monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
     monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
     class_tables.cache_clear()
-    assert len(class_tables(8)) == len(partitions_of(8))
+    assert len(class_tables(ADET_CAP)) == len(partitions_of(ADET_CAP))
 
 
 def test_class_sums_matches_full_scan():
@@ -416,9 +416,15 @@ def test_adet2_matches_single_parameter_expansion():
     assert adet2_poly(a) == expected
 
 
-def test_adet2_cap():
-    with pytest.raises(SizeCapExceeded):
-        adet2_poly(RatMatrix.identity(9))
+def test_adet2_cap(monkeypatch):
+    # one cap bounds the walk and the tables: n = 10 is refused before either
+    def no_work(*args):
+        raise AssertionError("the cap must be checked before any n x n work")
+
+    monkeypatch.setattr(adet_module, "scaled_int_rows", no_work)
+    monkeypatch.setattr(adet_module, "class_sums", no_work)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        adet2_poly(RatMatrix.identity(10))
 
 
 def _det(a: RatMatrix) -> F:
@@ -470,6 +476,20 @@ def test_adet2_poly_at_beta_plus_minus_one():
         at_minus, at_plus = (QPoly(QPoly(row).eval(b) for row in p.grid) for b in (F(-1), F(1)))
         assert at_minus == _det(a) * content_poly((1,) * n), n
         assert at_plus == _per(a) * content_poly((n,)), n
+
+
+def test_adet2_poly_at_the_cap():
+    # at n = 9 the sigma = id slice is the alpha-determinant, and at
+    # (-1, -1) every pair (tau, sigma) with tau sigma^-1 = pi weighs sgn(pi),
+    # so the value is 9! det(a)
+    rng = SplitMix64(909)
+    a = RatMatrix(
+        [[rng.randint(1, 9) * (-1) ** rng.below(2) for _ in range(ADET_CAP)]
+         for _ in range(ADET_CAP)]
+    )
+    p = adet2_poly(a)
+    assert QPoly(p.coefficient(i, 0) for i in range(ADET_CAP + 1)) == adet_poly(a)
+    assert p.eval(F(-1), F(-1)) == factorial(ADET_CAP) * _det(a)
 
 
 def test_adet2_poly_edges_are_adet_poly():
@@ -607,8 +627,8 @@ def _wreath_average_by_rows(a: RatMatrix, k: int) -> QPoly:
 
 
 def test_wreath_average_matches_row_by_row_route():
-    for k in range(1, ADET2_CAP + 1):
-        for n in range(1, ADET2_CAP // k + 1):
+    for k in range(1, ADET_CAP + 1):
+        for n in range(1, ADET_CAP // k + 1):
             a = random_matrix(k * n, n, 100 * k + n)
             assert wreath_average_poly(a, k) == _wreath_average_by_rows(a, k), (k, n)
             rational = RatMatrix(
@@ -758,15 +778,19 @@ def test_structured_cap(monkeypatch):
 
     monkeypatch.setattr(PermutedBlockOnes, "materialize", no_matrix)
     monkeypatch.setattr(PermutedBlockOnes, "int_rows", no_matrix)
+    monkeypatch.setattr(adet_module, "block_word_rows", no_matrix)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        adet2_structured(PermutedBlockOnes(Perm.identity(10), (1,) * 10), F(1), F(1))
     with pytest.raises(SizeCapExceeded):
-        adet2_structured(PermutedBlockOnes(Perm.identity(9), (1,) * 9), F(1), F(1))
-    with pytest.raises(SizeCapExceeded):
-        adet2_structured(PermutedBlockOnes(Perm.identity(9), (9,)), F(1), F(1))
+        adet2_structured(PermutedBlockOnes(Perm.identity(10), (10,)), F(1), F(1))
 
 
 def test_wreath_average_cap():
+    # kn = 9 is the cap of both sides of the main identity
+    a = random_matrix(9, 3, 1)
+    assert wreath_average_poly(a, 3) == content_poly((3, 3, 3)) * wrdet(a, 3)
     with pytest.raises(SizeCapExceeded):
-        wreath_average_poly(random_matrix(9, 3, 1), 3)
+        wreath_average_poly(random_matrix(10, 5, 1), 2)
 
 
 def test_inflation_caps_come_before_inflate(monkeypatch):
@@ -779,8 +803,8 @@ def test_inflation_caps_come_before_inflate(monkeypatch):
         m.setattr(adet_module, "inflate", no_inflation)
         with pytest.raises(SizeCapExceeded, match=r"^n=3000 exceeds alpha-determinant cap 9$"):
             wrdet(RatMatrix.ones(3000, 1), 3000)
-        with pytest.raises(SizeCapExceeded, match=r"^n=9 exceeds two-parameter cap 8$"):
-            wreath_average_poly(random_matrix(9, 3, 1), 3)
+        with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+            wreath_average_poly(random_matrix(10, 5, 1), 2)
     # a bad shape or k is still inflate's to refuse, whatever its size
     for fn in (wrdet, wreath_average_poly):
         with pytest.raises(DimensionMismatch):
@@ -832,6 +856,26 @@ def test_det_power_coeff_matches_unpruned_expansion():
     for profile, k in [(mismatched, 1), (mismatched, 3), (BlockProfile(((0,),), 1, 0), 0)]:
         with pytest.raises(ValueError):
             det_power_coeff(profile, k)
+
+
+def test_det_power_coeff_checks_k_before_the_power():
+    # k is checked against the profile first, and the cap message names
+    # the power without computing its digits
+    k1_profile = block_profile(Perm.identity(3), 3, 1)
+    with pytest.raises(ValueError, match=r"^k=10000000 must be positive and equal"):
+        det_power_coeff(k1_profile, 10**7)
+    wide = BlockProfile(((6000, 0, 0), (0, 6000, 0), (0, 0, 6000)), 3, 6000)
+    with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 6\^6000 exceeds 10000000$"):
+        det_power_coeff(wide, 6000)
+    # 2^23 is under the cap and 2^24 over it; 1^k never is
+    for k, admitted in [(23, True), (24, False)]:
+        diagonal = BlockProfile(((k, 0), (0, k)), 2, k)
+        if admitted:
+            assert det_power_coeff(diagonal, k) == 1
+        else:
+            with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 2\^24 exceeds"):
+                det_power_coeff(diagonal, k)
+    assert det_power_coeff(BlockProfile(((30,),), 1, 30), 30) == 1
 
 
 def test_det_power_coeff_at_k1_enumerates_no_permutation(monkeypatch):

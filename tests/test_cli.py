@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from alphadet.adet import ADET_CAP
 from alphadet.cli import COMMANDS, SUITES, build_parser, main
 from alphadet.errors import IdentityViolation
 from alphadet.matrices import RatMatrix
+from alphadet.perms import Perm
 import alphadet.adet as adet_module
 import alphadet.cli as cli_module
 from alphadet.verify import CaseResult, SuiteReport
@@ -126,10 +128,30 @@ def test_verify_pass_and_report(tmp_path, capsys):
 
 
 def test_verify_cap_exit_code(capsys):
-    assert main(["verify", "theorem", "--k", "2", "--n", "4", "--trials", "1", "--seed", "0"]) == 0
+    assert main(["verify", "theorem", "--k", "3", "--n", "3", "--trials", "1", "--seed", "0"]) == 0
     assert "status=pass" in capsys.readouterr().out
-    assert main(["verify", "theorem", "--k", "3", "--n", "3", "--trials", "1", "--seed", "0"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert main(["verify", "theorem", "--k", "2", "--n", "5", "--trials", "1", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: kn=10 exceeds cap 9\n"
+
+
+def test_kostka_rect_formula_checks_the_cap_before_the_identity(monkeypatch, capsys):
+    real = Perm.identity
+
+    def capped(cls, n):
+        if n > ADET_CAP:
+            raise AssertionError("the cap must be checked before the identity is built")
+        return real(n)
+
+    monkeypatch.setattr(Perm, "identity", classmethod(capped))
+    argv = ["kostka", "--shape", "3,3,3", "--weight", "3,3,3", "--method", "rect-formula"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    for size in ("10", "3000000"):
+        argv = ["kostka", "--shape", size, "--weight", size, "--method", "rect-formula"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: kn={size} exceeds cap 9\n"
 
 
 def test_verify_usage_exit_code():
@@ -246,6 +268,15 @@ def test_malformed_matrix_json_exits_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     _exits_2_without_traceback(["adet", "--matrix", str(path)], capsys)
+
+
+@pytest.mark.parametrize("depth", [10**4, 10**5])
+def test_deeply_nested_matrix_json_exits_2(tmp_path, capsys, depth):
+    # too deep for the JSON parser is a malformed file, not a falsified claim
+    path = tmp_path / "deep.json"
+    for text in ("[" * depth + "]" * depth, '{"rows":' * depth + "1" + "}" * depth):
+        path.write_text(text)
+        _exits_2_without_traceback(["adet", "--matrix", str(path)], capsys)
 
 
 @pytest.mark.parametrize(

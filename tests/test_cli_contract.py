@@ -67,11 +67,18 @@ any_json = st.recursive(
     ),
     max_leaves=6,
 )
+# nesting deep enough to exhaust the JSON parser's recursion
+nested_text = st.integers(1, 10**5).flatmap(
+    lambda depth: st.sampled_from(
+        ["[" * depth + "]" * depth, '{"entries":' * depth + "[]" + "}" * depth]
+    )
+)
 matrix_text = st.one_of(
     st.one_of(
         valid_matrix, valid_matrix, valid_matrix, valid_matrix.flatmap(spoiled), any_json
     ).map(json.dumps),
     st.text(max_size=10),
+    nested_text,
 )
 
 MATRIX = "<matrix path>"

@@ -28,6 +28,8 @@ def test_json_round_trip():
 def test_json_dimension_check():
     with pytest.raises(DimensionMismatch):
         RatMatrix.from_json('{"rows": 2, "cols": 2, "entries": [["1", "2"]]}')
+    with pytest.raises(DimensionMismatch, match="nested too deeply"):
+        RatMatrix.from_json("[" * 10**5 + "]" * 10**5)
 
 
 def test_inflate_examples():

@@ -40,10 +40,26 @@ def test_theorem_suite_k1():
     assert verify_theorem(1, 3, trials=3, seed=1).passed
 
 
-def test_theorem_cap():
-    assert verify_theorem(4, 2, trials=1, seed=0).passed  # kn = 8 is the cap
-    with pytest.raises(SizeCapExceeded):
-        verify_theorem(3, 3, trials=1, seed=0)
+def test_theorem_cap(monkeypatch):
+    assert verify_theorem(3, 3, trials=1, seed=0).passed  # kn = 9 is the cap
+
+    def no_matrix(*args):
+        raise AssertionError("the cap must be checked before any matrix is drawn")
+
+    monkeypatch.setattr(verify_module, "random_matrix", no_matrix)
+    with pytest.raises(SizeCapExceeded, match=r"^kn=10 exceeds cap 9$"):
+        verify_theorem(2, 5, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (1, 9), (9, 1)])
+def test_suites_at_kn_nine(k, n):
+    # the two-parameter suites answer at the cap of the class-sum walk; omega
+    # covers every weight at the identity, so the Kostka oracle runs too
+    assert verify_theorem(k, n, trials=2, seed=9).passed
+    report = verify_chi(k, n, samples=4, seed=9)
+    assert report.passed and report.case_count == 4
+    report = verify_omega(k, n, seed=0)
+    assert report.passed and report.case_count == 30  # partitions of 9
 
 
 def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
@@ -53,8 +69,9 @@ def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
         raise AssertionError("size checks must come first")
 
     monkeypatch.setattr(verify_module, "num_standard_tableaux", no_work)
-    with pytest.raises(SizeCapExceeded):
-        verify_module.rect_formula_value(9, 1, (9,), Perm.identity(9))
+    monkeypatch.setattr(adet_module, "block_word_rows", no_work)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        verify_module.rect_formula_value(10, 1, (10,), Perm.identity(10))
     with pytest.raises(ShapeWeightMismatch):
         verify_module.rect_formula_value(2, 2, (2, 1), Perm.identity(4))
 
@@ -250,6 +267,15 @@ def test_size_caps_are_the_module_constants(monkeypatch):
     for gone in ("YOUNG_ORDER_CAP", "IMMANANT_CAP", "EXPANSION_CAP"):
         assert not hasattr(characters_module, gone)
         assert not hasattr(verify_module, gone)
+    # the two-parameter sums are bounded by ADET_CAP, which bounds their
+    # walk; Stanley's m! cases by EXHAUSTIVE_CAP, which bounds chi's and zsf's
+    for gone in ("ADET2_CAP", "STANLEY_M_CAP"):
+        assert not hasattr(adet_module, gone)
+        assert not hasattr(verify_module, gone)
+    report = verify_stanley(7, 1, 7, seed=0)
+    assert report.passed and report.case_count == 5040
+    with pytest.raises(SizeCapExceeded, match=r"^m=8 exceeds min\(kn, 7\)$"):
+        verify_stanley(8, 1, 8, seed=0)
     # weak-alt's bound is subgroup_avg_adet's; chi and zsf share one
     # exhaustive bound
     for gone in ("CHI_EXHAUSTIVE_CAP", "ZSF_EXHAUSTIVE_CAP", "WEAK_ALT_CAP"):
