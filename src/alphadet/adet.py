@@ -9,21 +9,28 @@ a value at a rational parameter is the integer coefficients evaluated by
 numerator and denominator.  Only the polynomial-valued results turn their
 integer coefficients into Fractions.
 
-Every permutation sum of an entry product runs through one kernel,
-``class_sums``: a DP over letter sets that splits off the cycle through the
-least letter, with single-cycle sums from a Held-Karp table grown along
-nonzero entries only, so zeros prune it and no permutation is enumerated;
-naive enumeration lives only in the tests, as its oracle.  Every
-two-parameter sum weighs the cycle-class tables of S_n by those sums; one
-builder, ``class_tables``, makes all the tables of S_n at once by
-Jucys-Murphy cut-and-join, without enumerating S_n.  The walk and the
-tables, and so every sum, are bounded by the one cap ``ADET_CAP``.  The
-structured values, one- and two-parameter, read the class sums of P(g) 1_mu,
-whose 0/1 rows come straight from (g, mu), and the wreath average is the
-two-parameter determinant of the inflation at beta = -1/k: each row of its
-integer grid is evaluated there by ``eval_grid``.  The wreath determinant is
-the alpha-determinant of the same inflation at -1/k, so one memoized walk
-of the inflation serves both sides of the main identity.
+Permutation sums of entry products are grouped by cycle type by two
+kernels, and no permutation is enumerated; naive enumeration lives only in
+the tests, as their oracle.  ``class_sums`` takes any integer matrix: a DP
+over letter sets that splits off the cycle through the least letter, with
+single-cycle sums from a Held-Karp table grown along nonzero entries only,
+so zeros prune it.  ``_typed_class_sums`` takes the row-permuted block-ones
+matrix P(g) 1_mu, whose letters of one type (column block, marked block)
+are interchangeable: the same split, over the counts of the letters of each
+type left, so the walk no longer grows with the orderings inside a block.
+It serves every structured value, one- and two-parameter, and the
+subgroup-averaged character, through ``translate_class_sums``; ``class_sums``
+serves the dense values and the inflation, and is the typed kernel's
+oracle.  Every two-parameter sum weighs the cycle-class tables of S_n by
+class sums; one builder, ``class_tables``, makes all the tables of S_n at
+once by Jucys-Murphy cut-and-join, without enumerating S_n.  The walks and
+the tables of this module, and so every sum here, are bounded by the one
+cap ``ADET_CAP``.  The
+wreath average is the two-parameter determinant of the inflation at
+beta = -1/k: each row of its integer grid is evaluated there by
+``eval_grid``.  The wreath determinant is the alpha-determinant of the same
+inflation at -1/k, so one memoized walk of the inflation serves both sides
+of the main identity.
 """
 
 from __future__ import annotations
@@ -37,8 +44,7 @@ from .errors import IdentityViolation, SizeCapExceeded
 from .matrices import (
     PermutedBlockOnes,
     RatMatrix,
-    block_word_rows,
-    coset_word,
+    block_type_counts,
     inflate,
     scaled_int_rows,
 )
@@ -74,7 +80,7 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     columns = list(zip(*rows))
     nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
     n = len(columns)
-    units = [0] + [(n + 1) ** k for k in range(n)]  # units[L] = (n+1)^(L-1)
+    units = _key_units(n)
     rooted: dict[int, list[tuple[int, int, int]]] = {}
 
     def cycles_at(root: int) -> list[tuple[int, int, int]]:
@@ -129,6 +135,12 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
         for key, total in sums_of((1 << n) - 1).items()
         if total
     }
+
+
+@cache
+def _key_units(n: int) -> tuple[int, ...]:
+    """units[L] = (n+1)^(L-1), what a cycle of length L adds to a class-sum key."""
+    return (0,) + tuple((n + 1) ** k for k in range(n))
 
 
 @cache
@@ -212,18 +224,161 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
 
-    The walk is memoized on the coset word of g S_mu, which P(g) 1_mu depends
-    on alone: every g of one coset reads the same entry, and its rows are
-    built only on a miss.
+    They are walked by letter type from the type counts of P(g) 1_mu, which
+    depend on g only through its double coset S_mu g S_mu, and memoized on
+    those counts; no n x n rows are built.
     """
-    return _coset_class_sums(*coset_word(g, mu))
+    return _coset_class_sums(block_type_counts(g, mu))
 
 
 @lru_cache(maxsize=1)
 def _coset_class_sums(
-    word: tuple[int, ...], labels: tuple[int, ...]
+    counts: tuple[tuple[tuple[int, int], int], ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple(class_sums(block_word_rows(word, labels)).items())
+    """The class sums of P(g) 1_mu, as pairs, from its type counts; the
+    memo keeps the last double coset walked."""
+    return tuple(_typed_class_sums(counts).items())
+
+
+@cache
+def _falling(n: int) -> tuple[tuple[int, ...], ...]:
+    """ff[m][j] = m (m - 1) ... (m - j + 1), the ordered picks of j of m
+    letters, for 0 <= j <= m <= n."""
+    return tuple(
+        tuple(factorial(m) // factorial(m - j) for j in range(m + 1)) for m in range(n + 1)
+    )
+
+
+def _guard(fields: int, width: int) -> int:
+    """The top bit of each of the given number of bit fields of the given
+    width: a repunit in base 2^width, shifted up."""
+    return ((1 << width * fields) - 1) // ((1 << width) - 1) << width - 1
+
+
+def _type_cycles(
+    counts: Sequence[tuple[tuple[int, int], int]],
+    follow: dict[int, list[tuple[int, int, int]]],
+    full: int,
+    width: int,
+    root: int,
+) -> list[tuple[int, int, int]]:
+    """(c, ways, length) for each count vector c of the single cycles of
+    P(g) 1_mu through one letter of type root that use no type below it;
+    ways is the number of type sequences the cycle's other letters can
+    follow.  c and the type counts full are packed into fields of the given
+    width whose top bit is a guard, and follow[b] lists (t, a, unit) for the
+    types t = (a, b), from the top type down.
+
+    After a letter of type (a, b) a cycle goes on to a letter of a type
+    (a', b') with b' = a, so the walk is layered by length and keyed by the
+    count vector and a, the block that the next type must have as b.  It
+    grows only within the type counts and closes when a is the root's b.
+    """
+    guard = _guard(len(counts), width)
+    bound = full | guard
+    (head, close), _ = counts[root]
+    found = []
+    layer = {1 << width * root: {head: 1}}  # count vector -> next block -> ways
+    length = 1
+    while layer:
+        grown_layer: dict[int, dict[int, int]] = {}
+        for c, ends in layer.items():
+            total = 0
+            for x, ways in ends.items():
+                if x == close:
+                    total += ways
+                for t, a, unit in follow.get(x, ()):
+                    if t < root:
+                        break
+                    grown = c + unit
+                    if (bound - grown) & guard != guard:
+                        continue  # more letters of type t than there are
+                    grown_ends = grown_layer.get(grown)
+                    if grown_ends is None:
+                        grown_layer[grown] = {a: ways}
+                    else:
+                        grown_ends[a] = grown_ends.get(a, 0) + ways
+            if total:
+                found.append((c, total, length))
+        layer = grown_layer
+        length += 1
+    return found
+
+
+def _typed_class_sums(
+    counts: Sequence[tuple[tuple[int, int], int]]
+) -> dict[tuple[int, ...], int]:
+    """``class_sums`` of P(g) 1_mu, walked by letter type from its type
+    counts ((a, b), M_ab), sorted, as ``block_type_counts`` gives them.
+
+    A permutation has product 1 exactly when it sends each letter of a type
+    (a, b) to a letter of a type (a', b') with b' = a, so the sums over the
+    letters left depend only on how many of each type are left.  That
+    residual count vector s is the state, packed into fields with a guard
+    bit each, G, so that c <= s fieldwise is ((s | G) - c) & G == G and s - c
+    is the residual.  As in ``class_sums``, s splits off the cycle through
+    one letter of its least remaining type r.  A cycle of count vector c from
+    ``_type_cycles`` picks its other letters in order, in
+    prod_t ff(s_t - [t = r], c_t - [t = r]) ways, where ff is the falling
+    factorial: the root's own letter is taken out of its count first.  Keys
+    and their decoding are those of ``class_sums``.
+    """
+    n = sum(m for _, m in counts)
+    width = n.bit_length() + 1
+    guard = _guard(len(counts), width)
+    field = (1 << width - 1) - 1
+    ff = _falling(n)
+    units = _key_units(n)
+    follow: dict[int, list[tuple[int, int, int]]] = {}  # grouped by block b
+    full = 0
+    for t in range(len(counts) - 1, -1, -1):
+        (a, b), m = counts[t]
+        full = full << width | m
+        follow.setdefault(b, []).append((t, a, 1 << width * t))
+    rooted: dict[int, list[tuple[int, int, int, list[tuple[int, int, int]]]]] = {}
+
+    def cycles_at(root: int) -> list[tuple[int, int, int, list[tuple[int, int, int]]]]:
+        # (c, ways, key unit, picks): picks holds (shift, c_t - [t = r], [t = r])
+        # for each type whose falling factorial can exceed 1, ff(m, j) > 1
+        # needing m >= 2
+        weighed = 0
+        for t in range(root, len(counts)):
+            if counts[t][1] - (t == root) >= 2:
+                weighed |= field << width * t
+        found = []
+        for c, ways, length in _type_cycles(counts, follow, full, width, root):
+            picks = []
+            rest = (c - (1 << width * root)) & weighed
+            while rest:
+                shift = (rest & -rest).bit_length() - 1
+                shift -= shift % width
+                need = rest >> shift & field
+                rest -= need << shift
+                picks.append((shift, need, int(shift == width * root)))
+            found.append((c, ways, units[length], picks))
+        return found
+
+    sums: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def sums_of(s: int) -> dict[int, int]:
+        acc = sums.get(s)
+        if acc is None:
+            acc = sums[s] = {}
+            root = ((s & -s).bit_length() - 1) // width
+            found = rooted.get(root)
+            if found is None:
+                found = rooted[root] = cycles_at(root)
+            top = s | guard
+            for c, ways, unit, picks in found:
+                if (top - c) & guard != guard:
+                    continue
+                for shift, need, taken in picks:
+                    ways *= ff[(s >> shift & field) - taken][need]
+                for key, v in sums_of(s - c).items():
+                    acc[key + unit] = acc.get(key + unit, 0) + ways * v
+        return acc
+
+    return {_cycle_type(key, n): total for key, total in sums_of(full).items()}
 
 
 @lru_cache(maxsize=1)
@@ -391,10 +546,11 @@ def det_power_coeff(profile, k: int) -> int:
     k-tuples of permutations with sign products.
 
     Tuples are extended one permutation at a time while their matrices sum
-    to at most m entrywise.  After k - 1 of them the residual has every row
-    and column sum 1, so it is the matrix of the one permutation that closes
-    the tuple, and only its sign is added; at k = 1 no permutation is
-    enumerated.
+    to at most m entrywise, depth first with an explicit stack, so that k is
+    not bounded by the recursion limit.  After k - 1 of them the residual
+    has every row and column sum 1, so it is the matrix of the one
+    permutation that closes the tuple, and only its sign is added; at k = 1
+    no permutation is enumerated.
     """
     n = profile.n
     if k < 1 or k != profile.k:
@@ -413,25 +569,38 @@ def det_power_coeff(profile, k: int) -> int:
         ]
         return -1 if _trans_len(closing) % 2 else 1
 
+    if k == 1:
+        return closing_sign()
+    signed = _signed_perms(n)
     total = 0
-
-    def extend(t: int, sign: int) -> None:
-        nonlocal total
-        if t == k - 1:
-            total += sign * closing_sign()
-            return
-        for p, s in _signed_perms(n):
-            placed = 0
-            for i in range(n):
-                j = p[i] - 1
-                if used[i][j] >= target[i][j]:
-                    break
-                used[i][j] += 1
-                placed += 1
-            if placed == n:
-                extend(t + 1, sign * s)
-            for i in range(placed):
-                used[i][p[i] - 1] -= 1
-
-    extend(0, 1)
+    factors: list[tuple[tuple[int, ...], int]] = []  # (permutation, sign product) placed
+    tried = [0]  # tried[d]: the permutations tried as factor d of the open tuple
+    while tried:
+        d = len(tried) - 1
+        if tried[d] == len(signed):
+            tried.pop()
+            if factors:
+                p = factors.pop()[0]
+                for i in range(n):
+                    used[i][p[i] - 1] -= 1
+            continue
+        p, sign = signed[tried[d]]
+        tried[d] += 1
+        placed = 0
+        for i in range(n):
+            j = p[i] - 1
+            if used[i][j] >= target[i][j]:
+                break
+            used[i][j] += 1
+            placed += 1
+        if placed == n:
+            if factors:
+                sign *= factors[-1][1]
+            if d < k - 2:
+                factors.append((p, sign))
+                tried.append(0)
+                continue
+            total += sign * closing_sign()  # factor k - 1: the residual closes the tuple
+        for i in range(placed):
+            used[i][p[i] - 1] -= 1
     return total

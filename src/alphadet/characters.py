@@ -80,13 +80,13 @@ def subgroup_averaged_character(
     """Average of the ``shape`` character over the right translates of g by
     the Young subgroup of mu: (1/mu!) * sum over tau in S_mu of chi(g tau).
 
-    The sum is one class-sum walk of the n x n matrix P(g) 1_mu, which never
+    The sum is one class-sum walk of P(g) 1_mu by letter type, which never
     enumerates S_mu, so any mu is admitted and only n is capped."""
     shape = check_partition(shape)
     mu = check_partition(mu)
     if sum(mu) != g.n or sum(shape) != g.n:
         raise ShapeWeightMismatch("shape, mu and permutation sizes must agree")
-    if g.n > CHARACTER_CAP:  # before building the n x n matrix
+    if g.n > CHARACTER_CAP:  # before the walk
         raise SizeCapExceeded(f"|shape| > {CHARACTER_CAP}")
     # shape and the class sums' cycle types are valid partitions of n already
     total = sum(_mn(shape, ct) * cnt for ct, cnt in translate_class_sums(g, mu))

@@ -217,13 +217,33 @@ def coset_word(g: Perm, mu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, 
     mu-block of letter i + 1, and word[g(i) - 1] = labels[i - 1] is the block
     that row g(i) marks.  The word depends on g only through the coset
     g S_mu, and so does the matrix."""
-    labels: list[int] = []
-    for b, part in enumerate(mu):
-        labels += [b] * part
+    labels = _block_labels(mu)
     word = [0] * len(labels)
     for label, v in zip(labels, g.images):
         word[v - 1] = label
     return tuple(word), tuple(labels)
+
+
+def _block_labels(mu: Sequence[int]) -> list[int]:
+    """labels[i] = the mu-block of letter i + 1."""
+    labels: list[int] = []
+    for b, part in enumerate(mu):
+        labels += [b] * part
+    return labels
+
+
+def block_type_counts(g: Perm, mu: Sequence[int]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((a, b), M_ab) pairs, sorted, for P(g) 1_mu, nonzero counts only: M_ab
+    counts the letters l of type (a, b), where a is the block of column l and
+    b the block that row l marks.  Row g(i) marks the block of i, so letter
+    g(i) has the type (block of g(i), block of i); M is the mu-profile of
+    g^-1 and depends on g only through the double coset S_mu g S_mu."""
+    labels = _block_labels(mu)
+    counts: dict[tuple[int, int], int] = {}
+    for label, v in zip(labels, g.images):
+        t = (labels[v - 1], label)
+        counts[t] = counts.get(t, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def block_word_rows(word: Sequence[int], labels: Sequence[int]) -> list[tuple[int, ...]]:

@@ -235,6 +235,24 @@ class BlockProfile:
     def __repr__(self):
         return f"BlockProfile(m={self.m!r}, n={self.n!r}, k={self.k!r})"
 
+    def double_coset_index(self) -> int:
+        """Index of the conjugation-stable part, |H| / |H intersect s^-1 H s|
+        for H = S_k^n and any s of this profile, by Mackey's formula.
+
+        An h in H lies in s^-1 H s exactly when it also keeps each set
+        s^-1(block j), that is when it permutes each cell (block i) intersect
+        s^-1(block j) of size m_ij.  So |H intersect s^-1 H s| = prod m_ij!,
+        and the index is the product over the blocks i of the multinomials
+        k! / prod_j m_ij!; H is not enumerated.
+        """
+        index = 1
+        for row in self.m:
+            placed = 0
+            for m in row:
+                placed += m
+                index *= comb(placed, m)
+        return index
+
 
 def block_profile(sigma: Perm, n: int, k: int) -> BlockProfile:
     """Count, for each block pair (i, j), the letters s in block i whose
@@ -249,18 +267,7 @@ def block_profile(sigma: Perm, n: int, k: int) -> BlockProfile:
 
 def double_coset_index(sigma: Perm, n: int, k: int) -> int:
     """Index of the conjugation-stable part: |H| / |H intersect s^-1 H s|
-    for H = S_k^n, by Mackey's formula.
-
-    An h in H lies in s^-1 H s exactly when it also keeps each set
-    s^-1(block j), that is when it permutes each cell (block i) intersect
-    s^-1(block j) of size m_ij, the block profile of s.  So
-    |H intersect s^-1 H s| = prod m_ij!, and the index is the product over
-    the blocks i of the multinomials k! / prod_j m_ij!; H is not enumerated.
-    """
-    index = 1
-    for row in block_profile(sigma, n, k).m:  # which refuses a size other than kn
-        placed = 0
-        for m in row:
-            placed += m
-            index *= comb(placed, m)
-    return index
+    for H = S_k^n, by Mackey's formula on the block profile of s; see
+    ``BlockProfile.double_coset_index``.  ``block_profile`` refuses a size
+    other than kn."""
+    return block_profile(sigma, n, k).double_coset_index()

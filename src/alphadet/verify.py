@@ -49,7 +49,6 @@ from .partitions import (
 from .perms import (
     Perm,
     block_profile,
-    double_coset_index,
     enumerate_perms,
     format_perm,
     jucys_murphy_product,
@@ -352,9 +351,8 @@ def _zsf_case(args) -> CaseResult:
     shape = (k,) * n
     average = subgroup_averaged_character(shape, shape, g)
     ratio = adet_structured(PermutedBlockOnes(g, shape), Fraction(-1, k)) / rep_wrdet
-    coeff = Fraction(
-        det_power_coeff(block_profile(g, n, k), k), double_coset_index(g, n, k)
-    )
+    profile = block_profile(g, n, k)
+    coeff = Fraction(det_power_coeff(profile, k), profile.double_coset_index())
     return _agree(
         f"g={format_perm(g)}",
         character_average=average,

@@ -6,6 +6,7 @@ from math import factorial, lcm
 import pytest
 
 import alphadet.adet as adet_module
+import alphadet.matrices as matrices_module
 import alphadet.perms as perms_module
 from alphadet.adet import (
     ADET_CAP,
@@ -27,7 +28,10 @@ from alphadet.matrices import (
     PermutedBlockOnes,
     RatMatrix,
     block_ones,
+    block_type_counts,
+    block_word_rows,
     column_replicator,
+    coset_word,
     inflate,
     scaled_int_rows,
 )
@@ -39,6 +43,7 @@ from alphadet.perms import (
     block_profile,
     enumerate_perms,
     perm_tuples,
+    young_blocks,
     young_subgroup_order,
 )
 from alphadet.polynomials import QPoly, QPoly2
@@ -71,6 +76,15 @@ def _translate_cycle_types(g: Perm, mu) -> dict:
         ct = (g * h).cycle_type()
         by_type[ct] = by_type.get(ct, 0) + 1
     return by_type
+
+
+def _random_subgroup_element(mu, rng) -> Perm:
+    """A seeded element of the Young subgroup of mu: a random permutation
+    of each block."""
+    images = []
+    for block in young_blocks(mu):
+        images += [block[v - 1] for v in random_perm(len(block), rng).images]
+    return Perm(images)
 
 
 def _adet_poly_naive(a: RatMatrix) -> QPoly:
@@ -204,7 +218,7 @@ def test_class_sums_matches_walk_at_nine():
 
 def test_class_sums_of_permuted_block_ones_counts_translates():
     # the nonzero products of P(g) 1_mu are exactly the translates g h, h in S_mu
-    rng = SplitMix64(5050)
+    rng, coset_rng = SplitMix64(5050), SplitMix64(5151)
     for n in range(1, 9):
         cycle = Perm.from_cycles(n, [tuple(range(1, n + 1))])
         for mu in partitions_of(n):
@@ -213,6 +227,11 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
                 rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
                 assert class_sums(rows) == expected, (g, mu)
                 assert dict(translate_class_sums(g, mu)) == expected, (g, mu)
+                # the walk by letter type reads the type counts alone, which
+                # are the same on the double coset S_mu g S_mu
+                h1 = _random_subgroup_element(mu, coset_rng)
+                h2 = _random_subgroup_element(mu, coset_rng)
+                assert block_type_counts(h1 * g * h2, mu) == block_type_counts(g, mu), (g, mu)
 
 
 def test_class_sums_matches_walk_on_block_ones_above_nine():
@@ -226,6 +245,67 @@ def test_class_sums_matches_walk_on_block_ones_above_nine():
             sums = class_sums(rows)
             assert sums == _class_sums_walk(rows), mu
             assert sum(sums.values()) == young_subgroup_order(mu), mu
+
+
+def _typed_and_row_walks(g: Perm, mu) -> tuple[dict, dict]:
+    """The class sums of P(g) 1_mu by letter type, and by the letter walk
+    of its 0/1 rows."""
+    typed = adet_module._typed_class_sums(block_type_counts(g, mu))
+    return typed, class_sums(block_word_rows(*coset_word(g, mu)))
+
+
+def test_typed_class_sums_match_the_letter_walk():
+    # every g and every mu up to n = 6
+    for n in range(7):
+        for mu in partitions_of(n):
+            for g in enumerate_perms(n):
+                typed, rows = _typed_and_row_walks(g, mu)
+                assert typed == rows, (g, mu)
+    # seeded g at every mu of n = 7..9
+    rng = SplitMix64(1616)
+    for n in range(7, 10):
+        for mu in partitions_of(n):
+            for _ in range(2):
+                g = random_perm(n, rng)
+                typed, rows = _typed_and_row_walks(g, mu)
+                assert typed == rows, (g, mu)
+    # the long blocks at n = 9: one block, and every split into two
+    cycle = Perm.from_cycles(9, [tuple(range(1, 10))])
+    for mu in [(9,), (8, 1), (7, 2), (6, 3), (5, 4)]:
+        for g in (Perm.identity(9), cycle, random_perm(9, rng), random_perm(9, rng)):
+            typed, rows = _typed_and_row_walks(g, mu)
+            assert typed == rows, (g, mu)
+            assert sum(typed.values()) == young_subgroup_order(mu), (g, mu)
+
+
+def test_type_walks_use_no_type_below_their_root(monkeypatch):
+    # the cycles split off at a least remaining type r never hold a type
+    # below r, and each has as many letters as its length, the root's among them
+    seen = []
+    real = adet_module._type_cycles
+
+    def spy(counts, follow, full, width, root):
+        found = real(counts, follow, full, width, root)
+        seen.append((width, root, found))
+        return found
+
+    monkeypatch.setattr(adet_module, "_type_cycles", spy)
+    rng = SplitMix64(1818)
+    for mu in [(3, 3, 2), (2, 2, 2, 2), (4, 2, 1, 1), (1,) * 8]:
+        for _ in range(4):
+            g = random_perm(8, rng)
+            assert adet_module._typed_class_sums(block_type_counts(g, mu)) == (
+                _translate_cycle_types(g, mu)
+            )
+    assert any(root > 0 and found for _, root, found in seen)
+    for width, root, found in seen:
+        field = (1 << width - 1) - 1
+        for c, ways, length in found:
+            assert ways > 0
+            assert c & ((1 << width * root) - 1) == 0, (root, c)
+            assert c >> width * root & field >= 1, (root, c)
+            letters = sum(c >> width * t & field for t in range(c.bit_length() // width + 1))
+            assert letters == length, (c, length)
 
 
 def test_adet_poly_matches_naive_sum():
@@ -773,12 +853,14 @@ def test_adet2_of_block_ones_expansion():
 
 def test_structured_cap(monkeypatch):
     # the cap comes first, so a huge g is refused without its n x n matrix
-    def no_matrix(self):
+    # or its type counts
+    def no_matrix(*args):
         raise AssertionError("the cap must be checked before materializing")
 
     monkeypatch.setattr(PermutedBlockOnes, "materialize", no_matrix)
     monkeypatch.setattr(PermutedBlockOnes, "int_rows", no_matrix)
-    monkeypatch.setattr(adet_module, "block_word_rows", no_matrix)
+    monkeypatch.setattr(matrices_module, "block_word_rows", no_matrix)
+    monkeypatch.setattr(adet_module, "block_type_counts", no_matrix)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         adet2_structured(PermutedBlockOnes(Perm.identity(10), (1,) * 10), F(1), F(1))
     with pytest.raises(SizeCapExceeded):
@@ -876,6 +958,12 @@ def test_det_power_coeff_checks_k_before_the_power():
             with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 2\^24 exceeds"):
                 det_power_coeff(diagonal, k)
     assert det_power_coeff(BlockProfile(((30,),), 1, 30), 30) == 1
+
+
+def test_det_power_coeff_is_not_bounded_by_the_recursion_limit():
+    # at n = 1 the cap admits any k, since (1!)^k = 1; the tuple of k - 1
+    # factors is extended without recursing once per factor
+    assert det_power_coeff(BlockProfile(((2000,),), 1, 2000), 2000) == 1
 
 
 def test_det_power_coeff_at_k1_enumerates_no_permutation(monkeypatch):

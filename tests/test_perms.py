@@ -305,6 +305,9 @@ def test_double_coset_index_enumerates_no_subgroup(monkeypatch):
 def test_double_coset_index_examples():
     assert double_coset_index(Perm.identity(4), 2, 2) == 1
     assert double_coset_index(Perm.from_cycles(4, [(2, 3)]), 2, 2) == 4
+    # the profile carries the product, so a caller holding one builds no other
+    assert block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2).double_coset_index() == 4
+    assert BlockProfile(((1, 2, 0), (2, 0, 1), (0, 1, 2)), 3, 3).double_coset_index() == 27
 
 
 def test_double_coset_index_divides_group_order():

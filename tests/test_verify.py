@@ -6,10 +6,12 @@ import pytest
 
 import alphadet.adet as adet_module
 import alphadet.characters as characters_module
+import alphadet.matrices as matrices_module
 import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
+from alphadet.matrices import coset_word
 from alphadet.partitions import conjugate, content_poly
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
@@ -69,7 +71,8 @@ def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
         raise AssertionError("size checks must come first")
 
     monkeypatch.setattr(verify_module, "num_standard_tableaux", no_work)
-    monkeypatch.setattr(adet_module, "block_word_rows", no_work)
+    monkeypatch.setattr(matrices_module, "block_word_rows", no_work)
+    monkeypatch.setattr(adet_module, "block_type_counts", no_work)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         verify_module.rect_formula_value(10, 1, (10,), Perm.identity(10))
     with pytest.raises(ShapeWeightMismatch):
@@ -100,7 +103,7 @@ def test_omega_suite_kostka_cross_check_at_six():
 
 
 def clear_walk_memos():
-    """Empty the memos of class_sums walks, so that no walk of an earlier
+    """Empty the memos of class-sum walks, so that no walk of an earlier
     test is served from them."""
     adet_module._coset_class_sums.cache_clear()
     adet_module._inflation_class_sums.cache_clear()
@@ -108,16 +111,23 @@ def clear_walk_memos():
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The rows of every class_sums walk, starting from empty memos."""
+    """The input of every class-sum walk, starting from empty memos: the
+    rows of each class_sums walk and the type counts of each walk of
+    P(g) 1_mu by letter type, which _typed_class_sums makes instead."""
     seen = []
-    real = adet_module.class_sums
+    real_rows, real_typed = adet_module.class_sums, adet_module._typed_class_sums
 
-    def spy(rows):
+    def spy_rows(rows):
         seen.append(rows)
-        return real(rows)
+        return real_rows(rows)
 
-    monkeypatch.setattr(adet_module, "class_sums", spy)
-    monkeypatch.setattr(characters_module, "class_sums", spy)
+    def spy_typed(counts):
+        seen.append(counts)
+        return real_typed(counts)
+
+    monkeypatch.setattr(adet_module, "class_sums", spy_rows)
+    monkeypatch.setattr(characters_module, "class_sums", spy_rows)
+    monkeypatch.setattr(adet_module, "_typed_class_sums", spy_typed)
     clear_walk_memos()
     return seen
 
@@ -128,6 +138,36 @@ def test_omega_case_walks_the_translates_once(walks):
     assert result.status == "pass"
     assert len(walks) == 1
     assert adet_module._coset_class_sums.cache_info().maxsize == 1
+
+
+def test_one_walk_per_double_coset(walks):
+    # g and h g, h in S_mu, lie in one double coset S_mu g S_mu but in two
+    # left cosets g S_mu, so their coset words differ; the walk reads the
+    # type counts alone and is made once
+    mu = (2, 2)
+    g = Perm.from_cycles(4, [(2, 3)])
+    hg = Perm.from_cycles(4, [(1, 2)]) * g
+    assert coset_word(g, mu) != coset_word(hg, mu)
+    assert adet_module.translate_class_sums(g, mu) == adet_module.translate_class_sums(hg, mu)
+    assert len(walks) == 1
+
+
+def test_structured_suites_build_no_rows(monkeypatch):
+    # omega, chi and zsf read P(g) 1_mu through its type counts only
+    def no_rows(*args):
+        raise AssertionError("a structured path built the n x n rows of P(g) 1_mu")
+
+    # and wherever the package holds a reference to it
+    for module in (matrices_module, adet_module, characters_module, verify_module):
+        if hasattr(module, "block_word_rows"):
+            monkeypatch.setattr(module, "block_word_rows", no_rows)
+    clear_walk_memos()
+    assert verify_omega(2, 3, g=Perm.from_cycles(6, [(1, 4, 2), (3, 6)]), seed=0).passed
+    assert verify_omega(3, 2, seed=0).passed
+    assert verify_chi(2, 3, samples=6, seed=2).passed
+    assert verify_chi(1, 5, seed=0).passed
+    assert verify_zsf(2, 3, samples=6, seed=3).passed
+    assert verify_zsf(3, 2, samples=6, seed=3).passed
 
 
 def test_theorem_case_walks_the_inflation_once(walks):
