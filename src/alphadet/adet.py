@@ -21,16 +21,19 @@ type left, so the walk no longer grows with the orderings inside a block.
 It serves every structured value, one- and two-parameter, and the
 subgroup-averaged character, through ``translate_class_sums``; ``class_sums``
 serves the dense values and the inflation, and is the typed kernel's
-oracle.  Every two-parameter sum weighs the cycle-class tables of S_n by
+oracle.  Every two-parameter sum reads the cycle-class tables of S_n by
 class sums; one builder, ``class_tables``, makes all the tables of S_n at
-once by Jucys-Murphy cut-and-join, without enumerating S_n.  The walks and
-the tables of this module, and so every sum here, are bounded by the one
-cap ``ADET_CAP``.  The
-wreath average is the two-parameter determinant of the inflation at
-beta = -1/k: each row of its integer grid is evaluated there by
-``eval_grid``.  The wreath determinant is the alpha-determinant of the same
-inflation at -1/k, so one memoized walk of the inflation serves both sides
-of the main identity.
+once by Jucys-Murphy cut-and-join, without enumerating S_n.  Only
+``adet2_poly`` weighs the full (n+1) x (n+1) tables.  A reader that needs
+the sum at one beta, the structured value and the wreath average, weighs
+the memoized rows of ``_tables_at``, each table evaluated at that beta
+once: by sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
+= sum_rho w_rho (sum_ij K_rho[i][j] alpha^i beta^j) this is the same sum,
+regrouped.  The walks and the tables of this module, and so every sum
+here, are bounded by the one cap ``ADET_CAP``.  The wreath average is the
+two-parameter determinant of the inflation at beta = -1/k.  The wreath
+determinant is the alpha-determinant of the same inflation at -1/k, so one
+memoized walk of the inflation serves both sides of the main identity.
 """
 
 from __future__ import annotations
@@ -220,13 +223,35 @@ def class_tables(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     }
 
 
+@lru_cache(maxsize=1)
+def _tables_at(n: int, beta: Fraction) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """(rows, denom): for each cycle type rho of S_n, the integers
+    rows[rho][i] = s^n sum_j K_rho[i][j] beta^j = sum_j K_rho[i][j] r^j s^(n-j)
+    for beta = r/s, so that sum_i rows[rho][i] alpha^i / denom, with
+    denom = s^n, is the table of rho at (alpha, beta).
+
+    The tables come from ``class_tables``, whose cap refuses n first.  The
+    memo keeps the last (n, beta): a suite reads one.
+    """
+    tables = class_tables(n)
+    r, s = beta.numerator, beta.denominator
+    powers = [r**j * s ** (n - j) for j in range(n + 1)]
+    rows = {
+        rho: tuple(sum(c * p for c, p in zip(row, powers)) for row in table)
+        for rho, table in tables.items()
+    }
+    return rows, s**n
+
+
+@lru_cache(maxsize=1)
 def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
 
     They are walked by letter type from the type counts of P(g) 1_mu, which
     depend on g only through its double coset S_mu g S_mu, and memoized on
-    those counts; no n x n rows are built.
+    those counts; no n x n rows are built.  The last (g, mu) is memoized too,
+    so the two sums of one case that read it count its types once.
     """
     return _coset_class_sums(block_type_counts(g, mu))
 
@@ -415,6 +440,20 @@ def _weigh_tables(
     return joint
 
 
+def _weigh_rows(
+    rows: dict[tuple[int, ...], tuple[int, ...]],
+    sums: Iterable[tuple[tuple[int, ...], int]],
+) -> list[int]:
+    """The integer row sum over (rho, w) in sums of w rows[rho]; entry i is
+    the coefficient of alpha^i."""
+    # every row of S_n has n + 1 entries
+    joint = [0] * len(next(iter(rows.values())))
+    for rho, w in sums:
+        for i, c in enumerate(rows[rho]):
+            joint[i] += w * c
+    return joint
+
+
 def _check_adet_cap(n: int) -> None:
     if n > ADET_CAP:
         raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
@@ -479,10 +518,13 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     The entry product of a pair (tau, sigma) is 1 exactly when
     tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so this is
     ``adet2_poly`` of P(g) 1_mu: the class tables of the translates g h.
+    Only the point (x, y) is asked for, so the tables are read as their
+    memoized rows at beta = y, weighted by the class sums of the translates
+    and evaluated once at alpha = x.
     """
-    n = s.g.n
-    tables = class_tables(n)  # its cap refuses a huge g before any n x n work
-    return eval_grid(_weigh_tables(tables, translate_class_sums(s.g, tuple(s.mu))), 1, x, y)
+    rows, denom = _tables_at(s.g.n, y)  # its cap refuses a huge g before its type counts
+    weighted = _weigh_rows(rows, translate_class_sums(s.g, tuple(s.mu)))
+    return eval_grid([weighted], denom, 0, x)  # one row: a polynomial in the second variable
 
 
 def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
@@ -510,13 +552,14 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
 
     That is the two-parameter determinant of the inflation at beta = -1/k:
     the pair (tau, sigma) contributes alpha^len(tau) (-1/k)^len(sigma) times
-    the entry product of tau on the column-permuted inflation.  Row i of the
-    integer grid, evaluated at beta, is the coefficient of alpha^i.
+    the entry product of tau on the column-permuted inflation.  The class
+    sums of the inflation weigh the memoized table rows at beta, whose
+    entry i is the coefficient of alpha^i over their common denominator.
     """
     sums, denom = _inflation_class_sums(a, k)
-    joint = _weigh_tables(class_tables(a.rows), sums)
-    beta = Fraction(-1, k)
-    return QPoly(eval_grid([row], denom, 0, beta) for row in joint)
+    rows, row_denom = _tables_at(a.rows, Fraction(-1, k))
+    denom *= row_denom
+    return QPoly(Fraction(v, denom) for v in _weigh_rows(rows, sums))
 
 
 def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:

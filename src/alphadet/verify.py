@@ -14,6 +14,7 @@ import json
 import os
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Sequence
 
@@ -21,10 +22,10 @@ from .adet import (
     ADET_CAP,
     DET_POWER_TERM_CAP,
     SUBGROUP_AVG_CAP,
+    _tables_at,
     adet2_structured,
     adet_at,
     adet_structured,
-    class_tables,
     det_power_coeff,
     subgroup_avg_adet,
     wrdet,
@@ -54,7 +55,7 @@ from .perms import (
     jucys_murphy_product,
     young_subgroup_order,
 )
-from .polynomials import QPoly
+from .polynomials import QPoly, eval_grid
 from .randmat import SplitMix64, random_matrix, random_perm
 from .rationals import format_rational
 
@@ -224,9 +225,17 @@ def rect_formula_value(k: int, n: int, mu: tuple[int, ...], g: Perm) -> Fraction
         raise ShapeWeightMismatch(f"|{tuple(mu)}| != {size} = k*n")
     # first, so that its size cap rejects a huge shape before the tableau count
     value = adet2_structured(PermutedBlockOnes(g, mu), Fraction(-1, k), Fraction(1, n))
+    return _rect_scale(k, n) * value / young_subgroup_order(mu)
+
+
+@lru_cache(maxsize=1)
+def _rect_scale(k: int, n: int) -> Fraction:
+    """f / adet[-1/kn](all-ones) for f the number of standard tableaux of
+    the k^n rectangle: the factor of the formula that is the same for every
+    mu and g of a (k, n), so a suite computes it once."""
+    size = k * n
     f = num_standard_tableaux((k,) * n)
-    denom = content_poly_at((size,), Fraction(-1, size))
-    return Fraction(f, young_subgroup_order(mu)) * value / denom
+    return f / content_poly_at((size,), Fraction(-1, size))
 
 
 def _omega_case(args) -> CaseResult:
@@ -314,15 +323,13 @@ def _stanley_case(args) -> CaseResult:
 def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
     """(-1)^m sum over s in S_m of (-k)^c(ws) n^c(s), for c the number of
     cycles: the class table of w, K[i][j] = #{s : len(ws) = i, len(s) = j},
-    weighted by (-k)^(m-i) n^(m-j)."""
+    weighted by (-k)^(m-i) n^(m-j).  As (-1)^m (-k)^m = k^m, that is
+    (kn)^m sum_ij K[i][j] (-1/k)^i (1/n)^j, the table at the point of the
+    rectangular formula: (kn)^m times the memoized row of w's type at
+    beta = 1/n, evaluated at alpha = -1/k."""
     m = w.n
-    table = class_tables(m)[w.cycle_type()]
-    total = sum(
-        c * (-k) ** (m - i) * n ** (m - j)
-        for i, row in enumerate(table)
-        for j, c in enumerate(row)
-    )
-    return Fraction((-1) ** m * total)
+    rows, denom = _tables_at(m, Fraction(1, n))
+    return (k * n) ** m * eval_grid([rows[w.cycle_type()]], denom, 0, Fraction(-1, k))
 
 
 def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:

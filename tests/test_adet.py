@@ -46,7 +46,7 @@ from alphadet.perms import (
     young_blocks,
     young_subgroup_order,
 )
-from alphadet.polynomials import QPoly, QPoly2
+from alphadet.polynomials import QPoly, QPoly2, eval_grid
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
 
 from test_perms import _perm_of_cycle_type, _young_subgroup
@@ -154,6 +154,30 @@ def test_class_tables_enumerate_no_permutations(monkeypatch):
     monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
     class_tables.cache_clear()
     assert len(class_tables(ADET_CAP)) == len(partitions_of(ADET_CAP))
+
+
+def test_tables_at_rows_are_the_tables_at_beta():
+    # oracle gate: row i of rho, over the common denominator, is row i of
+    # the table of rho evaluated at beta
+    for n in range(1, 9):
+        tables = class_tables(n)
+        betas = {F(-1, k) for k in range(1, 5)} | {F(1, n), F(0), F(1), F(-3, 2)}
+        for beta in sorted(betas):
+            rows, denom = adet_module._tables_at(n, beta)
+            assert sorted(rows) == sorted(tables), (n, beta)
+            for rho, table in tables.items():
+                got = [F(v, denom) for v in rows[rho]]
+                assert got == [eval_grid([row], 1, 0, beta) for row in table], (rho, beta)
+
+
+def test_tables_at_cap_comes_first(monkeypatch):
+    def no_work(n):
+        raise AssertionError("the cap must be checked before any work")
+
+    monkeypatch.setattr(adet_module, "partitions_of", no_work)
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        adet_module._tables_at(ADET_CAP + 1, F(1, 2))
+    assert adet_module._tables_at.cache_info().maxsize == 1
 
 
 def test_class_sums_matches_full_scan():
@@ -615,6 +639,24 @@ def test_structured_equals_naive_on_random_instances():
     assert checked >= 20
 
 
+def test_structured_equals_two_parameter_poly_at_the_point():
+    # the row route against the full grid of adet2_poly, at the suites'
+    # points (-1/k, 1/n) and at two others; every class table is symmetric
+    # (sigma -> g sigma), so no value tells alpha and beta apart
+    rng = SplitMix64(1717)
+    for n in range(1, 8):
+        weights = partitions_of(n)
+        for _ in range(4):
+            g = random_perm(n, rng)
+            mu = weights[rng.below(len(weights))]
+            s = PermutedBlockOnes(g, mu)
+            grid = adet2_poly(s.materialize())
+            points = [(F(-1, k), F(1, m)) for k in (1, 2, 3) for m in (2, n + 1)]
+            points += [(F(2, 3), F(-3, 5)), (F(-5, 2), F(1, 7))]
+            for x, y in points:
+                assert adet2_structured(s, x, y) == grid.eval(x, y), (g, mu, x, y)
+
+
 def test_structured_equals_naive_for_every_weight():
     rng = SplitMix64(606)
     points = [(F(-1, 2), F(1, 3)), (F(2, 3), F(-3, 5)), (F(1), F(1))]
@@ -716,6 +758,23 @@ def test_wreath_average_matches_row_by_row_route():
                  for i, row in enumerate(a.entries)]
             )
             assert wreath_average_poly(rational, k) == _wreath_average_by_rows(rational, k), (k, n)
+
+
+def _wreath_average_by_grid(a: RatMatrix, k: int) -> QPoly:
+    """Oracle: the full integer grid of the inflation's class sums weighed
+    by ``_weigh_tables``, each row evaluated at beta = -1/k."""
+    sums, denom = adet_module._inflation_class_sums(a, k)
+    joint = adet_module._weigh_tables(class_tables(a.rows), sums)
+    return QPoly(eval_grid([row], denom, 0, F(-1, k)) for row in joint)
+
+
+def test_wreath_average_matches_the_grid_route():
+    rng = SplitMix64(4242)
+    for k in range(1, 8):
+        for n in range(1, 7 // k + 1):
+            for _ in range(2):
+                a = random_matrix(k * n, n, rng.next_u64())
+                assert wreath_average_poly(a, k) == _wreath_average_by_grid(a, k), (k, n)
 
 
 def test_wreath_average_empty_and_bad_k():

@@ -197,6 +197,7 @@ def test_disagreeing_class_table_markings_exit_1(monkeypatch, capsys):
 
     monkeypatch.setattr(adet_module, "_add_part", split_twos)
     adet_module.class_tables.cache_clear()
+    adet_module._tables_at.cache_clear()  # its rows would skip the builder
     try:
         disagree = r"the markings of cycle type \(2, 1\) in S_3 disagree"
         with pytest.raises(IdentityViolation, match=disagree):
@@ -207,6 +208,7 @@ def test_disagreeing_class_table_markings_exit_1(monkeypatch, capsys):
         assert "Traceback" not in err
     finally:
         adet_module.class_tables.cache_clear()
+        adet_module._tables_at.cache_clear()
 
 
 def test_verify_workers_flag(capsys):

@@ -68,3 +68,22 @@ def test_cli_import_loads_no_process_pool_or_dataclasses():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_full_grid_reader_weighs_the_tables():
+    # a value at one beta reads the memoized table rows; only adet2_poly,
+    # through _adet2_counts, needs the full (n+1) x (n+1) grid
+    callers = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                if name == "_weigh_tables":
+                    callers.append(f"{path.name}:{func.name}")
+    assert callers == ["adet.py:_adet2_counts"]

@@ -105,6 +105,7 @@ def test_omega_suite_kostka_cross_check_at_six():
 def clear_walk_memos():
     """Empty the memos of class-sum walks, so that no walk of an earlier
     test is served from them."""
+    adet_module.translate_class_sums.cache_clear()
     adet_module._coset_class_sums.cache_clear()
     adet_module._inflation_class_sums.cache_clear()
 
@@ -150,6 +151,32 @@ def test_one_walk_per_double_coset(walks):
     assert coset_word(g, mu) != coset_word(hg, mu)
     assert adet_module.translate_class_sums(g, mu) == adet_module.translate_class_sums(hg, mu)
     assert len(walks) == 1
+
+
+def test_one_type_count_per_case(monkeypatch):
+    # the character average and the structured value of an omega or zsf
+    # case read one (g, mu), so its type counts are made once per case
+    calls = []
+    real = adet_module.block_type_counts
+
+    def spy(g, mu):
+        calls.append((g, mu))
+        return real(g, mu)
+
+    monkeypatch.setattr(adet_module, "block_type_counts", spy)
+    g = Perm.from_cycles(6, [(1, 4, 2), (3, 6)])
+    runs = [
+        lambda: verify_omega(2, 3, g=g, seed=0),
+        lambda: verify_omega(3, 2, g=Perm.from_cycles(6, [(1, 2)]), seed=0),
+        lambda: verify_zsf(2, 2, seed=0),
+        lambda: verify_zsf(2, 3, samples=6, seed=3),
+    ]
+    for run in runs:
+        clear_walk_memos()
+        calls.clear()
+        report = run()
+        assert report.passed
+        assert len(calls) == report.case_count, report.suite
 
 
 def test_structured_suites_build_no_rows(monkeypatch):
