@@ -5,8 +5,9 @@ A matrix is scaled to integer rows over a common denominator L (the sums
 are homogeneous of degree n in the entries, so the result is over L^n);
 permutation sums accumulate plain integers grouped by cycle statistic; and
 a value at a rational parameter is the integer coefficients evaluated by
-``polynomials.eval_grid``, which builds one ``Fraction`` from an integer
-numerator and denominator.  Only the polynomial-valued results turn their
+``polynomials.eval_grid``, or summed at that parameter from the start,
+either way one ``Fraction`` built from an integer numerator and
+denominator.  Only the polynomial-valued results turn their
 integer coefficients into Fractions.
 
 Permutation sums of entry products are grouped by cycle type by two
@@ -22,14 +23,18 @@ It serves every structured value, one- and two-parameter, and the
 subgroup-averaged character, through ``translate_class_sums``; ``class_sums``
 serves the dense values and the inflation, and is the typed kernel's
 oracle.  Every two-parameter sum reads the cycle-class tables of S_n by
-class sums; one builder, ``class_tables``, makes all the tables of S_n at
-once by Jucys-Murphy cut-and-join, without enumerating S_n.  Only
-``adet2_poly`` weighs the full (n+1) x (n+1) tables.  A reader that needs
-the sum at one beta, the structured value and the wreath average, weighs
-the memoized rows of ``_tables_at``, each table evaluated at that beta
-once: by sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
-= sum_rho w_rho (sum_ij K_rho[i][j] alpha^i beta^j) this is the same sum,
-regrouped.  The walks and the tables of this module, and so every sum
+class sums, and one builder, ``_cut_and_join``, makes them all at once by
+Jucys-Murphy cut-and-join, without enumerating S_n: the coefficients of the
+homogeneous central product prod_m (x + q J_m)(y + s J_m), one per cycle
+type, with the types coded as class-sum keys.  ``class_tables`` packs the
+full (n+1) x (n+1) grids into it, and of its readers only ``adet2_poly``
+needs them whole; the wreath average reads them as memoized rows in alpha
+at beta = -1/k, ``_tables_at``.  A reader that needs the sum at one point,
+the structured value and Stanley's sum, reads ``_tables_at_point``: the
+builder run at that point, one integer per type, with no grid built.  By
+sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
+= sum_rho w_rho (sum_ij K_rho[i][j] alpha^i beta^j) these are the same
+sums, regrouped.  The walks and the tables of this module, and so every sum
 here, are bounded by the one cap ``ADET_CAP``.  The wreath average is the
 two-parameter determinant of the inflation at beta = -1/k.  The wreath
 determinant is the alpha-determinant of the same inflation at -1/k, so one
@@ -153,13 +158,65 @@ def _cycle_type(key: int, n: int) -> tuple[int, ...]:
     return tuple(ln for ln in range(n, 0, -1) for _ in range(key // base ** (ln - 1) % base))
 
 
-def _add_part(rest: tuple[int, ...], part: int) -> tuple[int, ...]:
-    return tuple(sorted(rest + (part,), reverse=True))
+def _cut_and_join(n: int, x: int, q: int, y: int, s: int) -> dict[tuple[int, ...], int]:
+    """For each cycle type rho of S_n, the coefficient of any g of type rho
+    in the homogeneous central product P_n = prod_{m=1..n} (x + q J_m)(y + s J_m)
+    of the Jucys-Murphy elements J_m = sum_{i<m} (i m), for integers x, q, y, s.
 
+    With c = n - len the number of cycles, prod_m (x + q J_m) is
+    sum_sigma x^c(sigma) q^len(sigma) sigma, so the coefficient of g is
+    sum over tau sigma = g of x^c(tau) q^len(tau) y^c(sigma) s^len(sigma).
+    P_t is central in S_t, a function of cycle type.  Multiplying it by
+    (y + s J_{t+1}), then by (x + q J_{t+1}), gives values W, then V, on
+    marked types (rest, L), where L is the length of the cycle through the
+    letter t+1:
+        W(rest, 1) = y P_t(rest),  W(rest, L) = s P_t(rest with L - 1) for L >= 2,
+        V(rest, L) = x W(rest, L) + q (the W of each cut of the marked cycle
+                     into a cycle of c and a marked one of L - c letters,
+                     c < L, and of each join of one of the rest's m-cycles
+                     to it, in m ways).
+    P_{t+1}(type) is V at any marking of the type, and all markings must
+    agree.  No permutation is enumerated and no character is used.
 
-def _drop_part(rho: tuple[int, ...], part: int) -> tuple[int, ...]:
-    i = rho.index(part)
-    return rho[:i] + rho[i + 1 :]
+    Cycle types are keys as in ``class_sums``: an L-cycle adds
+    ``_key_units(n)[L]``, so adding or dropping a part is adding or
+    subtracting its unit.
+    """
+    units = _key_units(n)
+    xy, qs, xs_qy = x * y, q * s, x * s + q * y
+    prev = {0: 1}
+    for t in range(1, n + 1):
+        current = {}
+        for rho in partitions_of(t):
+            parts: dict[int, int] = {}  # part -> multiplicity
+            for part in rho:
+                parts[part] = parts.get(part, 0) + 1
+            key = sum(units[part] for part in rho)
+            values = set()
+            for length in parts:
+                rest = key - units[length]
+                # the s-weighed terms: cuts leaving a marked cycle of 2 or more
+                # letters, and joins
+                moved = 0
+                for cut in range(1, length - 1):
+                    moved += prev[rest + units[cut] + units[length - 1 - cut]]
+                for m, mult in parts.items():
+                    mult -= m == length  # the multiplicity of m in rest
+                    if mult:
+                        moved += mult * m * prev[rest - units[m] + units[length + m - 1]]
+                if length == 1:
+                    v = xy * prev[rest] + qs * moved
+                else:  # x W plus the cut that leaves the marked letter fixed
+                    v = xs_qy * prev[rest + units[length - 1]] + qs * moved
+                values.add(v)
+            if len(values) != 1:
+                raise IdentityViolation(
+                    f"the markings of cycle type {rho} in S_{t} disagree",
+                    witness={"type": rho},
+                )
+            current[key] = values.pop()
+        prev = current
+    return {_cycle_type(key, n): v for key, v in prev.items()}
 
 
 @cache
@@ -168,59 +225,45 @@ def class_tables(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     K_rho[i][j] = #{sigma in S_n : len(g sigma) = i, len(sigma) = j} for any
     g of type rho, with i, j = 0..n.
 
-    With c = n - len the number of cycles, prod_{m=1..n} (x + J_m) is
-    sum_sigma x^c(sigma) sigma for the Jucys-Murphy elements
-    J_m = sum_{i<m} (i m), so sum_sigma x^c(g sigma) y^c(sigma) is the
-    coefficient of g in P_n = prod_m (x + J_m)(y + J_m).  P_t is central in
-    S_t, a function of cycle type.  Multiplying it by (y + J_{t+1}), then by
-    (x + J_{t+1}), gives values W, then V, on marked types (rest, L), where L
-    is the length of the cycle through the letter t+1; P_{t+1}(type) is V at
-    any marking of the type, and all markings must agree.  No permutation is
-    enumerated and no character is used.
-
-    A value is a polynomial in x, y whose coefficients are counts of at most
-    n! permutations, packed into one integer: the coefficient of x^a y^b
-    fills the w bits from w (a (n+1) + b), so multiplying by x or y is a
-    shift.
+    sum_sigma x^c(g sigma) y^c(sigma), for c = n - len the number of
+    cycles, is the coefficient of g in prod_m (x + J_m)(y + J_m): the
+    product of ``_cut_and_join`` at q = s = 1.  A value is a polynomial in
+    x, y whose coefficients are counts of at most n! permutations, so it is
+    packed into one integer: x and y are powers of two, and the coefficient
+    of x^a y^b fills the w bits from w (a (n+1) + b).
     """
     _check_adet_cap(n)
     w = factorial(n).bit_length()
     y_shift, x_shift = w, w * (n + 1)
-    prev = {(): 1}
-
-    def marked(rest: tuple[int, ...], length: int) -> int:
-        # W(rest, L) = P_t(rest) times y if L = 1, else P_t(rest with L - 1)
-        if length == 1:
-            return prev[rest] << y_shift
-        return prev[_add_part(rest, length - 1)]
-
-    for t in range(1, n + 1):
-        current = {}
-        for rho in partitions_of(t):
-            values = set()
-            for length in set(rho):
-                rest = _drop_part(rho, length)
-                v = marked(rest, length) << x_shift
-                for s in range(1, length):  # cut the marked cycle into s and L - s
-                    v += marked(_add_part(rest, s), length - s)
-                for m in set(rest):  # join one of the rest's m-cycles to it
-                    v += rest.count(m) * m * marked(_drop_part(rest, m), length + m)
-                values.add(v)
-            if len(values) != 1:
-                raise IdentityViolation(
-                    f"the markings of cycle type {rho} in S_{t} disagree",
-                    witness={"type": rho},
-                )
-            current[rho] = values.pop()
-        prev = current
+    packed = _cut_and_join(n, 1 << x_shift, 1, 1 << y_shift, 1)
     mask = (1 << w) - 1
     return {
         rho: tuple(
             tuple(v >> (x_shift * (n - i) + y_shift * (n - j)) & mask for j in range(n + 1))
             for i in range(n + 1)
         )
-        for rho, v in prev.items()
+        for rho, v in packed.items()
     }
+
+
+@lru_cache(maxsize=1)
+def _tables_at_point(
+    n: int, alpha: Fraction, beta: Fraction
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """(values, denom): for each cycle type rho of S_n the integer
+    values[rho] = (a2 b2)^n sum_ij K_rho[i][j] alpha^i beta^j for
+    alpha = a1/a2 and beta = b1/b2, so that values[rho] / denom, with
+    denom = (a2 b2)^n, is the table of rho at (alpha, beta).
+
+    prod_m (a2 + a1 J_m) = a2^n sum_sigma alpha^len(sigma) sigma, so the
+    values are ``_cut_and_join`` at x = a2, q = a1, y = b2, s = b1, one
+    integer per type; no table is built.  The cap refuses n first, and the
+    memo keeps the last point: a suite reads one.
+    """
+    _check_adet_cap(n)
+    a1, a2 = alpha.numerator, alpha.denominator
+    b1, b2 = beta.numerator, beta.denominator
+    return _cut_and_join(n, a2, a1, b2, b1), (a2 * b2) ** n
 
 
 @lru_cache(maxsize=1)
@@ -518,13 +561,14 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     The entry product of a pair (tau, sigma) is 1 exactly when
     tau sigma^-1 = g h with h in S_mu, and 0 otherwise, so this is
     ``adet2_poly`` of P(g) 1_mu: the class tables of the translates g h.
-    Only the point (x, y) is asked for, so the tables are read as their
-    memoized rows at beta = y, weighted by the class sums of the translates
-    and evaluated once at alpha = x.
+    Only the point (x, y) is asked for, so each table is read as its one
+    memoized value at (x, y), and the values are weighted by the class sums
+    of the translates over one common denominator.
     """
-    rows, denom = _tables_at(s.g.n, y)  # its cap refuses a huge g before its type counts
-    weighted = _weigh_rows(rows, translate_class_sums(s.g, tuple(s.mu)))
-    return eval_grid([weighted], denom, 0, x)  # one row: a polynomial in the second variable
+    # its cap refuses a huge g before its type counts
+    values, denom = _tables_at_point(s.g.n, Fraction(x), Fraction(y))
+    total = sum(w * values[rho] for rho, w in translate_class_sums(s.g, tuple(s.mu)))
+    return Fraction(total, denom)
 
 
 def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
@@ -598,11 +642,13 @@ def det_power_coeff(profile, k: int) -> int:
     n = profile.n
     if k < 1 or k != profile.k:
         raise ValueError(f"k={k} must be positive and equal the profile's sums {profile.k}")
-    nperms = factorial(n)
+    # the cap bounds the k-tuples, so it does not apply at k = 1; past that,
     # n! >= 2 puts (n!)^k over the cap once k reaches the cap's bit length,
     # so the power is never built past that
-    if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
-        raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
+    if k > 1:
+        nperms = factorial(n)
+        if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
+            raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
     target = profile.m
     used = [[0] * n for _ in range(n)]
 

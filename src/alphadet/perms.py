@@ -18,7 +18,7 @@ from .errors import SizeCapExceeded
 from .polynomials import QPoly
 
 ENUM_CAP = 10  # 10! ~ 3.6M permutations
-JM_CAP = 7  # group-algebra product has n! support
+FOURIER_JM_CAP = 6  # the group-algebra product has n! support
 
 
 def _trans_len(images: Sequence[int]) -> int:
@@ -190,8 +190,8 @@ def jucys_murphy_product(n: int) -> dict[Perm, QPoly]:
 
     Coefficients are univariate polynomials in a.
     """
-    if n > JM_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds Jucys-Murphy cap {JM_CAP}")
+    if n > FOURIER_JM_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds Jucys-Murphy cap {FOURIER_JM_CAP}")
     alpha = QPoly((0, 1))
     state: dict[tuple[int, ...], QPoly] = {tuple(range(1, n + 1)): QPoly.one()}
     for k in range(2, n + 1):

@@ -22,7 +22,7 @@ from .adet import (
     ADET_CAP,
     DET_POWER_TERM_CAP,
     SUBGROUP_AVG_CAP,
-    _tables_at,
+    _tables_at_point,
     adet2_structured,
     adet_at,
     adet_structured,
@@ -48,6 +48,7 @@ from .partitions import (
     partitions_of,
 )
 from .perms import (
+    FOURIER_JM_CAP,
     Perm,
     block_profile,
     enumerate_perms,
@@ -55,12 +56,11 @@ from .perms import (
     jucys_murphy_product,
     young_subgroup_order,
 )
-from .polynomials import QPoly, eval_grid
+from .polynomials import QPoly
 from .randmat import SplitMix64, random_matrix, random_perm
 from .rationals import format_rational
 
 EXHAUSTIVE_CAP = 7  # chi and zsf without samples run all (kn)! cases, stanley all m!
-FOURIER_JM_CAP = 6  # the JM product has n! support; larger sizes run the expansion only
 
 
 class CaseResult:
@@ -325,11 +325,12 @@ def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
     cycles: the class table of w, K[i][j] = #{s : len(ws) = i, len(s) = j},
     weighted by (-k)^(m-i) n^(m-j).  As (-1)^m (-k)^m = k^m, that is
     (kn)^m sum_ij K[i][j] (-1/k)^i (1/n)^j, the table at the point of the
-    rectangular formula: (kn)^m times the memoized row of w's type at
-    beta = 1/n, evaluated at alpha = -1/k."""
+    rectangular formula: (kn)^m times the memoized value of w's type at
+    (alpha, beta) = (-1/k, 1/n), which the cut-and-join builder gives over
+    the denominator (kn)^m, so the sum is that integer."""
     m = w.n
-    rows, denom = _tables_at(m, Fraction(1, n))
-    return (k * n) ** m * eval_grid([rows[w.cycle_type()]], denom, 0, Fraction(-1, k))
+    values, denom = _tables_at_point(m, Fraction(-1, k), Fraction(1, n))
+    return (k * n) ** m * Fraction(values[w.cycle_type()], denom)
 
 
 def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:
@@ -382,7 +383,8 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
-    if factorial(n) ** k > DET_POWER_TERM_CAP:
+    # det_power_coeff's bound on its k-tuples, of which k = 1 walks none
+    if k > 1 and factorial(n) ** k > DET_POWER_TERM_CAP:
         raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_TERM_CAP}")
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
@@ -494,7 +496,7 @@ def verify_fourier_jm(size: int, seed: int = 0, workers: int = 1) -> SuiteReport
         raise SizeCapExceeded(f"size={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
     args: list = [("expansion", size)]
-    if size <= FOURIER_JM_CAP:
+    if size <= FOURIER_JM_CAP:  # larger sizes run the expansion only
         args.append(("jucys-murphy", size))
     cases = _run_cases(_fourier_case, args, workers)
     return _report("fourier", {"size": size}, seed, cases, t0)

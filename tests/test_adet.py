@@ -180,6 +180,36 @@ def test_tables_at_cap_comes_first(monkeypatch):
     assert adet_module._tables_at.cache_info().maxsize == 1
 
 
+def test_tables_at_point_are_the_tables_at_the_point():
+    # oracle gate: at a point the builder compares the markings of a type as
+    # integers, which is weaker than comparing polynomials, so every value is
+    # checked against the grid of class_tables; alpha = 0 and beta = 0 make
+    # a multiplier of the product vanish
+    for n in range(9):
+        tables = class_tables(n)
+        points = [(F(-1, k), F(1, max(n, 1))) for k in range(1, 5)]
+        points += [(F(3, 5), F(-7, 2)), (F(0), F(1, 3)), (F(2), F(0)), (F(-1, 2), F(-1, 2))]
+        for alpha, beta in points:
+            values, denom = adet_module._tables_at_point(n, alpha, beta)
+            assert sorted(values) == sorted(tables), (n, alpha, beta)
+            assert denom == (alpha.denominator * beta.denominator) ** n
+            for rho, table in tables.items():
+                got = F(values[rho], denom)
+                assert got == eval_grid(table, 1, alpha, beta), (rho, alpha, beta)
+
+
+def test_tables_at_point_cap_comes_first(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the cap must be checked before any work")
+
+    monkeypatch.setattr(adet_module, "_cut_and_join", no_work)
+    monkeypatch.setattr(adet_module, "partitions_of", no_work)
+    adet_module._tables_at_point.cache_clear()
+    with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
+        adet_module._tables_at_point(ADET_CAP + 1, F(-1, 2), F(1, 5))
+    assert adet_module._tables_at_point.cache_info().maxsize == 1
+
+
 def test_class_sums_matches_full_scan():
     rng = SplitMix64(4040)
     for n in range(9):
@@ -1037,3 +1067,15 @@ def test_det_power_coeff_at_k1_enumerates_no_permutation(monkeypatch):
         sigma = random_perm(9, rng)
         expected = -1 if sigma.transposition_length % 2 else 1
         assert det_power_coeff(block_profile(sigma, 9, 1), 1) == expected
+
+
+def test_det_power_coeff_cap_bounds_only_the_tuples():
+    # (n!)^k bounds the k-tuples walked, and k = 1 walks none: a permutation
+    # profile of size 12 is read at once, while n = 7, k = 2 is still refused
+    rng = SplitMix64(46)
+    for _ in range(5):
+        sigma = random_perm(12, rng)
+        expected = -1 if sigma.transposition_length % 2 else 1
+        assert det_power_coeff(block_profile(sigma, 12, 1), 1) == expected
+    with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 5040\^2 exceeds 10000000$"):
+        det_power_coeff(block_profile(Perm.identity(14), 7, 2), 2)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -187,21 +188,26 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_disagreeing_class_table_markings_exit_1(monkeypatch, capsys):
-    # a cut-and-join step that splits every 2-cycle into two fixed points
-    # makes the markings of (2, 1) disagree; the builder must refuse, and the
-    # CLI must report a falsified claim rather than a usage error
-    add_part = adet_module._add_part
+    # cycle-type keys that count every 2-cycle as two fixed points make the
+    # markings of (2, 1) disagree; the builder must refuse, at the grid and
+    # at the point that chi reads, and the CLI must report a falsified claim
+    # rather than a usage error
+    key_units = adet_module._key_units
 
-    def split_twos(rest, part):
-        return add_part(add_part(rest, 1), 1) if part == 2 else add_part(rest, part)
+    def twos_as_fixed_points(n):
+        units = key_units(n)
+        return units[:2] + (2 * units[1],) + units[3:]
 
-    monkeypatch.setattr(adet_module, "_add_part", split_twos)
+    monkeypatch.setattr(adet_module, "_key_units", twos_as_fixed_points)
     adet_module.class_tables.cache_clear()
     adet_module._tables_at.cache_clear()  # its rows would skip the builder
+    adet_module._tables_at_point.cache_clear()  # and so would its values
     try:
         disagree = r"the markings of cycle type \(2, 1\) in S_3 disagree"
         with pytest.raises(IdentityViolation, match=disagree):
             adet_module.class_tables(3)
+        with pytest.raises(IdentityViolation, match=disagree):
+            adet_module._tables_at_point(3, Fraction(-1), Fraction(1, 3))
         assert main(["verify", "chi", "--k", "1", "--n", "3", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("FALSIFIED CLAIM:")
@@ -209,6 +215,7 @@ def test_disagreeing_class_table_markings_exit_1(monkeypatch, capsys):
     finally:
         adet_module.class_tables.cache_clear()
         adet_module._tables_at.cache_clear()
+        adet_module._tables_at_point.cache_clear()
 
 
 def test_verify_workers_flag(capsys):

@@ -5,11 +5,13 @@ from math import factorial
 import pytest
 
 import alphadet.perms as perms_module
+import alphadet.verify as verify_module
 
 from alphadet.errors import SizeCapExceeded
 from alphadet.matrices import perm_matrix
 from alphadet.partitions import content_poly
 from alphadet.perms import (
+    FOURIER_JM_CAP,
     BlockProfile,
     Perm,
     _compose,
@@ -206,8 +208,13 @@ def test_jucys_murphy_matches_length_weight():
 
 
 def test_jucys_murphy_cap():
-    with pytest.raises(SizeCapExceeded):
-        jucys_murphy_product(8)
+    # one cap bounds the product and fourier's JM case, which runs up to it
+    assert len(jucys_murphy_product(FOURIER_JM_CAP)) == factorial(FOURIER_JM_CAP)
+    for n in (7, 8):
+        with pytest.raises(SizeCapExceeded, match=rf"^n={n} exceeds Jucys-Murphy cap 6$"):
+            jucys_murphy_product(n)
+    assert verify_module.FOURIER_JM_CAP is FOURIER_JM_CAP
+    assert not hasattr(perms_module, "JM_CAP")
 
 
 def test_block_profile_examples():

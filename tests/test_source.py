@@ -70,20 +70,31 @@ def test_cli_import_loads_no_process_pool_or_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
-def test_only_the_full_grid_reader_weighs_the_tables():
-    # a value at one beta reads the memoized table rows; only adet2_poly,
-    # through _adet2_counts, needs the full (n+1) x (n+1) grid
-    callers = []
+def _readers(name):
+    """file:function for each function of the package that reads the name,
+    by a bare name or an attribute."""
+    readers = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = node.func
-                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
-                if name == "_weigh_tables":
-                    callers.append(f"{path.name}:{func.name}")
-    assert callers == ["adet.py:_adet2_counts"]
+                if (
+                    isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                ) or (isinstance(node, ast.Attribute) and node.attr == name):
+                    readers.add(f"{path.name}:{func.name}")
+    return sorted(readers)
+
+
+def test_only_the_full_grid_reader_weighs_the_tables():
+    # a value at one beta reads the memoized table rows; only adet2_poly,
+    # through _adet2_counts, needs the full (n+1) x (n+1) grid
+    assert _readers("_weigh_tables") == ["adet.py:_adet2_counts"]
+
+
+def test_only_the_grid_and_row_readers_build_the_tables():
+    # chi, omega and stanley read one value per cycle type at their point
+    # from _tables_at_point; only adet2_poly's full grid and the wreath
+    # average's rows in alpha, through _tables_at, read the tables of S_n
+    assert _readers("class_tables") == ["adet.py:_adet2_counts", "adet.py:_tables_at"]

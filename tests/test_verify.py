@@ -110,6 +110,30 @@ def clear_walk_memos():
     adet_module._inflation_class_sums.cache_clear()
 
 
+def test_chi_omega_and_stanley_never_build_the_tables(monkeypatch):
+    # the corollaries read the sum at one point, so they take one value per
+    # cycle type from the point reader and never build the grid of S_n
+    built = []
+    real_tables = adet_module.class_tables
+
+    def spy(n):
+        built.append(n)
+        return real_tables(n)
+
+    monkeypatch.setattr(adet_module, "class_tables", spy)
+    adet_module._tables_at_point.cache_clear()
+    adet_module._tables_at.cache_clear()
+    assert verify_chi(2, 2, seed=0).passed
+    assert verify_omega(2, 2, seed=0).passed
+    assert verify_omega(2, 2, g=Perm.from_cycles(4, [(1, 3, 2)]), seed=0).passed
+    assert verify_stanley(2, 2, 3, seed=0).passed
+    assert built == []
+    # the spy sees the one reader of rows in alpha, the wreath average
+    clear_walk_memos()
+    assert verify_theorem(1, 2, trials=1, seed=0).passed
+    assert built == [2]
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """The input of every class-sum walk, starting from empty memos: the
@@ -318,6 +342,11 @@ def test_size_caps_are_the_module_constants(monkeypatch):
         message = r"^\(n!\)\^k exceeds coefficient-route cap 575$"
         with pytest.raises(SizeCapExceeded, match=message):
             verify_zsf(2, 4, samples=1, seed=1)
+    with monkeypatch.context() as m:
+        # k = 1 walks no k-tuple, so no bound on (n!)^k refuses it
+        m.setattr(verify_module, "DET_POWER_TERM_CAP", 1)
+        m.setattr(adet_module, "DET_POWER_TERM_CAP", 1)
+        assert verify_zsf(1, 4, samples=3, seed=1).passed
     assert verify_zsf(3, 3, samples=2, seed=1).passed
     with pytest.raises(SizeCapExceeded, match=r"^kn=10 exceeds cap 9$"):
         verify_zsf(2, 5, samples=1, seed=1)
