@@ -26,12 +26,12 @@ oracle.  Every two-parameter sum reads the cycle-class tables of S_n by
 class sums, and one builder, ``_cut_and_join``, makes them all at once by
 Jucys-Murphy cut-and-join, without enumerating S_n: the coefficients of the
 homogeneous central product prod_m (x + q J_m)(y + s J_m), one per cycle
-type, with the types coded as class-sum keys.  ``class_tables`` packs the
-full (n+1) x (n+1) grids into it, and of its readers only ``adet2_poly``
-needs them whole; the wreath average reads them as memoized rows in alpha
-at beta = -1/k, ``_tables_at``.  A reader that needs the sum at one point,
-the structured value and Stanley's sum, reads ``_tables_at_point``: the
-builder run at that point, one integer per type, with no grid built.  By
+type, with the types coded as class-sum keys.  One memoized reader,
+``_tables(n, alpha, beta)``, runs it with each parameter either substituted
+or kept free as a packed power of two: ``adet2_poly`` reads the full
+(n+1) x (n+1) grids, the wreath average rows in alpha at beta = -1/k, and
+the structured value and Stanley's sum one integer per type at their point,
+with no grid built.  One weigher, ``_weigh``, sums them by class sums.  By
 sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
 = sum_rho w_rho (sum_ij K_rho[i][j] alpha^i beta^j) these are the same
 sums, regrouped.  The walks and the tables of this module, and so every sum
@@ -56,7 +56,7 @@ from .matrices import (
     inflate,
     scaled_int_rows,
 )
-from .partitions import partitions_of
+from .partitions import _partitions
 from .perms import Perm, _embed, _trans_len, perm_tuples
 from .polynomials import QPoly, QPoly2, eval_grid
 
@@ -187,7 +187,7 @@ def _cut_and_join(n: int, x: int, q: int, y: int, s: int) -> dict[tuple[int, ...
     prev = {0: 1}
     for t in range(1, n + 1):
         current = {}
-        for rho in partitions_of(t):
+        for rho in _partitions(t):
             parts: dict[int, int] = {}  # part -> multiplicity
             for part in rho:
                 parts[part] = parts.get(part, 0) + 1
@@ -219,71 +219,47 @@ def _cut_and_join(n: int, x: int, q: int, y: int, s: int) -> dict[tuple[int, ...
     return {_cycle_type(key, n): v for key, v in prev.items()}
 
 
-@cache
-def class_tables(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Every cycle-class table of S_n, keyed by cycle type rho:
-    K_rho[i][j] = #{sigma in S_n : len(g sigma) = i, len(sigma) = j} for any
-    g of type rho, with i, j = 0..n.
+@lru_cache(maxsize=1)
+def _tables(
+    n: int, alpha: Fraction | None, beta: Fraction | None
+) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """(grids, denom): for each cycle type rho of S_n, the class table
+    K_rho[i][j] = #{sigma in S_n : len(g sigma) = i, len(sigma) = j}, for any
+    g of type rho, with every parameter given as a Fraction substituted and
+    every parameter given as None kept free.  grids[rho] lists the integer
+    coefficients of the free monomials alpha^i beta^j, i, j = 0..n, in
+    row-major (i, j) order over the common denominator denom: (n+1)^2 of
+    them with both free, n + 1 with one, one at a point.
 
-    sum_sigma x^c(g sigma) y^c(sigma), for c = n - len the number of
-    cycles, is the coefficient of g in prod_m (x + J_m)(y + J_m): the
-    product of ``_cut_and_join`` at q = s = 1.  A value is a polynomial in
-    x, y whose coefficients are counts of at most n! permutations, so it is
-    packed into one integer: x and y are powers of two, and the coefficient
-    of x^a y^b fills the w bits from w (a (n+1) + b).
+    prod_m (a2 + a1 J_m) = a2^n sum_sigma alpha^len(sigma) sigma for
+    alpha = a1/a2, so a given alpha is x = a2, q = a1 of ``_cut_and_join``,
+    a given beta = b1/b2 is y = b2, s = b1, and denom = (a2 b2)^n.  A free
+    parameter is packed into one integer with q or s = 1: beta as y = 2^w
+    and alpha as x = 2^(w nj), nj the number of beta's digits, so the
+    coefficient of alpha^i beta^j is the base-2^w digit (n-i) nj + (n-j).
+    Each coefficient is at most n! max(|a1|, a2)^n max(|b1|, b2)^n in
+    absolute value, so w is one bit longer than that bound, and the digits
+    are read signed, from the low end, as a negative beta makes them
+    negative.  The cap refuses n first, and the memo keeps the last
+    reading: a suite reads one.
     """
     _check_adet_cap(n)
-    w = factorial(n).bit_length()
-    y_shift, x_shift = w, w * (n + 1)
-    packed = _cut_and_join(n, 1 << x_shift, 1, 1 << y_shift, 1)
-    mask = (1 << w) - 1
-    return {
-        rho: tuple(
-            tuple(v >> (x_shift * (n - i) + y_shift * (n - j)) & mask for j in range(n + 1))
-            for i in range(n + 1)
-        )
-        for rho, v in packed.items()
-    }
-
-
-@lru_cache(maxsize=1)
-def _tables_at_point(
-    n: int, alpha: Fraction, beta: Fraction
-) -> tuple[dict[tuple[int, ...], int], int]:
-    """(values, denom): for each cycle type rho of S_n the integer
-    values[rho] = (a2 b2)^n sum_ij K_rho[i][j] alpha^i beta^j for
-    alpha = a1/a2 and beta = b1/b2, so that values[rho] / denom, with
-    denom = (a2 b2)^n, is the table of rho at (alpha, beta).
-
-    prod_m (a2 + a1 J_m) = a2^n sum_sigma alpha^len(sigma) sigma, so the
-    values are ``_cut_and_join`` at x = a2, q = a1, y = b2, s = b1, one
-    integer per type; no table is built.  The cap refuses n first, and the
-    memo keeps the last point: a suite reads one.
-    """
-    _check_adet_cap(n)
-    a1, a2 = alpha.numerator, alpha.denominator
-    b1, b2 = beta.numerator, beta.denominator
-    return _cut_and_join(n, a2, a1, b2, b1), (a2 * b2) ** n
-
-
-@lru_cache(maxsize=1)
-def _tables_at(n: int, beta: Fraction) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
-    """(rows, denom): for each cycle type rho of S_n, the integers
-    rows[rho][i] = s^n sum_j K_rho[i][j] beta^j = sum_j K_rho[i][j] r^j s^(n-j)
-    for beta = r/s, so that sum_i rows[rho][i] alpha^i / denom, with
-    denom = s^n, is the table of rho at (alpha, beta).
-
-    The tables come from ``class_tables``, whose cap refuses n first.  The
-    memo keeps the last (n, beta): a suite reads one.
-    """
-    tables = class_tables(n)
-    r, s = beta.numerator, beta.denominator
-    powers = [r**j * s ** (n - j) for j in range(n + 1)]
-    rows = {
-        rho: tuple(sum(c * p for c, p in zip(row, powers)) for row in table)
-        for rho, table in tables.items()
-    }
-    return rows, s**n
+    a1, a2 = (1, 1) if alpha is None else (alpha.numerator, alpha.denominator)
+    b1, b2 = (1, 1) if beta is None else (beta.numerator, beta.denominator)
+    w = (factorial(n) * max(abs(a1), a2) ** n * max(abs(b1), b2) ** n).bit_length() + 1
+    ni, nj = (n + 1 if p is None else 1 for p in (alpha, beta))
+    x, q = (1 << w * nj, 1) if alpha is None else (a2, a1)
+    y, s = (1 << w, 1) if beta is None else (b2, b1)
+    half, mask = 1 << w - 1, (1 << w) - 1
+    grids = {}
+    for rho, v in _cut_and_join(n, x, q, y, s).items():
+        digits = []
+        for _ in range(ni * nj):
+            d = ((v + half) & mask) - half
+            digits.append(d)
+            v = (v - d) >> w
+        grids[rho] = tuple(reversed(digits))
+    return grids, (a2 * b2) ** n
 
 
 @lru_cache(maxsize=1)
@@ -292,20 +268,11 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
 
     They are walked by letter type from the type counts of P(g) 1_mu, which
-    depend on g only through its double coset S_mu g S_mu, and memoized on
-    those counts; no n x n rows are built.  The last (g, mu) is memoized too,
-    so the two sums of one case that read it count its types once.
+    depend on g only through its double coset S_mu g S_mu; no n x n rows are
+    built.  The memo keeps the last (g, mu), so the two sums of one case
+    that read it count its types once.
     """
-    return _coset_class_sums(block_type_counts(g, mu))
-
-
-@lru_cache(maxsize=1)
-def _coset_class_sums(
-    counts: tuple[tuple[tuple[int, int], int], ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The class sums of P(g) 1_mu, as pairs, from its type counts; the
-    memo keeps the last double coset walked."""
-    return tuple(_typed_class_sums(counts).items())
+    return tuple(_typed_class_sums(block_type_counts(g, mu)).items())
 
 
 @cache
@@ -468,31 +435,15 @@ def _inflation_class_sums(
     return tuple(class_sums(rows).items()), scale ** len(rows)
 
 
-def _weigh_tables(
-    tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]],
-    sums: Iterable[tuple[tuple[int, ...], int]],
-) -> list[list[int]]:
-    """The integer grid sum over (rho, w) in sums of w K_rho; entry [i][j]
-    is the coefficient of alpha^i beta^j."""
-    # every table of S_n is (n+1) x (n+1)
-    joint = [[0] * len(row) for row in next(iter(tables.values()))]
-    for rho, w in sums:
-        for row, counts in zip(joint, tables[rho]):
-            for j, c in enumerate(counts):
-                row[j] += w * c
-    return joint
-
-
-def _weigh_rows(
-    rows: dict[tuple[int, ...], tuple[int, ...]],
+def _weigh(
+    grids: dict[tuple[int, ...], tuple[int, ...]],
     sums: Iterable[tuple[tuple[int, ...], int]],
 ) -> list[int]:
-    """The integer row sum over (rho, w) in sums of w rows[rho]; entry i is
-    the coefficient of alpha^i."""
-    # every row of S_n has n + 1 entries
-    joint = [0] * len(next(iter(rows.values())))
+    """The integer sum over (rho, w) in sums of w grids[rho], entrywise."""
+    # every grid of one reading has the same length
+    joint = [0] * len(next(iter(grids.values())))
     for rho, w in sums:
-        for i, c in enumerate(rows[rho]):
+        for i, c in enumerate(grids[rho]):
             joint[i] += w * c
     return joint
 
@@ -534,15 +485,6 @@ def adet_at(a: RatMatrix, x: Fraction) -> Fraction:
     return eval_grid([counts], denom, 0, x)  # one row: a polynomial in the second variable
 
 
-def _adet2_counts(a: RatMatrix) -> tuple[list[list[int]], int]:
-    """(joint, denom) with the two-parameter sum
-    sum_ij joint[i][j] alpha^i beta^j / denom."""
-    n = a.require_square()
-    tables = class_tables(n)  # its cap refuses n before the walk
-    rows, scale = scaled_int_rows(a)
-    return _weigh_tables(tables, class_sums(rows).items()), scale**n
-
-
 def adet2_poly(a: RatMatrix) -> QPoly2:
     """Two-parameter deformation: double sum over permutation pairs with
     entry products prod_i a[tau(i), sigma(i)], exponents (len tau, len sigma).
@@ -551,8 +493,12 @@ def adet2_poly(a: RatMatrix) -> QPoly2:
     double sum is the sum over pi of that product times the class table of
     pi's cycle type.
     """
-    joint, denom = _adet2_counts(a)
-    return QPoly2([[Fraction(v, denom) for v in row] for row in joint])
+    n = a.require_square()
+    grids, _ = _tables(n, None, None)  # its cap refuses n before the walk
+    rows, scale = scaled_int_rows(a)
+    denom = scale**n
+    joint = [Fraction(v, denom) for v in _weigh(grids, class_sums(rows).items())]
+    return QPoly2([joint[i : i + n + 1] for i in range(0, len(joint), n + 1)])
 
 
 def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction:
@@ -566,8 +512,8 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     of the translates over one common denominator.
     """
     # its cap refuses a huge g before its type counts
-    values, denom = _tables_at_point(s.g.n, Fraction(x), Fraction(y))
-    total = sum(w * values[rho] for rho, w in translate_class_sums(s.g, tuple(s.mu)))
+    values, denom = _tables(s.g.n, Fraction(x), Fraction(y))
+    (total,) = _weigh(values, translate_class_sums(s.g, tuple(s.mu)))
     return Fraction(total, denom)
 
 
@@ -601,9 +547,9 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     entry i is the coefficient of alpha^i over their common denominator.
     """
     sums, denom = _inflation_class_sums(a, k)
-    rows, row_denom = _tables_at(a.rows, Fraction(-1, k))
+    rows, row_denom = _tables(a.rows, None, Fraction(-1, k))
     denom *= row_denom
-    return QPoly(Fraction(v, denom) for v in _weigh_rows(rows, sums))
+    return QPoly(Fraction(v, denom) for v in _weigh(rows, sums))
 
 
 def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:

@@ -9,6 +9,7 @@ so the content of a cell is column - row.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -41,6 +42,13 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     (1,...,1) last."""
     if n > PARTITIONS_CAP:
         raise SizeCapExceeded(f"n={n} exceeds partition cap {PARTITIONS_CAP}")
+    return list(_partitions(n))
+
+
+@cache
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """``partitions_of(n)`` as a memoized tuple, without the cap: the
+    cut-and-join builder reads every t = 1..n on each build."""
 
     def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -50,7 +58,7 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return list(gen(n, n))
+    return tuple(gen(n, n))
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from .adet import (
     ADET_CAP,
     DET_POWER_TERM_CAP,
     SUBGROUP_AVG_CAP,
-    _tables_at_point,
+    _tables,
     adet2_structured,
     adet_at,
     adet_structured,
@@ -329,8 +329,8 @@ def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
     (alpha, beta) = (-1/k, 1/n), which the cut-and-join builder gives over
     the denominator (kn)^m, so the sum is that integer."""
     m = w.n
-    values, denom = _tables_at_point(m, Fraction(-1, k), Fraction(1, n))
-    return (k * n) ** m * Fraction(values[w.cycle_type()], denom)
+    values, denom = _tables(m, Fraction(-1, k), Fraction(1, n))
+    return (k * n) ** m * Fraction(values[w.cycle_type()][0], denom)
 
 
 def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:

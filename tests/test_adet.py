@@ -16,7 +16,6 @@ from alphadet.adet import (
     adet_poly,
     adet_structured,
     class_sums,
-    class_tables,
     det_power_coeff,
     subgroup_avg_adet,
     translate_class_sums,
@@ -35,7 +34,8 @@ from alphadet.matrices import (
     inflate,
     scaled_int_rows,
 )
-from alphadet.partitions import content_poly, partitions_of
+from alphadet.characters import character
+from alphadet.partitions import content_poly, num_standard_tableaux, partitions_of
 from alphadet.perms import (
     BlockProfile,
     Perm,
@@ -127,22 +127,61 @@ def _class_table_naive(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
+def _class_tables(n: int) -> dict:
+    """The grids of the one table reader, adet._tables with both
+    parameters free, as (n+1) x (n+1) tuples of rows."""
+    grids, denom = adet_module._tables(n, None, None)
+    assert denom == 1
+    return {
+        rho: tuple(flat[i : i + n + 1] for i in range(0, len(flat), n + 1))
+        for rho, flat in grids.items()
+    }
+
+
+def _class_tables_by_characters(n: int) -> dict:
+    """Oracle: prod_m (1 + alpha J_m) = sum_sigma alpha^len(sigma) sigma acts
+    on the irreducible module of lambda as the content polynomial
+    P_lambda(alpha), so the product of two such sums, whose coefficient at g
+    is the table of g's type at (alpha, beta), is the sum over lambda of
+    P_lambda(alpha) P_lambda(beta) times the central idempotent
+    (f_lambda / n!) sum_g chi_lambda(g) g."""
+    shapes = [
+        (lam, num_standard_tableaux(lam), [int(content_poly(lam).coefficient(i)) for i in range(n + 1)])
+        for lam in partitions_of(n)
+    ]
+    tables = {}
+    for rho in partitions_of(n):
+        weighed = [(f * character(lam, rho), p) for lam, f, p in shapes]
+        tables[rho] = tuple(
+            tuple(F(sum(w * p[i] * p[j] for w, p in weighed), factorial(n)) for j in range(n + 1))
+            for i in range(n + 1)
+        )
+    return tables
+
+
+@cache
+def _oracle_tables(n: int) -> dict:
+    """The class tables of S_n by the S_n pass for 1 <= n <= 8, and by the
+    character oracle at n = 0 and at the cap, 9, where a pass over S_9 per
+    cycle type takes about a minute."""
+    if 1 <= n <= 8:
+        return {rho: _class_table_naive(rho) for rho in partitions_of(n)}
+    return _class_tables_by_characters(n)
+
+
 def test_class_tables_match_per_type_scan():
-    for n in range(1, 9):
-        tables = class_tables(n)
-        assert sorted(tables) == sorted(partitions_of(n)), n
-        for rho in partitions_of(n):
-            assert tables[rho] == _class_table_naive(rho), rho
+    for n in range(ADET_CAP + 1):
+        assert _class_tables(n) == _oracle_tables(n), n
 
 
 def test_class_tables_cap_and_empty_size(monkeypatch):
-    def no_work(n):
+    def no_work(*args):
         raise AssertionError("the cap must be checked before any work")
 
-    monkeypatch.setattr(adet_module, "partitions_of", no_work)
+    monkeypatch.setattr(adet_module, "_partitions", no_work)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
-        class_tables(ADET_CAP + 1)
-    assert class_tables(0) == {(): ((1,),)}
+        adet_module._tables(ADET_CAP + 1, None, None)
+    assert adet_module._tables(0, None, None) == ({(): (1,)}, 1)
     assert adet2_poly(RatMatrix(())) == QPoly2([[1]])
 
 
@@ -152,50 +191,66 @@ def test_class_tables_enumerate_no_permutations(monkeypatch):
 
     monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
     monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
-    class_tables.cache_clear()
-    assert len(class_tables(ADET_CAP)) == len(partitions_of(ADET_CAP))
+    adet_module._tables.cache_clear()
+    assert len(_class_tables(ADET_CAP)) == len(partitions_of(ADET_CAP))
 
 
 def test_tables_at_rows_are_the_tables_at_beta():
     # oracle gate: row i of rho, over the common denominator, is row i of
-    # the table of rho evaluated at beta
-    for n in range(1, 9):
-        tables = class_tables(n)
-        betas = {F(-1, k) for k in range(1, 5)} | {F(1, n), F(0), F(1), F(-3, 2)}
-        for beta in sorted(betas):
-            rows, denom = adet_module._tables_at(n, beta)
-            assert sorted(rows) == sorted(tables), (n, beta)
+    # the table of rho evaluated at beta, and column j, for alpha given and
+    # beta free, is column j at alpha.  Negative numerators give negative
+    # digits, which only a signed decode reads, and beta = -1/9 at n = 9
+    # packs the widest digits.  Every table is symmetric, K[i][j] = K[j][i]
+    # by sigma -> (g sigma)^-1, so only the columns tell the x shift of the
+    # packing from the y shift
+    params = [F(-1, k) for k in range(1, 10)] + [F(1, 9), F(0), F(1), F(-3, 2)]
+    for n in range(ADET_CAP + 1):
+        tables = _oracle_tables(n)
+        for p in sorted(set(params) | {F(1, max(n, 1))}):
+            rows, denom = adet_module._tables(n, None, p)
+            assert sorted(rows) == sorted(tables), (n, p)
+            assert denom == p.denominator**n
             for rho, table in tables.items():
                 got = [F(v, denom) for v in rows[rho]]
-                assert got == [eval_grid([row], 1, 0, beta) for row in table], (rho, beta)
+                assert got == [eval_grid([row], 1, 0, p) for row in table], (rho, p)
+            columns, denom = adet_module._tables(n, p, None)
+            assert denom == p.denominator**n
+            for rho, table in tables.items():
+                got = [F(v, denom) for v in columns[rho]]
+                assert got == [eval_grid([[c] for c in col], 1, p, 0) for col in zip(*table)], (rho, p)
 
 
 def test_tables_at_cap_comes_first(monkeypatch):
-    def no_work(n):
+    def no_work(*args):
         raise AssertionError("the cap must be checked before any work")
 
-    monkeypatch.setattr(adet_module, "partitions_of", no_work)
+    monkeypatch.setattr(adet_module, "_cut_and_join", no_work)
+    monkeypatch.setattr(adet_module, "_partitions", no_work)
+    adet_module._tables.cache_clear()
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
-        adet_module._tables_at(ADET_CAP + 1, F(1, 2))
-    assert adet_module._tables_at.cache_info().maxsize == 1
+        adet_module._tables(ADET_CAP + 1, None, F(1, 2))
+    assert adet_module._tables.cache_info().maxsize == 1
 
 
 def test_tables_at_point_are_the_tables_at_the_point():
     # oracle gate: at a point the builder compares the markings of a type as
     # integers, which is weaker than comparing polynomials, so every value is
-    # checked against the grid of class_tables; alpha = 0 and beta = 0 make
-    # a multiplier of the product vanish
-    for n in range(9):
-        tables = class_tables(n)
-        points = [(F(-1, k), F(1, max(n, 1))) for k in range(1, 5)]
-        points += [(F(3, 5), F(-7, 2)), (F(0), F(1, 3)), (F(2), F(0)), (F(-1, 2), F(-1, 2))]
-        for alpha, beta in points:
-            values, denom = adet_module._tables_at_point(n, alpha, beta)
+    # checked against the oracle's grid.  alpha = 0 and beta = 0 make a
+    # multiplier of the product vanish, negative numerators make the values
+    # negative, and at (1, 1) and (-1, -1) a value is +-n!, the bound that
+    # sets the packing width
+    points = [(F(-1, k), F(1, m)) for k in (1, 2, 3, 4, 9) for m in (1, 4)]
+    points += [(F(3, 5), F(-7, 2)), (F(0), F(1, 3)), (F(2), F(0)), (F(-1, 2), F(-1, 2))]
+    points += [(F(-3, 2), F(-1, 9)), (F(-1, 9), F(-1, 2)), (F(1), F(1)), (F(-1), F(-1))]
+    for n in range(ADET_CAP + 1):
+        tables = _oracle_tables(n)
+        for alpha, beta in points + [(F(-1, 2), F(1, max(n, 1)))]:
+            values, denom = adet_module._tables(n, alpha, beta)
             assert sorted(values) == sorted(tables), (n, alpha, beta)
             assert denom == (alpha.denominator * beta.denominator) ** n
             for rho, table in tables.items():
-                got = F(values[rho], denom)
-                assert got == eval_grid(table, 1, alpha, beta), (rho, alpha, beta)
+                (v,) = values[rho]
+                assert F(v, denom) == eval_grid(table, 1, alpha, beta), (rho, alpha, beta)
 
 
 def test_tables_at_point_cap_comes_first(monkeypatch):
@@ -203,11 +258,11 @@ def test_tables_at_point_cap_comes_first(monkeypatch):
         raise AssertionError("the cap must be checked before any work")
 
     monkeypatch.setattr(adet_module, "_cut_and_join", no_work)
-    monkeypatch.setattr(adet_module, "partitions_of", no_work)
-    adet_module._tables_at_point.cache_clear()
+    monkeypatch.setattr(adet_module, "_partitions", no_work)
+    adet_module._tables.cache_clear()
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
-        adet_module._tables_at_point(ADET_CAP + 1, F(-1, 2), F(1, 5))
-    assert adet_module._tables_at_point.cache_info().maxsize == 1
+        adet_module._tables(ADET_CAP + 1, F(-1, 2), F(1, 5))
+    assert adet_module._tables.cache_info().maxsize == 1
 
 
 def test_class_sums_matches_full_scan():
@@ -286,6 +341,13 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
                 h1 = _random_subgroup_element(mu, coset_rng)
                 h2 = _random_subgroup_element(mu, coset_rng)
                 assert block_type_counts(h1 * g * h2, mu) == block_type_counts(g, mu), (g, mu)
+                assert translate_class_sums(h1 * g * h2, mu) == translate_class_sums(g, mu), (g, mu)
+    # g and h g, h in S_mu, lie in one double coset S_mu g S_mu but in two
+    # left cosets g S_mu, so their coset words differ and their class sums agree
+    g = Perm.from_cycles(4, [(2, 3)])
+    hg = Perm.from_cycles(4, [(1, 2)]) * g
+    assert coset_word(g, (2, 2)) != coset_word(hg, (2, 2))
+    assert translate_class_sums(g, (2, 2)) == translate_class_sums(hg, (2, 2))
 
 
 def test_class_sums_matches_walk_on_block_ones_above_nine():
@@ -792,10 +854,11 @@ def test_wreath_average_matches_row_by_row_route():
 
 def _wreath_average_by_grid(a: RatMatrix, k: int) -> QPoly:
     """Oracle: the full integer grid of the inflation's class sums weighed
-    by ``_weigh_tables``, each row evaluated at beta = -1/k."""
+    by ``_weigh``, each row evaluated at beta = -1/k."""
     sums, denom = adet_module._inflation_class_sums(a, k)
-    joint = adet_module._weigh_tables(class_tables(a.rows), sums)
-    return QPoly(eval_grid([row], denom, 0, F(-1, k)) for row in joint)
+    grids, _ = adet_module._tables(a.rows, None, None)
+    joint, m = adet_module._weigh(grids, sums), a.rows + 1
+    return QPoly(eval_grid([joint[i : i + m]], denom, 0, F(-1, k)) for i in range(0, len(joint), m))
 
 
 def test_wreath_average_matches_the_grid_route():
@@ -847,7 +910,7 @@ def test_inflation_memo_serves_no_stale_matrix():
         oracle[m, wrdet] = sum(total * beta ** (k * n - len(ct)) for ct, total in sums.items())
         oracle[m, wreath_average_poly] = QPoly(
             sum(
-                total * sum(c * beta**j for j, c in enumerate(class_tables(k * n)[ct][i]))
+                total * sum(c * beta**j for j, c in enumerate(_class_tables(k * n)[ct][i]))
                 for ct, total in sums.items()
             )
             for i in range(k * n + 1)

@@ -199,23 +199,21 @@ def test_disagreeing_class_table_markings_exit_1(monkeypatch, capsys):
         return units[:2] + (2 * units[1],) + units[3:]
 
     monkeypatch.setattr(adet_module, "_key_units", twos_as_fixed_points)
-    adet_module.class_tables.cache_clear()
-    adet_module._tables_at.cache_clear()  # its rows would skip the builder
-    adet_module._tables_at_point.cache_clear()  # and so would its values
+    adet_module._tables.cache_clear()  # a memoized reading would skip the builder
     try:
         disagree = r"the markings of cycle type \(2, 1\) in S_3 disagree"
         with pytest.raises(IdentityViolation, match=disagree):
-            adet_module.class_tables(3)
+            adet_module._tables(3, None, None)
         with pytest.raises(IdentityViolation, match=disagree):
-            adet_module._tables_at_point(3, Fraction(-1), Fraction(1, 3))
+            adet_module._tables(3, None, Fraction(-1))
+        with pytest.raises(IdentityViolation, match=disagree):
+            adet_module._tables(3, Fraction(-1), Fraction(1, 3))
         assert main(["verify", "chi", "--k", "1", "--n", "3", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("FALSIFIED CLAIM:")
         assert "Traceback" not in err
     finally:
-        adet_module.class_tables.cache_clear()
-        adet_module._tables_at.cache_clear()
-        adet_module._tables_at_point.cache_clear()
+        adet_module._tables.cache_clear()
 
 
 def test_verify_workers_flag(capsys):

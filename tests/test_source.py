@@ -87,14 +87,7 @@ def _readers(name):
     return sorted(readers)
 
 
-def test_only_the_full_grid_reader_weighs_the_tables():
-    # a value at one beta reads the memoized table rows; only adet2_poly,
-    # through _adet2_counts, needs the full (n+1) x (n+1) grid
-    assert _readers("_weigh_tables") == ["adet.py:_adet2_counts"]
-
-
-def test_only_the_grid_and_row_readers_build_the_tables():
-    # chi, omega and stanley read one value per cycle type at their point
-    # from _tables_at_point; only adet2_poly's full grid and the wreath
-    # average's rows in alpha, through _tables_at, read the tables of S_n
-    assert _readers("class_tables") == ["adet.py:_adet2_counts", "adet.py:_tables_at"]
+def test_only_the_table_reader_runs_the_builder():
+    # every class table of S_n, as grids, rows in alpha or values at one
+    # point, is read through the one memoized reader _tables
+    assert _readers("_cut_and_join") == ["adet.py:_tables"]

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -11,7 +12,6 @@ import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
-from alphadet.matrices import coset_word
 from alphadet.partitions import conjugate, content_poly
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
@@ -106,32 +106,31 @@ def clear_walk_memos():
     """Empty the memos of class-sum walks, so that no walk of an earlier
     test is served from them."""
     adet_module.translate_class_sums.cache_clear()
-    adet_module._coset_class_sums.cache_clear()
     adet_module._inflation_class_sums.cache_clear()
 
 
 def test_chi_omega_and_stanley_never_build_the_tables(monkeypatch):
     # the corollaries read the sum at one point, so they take one value per
-    # cycle type from the point reader and never build the grid of S_n
-    built = []
-    real_tables = adet_module.class_tables
+    # cycle type from the table reader and never leave a parameter free
+    read = []
+    real_tables = adet_module._tables
 
-    def spy(n):
-        built.append(n)
-        return real_tables(n)
+    def spy(n, alpha, beta):
+        read.append((n, alpha, beta))
+        return real_tables(n, alpha, beta)
 
-    monkeypatch.setattr(adet_module, "class_tables", spy)
-    adet_module._tables_at_point.cache_clear()
-    adet_module._tables_at.cache_clear()
+    monkeypatch.setattr(adet_module, "_tables", spy)
+    monkeypatch.setattr(verify_module, "_tables", spy)
     assert verify_chi(2, 2, seed=0).passed
     assert verify_omega(2, 2, seed=0).passed
     assert verify_omega(2, 2, g=Perm.from_cycles(4, [(1, 3, 2)]), seed=0).passed
     assert verify_stanley(2, 2, 3, seed=0).passed
-    assert built == []
-    # the spy sees the one reader of rows in alpha, the wreath average
+    assert set(read) == {(4, Fraction(-1, 2), Fraction(1, 2)), (3, Fraction(-1, 2), Fraction(1, 2))}
+    # the wreath average reads rows in alpha, free, at beta = -1/k
+    read.clear()
     clear_walk_memos()
     assert verify_theorem(1, 2, trials=1, seed=0).passed
-    assert built == [2]
+    assert read == [(2, None, Fraction(-1))]
 
 
 @pytest.fixture
@@ -162,19 +161,7 @@ def test_omega_case_walks_the_translates_once(walks):
     result = verify_module._omega_case((2, 2, (2, 1, 1), (2, 3, 4, 1)))
     assert result.status == "pass"
     assert len(walks) == 1
-    assert adet_module._coset_class_sums.cache_info().maxsize == 1
-
-
-def test_one_walk_per_double_coset(walks):
-    # g and h g, h in S_mu, lie in one double coset S_mu g S_mu but in two
-    # left cosets g S_mu, so their coset words differ; the walk reads the
-    # type counts alone and is made once
-    mu = (2, 2)
-    g = Perm.from_cycles(4, [(2, 3)])
-    hg = Perm.from_cycles(4, [(1, 2)]) * g
-    assert coset_word(g, mu) != coset_word(hg, mu)
-    assert adet_module.translate_class_sums(g, mu) == adet_module.translate_class_sums(hg, mu)
-    assert len(walks) == 1
+    assert adet_module.translate_class_sums.cache_info().maxsize == 1
 
 
 def test_one_type_count_per_case(monkeypatch):
@@ -422,13 +409,14 @@ def test_zsf_walks_the_class_sums_once_per_case(walks):
         assert len(walks) <= samples + 1  # and one for the replicator's wrdet
 
 
-def test_zsf_walks_each_coset_once(walks):
-    # P(g) 1_mu depends on g only through g S_mu: at n = 1 every g of S_6
-    # lies in the one coset, so the suite walks it once, plus the
-    # replicator's wrdet
+def test_zsf_walks_each_case_once(walks):
+    # the character average and the wreath ratio of a case read one walk of
+    # P(g) 1_mu: at n = 1 every g of S_6 lies in the one coset, and the
+    # suite makes one walk per case, plus the replicator's wrdet
     report = verify_zsf(6, 1, seed=0)
     assert report.passed and report.case_count == 720
-    assert len(walks) == 2
+    assert len(walks) == 721
+    assert walks[1:] == [(((0, 0), 6),)] * 720
 
 
 @pytest.mark.parametrize("k, n", [(6, 1), (1, 6)])
