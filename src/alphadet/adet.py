@@ -568,9 +568,13 @@ def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:
 
 
 @cache
-def _signed_perms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every image tuple of S_n with its sign."""
-    return tuple((p, -1 if _trans_len(p) % 2 else 1) for p in perm_tuples(n))
+def _signed_cells(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation p of S_n as its flat row-major cells i n + p(i) - 1,
+    with its sign."""
+    return tuple(
+        (tuple(i * n + j - 1 for i, j in enumerate(p)), -1 if _trans_len(p) % 2 else 1)
+        for p in perm_tuples(n)
+    )
 
 
 def det_power_coeff(profile, k: int) -> int:
@@ -578,12 +582,14 @@ def det_power_coeff(profile, k: int) -> int:
     determinant of an n x n matrix of indeterminates, by expanding over
     k-tuples of permutations with sign products.
 
-    Tuples are extended one permutation at a time while their matrices sum
-    to at most m entrywise, depth first with an explicit stack, so that k is
-    not bounded by the recursion limit.  After k - 1 of them the residual
-    has every row and column sum 1, so it is the matrix of the one
-    permutation that closes the tuple, and only its sign is added; at k = 1
-    no permutation is enumerated.
+    The expansion is layered by the residual profile, m less the matrices of
+    the permutations placed so far, flat in row-major order: a layer maps each
+    residual to the signed count of the placed prefixes that leave it, so
+    prefixes that leave the same residual are expanded once.  Each of the
+    first k - 1 factors is a permutation whose cells are all positive in the
+    residual.  After them every residual has row and column sums 1, so it is
+    the matrix of the one permutation that closes the tuple, and only its
+    sign is added; at k = 1 no layer runs and no permutation is enumerated.
     """
     n = profile.n
     if k < 1 or k != profile.k:
@@ -595,47 +601,23 @@ def det_power_coeff(profile, k: int) -> int:
         nperms = factorial(n)
         if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
             raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
-    target = profile.m
-    used = [[0] * n for _ in range(n)]
-
-    def closing_sign() -> int:
-        closing = [
-            next(j for j in range(n) if target[i][j] > used[i][j]) + 1 for i in range(n)
-        ]
-        return -1 if _trans_len(closing) % 2 else 1
-
-    if k == 1:
-        return closing_sign()
-    signed = _signed_perms(n)
+    layer = {tuple(v for row in profile.m for v in row): 1}  # residual -> signed count
+    for _ in range(k - 1):
+        grown: dict[tuple[int, ...], int] = {}
+        for rest, ways in layer.items():
+            for cells, sign in _signed_cells(n):
+                for c in cells:
+                    if not rest[c]:
+                        break
+                else:
+                    left = list(rest)
+                    for c in cells:
+                        left[c] -= 1
+                    key = tuple(left)
+                    grown[key] = grown.get(key, 0) + sign * ways
+        layer = grown
     total = 0
-    factors: list[tuple[tuple[int, ...], int]] = []  # (permutation, sign product) placed
-    tried = [0]  # tried[d]: the permutations tried as factor d of the open tuple
-    while tried:
-        d = len(tried) - 1
-        if tried[d] == len(signed):
-            tried.pop()
-            if factors:
-                p = factors.pop()[0]
-                for i in range(n):
-                    used[i][p[i] - 1] -= 1
-            continue
-        p, sign = signed[tried[d]]
-        tried[d] += 1
-        placed = 0
-        for i in range(n):
-            j = p[i] - 1
-            if used[i][j] >= target[i][j]:
-                break
-            used[i][j] += 1
-            placed += 1
-        if placed == n:
-            if factors:
-                sign *= factors[-1][1]
-            if d < k - 2:
-                factors.append((p, sign))
-                tried.append(0)
-                continue
-            total += sign * closing_sign()  # factor k - 1: the residual closes the tuple
-        for i in range(placed):
-            used[i][p[i] - 1] -= 1
+    for rest, ways in layer.items():
+        closing = [rest.index(1, i * n, i * n + n) - i * n + 1 for i in range(n)]
+        total += -ways if _trans_len(closing) % 2 else ways
     return total

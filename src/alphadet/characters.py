@@ -15,7 +15,7 @@ from functools import cache
 from math import factorial
 from typing import Sequence
 
-from .adet import ADET_CAP, class_sums, translate_class_sums
+from .adet import _check_adet_cap, class_sums, translate_class_sums
 from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
 from .matrices import RatMatrix, scaled_int_rows
 from .partitions import (
@@ -100,8 +100,7 @@ def immanant(shape: Sequence[int], a: RatMatrix) -> Fraction:
     shape = check_partition(shape)
     if sum(shape) != n:
         raise ShapeWeightMismatch(f"|{tuple(shape)}| != {n}")
-    if n > ADET_CAP:  # the dense walk adet_poly runs, under its cap
-        raise SizeCapExceeded(f"n={n} exceeds alpha-determinant cap {ADET_CAP}")
+    _check_adet_cap(n)  # the dense walk adet_poly runs, under its cap
     rows, scale = scaled_int_rows(a)
     by_type = class_sums(rows)
     total = sum(character(shape, ct) * acc for ct, acc in by_type.items())

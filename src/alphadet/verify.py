@@ -280,11 +280,11 @@ def verify_omega(
 def _chi_case(args) -> CaseResult:
     k, n, g_images = args
     g = Perm(g_images)
-    size = k * n
     shape = (k,) * n
     f = num_standard_tableaux(shape)
     lhs = Fraction(character(shape, g.cycle_type()), f)
-    rhs = rect_formula_value(k, n, (1,) * size, g) / f
+    # P(g) is a permutation matrix, so its one class sum is {type of g: 1}
+    rhs = _rect_scale(k, n) * _point_value(k, n, g) / f
     return _agree(f"g={format_perm(g)}", character_ratio=lhs, adet_ratio=rhs)
 
 
@@ -325,12 +325,18 @@ def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
     cycles: the class table of w, K[i][j] = #{s : len(ws) = i, len(s) = j},
     weighted by (-k)^(m-i) n^(m-j).  As (-1)^m (-k)^m = k^m, that is
     (kn)^m sum_ij K[i][j] (-1/k)^i (1/n)^j, the table at the point of the
-    rectangular formula: (kn)^m times the memoized value of w's type at
-    (alpha, beta) = (-1/k, 1/n), which the cut-and-join builder gives over
-    the denominator (kn)^m, so the sum is that integer."""
-    m = w.n
-    values, denom = _tables(m, Fraction(-1, k), Fraction(1, n))
-    return (k * n) ** m * Fraction(values[w.cycle_type()][0], denom)
+    rectangular formula: (kn)^m times w's point value, which the cut-and-join
+    builder gives over the denominator (kn)^m, so the sum is that integer."""
+    return (k * n) ** w.n * _point_value(k, n, w)
+
+
+def _point_value(k: int, n: int, w: Perm) -> Fraction:
+    """sum_ij K[i][j] (-1/k)^i (1/n)^j for K the class table of w's cycle
+    type: the memoized value of that type at the rectangular formula's point
+    (alpha, beta) = (-1/k, 1/n), which is also the two-parameter value of
+    the permutation matrix of w there."""
+    values, denom = _tables(w.n, Fraction(-1, k), Fraction(1, n))
+    return Fraction(values[w.cycle_type()][0], denom)
 
 
 def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction as F
 from functools import cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -1078,7 +1078,8 @@ def _det_power_coeff_naive(profile, k: int) -> int:
 
 def test_det_power_coeff_matches_unpruned_expansion():
     rng = SplitMix64(44)
-    cases = [(n, 1) for n in range(1, 6)] + [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+    # k >= 3 has layers where residuals of different prefixes merge
+    cases = [(n, 1) for n in range(1, 6)] + [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5), (3, 4)]
     for n, k in cases:
         for _ in range(6):
             profile = block_profile(random_perm(n * k, rng), n, k)
@@ -1090,6 +1091,15 @@ def test_det_power_coeff_matches_unpruned_expansion():
     for profile, k in [(mismatched, 1), (mismatched, 3), (BlockProfile(((0,),), 1, 0), 0)]:
         with pytest.raises(ValueError):
             det_power_coeff(profile, k)
+
+
+def test_det_power_coeff_closed_form_at_n2():
+    # det(X)^k = (x11 x22 - x12 x21)^k, so the profile ((a, k - a), (k - a, a))
+    # has coefficient (-1)^(k - a) C(k, a), up to the largest k the cap admits
+    for k in range(1, 24):
+        for a in range(k + 1):
+            profile = BlockProfile(((a, k - a), (k - a, a)), 2, k)
+            assert det_power_coeff(profile, k) == (-1) ** (k - a) * comb(k, a), (k, a)
 
 
 def test_det_power_coeff_checks_k_before_the_power():

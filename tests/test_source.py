@@ -91,3 +91,14 @@ def test_only_the_table_reader_runs_the_builder():
     # every class table of S_n, as grids, rows in alpha or values at one
     # point, is read through the one memoized reader _tables
     assert _readers("_cut_and_join") == ["adet.py:_tables"]
+
+
+def test_every_enumeration_of_s_n_is_pinned():
+    # every place the package lists S_n; the coefficient route lists it only
+    # through the memoized signed cells, which only det_power_coeff reads
+    assert _readers("perm_tuples") == [
+        "adet.py:_signed_cells",
+        "adet.py:subgroup_avg_adet",
+        "perms.py:enumerate_perms",
+    ]
+    assert _readers("_signed_cells") == ["adet.py:det_power_coeff"]

@@ -216,6 +216,13 @@ def test_theorem_case_walks_the_inflation_once(walks):
     assert adet_module._inflation_class_sums.cache_info().maxsize == 1
 
 
+def test_chi_makes_no_walk(walks):
+    # P(g) is a permutation matrix, whose one class sum is {type of g: 1}, so
+    # chi reads g's cycle type and walks nothing
+    assert verify_chi(2, 2, seed=0).passed
+    assert walks == []
+
+
 def test_chi_suite_exhaustive():
     report = verify_chi(2, 2, seed=0)
     assert report.passed
