@@ -100,8 +100,8 @@ def _cmd_verify(args) -> int:
     if suite == "theorem":
         report = verify_theorem(args.k, args.n, args.trials, **common)
     elif suite == "omega":
-        mu = parse_partition(args.mu) if args.mu else None
-        g = parse_perm(args.perm) if args.perm else None
+        mu = None if args.mu is None else parse_partition(args.mu)
+        g = None if args.perm is None else parse_perm(args.perm)
         report = verify_omega(args.k, args.n, mu=mu, g=g, **common)
     elif suite == "chi":
         report = verify_chi(args.k, args.n, samples=args.samples, **common)
@@ -122,7 +122,7 @@ def _cmd_verify(args) -> int:
     for case in report.cases:
         if case.status != "pass":
             print(f"FAIL {case.id}: {json.dumps(case.witness)}")
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(report.to_json() + "\n")
     return 0 if report.passed else 1
@@ -213,18 +213,10 @@ _SUITE_COMMON = [
 ]
 
 
-def _add_parsers(sub, table: dict, word: str | None, common=()) -> dict:
-    """Add to sub the parser of only the name that word gives, or of every
-    name in table when word gives none; returns them by name.  A lone
-    parser keeps all names in sub's usage metavar, so that a usage error
-    reads as it does with every parser added."""
-    names = list(table)
-    if word in table:
-        sub.metavar = "{" + ",".join(names) + "}"
-        names = [word]
+def _add_parsers(sub, table: dict, common=()) -> dict:
+    """Add to sub a parser for every name in table; returns them by name."""
     parsers = {}
-    for name in names:
-        help_text, handler, options = table[name]
+    for name, (help_text, handler, options) in table.items():
         p = parsers[name] = sub.add_parser(name, help=help_text)
         for flag, kwargs in [*options, *common]:
             p.add_argument(flag, **kwargs)
@@ -232,28 +224,63 @@ def _add_parsers(sub, table: dict, word: str | None, common=()) -> dict:
     return parsers
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for argv.  It adds only the command that argv's first word
-    names and, under verify, only the suite that its second word names; a
-    word that names none (-h, a typo, no word) adds every choice, so help
-    and usage errors are those of the full parser, build_parser()."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, the only source of help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="alphadet",
         description="Exact alpha-determinant computations and identity verification.",
     )
-    command = argv[0] if argv else None
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = _add_parsers(sub, COMMANDS, command).get("verify")
-    if verify is not None:
-        suite = argv[1] if command == "verify" and len(argv) > 1 else None
-        vsub = verify.add_subparsers(dest="suite", required=True)
-        _add_parsers(vsub, SUITES, suite, _SUITE_COMMON)
+    verify = _add_parsers(sub, COMMANDS)["verify"]
+    vsub = verify.add_subparsers(dest="suite", required=True)
+    _add_parsers(vsub, SUITES, _SUITE_COMMON)
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv), read straight from the tables when
+    argv is plain: a command, under verify a suite, then distinct
+    "--flag value" pairs with every required flag, each value valid and not
+    starting with "-".  None for any other argv (help, "=" forms,
+    abbreviations, bad values), which only the full parser answers."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    _, values["func"], options = COMMANDS[argv[0]]
+    pairs = argv[1:]
+    if argv[0] == "verify":
+        if len(argv) < 2 or argv[1] not in SUITES:
+            return None
+        values["suite"] = argv[1]
+        _, values["func"], options = SUITES[argv[1]]
+        options, pairs = [*options, *_SUITE_COMMON], argv[2:]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if len(pairs) % 2 or 2 * len(given) != len(pairs):
+        return None  # a flag without a value, or a repeated flag
+    for flag, spec in options:
+        text = given.pop(flag, None)
+        if text is None:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        elif text.startswith("-"):
+            return None
+        else:
+            try:
+                value = spec.get("type", str)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # the errors that argparse reports as usage errors
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[flag.lstrip("-").replace("-", "_")] = value
+    return None if given else argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except IdentityViolation as exc:

@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphadet.adet import ADET_CAP
-from alphadet.cli import COMMANDS, SUITES, build_parser, main
+from alphadet.cli import _SUITE_COMMON, COMMANDS, SUITES, _plain_args, build_parser, main
 from alphadet.errors import IdentityViolation
 from alphadet.matrices import RatMatrix
 from alphadet.perms import Perm
@@ -302,16 +305,16 @@ def test_verify_accepts_largest_seed(capsys):
     assert main(argv + ["--seed", str(2**64 - 1)]) == 0
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv)."""
+def _parse(parse, argv):
+    """(exit code, stdout, stderr, result) of parse(argv)."""
     out, err = io.StringIO(), io.StringIO()
-    code = namespace = None
+    code = result = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace = parser.parse_args(argv)
+            result = parse(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue(), namespace
+    return code, out.getvalue(), err.getvalue(), result
 
 
 _SEED = ["--seed", "3"]
@@ -337,22 +340,127 @@ _PARSER_ARGVS = [
 ]
 
 
+def _main_parse(argv, monkeypatch):
+    """(exit code, stdout, stderr, namespace) of main's parse of argv, on the
+    plain path or through the full parser: every handler in the tables is
+    replaced by one that only records the namespace it is given."""
+    seen = []
+    for table in (COMMANDS, SUITES):
+        for name, (help_text, _, options) in table.items():
+            monkeypatch.setitem(table, name, (help_text, seen.append, options))
+    code, out, err, _ = _parse(main, argv)
+    return code, out, err, seen[0] if seen else None
+
+
 @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
-def test_branch_parser_acts_as_the_full_parser(argv):
-    # help, usage errors and the namespace are the full parser's, byte for byte
-    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+def test_branch_parser_acts_as_the_full_parser(argv, monkeypatch):
+    # whichever branch main takes, plain path or fallback, help, usage
+    # errors and the namespace are the full parser's, byte for byte
+    parsed = _main_parse(argv, monkeypatch)
+    assert parsed == _parse(build_parser().parse_args, argv)
 
 
-def test_branch_parser_registers_only_the_named_branch():
-    for argv, other in [
-        (["adet", "--matrix", "m.json"], ["wrdet", "--matrix", "m.json", "--k", "1"]),
-        (["verify", "chi", "--k", "2", "--n", "2", *_SEED], ["omega", "--shape", "1", "--mu", "1", "--perm", "1"]),
-        (["verify", "chi", "--k", "2", "--n", "2", *_SEED], ["verify", "zsf", "--k", "2", "--n", "2", *_SEED]),
-        (["omega", "--shape", "1", "--mu", "1", "--perm", "1"], ["verify", "omega", "--k", "1", "--n", "1", *_SEED]),
-    ]:
-        assert _parse(build_parser(argv), argv)[0] is None
-        code, _, err, _ = _parse(build_parser(argv), other)
-        assert code == 2 and "invalid choice" in err
+def _readme_cli_examples():
+    """The argv of every `alphadet` line in the README's sh blocks."""
+    examples, in_sh = [], False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("alphadet "):
+            examples.append(shlex.split(line, comments=True)[1:])
+    return examples
+
+
+_WORKLOAD_ARGVS = [
+    workloads.suite_argv(w, slot)
+    for w in workloads.WORKLOADS.values()
+    for slot in range(workloads.DIGEST_SLOTS)
+]
+
+
+@pytest.mark.parametrize("argv", [*_WORKLOAD_ARGVS, *_readme_cli_examples()], ids=" ".join)
+def test_plain_path_reads_workloads_and_readme_examples(argv):
+    plain = _plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+def test_readme_cli_examples_are_found():
+    assert _readme_cli_examples()
+
+
+def test_workloads_parse_without_argparse(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed argv must not build an ArgumentParser")
+
+    monkeypatch.setattr(cli_module.argparse, "ArgumentParser", refuse)
+    for w in workloads.WORKLOADS.values():
+        assert main(workloads.suite_argv(w, 0)) == 0
+
+
+_FLAGS = sorted(
+    {flag for table in (COMMANDS, SUITES) for *_, options in table.values() for flag, _ in options}
+    | {flag for flag, _ in _SUITE_COMMON}
+)
+_bad_values = st.sampled_from(
+    ["-1", "-3", "", "0", "x", "1.5", " 2", "0x1", "2,2", "1/2", "-1/2",
+     str(2**64), str(2**64 - 1), "Oracle", "-h", "--"]
+)
+_noise = st.sampled_from(
+    [*_FLAGS, *(flag + "=2" for flag in _FLAGS), *(flag[:-1] for flag in _FLAGS if len(flag) > 4),
+     "-h", "--help", "--", "extra", "-k", "verify", "chi"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, well_formed): a plain argv with valid values when well_formed,
+    else one with bad values, words or flags, or a stray or missing token."""
+    well_formed = draw(st.booleans())
+    argv = [draw(st.sampled_from(list(COMMANDS) + ([] if well_formed else ["verfy"])))]
+    options = COMMANDS.get(argv[0], (None, None, []))[2]
+    if argv[0] == "verify":
+        argv.append(draw(st.sampled_from(list(SUITES) + ([] if well_formed else ["chii", "-h"]))))
+        options = [*SUITES.get(argv[1], (None, None, []))[2], *_SUITE_COMMON]
+    pairs = []
+    for flag, spec in options:
+        if spec.get("required") or draw(st.booleans()):
+            valid = st.sampled_from(spec.get("choices", ["1", "2", "3"]))
+            pairs.append([flag, draw(valid if well_formed else st.one_of(valid, _bad_values))])
+    argv += [token for pair in draw(st.permutations(pairs)) for token in pair]
+    if not well_formed:
+        for _ in range(draw(st.integers(0, 2))):
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(_noise, _bad_values)))
+        if pairs and draw(st.booleans()):
+            flag, value = draw(st.sampled_from(pairs))
+            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"], [flag]]))
+    return argv, well_formed
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(drawn=_argvs())
+def test_plain_path_is_the_full_parse_or_declines(drawn):
+    argv, well_formed = drawn
+    plain = _plain_args(argv)
+    assert plain is not None or not well_formed
+    if plain is not None:
+        code, out, err, namespace = _parse(build_parser().parse_args, argv)
+        assert (code, out, err) == (None, "", "")
+        assert vars(plain) == vars(namespace)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "omega", "--k", "2", "--n", "2", "--mu", "", "--seed", "1"],
+        ["verify", "omega", "--k", "2", "--n", "2", "--perm", "", "--seed", "1"],
+        ["verify", "chi", "--k", "2", "--n", "2", "--seed", "1", "--json", ""],
+    ],
+    ids=["mu", "perm", "json"],
+)
+def test_verify_empty_option_value_exits_2(argv, capsys):
+    # an empty value is a malformed value, not an absent option
+    _exits_2_without_traceback(argv, capsys)
 
 
 @pytest.mark.parametrize("argv, choices", [(["verfy"], COMMANDS), (["verify", "chii"], SUITES)])

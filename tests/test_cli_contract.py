@@ -84,8 +84,13 @@ matrix_text = st.one_of(
 MATRIX = "<matrix path>"
 
 
+def _pair(flag, token):
+    """flag with a drawn value, as "--flag value" or as "--flag=value"."""
+    return token.flatmap(lambda t: st.sampled_from([[flag, t], [f"{flag}={t}"]]))
+
+
 def _opt(flag, token):
-    return st.one_of(st.just([]), token.map(lambda t: [f"{flag}={t}"]))
+    return st.one_of(st.just([]), _pair(flag, token))
 
 
 @st.composite
@@ -100,27 +105,28 @@ def argv(draw):
             + draw(_opt("--beta", rational_token))
         )
     if command == "wrdet":
-        return ["wrdet", "--matrix", MATRIX, f"--k={draw(st.integers(-1, 4))}"]
+        return ["wrdet", "--matrix", MATRIX] + draw(_pair("--k", st.integers(-1, 4).map(str)))
     # sizes usually agree, so the commands get past their checks
     n = draw(st.integers(1, 6))
     if command == "kostka":
+        method = st.sampled_from(["oracle", "rect-formula"] * 3 + ["other"])
         return [
             "kostka",
-            f"--shape={draw(partition_token(n))}",
-            f"--weight={draw(partition_token(n))}",
-            f"--method={draw(st.sampled_from(['oracle', 'rect-formula'] * 3 + ['other']))}",
+            *draw(_pair("--shape", partition_token(n))),
+            *draw(_pair("--weight", partition_token(n))),
+            *draw(_pair("--method", method)),
         ]
     if command == "character":
         return [
             "character",
-            f"--shape={draw(partition_token(n))}",
-            f"--cycle-type={draw(partition_token(n))}",
+            *draw(_pair("--shape", partition_token(n))),
+            *draw(_pair("--cycle-type", partition_token(n))),
         ]
     return [
         "omega",
-        f"--shape={draw(partition_token(n))}",
-        f"--mu={draw(partition_token(n))}",
-        f"--perm={draw(perm_token(n))}",
+        *draw(_pair("--shape", partition_token(n))),
+        *draw(_pair("--mu", partition_token(n))),
+        *draw(_pair("--perm", perm_token(n))),
     ]
 
 
