@@ -19,14 +19,15 @@ so zeros prune it.  ``_typed_class_sums`` takes the row-permuted block-ones
 matrix P(g) 1_mu, whose letters of one type (column block, marked block)
 are interchangeable: the same split, over the counts of the letters of each
 type left, so the walk no longer grows with the orderings inside a block.
-It serves every structured value, one- and two-parameter, and the
-subgroup-averaged character, through ``translate_class_sums``; ``class_sums``
-serves the dense values and the inflation, and is the typed kernel's
-oracle.  Every two-parameter sum reads the cycle-class tables of S_n by
-class sums, and one builder, ``_cut_and_join``, makes them all at once by
-Jucys-Murphy cut-and-join, without enumerating S_n: the coefficients of the
-homogeneous central product prod_m (x + q J_m)(y + s J_m), one per cycle
-type, with the types coded as class-sum keys.  One memoized reader,
+It serves every structured value, one- and two-parameter, the
+subgroup-averaged character, through ``translate_class_sums``, and the
+block profiles of the inflation; ``class_sums`` serves the dense values,
+and is the typed kernel's oracle.  Every two-parameter sum reads the
+cycle-class tables of S_n by class sums, and one builder, ``_cut_and_join``,
+makes them all at once by Jucys-Murphy cut-and-join, without enumerating
+S_n: the coefficients of the homogeneous central product
+prod_m (x + q J_m)(y + s J_m), one per cycle type, with the types coded as
+class-sum keys.  One memoized reader,
 ``_tables(n, alpha, beta)``, runs it with each parameter either substituted
 or kept free as a packed power of two: ``adet2_poly`` reads the full
 (n+1) x (n+1) grids, the wreath average rows in alpha at beta = -1/k, and
@@ -38,7 +39,14 @@ sums, regrouped.  The walks and the tables of this module, and so every sum
 here, are bounded by the one cap ``ADET_CAP``.  The wreath average is the
 two-parameter determinant of the inflation at beta = -1/k.  The wreath
 determinant is the alpha-determinant of the same inflation at -1/k, so one
-memoized walk of the inflation serves both sides of the main identity.
+memoized sum of the inflation's class sums serves both sides of the main
+identity.  The inflation is unchanged by the column permutations inside
+S_k^n, so that sum regroups by block profile, the n x n count of the rows of
+each row block that pick each column block: a weight read from the matrix
+times the class sums of any 0/1 selection of that profile, walked by letter
+type once per orbit of profiles of (k, n).  ``class_sums`` walks the
+inflation only at k = 1, where it is the matrix itself, and where the
+profiles are at least as many as its 2^kn letter sets.
 """
 
 from __future__ import annotations
@@ -54,10 +62,12 @@ from .matrices import (
     RatMatrix,
     block_type_counts,
     inflate,
+    profile_type_counts,
+    require_inflatable,
     scaled_int_rows,
 )
 from .partitions import _partitions
-from .perms import Perm, _embed, _trans_len, perm_tuples
+from .perms import Perm, _embed, _trans_len, block_profile_count, block_profiles, perm_tuples
 from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
@@ -417,22 +427,105 @@ def _typed_class_sums(
 
 
 @lru_cache(maxsize=1)
+def _profile_class_sums(k: int, n: int) -> dict[tuple[tuple[int, ...], ...], list]:
+    """Every n x n block profile M with sums k, mapped to a one-item slot
+    that holds w(M) once a matrix first weighs M nonzero, and None before:
+    w(M) is ``_typed_class_sums`` of the type counts ((r, b), M_rb), the class
+    sums of inflate(E, k) for every 0/1 kn x n matrix E whose rows pick
+    column b M_rb times in row block r.
+
+    The profiles of one orbit share their slot.  Relabeling the blocks
+    conjugates the permutations of a profile by a permutation that keeps
+    S_k^n, permuting the rows and columns of M together, and inverting them
+    transposes M; neither changes a cycle type, so w is constant on the
+    orbit that the swaps of adjacent blocks and the transposition generate.
+    The slots are the same for every matrix of (k, n), and the memo keeps
+    the last (k, n), as ``_tables`` keeps a suite's reading.
+    """
+    slots: dict[tuple[tuple[int, ...], ...], list] = {}
+    for m in block_profiles(k, n):
+        if m in slots:
+            continue
+        slot = slots[m] = [None]
+        orbit = [m]
+        while orbit:
+            g = orbit.pop()
+            for h in (tuple(zip(*g)), *(_swap_blocks(g, i) for i in range(n - 1))):
+                if h not in slots:
+                    slots[h] = slot
+                    orbit.append(h)
+    return slots
+
+
+def _swap_blocks(m: tuple[tuple[int, ...], ...], i: int) -> tuple[tuple[int, ...], ...]:
+    """The profile m with blocks i and i + 1 relabeled: rows i and i + 1
+    swapped, and columns i and i + 1."""
+    rows = [(*r[:i], r[i + 1], r[i], *r[i + 2 :]) for r in m]
+    rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return tuple(rows)
+
+
+@lru_cache(maxsize=1)
 def _inflation_class_sums(
     a: RatMatrix, k: int
 ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """(pairs, denom): the class sums of inflate(a, k) scaled to integer rows
-    over the common denominator denom, refused by the cap on kn before the
-    kn x kn inflation is built; inflate itself refuses k < 1 and a shape
-    that is not kn x n.
+    over the common denominator denom.  k < 1 and a shape that is not kn x n
+    are refused first, as ``inflate`` refuses them, and then the cap on kn,
+    before any work.
 
-    The walk is memoized on (a, k), and a RatMatrix hashes and compares by
+    Row i of the inflation repeats row i of a, so a permutation's entry
+    product picks, in each row i, an entry a_ib of the column block b that
+    row i's column lies in, each block picked k times.  Grouped by the block
+    profile M, M_rb the rows of row block r that pick b, that is
+        class_sums(inflate(a, k)) = sum_M weight(M) w(M),
+        weight(M) = prod_r [x^(M_r)] prod_(i in block r) sum_b a_ib x_b,
+    with w(M) the class sums of any 0/1 selection of profile M, memoized
+    per orbit of profiles by ``_profile_class_sums``; only profiles of
+    nonzero weight are walked, one per orbit.  At k = 1 the inflation is a
+    itself, which ``class_sums`` walks directly, and where the P(k, n)
+    profiles are at least the 2^kn letter sets of the inflation, as at
+    (2, 4), it walks the inflation.
+
+    The sum is memoized on (a, k), and a RatMatrix hashes and compares by
     its entries, so ``wreath_average_poly`` and ``wrdet`` of one matrix, the
-    two sides of the main identity, share one walk of the inflation.
+    two sides of the main identity, share it.
     """
-    if a.rows == k * a.cols:
-        _check_adet_cap(a.rows)
-    rows, scale = scaled_int_rows(inflate(a, k))
-    return tuple(class_sums(rows).items()), scale ** len(rows)
+    require_inflatable(a, k)
+    _check_adet_cap(a.rows)
+    if k > 1 and block_profile_count(k, a.cols) >= 1 << a.rows:
+        a, k = inflate(a, k), 1
+    rows, scale = scaled_int_rows(a)
+    denom = scale ** len(rows)
+    if k == 1:
+        return tuple(class_sums(rows).items()), denom
+    n = a.cols
+    # coefficients[r][v] = [x^v] prod_(i in block r) sum_b rows[i][b] x_b
+    coefficients = []
+    for r in range(n):
+        poly = {(0,) * n: 1}
+        for row in rows[r * k : r * k + k]:
+            grown: dict[tuple[int, ...], int] = {}
+            for v, c in poly.items():
+                for b, e in enumerate(row):
+                    if e:
+                        u = (*v[:b], v[b] + 1, *v[b + 1 :])
+                        grown[u] = grown.get(u, 0) + c * e
+            poly = grown
+        coefficients.append(poly)
+    total: dict[tuple[int, ...], int] = {}
+    for m, slot in _profile_class_sums(k, n).items():
+        weight = 1
+        for poly, row in zip(coefficients, m):
+            weight *= poly.get(row, 0)
+        if not weight:
+            continue
+        w = slot[0]
+        if w is None:
+            w = slot[0] = _typed_class_sums(profile_type_counts(m))
+        for rho, v in w.items():
+            total[rho] = total.get(rho, 0) + weight * v
+    return tuple((rho, v) for rho, v in total.items() if v), denom
 
 
 def _weigh(
@@ -530,7 +623,9 @@ def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
 
 def wrdet(a: RatMatrix, k: int) -> Fraction:
     """k-wreath determinant of a kn x n matrix: the alpha-determinant of
-    the k-fold column inflation, evaluated at -1/k."""
+    the k-fold column inflation, evaluated at -1/k, from the inflation's
+    class sums by block profile, which ``wreath_average_poly`` of the same
+    matrix shares."""
     sums, denom = _inflation_class_sums(a, k)
     # one row: a polynomial in the second variable
     return eval_grid([_length_counts(sums, a.rows)], denom, 0, Fraction(-1, k))
@@ -543,8 +638,9 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     That is the two-parameter determinant of the inflation at beta = -1/k:
     the pair (tau, sigma) contributes alpha^len(tau) (-1/k)^len(sigma) times
     the entry product of tau on the column-permuted inflation.  The class
-    sums of the inflation weigh the memoized table rows at beta, whose
-    entry i is the coefficient of alpha^i over their common denominator.
+    sums of the inflation, summed by block profile and shared with ``wrdet``
+    of the same matrix, weigh the memoized table rows at beta, whose entry i
+    is the coefficient of alpha^i over their common denominator.
     """
     sums, denom = _inflation_class_sums(a, k)
     rows, row_denom = _tables(a.rows, None, Fraction(-1, k))

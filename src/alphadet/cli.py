@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -94,26 +95,48 @@ def _cmd_omega(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _run_suite(args):
+    """The report of the suite that args name."""
     suite = args.suite
     common = {"seed": args.seed, "workers": args.workers}
     if suite == "theorem":
-        report = verify_theorem(args.k, args.n, args.trials, **common)
-    elif suite == "omega":
+        return verify_theorem(args.k, args.n, args.trials, **common)
+    if suite == "omega":
         mu = None if args.mu is None else parse_partition(args.mu)
         g = None if args.perm is None else parse_perm(args.perm)
-        report = verify_omega(args.k, args.n, mu=mu, g=g, **common)
-    elif suite == "chi":
-        report = verify_chi(args.k, args.n, samples=args.samples, **common)
-    elif suite == "stanley":
-        report = verify_stanley(args.k, args.n, args.m, **common)
-    elif suite == "zsf":
-        report = verify_zsf(args.k, args.n, samples=args.samples, **common)
-    elif suite == "weak-alt":
-        report = verify_weak_alternating(args.size, args.k, args.trials, **common)
-    else:
-        report = verify_fourier_jm(args.size, **common)
+        return verify_omega(args.k, args.n, mu=mu, g=g, **common)
+    if suite == "chi":
+        return verify_chi(args.k, args.n, samples=args.samples, **common)
+    if suite == "stanley":
+        return verify_stanley(args.k, args.n, args.m, **common)
+    if suite == "zsf":
+        return verify_zsf(args.k, args.n, samples=args.samples, **common)
+    if suite == "weak-alt":
+        return verify_weak_alternating(args.size, args.k, args.trials, **common)
+    return verify_fourier_jm(args.size, **common)
 
+
+def _cmd_verify(args) -> int:
+    """Run a suite, print its summary and write its report to the --json path.
+
+    The path is opened before the suite runs, so a path that cannot be
+    written is refused before any case.  It is opened for appending and an
+    existing file is emptied only once the report is ready: a suite that
+    raises leaves an existing file as it was, and removes a file that it
+    created.
+    """
+    handle, created = None, False
+    if args.json is not None:
+        created = not os.path.exists(args.json)
+        handle = open(args.json, "a", encoding="utf-8")
+    try:
+        report = _run_suite(args)
+    except BaseException:
+        if handle is not None:
+            handle.close()
+            if created:
+                os.remove(args.json)
+        raise
     print(
         f"suite={report.suite} params={json.dumps(report.params)} "
         f"seed={report.seed} cases={report.case_count} status={report.status} "
@@ -122,8 +145,10 @@ def _cmd_verify(args) -> int:
     for case in report.cases:
         if case.status != "pass":
             print(f"FAIL {case.id}: {json.dumps(case.witness)}")
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
+    if handle is not None:
+        with handle:
+            if not created:  # a file it created is still empty
+                handle.truncate(0)
             handle.write(report.to_json() + "\n")
     return 0 if report.passed else 1
 

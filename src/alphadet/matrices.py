@@ -153,12 +153,18 @@ def perm_matrix(sigma: Perm) -> RatMatrix:
     )
 
 
-def inflate(a: RatMatrix, k: int) -> RatMatrix:
-    """Repeat each column k times in place, turning kn x n into kn x kn."""
+def require_inflatable(a: RatMatrix, k: int) -> None:
+    """Refuse k < 1 and a shape that is not kn x n, the inputs that
+    ``inflate`` takes."""
     if k < 1:
         raise ValueError("k must be positive")
     if a.rows != k * a.cols:
         raise DimensionMismatch(f"need kn x n input, got {a.rows}x{a.cols} with k={k}")
+
+
+def inflate(a: RatMatrix, k: int) -> RatMatrix:
+    """Repeat each column k times in place, turning kn x n into kn x kn."""
+    require_inflatable(a, k)
     return RatMatrix([[v for v in row for _ in range(k)] for row in a.entries])
 
 
@@ -244,6 +250,13 @@ def block_type_counts(g: Perm, mu: Sequence[int]) -> tuple[tuple[tuple[int, int]
         t = (labels[v - 1], label)
         counts[t] = counts.get(t, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def profile_type_counts(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((r, b), m_rb) pairs, sorted, nonzero only, for an n x n block profile
+    grid m with sums k: ``block_type_counts(g, (k,) * n)`` of every g whose
+    inverse has the block profile m, read from the grid without a g."""
+    return tuple(((r, b), c) for r, row in enumerate(m) for b, c in enumerate(row) if c)
 
 
 def block_word_rows(word: Sequence[int], labels: Sequence[int]) -> list[tuple[int, ...]]:

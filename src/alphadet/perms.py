@@ -1,16 +1,18 @@
 """Permutations of {1..n}: cycle statistics, enumeration, Young-subgroup
 blocks and orders, the Jucys-Murphy group-algebra product, block profiles
-and double-coset indices.
+with their enumeration and count, and double-coset indices.
 
 One-line notation is 1-based everywhere, matching the serialized form
 "2,1,3".  Everything is exhaustive by design, except the double-coset
-index, which has a closed form in the block profile; size caps raise
-SizeCapExceeded instead of degrading.
+index, which has a closed form in the block profile, and the block
+profiles, which are listed and counted as grids, not from S_kn; size caps
+raise SizeCapExceeded instead of degrading.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -263,6 +265,54 @@ def block_profile(sigma: Perm, n: int, k: int) -> BlockProfile:
     for s, image in enumerate(sigma.images, start=1):
         grid[(s - 1) // k][(image - 1) // k] += 1
     return BlockProfile(tuple(tuple(r) for r in grid), n, k)
+
+
+@cache
+def _rows_within(k: int, residual: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every row of non-negative integers summing to k that fits under the
+    residual column sums, in lexicographic order."""
+    if not residual:
+        return ((),) if k == 0 else ()
+    return tuple(
+        (v, *rest)
+        for v in range(min(k, residual[0]) + 1)
+        for rest in _rows_within(k - v, residual[1:])
+    )
+
+
+def block_profiles(k: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every n x n grid of non-negative integers whose rows and columns all
+    sum to k, row by row in lexicographic order: the grids ``m`` of the
+    block profiles of S_kn, one per double coset of S_k^n, without
+    enumerating S_kn.  The last row is what the others leave of each column."""
+
+    def grow(rows: tuple[tuple[int, ...], ...], residual: tuple[int, ...]):
+        if len(rows) == n - 1:
+            yield (*rows, residual)
+            return
+        for row in _rows_within(k, residual):
+            yield from grow((*rows, row), tuple(r - v for r, v in zip(residual, row)))
+
+    return grow((), (k,) * n) if n else iter(((),))
+
+
+@cache
+def block_profile_count(k: int, n: int) -> int:
+    """The number of n x n block profiles with sums k, counted row by row
+    over the multiset of column residuals, without listing the profiles:
+    the profiles that complete a partial grid depend only on its residual
+    column sums, up to order."""
+
+    @cache
+    def count(residual: tuple[int, ...]) -> int:
+        if not any(residual):
+            return 1
+        return sum(
+            count(tuple(sorted(r - v for r, v in zip(residual, row))))
+            for row in _rows_within(k, residual)
+        )
+
+    return count((k,) * n)
 
 
 def double_coset_index(sigma: Perm, n: int, k: int) -> int:

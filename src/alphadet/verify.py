@@ -202,8 +202,9 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     polynomial equality, on seeded random integer matrices.
 
     Both sides are functionals of the one inflation of a case's matrix, so
-    one walk of its class sums serves both; the content polynomial is the
-    same for every case and is built once per suite."""
+    one sum of its class sums by block profile serves both, and the class
+    sums of each profile are walked once per suite; the content polynomial
+    is the same for every case and is built once per suite."""
     _require(k >= 1 and n >= 1 and trials >= 1, "k, n, trials must be positive")
     check_kn_cap(k * n)
     t0 = time.monotonic()

@@ -928,6 +928,126 @@ def test_inflation_memo_serves_no_stale_matrix():
     assert adet_module._inflation_class_sums.cache_info().hits == 8
 
 
+# every (k, n) with k >= 2 and kn <= 8, and the cap's (3, 3) and (9, 1)
+PROFILE_SIZES = [(k, n) for k in range(2, 9) for n in range(1, 8 // k + 1)] + [(3, 3), (9, 1)]
+
+
+def _inflation_oracle(a: RatMatrix, k: int):
+    """Oracle: the dense walk of the integer-scaled inflation."""
+    rows, scale = scaled_int_rows(inflate(a, k))
+    return class_sums(rows), scale ** len(rows)
+
+
+@pytest.fixture
+def profile_route(monkeypatch):
+    """_inflation_class_sums with the profile sum at every k >= 2, (2, 4)
+    included, and with empty memos before and after."""
+    monkeypatch.setattr(adet_module, "block_profile_count", lambda k, n: 0)
+    adet_module._inflation_class_sums.cache_clear()
+    adet_module._profile_class_sums.cache_clear()
+    yield adet_module._inflation_class_sums
+    adet_module._inflation_class_sums.cache_clear()
+    adet_module._profile_class_sums.cache_clear()
+
+
+def test_profile_sum_matches_the_dense_walk(profile_route):
+    # the matrices of one (k, n) share the profile memo, which each one
+    # fills further
+    rng = SplitMix64(2201)
+    for k, n in PROFILE_SIZES:
+        a = random_matrix(k * n, n, rng.next_u64())
+        rational = RatMatrix(
+            [[e / (1 + (i + 2 * j) % 5) for j, e in enumerate(row)]
+             for i, row in enumerate(a.entries)]
+        )
+        zero_row = RatMatrix([[0] * n, *a.entries[1:]])
+        replicator = column_replicator(n, k)
+        permuted = replicator.permute_rows(random_perm(k * n, rng))
+        for m in (a, rational, zero_row, replicator, permuted):
+            profile_route.cache_clear()
+            pairs, denom = profile_route(m, k)
+            assert all(total for _, total in pairs)
+            assert (dict(pairs), denom) == _inflation_oracle(m, k), (k, n, m)
+    for k in (2, 3):
+        assert profile_route(RatMatrix(()), k) == ((((), 1),), 1)
+    # the profile terms of the type (2, 1, 1) cancel here, and the sum
+    # drops it, as class_sums does
+    cancelling = RatMatrix([[2, 2], [-1, 2], [1, 1], [-1, -1]])
+    pairs, _ = profile_route(cancelling, 2)
+    assert len(pairs) == 4 and dict(pairs) == _inflation_oracle(cancelling, 2)[0]
+
+
+def _no_dense_walk(rows):
+    raise AssertionError("the inflation was walked densely")
+
+
+def test_profile_sum_walks_only_profiles_of_nonzero_weight(profile_route, monkeypatch):
+    # a column replicator weighs only the profile k I, permuted rows only
+    # their own profile, so each walks one typed count and no dense matrix
+    walked = []
+    real = adet_module._typed_class_sums
+    monkeypatch.setattr(adet_module, "class_sums", _no_dense_walk)
+    monkeypatch.setattr(adet_module, "_typed_class_sums", lambda c: walked.append(c) or real(c))
+    rng = SplitMix64(2202)
+    for k, n in [(2, 3), (3, 3), (2, 4)]:
+        g = random_perm(k * n, rng)
+        profile_route(column_replicator(n, k).permute_rows(g), k)
+        assert walked == [block_type_counts(g, (k,) * n)], (k, n)
+        walked.clear()
+
+
+def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
+    # relabeling the blocks (rows and columns permuted together) and
+    # transposing keep w(M); the slots are exactly those orbits
+    for k, n in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2), (3, 2), (6, 1)]:
+        slots = adet_module._profile_class_sums(k, n)
+        assert set(slots) == set(perms_module.block_profiles(k, n))
+        assert len(slots) == perms_module.block_profile_count(k, n)
+        orbits: dict = {}
+        for m in slots:
+            images = {
+                tuple(tuple(g[i][j] for j in p) for i in p)
+                for p in itertools.permutations(range(n))
+                for g in (m, tuple(zip(*m)))
+            }
+            orbits.setdefault(min(images), []).append(m)
+        assert len({id(slot) for slot in slots.values()}) == len(orbits), (k, n)
+        for members in orbits.values():
+            assert len({id(slots[m]) for m in members}) == 1
+            sums = [
+                adet_module._typed_class_sums(matrices_module.profile_type_counts(m))
+                for m in members
+            ]
+            assert all(w == sums[0] for w in sums), (k, n, members)
+
+
+def test_dense_walk_runs_only_at_k1_and_2_4(monkeypatch):
+    # the inflation is walked densely where its P(k, n) block profiles are
+    # at least its 2^kn letter sets: within the cap only at (2, 4); at k = 1
+    # the inflation is the matrix itself, walked as it is
+    walked = []
+    real = adet_module.class_sums
+    monkeypatch.setattr(adet_module, "class_sums", lambda rows: walked.append(rows) or real(rows))
+    rng = SplitMix64(2203)
+    for size in range(1, ADET_CAP + 1):
+        for k in range(1, size + 1):
+            if size % k:
+                continue
+            n = size // k
+            a = random_matrix(size, n, rng.next_u64())
+            adet_module._inflation_class_sums.cache_clear()
+            pairs, _ = adet_module._inflation_class_sums(a, k)
+            dense = k == 1 or (k, n) == (2, 4)
+            if dense:
+                (rows,) = walked
+                assert rows == scaled_int_rows(a if k == 1 else inflate(a, k))[0]
+            else:
+                assert walked == []
+            assert dict(pairs) == _inflation_oracle(a, k)[0], (k, n)
+            walked.clear()
+    adet_module._inflation_class_sums.cache_clear()
+
+
 def test_wreath_average_left_invariance():
     a = random_matrix(4, 2, 33)
     for g in _young_subgroup((2, 2)):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from alphadet.adet import ADET_CAP
 from alphadet.cli import _SUITE_COMMON, COMMANDS, SUITES, _plain_args, build_parser, main
-from alphadet.errors import IdentityViolation
+from alphadet.errors import IdentityViolation, SizeCapExceeded
 from alphadet.matrices import RatMatrix
 from alphadet.perms import Perm
 import alphadet.adet as adet_module
@@ -461,6 +461,50 @@ def test_plain_path_is_the_full_parse_or_declines(drawn):
 def test_verify_empty_option_value_exits_2(argv, capsys):
     # an empty value is a malformed value, not an absent option
     _exits_2_without_traceback(argv, capsys)
+
+
+def _suite_must_not_run(*args, **kwargs):
+    raise AssertionError("the suite ran before its --json path was opened")
+
+
+@pytest.mark.parametrize("where", ["empty", "missing directory", "directory"])
+def test_unwritable_json_path_exits_2_before_the_suite(where, tmp_path, monkeypatch, capsys):
+    # the report's path is opened first: an unwritable one wastes no run,
+    # prints no summary and leaves no file behind
+    path = {"empty": "", "missing directory": str(tmp_path / "missing" / "r.json"),
+            "directory": str(tmp_path)}[where]
+    monkeypatch.setattr(cli_module, "verify_chi", _suite_must_not_run)
+    argv = ["verify", "chi", "--k", "2", "--n", "2", "--seed", "1", "--json", path]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_suite_leaves_the_json_path_as_it_was(tmp_path, monkeypatch, capsys):
+    # a suite that raises after the path is opened truncates no existing
+    # report and removes a file it created
+    def refuse(*args, **kwargs):
+        raise SizeCapExceeded("refused")
+
+    monkeypatch.setattr(cli_module, "verify_chi", refuse)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("earlier report\n")
+    for path in (old, new):
+        argv = ["verify", "chi", "--k", "2", "--n", "2", "--seed", "1", "--json", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: refused\n")
+    assert old.read_text() == "earlier report\n"
+    assert not new.exists()
+
+
+def test_json_report_replaces_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("x" * 100000)
+    assert main(["verify", "chi", "--k", "2", "--n", "2", "--seed", "1", "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["suite"] == "chi"
+    assert "status=pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, choices", [(["verfy"], COMMANDS), (["verify", "chii"], SUITES)])

@@ -8,7 +8,7 @@ import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 
 from alphadet.errors import SizeCapExceeded
-from alphadet.matrices import perm_matrix
+from alphadet.matrices import block_type_counts, perm_matrix, profile_type_counts
 from alphadet.partitions import content_poly
 from alphadet.perms import (
     FOURIER_JM_CAP,
@@ -18,6 +18,8 @@ from alphadet.perms import (
     _embed,
     _trans_len,
     block_profile,
+    block_profile_count,
+    block_profiles,
     double_coset_index,
     enumerate_perms,
     format_perm,
@@ -324,3 +326,60 @@ def test_double_coset_index_divides_group_order():
         for _ in range(10):
             idx = double_coset_index(random_perm(n * k, rng), n, k)
             assert order % idx == 0
+
+
+def test_block_profile_count_known_values():
+    # the number of n x n non-negative integer grids with every row and
+    # column sum k: 2 x 2 grids are (a, k - a; k - a, a), and k = 1 gives S_n
+    assert [block_profile_count(2, n) for n in range(1, 7)] == [1, 3, 21, 282, 6210, 202410]
+    assert [block_profile_count(k, n) for k, n in [(3, 3), (3, 4), (4, 3)]] == [55, 2008, 120]
+    assert [block_profile_count(k, 2) for k in range(6)] == [k + 1 for k in range(6)]
+    assert [block_profile_count(1, n) for n in range(8)] == [factorial(n) for n in range(8)]
+    assert block_profile_count(5, 0) == block_profile_count(0, 5) == 1
+
+
+def test_block_profile_count_is_the_enumerators_length():
+    for size in range(10):
+        for k in range(1, size + 1):
+            if size % k == 0:
+                n = size // k
+                assert sum(1 for _ in block_profiles(k, n)) == block_profile_count(k, n), (k, n)
+    assert list(block_profiles(3, 0)) == [()]
+
+
+def test_block_profiles_match_the_profiles_of_s_kn():
+    # every grid is a profile, once each, and every profile of S_kn is listed
+    for size in range(1, 7):
+        for k in range(1, size + 1):
+            if size % k:
+                continue
+            n = size // k
+            listed = list(block_profiles(k, n))
+            assert len(set(listed)) == len(listed) and listed == sorted(listed)
+            seen = {block_profile(g, n, k).m for g in enumerate_perms(size)}
+            assert set(listed) == seen, (k, n)
+            for m in listed:
+                assert BlockProfile(m, n, k).m == m
+
+
+def test_block_profiles_list_no_permutation(monkeypatch):
+    # the profiles and their count come from the grid alone, not from S_kn
+    def no_perms(n):
+        raise AssertionError("S_kn was listed")
+
+    monkeypatch.setattr(perms_module, "perm_tuples", no_perms)
+    monkeypatch.setattr(perms_module, "enumerate_perms", no_perms)
+    block_profile_count.cache_clear()
+    assert sum(1 for _ in block_profiles(2, 5)) == block_profile_count(2, 5) == 6210
+
+
+def test_profile_type_counts_are_the_block_type_counts():
+    # the type counts of P(g) 1_(k^n) are the block profile of g^-1
+    for size in range(1, 7):
+        for k in range(1, size + 1):
+            if size % k:
+                continue
+            n = size // k
+            for g in enumerate_perms(size):
+                m = block_profile(g.inverse(), n, k).m
+                assert profile_type_counts(m) == block_type_counts(g, (k,) * n), (g, k)

@@ -102,3 +102,9 @@ def test_every_enumeration_of_s_n_is_pinned():
         "perms.py:enumerate_perms",
     ]
     assert _readers("_signed_cells") == ["adet.py:det_power_coeff"]
+
+
+def test_only_the_inflation_sum_reads_the_profile_sums():
+    # the per-profile class sums are one memo of (k, n), weighed by the
+    # profile weights of one matrix in one place
+    assert _readers("_profile_class_sums") == ["adet.py:_inflation_class_sums"]

@@ -107,6 +107,7 @@ def clear_walk_memos():
     test is served from them."""
     adet_module.translate_class_sums.cache_clear()
     adet_module._inflation_class_sums.cache_clear()
+    adet_module._profile_class_sums.cache_clear()
 
 
 def test_chi_omega_and_stanley_never_build_the_tables(monkeypatch):
@@ -209,11 +210,23 @@ def test_structured_suites_build_no_rows(monkeypatch):
 
 
 def test_theorem_case_walks_the_inflation_once(walks):
-    # the wreath average and the wreath determinant share one walk of the inflation
+    # the wreath average and the wreath determinant share one sum of the
+    # inflation's class sums; at (2, 3) it walks one block profile of each
+    # orbit of nonzero weight, by letter type, never the dense inflation,
+    # and a second matrix walks only the orbits that the first did not
+    profiles = {matrices_module.profile_type_counts(m) for m in perms_module.block_profiles(2, 3)}
     result = verify_module._theorem_case((2, 3, 0, 91, content_poly((2, 2, 2))))
     assert result.status == "pass"
-    assert len(walks) == 1
+    first = list(walks)
+    orbits = {id(slot) for slot in adet_module._profile_class_sums(2, 3).values()}
+    assert 0 < len(first) <= len(orbits) == 8
+    assert len(set(first)) == len(first) and set(first) <= profiles
+    walks.clear()
+    result = verify_module._theorem_case((2, 3, 1, 92, content_poly((2, 2, 2))))
+    assert result.status == "pass"
+    assert len(set(walks)) == len(walks) and set(walks) <= profiles - set(first)
     assert adet_module._inflation_class_sums.cache_info().maxsize == 1
+    assert adet_module._profile_class_sums.cache_info().maxsize == 1
 
 
 def test_chi_makes_no_walk(walks):
