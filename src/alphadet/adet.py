@@ -493,6 +493,8 @@ def _inflation_class_sums(
     """
     require_inflatable(a, k)
     _check_adet_cap(a.rows)
+    # within the cap only (2, 4), where grouping its 282 profiles costs more
+    # than the dense walks of the few matrices a suite such as zsf sums
     if k > 1 and block_profile_count(k, a.cols) >= 1 << a.rows:
         a, k = inflate(a, k), 1
     rows, scale = scaled_int_rows(a)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -504,6 +505,13 @@ def test_json_report_replaces_an_existing_file(tmp_path, capsys):
     path.write_text("x" * 100000)
     assert main(["verify", "chi", "--k", "2", "--n", "2", "--seed", "1", "--json", str(path)]) == 0
     assert json.loads(path.read_text())["suite"] == "chi"
+    assert "status=pass" in capsys.readouterr().out
+
+
+def test_json_report_to_a_device_that_exists(capsys):
+    # a path that is not a regular file, such as the null device, takes the
+    # report as a plain write does
+    assert main(["verify", "chi", "--k", "2", "--n", "2", "--seed", "1", "--json", os.devnull]) == 0
     assert "status=pass" in capsys.readouterr().out
 
 
