@@ -43,17 +43,22 @@ memoized sum of the inflation's class sums serves both sides of the main
 identity.  The inflation is unchanged by the column permutations inside
 S_k^n, so that sum regroups by block profile, the n x n count of the rows of
 each row block that pick each column block: a weight read from the matrix
-times the class sums of any 0/1 selection of that profile, walked by letter
-type once per orbit of profiles of (k, n).  ``class_sums`` walks the
-inflation only at k = 1, where it is the matrix itself, and where the
-profiles are at least as many as its 2^kn letter sets.
+times the class sums of any 0/1 selection of that profile.  Those are the
+class sums of P(g) 1_(k^n) too, for every g whose inverse has the profile,
+so one memo of (k, n), ``_orbit_slots``, keeps them for both readers, the
+inflation's sum and ``translate_class_sums`` at a rectangular mu, in one
+slot per orbit of profiles under relabeling the blocks and transposing:
+each orbit is walked by letter type once per process.  ``class_sums``
+walks the inflation only at k = 1, where it is the matrix itself, and
+where the profiles are at least as many as its 2^kn letter sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, SizeCapExceeded
@@ -279,10 +284,100 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
 
     They are walked by letter type from the type counts of P(g) 1_mu, which
     depend on g only through its double coset S_mu g S_mu; no n x n rows are
-    built.  The memo keeps the last (g, mu), so the two sums of one case
+    built.  At a rectangular mu = (k^n) with k >= 2 the type counts are the
+    block profile of g^-1, and the walk is kept in its orbit's slot of
+    ``_orbit_slots(k, n)``, so each orbit of profiles is walked once however
+    many g meet it, and a theorem run of the same (k, n) shares the walks.
+    At k = 1 the orbits are the conjugacy classes of S_n and every g is its
+    own walk, so mu = 1^n, like any mu that is not rectangular, walks
+    directly.  The memo keeps the last (g, mu), so the two sums of one case
     that read it count its types once.
     """
-    return tuple(_typed_class_sums(block_type_counts(g, mu)).items())
+    counts = block_type_counts(g, mu)
+    k = mu[0] if mu else 1
+    if k == 1 or any(part != k for part in mu):
+        return tuple(_typed_class_sums(counts).items())
+    n = len(mu)
+    profile = [0] * (n * n)
+    for (a, b), m in counts:
+        profile[a * n + b] = m
+    slot = _orbit_slots(k, n)[tuple(profile)]
+    if slot[0] is None:
+        slot[0] = tuple(_typed_class_sums(counts).items())
+    return slot[0]
+
+
+class _OrbitSlots(dict):
+    """The n x n block profiles of one (k, n), flat in row-major order, each
+    mapped to a one-item slot that holds its class sums once walked and None
+    before; see ``_orbit_slots``.  A profile read for the first time is
+    grouped with its whole orbit under one new slot, except the memo's first
+    profile, which is grouped only when a second one is read: a run that
+    reads one profile of (k, n), as ``omega`` does at each weight, groups
+    nothing.  listing keeps what ``_profile_class_sums`` lists, once it has."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.alone: tuple[int, ...] | None = None  # the first profile, not yet grouped
+        self.listing: dict[tuple[tuple[int, ...], ...], list] | None = None
+
+    @cached_property
+    def moves(self) -> tuple[itemgetter, ...]:
+        """Index maps of the generators: the transposition, and the swaps of
+        blocks i and i + 1 in the rows and the columns together."""
+        n = self.n
+        cells = range(n * n)
+        moves = []
+        if n > 1:
+            moves.append(itemgetter(*(c % n * n + c // n for c in cells)))
+        for i in range(n - 1):
+            swap = list(range(n))
+            swap[i], swap[i + 1] = i + 1, i
+            moves.append(itemgetter(*(swap[c // n] * n + swap[c % n] for c in cells)))
+        return tuple(moves)
+
+    def __missing__(self, profile: tuple[int, ...]) -> list:
+        if not self:
+            self.alone = profile
+            slot = self[profile] = [None]
+            return slot
+        if self.alone is not None:
+            first, self.alone = self.alone, None
+            self._group(first, self[first])
+            if profile in self:
+                return self[profile]
+        slot = [None]
+        self._group(profile, slot)
+        return slot
+
+    def _group(self, profile: tuple[int, ...], slot: list) -> None:
+        self[profile] = slot
+        orbit = [profile]
+        while orbit:
+            m = orbit.pop()
+            for move in self.moves:
+                h = move(m)
+                if h not in self:
+                    self[h] = slot
+                    orbit.append(h)
+
+
+@lru_cache(maxsize=1)
+def _orbit_slots(k: int, n: int) -> _OrbitSlots:
+    """The one memo of the class sums of the 0/1 selections of each block
+    profile M of (k, n), shared by ``translate_class_sums`` at mu = (k^n)
+    and the inflation's sum by profile.  Relabeling the blocks conjugates
+    the permutations of a profile by a permutation that keeps S_k^n,
+    permuting the rows and columns of M together, and inverting them
+    transposes M; neither changes a cycle type, so the class sums are
+    constant on the orbit that the swaps of adjacent blocks and the
+    transposition generate, and its profiles share one slot.  Orbits are
+    grouped as their profiles are read (see ``_OrbitSlots``), so a run
+    groups only the orbits that it meets.  The memo keeps the last (k, n), as
+    ``_tables`` keeps a suite's reading.
+    """
+    return _OrbitSlots(n)
 
 
 @cache
@@ -426,43 +521,20 @@ def _typed_class_sums(
     return {_cycle_type(key, n): total for key, total in sums_of(full).items()}
 
 
-@lru_cache(maxsize=1)
 def _profile_class_sums(k: int, n: int) -> dict[tuple[tuple[int, ...], ...], list]:
-    """Every n x n block profile M with sums k, mapped to a one-item slot
-    that holds w(M) once a matrix first weighs M nonzero, and None before:
-    w(M) is ``_typed_class_sums`` of the type counts ((r, b), M_rb), the class
-    sums of inflate(E, k) for every 0/1 kn x n matrix E whose rows pick
-    column b M_rb times in row block r.
-
-    The profiles of one orbit share their slot.  Relabeling the blocks
-    conjugates the permutations of a profile by a permutation that keeps
-    S_k^n, permuting the rows and columns of M together, and inverting them
-    transposes M; neither changes a cycle type, so w is constant on the
-    orbit that the swaps of adjacent blocks and the transposition generate.
-    The slots are the same for every matrix of (k, n), and the memo keeps
-    the last (k, n), as ``_tables`` keeps a suite's reading.
+    """Every n x n block profile M with sums k, mapped to its orbit's slot
+    in ``_orbit_slots(k, n)``: the slot holds w(M) once a profile of the
+    orbit is walked, and None before.  w(M) is the class sums of the type
+    counts ((r, b), M_rb), those of inflate(E, k) for every 0/1 kn x n matrix
+    E whose rows pick column b M_rb times in row block r, and of P(g) 1_(k^n)
+    for every g whose inverse has the profile M.  The listing is the same
+    for every matrix of (k, n), and is kept with the memo's slots, so it
+    never outlives them.
     """
-    slots: dict[tuple[tuple[int, ...], ...], list] = {}
-    for m in block_profiles(k, n):
-        if m in slots:
-            continue
-        slot = slots[m] = [None]
-        orbit = [m]
-        while orbit:
-            g = orbit.pop()
-            for h in (tuple(zip(*g)), *(_swap_blocks(g, i) for i in range(n - 1))):
-                if h not in slots:
-                    slots[h] = slot
-                    orbit.append(h)
-    return slots
-
-
-def _swap_blocks(m: tuple[tuple[int, ...], ...], i: int) -> tuple[tuple[int, ...], ...]:
-    """The profile m with blocks i and i + 1 relabeled: rows i and i + 1
-    swapped, and columns i and i + 1."""
-    rows = [(*r[:i], r[i + 1], r[i], *r[i + 2 :]) for r in m]
-    rows[i], rows[i + 1] = rows[i + 1], rows[i]
-    return tuple(rows)
+    slots = _orbit_slots(k, n)
+    if slots.listing is None:
+        slots.listing = {m: slots[sum(m, ())] for m in block_profiles(k, n)}
+    return slots.listing
 
 
 @lru_cache(maxsize=1)
@@ -480,12 +552,12 @@ def _inflation_class_sums(
     profile M, M_rb the rows of row block r that pick b, that is
         class_sums(inflate(a, k)) = sum_M weight(M) w(M),
         weight(M) = prod_r [x^(M_r)] prod_(i in block r) sum_b a_ib x_b,
-    with w(M) the class sums of any 0/1 selection of profile M, memoized
-    per orbit of profiles by ``_profile_class_sums``; only profiles of
-    nonzero weight are walked, one per orbit.  At k = 1 the inflation is a
-    itself, which ``class_sums`` walks directly, and where the P(k, n)
-    profiles are at least the 2^kn letter sets of the inflation, as at
-    (2, 4), it walks the inflation.
+    with w(M) the class sums of any 0/1 selection of profile M, kept per
+    orbit of profiles in the slots that ``_profile_class_sums`` lists; only
+    profiles of nonzero weight are walked, one per orbit.  At k = 1 the
+    inflation is a itself, which ``class_sums`` walks directly, and where
+    the P(k, n) profiles are at least the 2^kn letter sets of the
+    inflation, as at (2, 4), it walks the inflation.
 
     The sum is memoized on (a, k), and a RatMatrix hashes and compares by
     its entries, so ``wreath_average_poly`` and ``wrdet`` of one matrix, the
@@ -493,8 +565,8 @@ def _inflation_class_sums(
     """
     require_inflatable(a, k)
     _check_adet_cap(a.rows)
-    # within the cap only (2, 4), where grouping its 282 profiles costs more
-    # than the dense walks of the few matrices a suite such as zsf sums
+    # within the cap only (2, 4), where the dense walk is faster for the few
+    # matrices of a short theorem run, and the profile sum only for many
     if k > 1 and block_profile_count(k, a.cols) >= 1 << a.rows:
         a, k = inflate(a, k), 1
     rows, scale = scaled_int_rows(a)
@@ -524,8 +596,8 @@ def _inflation_class_sums(
             continue
         w = slot[0]
         if w is None:
-            w = slot[0] = _typed_class_sums(profile_type_counts(m))
-        for rho, v in w.items():
+            w = slot[0] = tuple(_typed_class_sums(profile_type_counts(m)).items())
+        for rho, v in w:
             total[rho] = total.get(rho, 0) + weight * v
     return tuple((rho, v) for rho, v in total.items() if v), denom
 

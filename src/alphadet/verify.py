@@ -38,7 +38,7 @@ from .characters import (
     subgroup_averaged_character,
 )
 from .errors import IdentityViolation, NotDivisible, ShapeWeightMismatch, SizeCapExceeded
-from .matrices import PermutedBlockOnes, column_replicator
+from .matrices import PermutedBlockOnes
 from .partitions import (
     content_poly,
     content_poly_at,
@@ -385,8 +385,10 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     The ratio's numerator wrdet(P(g) R, k), for the column replicator R, is
     the alpha-determinant at -1/k of inflate(P(g) R, k) = P(g) 1_(k^n), so it
     is evaluated from the class sums of the translates g h, h in S_k^n, that
-    the character average reads too; its denominator wrdet(R, k) is computed
-    once per suite."""
+    the character average reads too.  Its denominator wrdet(R, k) is the
+    same formula at g = id, P(id) 1_(k^n) = inflate(R, k), computed once per
+    suite.  At k >= 2 those class sums are kept per orbit of block profiles,
+    so an exhaustive run walks each orbit once, not each case."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
@@ -395,9 +397,10 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
         raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_TERM_CAP}")
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
+    shape = (k,) * n
     # the ratio's denominator is the same for every g: computed once, and
     # passed with each case's arguments so that the pool's workers get it too
-    rep_wrdet = wrdet(column_replicator(n, k), k)
+    rep_wrdet = adet_structured(PermutedBlockOnes(Perm.identity(size), shape), Fraction(-1, k))
     args = [(k, n, p.images, rep_wrdet) for p in perms]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
     cases = _run_cases(_zsf_case, args, workers)

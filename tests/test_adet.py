@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction as F
 from functools import cache
 from math import comb, factorial, lcm
@@ -48,6 +50,7 @@ from alphadet.perms import (
 )
 from alphadet.polynomials import QPoly, QPoly2, eval_grid
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
+from alphadet.verify import verify_theorem, verify_zsf
 
 from test_perms import _perm_of_cycle_type, _young_subgroup
 
@@ -943,11 +946,15 @@ def profile_route(monkeypatch):
     """_inflation_class_sums with the profile sum at every k >= 2, (2, 4)
     included, and with empty memos before and after."""
     monkeypatch.setattr(adet_module, "block_profile_count", lambda k, n: 0)
-    adet_module._inflation_class_sums.cache_clear()
-    adet_module._profile_class_sums.cache_clear()
+    _clear_profile_memos()
     yield adet_module._inflation_class_sums
+    _clear_profile_memos()
+
+
+def _clear_profile_memos():
     adet_module._inflation_class_sums.cache_clear()
-    adet_module._profile_class_sums.cache_clear()
+    adet_module._orbit_slots.cache_clear()
+    adet_module.translate_class_sums.cache_clear()
 
 
 def test_profile_sum_matches_the_dense_walk(profile_route):
@@ -1019,6 +1026,125 @@ def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
                 for m in members
             ]
             assert all(w == sums[0] for w in sums), (k, n, members)
+
+
+def _check_memo_against_the_walk():
+    """The memoized translate_class_sums against the typed walk of each g's
+    own type counts: every g at the small rectangles, seeded g at kn = 8, 9."""
+    rng = SplitMix64(2301)
+    cases = [((k,) * n, list(enumerate_perms(k * n))) for k, n in [(2, 2), (2, 3), (3, 2), (6, 1)]]
+    cases += [
+        ((k,) * n, [random_perm(k * n, rng) for _ in range(200)]) for k, n in [(2, 4), (3, 3), (4, 2)]
+    ]
+    for mu, perms in cases:
+        _clear_profile_memos()
+        for g in perms:
+            walked = adet_module._typed_class_sums(block_type_counts(g, mu))
+            assert dict(translate_class_sums(g, mu)) == walked, (g, mu)
+
+
+def test_memoized_translates_match_the_walk():
+    _check_memo_against_the_walk()
+    _clear_profile_memos()
+
+
+def test_memo_grouping_by_row_swaps_alone_fails_the_oracle(monkeypatch):
+    # a mutant memo whose orbits are generated by swapping adjacent rows of
+    # the profile, without its columns, shares slots between profiles of
+    # different class sums, and the oracle check catches it
+    real = adet_module._orbit_slots
+
+    @functools.lru_cache(maxsize=1)
+    def rows_only(k, n):
+        slots = real.__wrapped__(k, n)
+        moves = []
+        for i in range(n - 1):
+            swap = list(range(n))
+            swap[i], swap[i + 1] = i + 1, i
+            moves.append(operator.itemgetter(*(swap[c // n] * n + c % n for c in range(n * n))))
+        slots.moves = tuple(moves)
+        return slots
+
+    monkeypatch.setattr(adet_module, "_orbit_slots", rows_only)
+    with pytest.raises(AssertionError):
+        _check_memo_against_the_walk()
+    _clear_profile_memos()
+
+
+def test_theorem_and_zsf_runs_share_the_orbit_memo(profile_route, monkeypatch):
+    # interleaved inflation sums and translates of one (k, n), and the
+    # theorem and zsf suites on top of them, read one memo: each against
+    # its dense oracle, and no orbit is walked twice
+    walked = []
+    real = adet_module._typed_class_sums
+    monkeypatch.setattr(adet_module, "_typed_class_sums", lambda c: walked.append(c) or real(c))
+    rng = SplitMix64(2302)
+    for k, n in [(2, 3), (2, 4)]:
+        mu = (k,) * n
+        walked.clear()
+        for _ in range(4):
+            a = random_matrix(k * n, n, rng.next_u64())
+            pairs, denom = profile_route(a, k)
+            assert (dict(pairs), denom) == _inflation_oracle(a, k), (k, n)
+            for _ in range(3):
+                g = random_perm(k * n, rng)
+                rows = PermutedBlockOnes(g, mu).int_rows()
+                assert dict(translate_class_sums(g, mu)) == class_sums(rows), (k, n, g)
+            assert verify_theorem(k, n, 1, rng.next_u64()).passed
+            assert verify_zsf(k, n, samples=4, seed=rng.next_u64()).passed
+        slots = adet_module._orbit_slots(k, n)
+        assert len(walked) == len({id(slot) for slot in slots.values() if slot[0] is not None})
+        assert len(walked) == len({id(slots[_flat_profile(c, n)]) for c in walked})
+
+
+def _flat_profile(counts, n: int) -> tuple[int, ...]:
+    """The n x n block profile of type counts ((r, b), m_rb), flat in
+    row-major order."""
+    flat = [0] * (n * n)
+    for (r, b), m in counts:
+        flat[r * n + b] = m
+    return tuple(flat)
+
+
+def test_only_rectangles_with_k_at_least_two_use_the_orbit_memo():
+    # at k = 1 the orbits are the conjugacy classes of S_n and every g is
+    # its own walk, and a mu that is not rectangular has no block profile
+    # of (k, n): neither reads the memo, which stays empty
+    rng = SplitMix64(2303)
+    _clear_profile_memos()
+    for mu in [(1,) * 8, (3, 3, 2), (4, 2, 1, 1), (2, 2, 2, 1, 1), (5, 4), (1,), ()]:
+        for _ in range(3):
+            g = random_perm(sum(mu), rng)
+            assert dict(translate_class_sums(g, mu)) == _translate_cycle_types(g, mu), mu
+    assert adet_module._orbit_slots.cache_info().currsize == 0
+    translate_class_sums(random_perm(8, rng), (2, 2, 2, 2))
+    assert adet_module._orbit_slots.cache_info().currsize == 1
+    _clear_profile_memos()
+
+
+def test_first_profile_is_grouped_when_a_second_is_read(monkeypatch):
+    # one read of a (k, n) groups no orbit; the next read groups the first
+    # profile's orbit before its own, so g^-1, whose profile is the
+    # transpose of g's, finds g's slot and walks nothing
+    walked = []
+    real = adet_module._typed_class_sums
+    monkeypatch.setattr(adet_module, "_typed_class_sums", lambda c: walked.append(c) or real(c))
+    rng = SplitMix64(2304)
+    for k, n in [(2, 4), (3, 3), (2, 3)]:
+        mu = (k,) * n
+        _clear_profile_memos()
+        walked.clear()
+        g = random_perm(k * n, rng)
+        first = translate_class_sums(g, mu)
+        slots = adet_module._orbit_slots(k, n)
+        assert len(slots) == 1 and "moves" not in vars(slots)
+        assert translate_class_sums(g.inverse(), mu) == first
+        assert len(walked) == 1
+        flat = _flat_profile(block_type_counts(g, mu), n)
+        assert slots[flat] is slots[_flat_profile(block_type_counts(g.inverse(), mu), n)]
+        orbit = {id(slot) for slot in slots.values()}
+        assert len(orbit) == 1 and len(slots) > 1
+    _clear_profile_memos()
 
 
 def test_dense_walk_runs_only_at_k1_and_2_4(monkeypatch):

@@ -108,3 +108,17 @@ def test_only_the_inflation_sum_reads_the_profile_sums():
     # the per-profile class sums are one memo of (k, n), weighed by the
     # profile weights of one matrix in one place
     assert _readers("_profile_class_sums") == ["adet.py:_inflation_class_sums"]
+
+
+def test_one_orbit_memo_serves_both_readers_of_block_profiles():
+    # the translates at mu = (k^n) and the inflation's profile sum read one
+    # memo of orbit slots, and only they walk by letter type
+    assert _readers("_orbit_slots") == [
+        "adet.py:_profile_class_sums",
+        "adet.py:translate_class_sums",
+    ]
+    assert _readers("_typed_class_sums") == [
+        "adet.py:_inflation_class_sums",
+        "adet.py:translate_class_sums",
+    ]
+    assert _readers("_swap_blocks") == []

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 from fractions import Fraction
 from math import factorial
@@ -10,8 +11,10 @@ import alphadet.characters as characters_module
 import alphadet.matrices as matrices_module
 import alphadet.perms as perms_module
 import alphadet.verify as verify_module
+from alphadet.adet import ADET_CAP, adet_structured, wrdet
 from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
+from alphadet.matrices import PermutedBlockOnes, column_replicator
 from alphadet.partitions import conjugate, content_poly
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
@@ -107,7 +110,7 @@ def clear_walk_memos():
     test is served from them."""
     adet_module.translate_class_sums.cache_clear()
     adet_module._inflation_class_sums.cache_clear()
-    adet_module._profile_class_sums.cache_clear()
+    adet_module._orbit_slots.cache_clear()
 
 
 def test_chi_omega_and_stanley_never_build_the_tables(monkeypatch):
@@ -167,7 +170,9 @@ def test_omega_case_walks_the_translates_once(walks):
 
 def test_one_type_count_per_case(monkeypatch):
     # the character average and the structured value of an omega or zsf
-    # case read one (g, mu), so its type counts are made once per case
+    # case read one (g, mu), so its type counts are made once per case; zsf
+    # makes them once more for its denominator, at the identity, which an
+    # exhaustive run's first case reads again from the memo
     calls = []
     real = adet_module.block_type_counts
 
@@ -178,17 +183,17 @@ def test_one_type_count_per_case(monkeypatch):
     monkeypatch.setattr(adet_module, "block_type_counts", spy)
     g = Perm.from_cycles(6, [(1, 4, 2), (3, 6)])
     runs = [
-        lambda: verify_omega(2, 3, g=g, seed=0),
-        lambda: verify_omega(3, 2, g=Perm.from_cycles(6, [(1, 2)]), seed=0),
-        lambda: verify_zsf(2, 2, seed=0),
-        lambda: verify_zsf(2, 3, samples=6, seed=3),
+        (lambda: verify_omega(2, 3, g=g, seed=0), 0),
+        (lambda: verify_omega(3, 2, g=Perm.from_cycles(6, [(1, 2)]), seed=0), 0),
+        (lambda: verify_zsf(2, 2, seed=0), 0),
+        (lambda: verify_zsf(2, 3, samples=6, seed=3), 1),
     ]
-    for run in runs:
+    for run, denominator in runs:
         clear_walk_memos()
         calls.clear()
         report = run()
         assert report.passed
-        assert len(calls) == report.case_count, report.suite
+        assert len(calls) == report.case_count + denominator, report.suite
 
 
 def test_structured_suites_build_no_rows(monkeypatch):
@@ -213,20 +218,40 @@ def test_theorem_case_walks_the_inflation_once(walks):
     # the wreath average and the wreath determinant share one sum of the
     # inflation's class sums; at (2, 3) it walks one block profile of each
     # orbit of nonzero weight, by letter type, never the dense inflation,
-    # and a second matrix walks only the orbits that the first did not
+    # and a second matrix walks only the orbits that the first did not.
+    # The orbits are the slots of the memo that zsf reads too
     profiles = {matrices_module.profile_type_counts(m) for m in perms_module.block_profiles(2, 3)}
     result = verify_module._theorem_case((2, 3, 0, 91, content_poly((2, 2, 2))))
     assert result.status == "pass"
     first = list(walks)
-    orbits = {id(slot) for slot in adet_module._profile_class_sums(2, 3).values()}
-    assert 0 < len(first) <= len(orbits) == 8
+    slots = adet_module._orbit_slots(2, 3)
+    assert len(slots) == 21 and len({id(slot) for slot in slots.values()}) == 8
+    assert len(first) == len(_filled_orbits(slots)) > 0
     assert len(set(first)) == len(first) and set(first) <= profiles
     walks.clear()
     result = verify_module._theorem_case((2, 3, 1, 92, content_poly((2, 2, 2))))
     assert result.status == "pass"
     assert len(set(walks)) == len(walks) and set(walks) <= profiles - set(first)
+    assert len(first) + len(walks) == len(_filled_orbits(slots))
+    assert adet_module._orbit_slots(2, 3) is slots
     assert adet_module._inflation_class_sums.cache_info().maxsize == 1
-    assert adet_module._profile_class_sums.cache_info().maxsize == 1
+    assert adet_module._orbit_slots.cache_info().maxsize == 1
+
+
+def _filled_orbits(slots) -> set:
+    """The ids of the orbit slots of a memo that hold their class sums."""
+    return {id(slot) for slot in slots.values() if slot[0] is not None}
+
+
+def _orbit_key(m) -> tuple:
+    """One label of the orbit of the block profile m under relabeling the
+    blocks and transposing, found by trying every relabeling."""
+    n = len(m)
+    return min(
+        tuple(tuple(h[i][j] for j in p) for i in p)
+        for p in itertools.permutations(range(n))
+        for h in (m, tuple(zip(*m)))
+    )
 
 
 def test_chi_makes_no_walk(walks):
@@ -404,39 +429,77 @@ def test_zsf_suite_sampled_at_six():
 
 
 def test_zsf_evaluates_the_replicator_once(monkeypatch):
-    # the ratio's denominator wrdet(column_replicator(n, k), k) is the one
-    # wrdet call of a suite; each case's numerator reads the class sums that
-    # its character average has walked
-    calls = []
-    real = verify_module.wrdet
+    # the ratio's denominator wrdet(column_replicator(n, k), k) is the
+    # numerator's own formula at g = id, evaluated once per suite; no wrdet
+    # runs, and each case's numerator reads the class sums that its
+    # character average has walked
+    def no_wrdet(a, k):
+        raise AssertionError("zsf evaluated a wreath determinant densely")
 
-    def spy(a, k):
-        calls.append(a)
-        return real(a, k)
+    structured = []
+    real = verify_module.adet_structured
 
-    monkeypatch.setattr(verify_module, "wrdet", spy)
+    def spy(s, x):
+        structured.append(s.g)
+        return real(s, x)
+
+    monkeypatch.setattr(verify_module, "wrdet", no_wrdet)
+    monkeypatch.setattr(adet_module, "wrdet", no_wrdet)
+    monkeypatch.setattr(verify_module, "adet_structured", spy)
     for samples in (1, 5):
-        calls.clear()
+        structured.clear()
         assert verify_zsf(2, 3, samples=samples, seed=4).passed
-        assert len(calls) == 1
+        assert structured[0] == Perm.identity(6)
+        assert len(structured) == samples + 1
 
 
 def test_zsf_walks_the_class_sums_once_per_case(walks):
-    for samples in (1, 5):
+    # a case walks only when the orbit of its block profile has not been
+    # met, by the denominator's identity or by an earlier case
+    for samples in (1, 5, 40):
         clear_walk_memos()
         walks.clear()
         assert verify_zsf(2, 3, samples=samples, seed=4).passed
-        assert len(walks) <= samples + 1  # and one for the replicator's wrdet
+        met = [Perm.identity(6), *verify_module._case_perms(6, samples, 4)]
+        orbits = {_orbit_key(perms_module.block_profile(g, 3, 2).m) for g in met}
+        assert len(walks) == len(orbits) == len(_filled_orbits(adet_module._orbit_slots(2, 3)))
+
+
+def test_runs_of_one_k_n_share_walks_across_another(walks):
+    # a run at another (k, n) in between replaces the memo, and the profile
+    # listing goes with it, so the zsf and theorem runs of (2, 3) after it
+    # read one memo and walk each orbit once between them
+    assert verify_theorem(2, 3, trials=4, seed=1).passed
+    assert verify_zsf(2, 2, samples=4, seed=1).passed
+    walks.clear()
+    assert verify_zsf(2, 3, samples=5, seed=1).passed
+    assert verify_theorem(2, 3, trials=4, seed=2).passed
+    slots = adet_module._orbit_slots(2, 3)
+    listing = adet_module._profile_class_sums(2, 3)
+    assert all(slot is slots[sum(m, ())] for m, slot in listing.items())
+    assert len(walks) == len(_filled_orbits(slots)) <= 8
 
 
 def test_zsf_walks_each_case_once(walks):
     # the character average and the wreath ratio of a case read one walk of
-    # P(g) 1_mu: at n = 1 every g of S_6 lies in the one coset, and the
-    # suite makes one walk per case, plus the replicator's wrdet
+    # P(g) 1_mu: at n = 1 every g of S_6 has the one block profile (6), so
+    # the denominator's walk serves all 720 cases
     report = verify_zsf(6, 1, seed=0)
     assert report.passed and report.case_count == 720
-    assert len(walks) == 721
-    assert walks[1:] == [(((0, 0), 6),)] * 720
+    assert walks == [(((0, 0), 6),)]
+
+
+def test_zsf_denominator_is_the_replicators_wreath_determinant():
+    # the structured value at g = id is wrdet of the column replicator, the
+    # ratio's denominator, at every (k, n) within the cap
+    for size in range(1, ADET_CAP + 1):
+        for k in range(1, size + 1):
+            if size % k:
+                continue
+            n = size // k
+            identity = PermutedBlockOnes(Perm.identity(size), (k,) * n)
+            expected = wrdet(column_replicator(n, k), k)
+            assert adet_structured(identity, Fraction(-1, k)) == expected, (k, n)
 
 
 @pytest.mark.parametrize("k, n", [(6, 1), (1, 6)])
