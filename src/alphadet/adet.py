@@ -153,11 +153,9 @@ def class_sums(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
                     acc[key + unit] = acc.get(key + unit, 0) + weight * v
         return acc
 
-    return {
-        _cycle_type(key, n): total
-        for key, total in sums_of((1 << n) - 1).items()
-        if total
-    }
+    top = sums_of((1 << n) - 1)
+    del sums_of  # it refers to itself: free the memo now, not at a collection
+    return {_cycle_type(key, n): total for key, total in top.items() if total}
 
 
 @cache
@@ -204,10 +202,11 @@ def _cut_and_join(n: int, x: int, q: int, y: int, s: int) -> dict[tuple[int, ...
         current = {}
         for rho in _partitions(t):
             parts: dict[int, int] = {}  # part -> multiplicity
+            key = 0
             for part in rho:
                 parts[part] = parts.get(part, 0) + 1
-            key = sum(units[part] for part in rho)
-            values = set()
+                key += units[part]
+            first = None
             for length in parts:
                 rest = key - units[length]
                 # the s-weighed terms: cuts leaving a marked cycle of 2 or more
@@ -223,13 +222,14 @@ def _cut_and_join(n: int, x: int, q: int, y: int, s: int) -> dict[tuple[int, ...
                     v = xy * prev[rest] + qs * moved
                 else:  # x W plus the cut that leaves the marked letter fixed
                     v = xs_qy * prev[rest + units[length - 1]] + qs * moved
-                values.add(v)
-            if len(values) != 1:
-                raise IdentityViolation(
-                    f"the markings of cycle type {rho} in S_{t} disagree",
-                    witness={"type": rho},
-                )
-            current[key] = values.pop()
+                if first is None:
+                    first = v
+                elif v != first:
+                    raise IdentityViolation(
+                        f"the markings of cycle type {rho} in S_{t} disagree",
+                        witness={"type": rho},
+                    )
+            current[key] = first
         prev = current
     return {_cycle_type(key, n): v for key, v in prev.items()}
 
@@ -518,7 +518,9 @@ def _typed_class_sums(
                     acc[key + unit] = acc.get(key + unit, 0) + ways * v
         return acc
 
-    return {_cycle_type(key, n): total for key, total in sums_of(full).items()}
+    top = sums_of(full)
+    del sums_of  # as in class_sums
+    return {_cycle_type(key, n): total for key, total in top.items()}
 
 
 def _profile_class_sums(k: int, n: int) -> dict[tuple[tuple[int, ...], ...], list]:

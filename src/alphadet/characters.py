@@ -2,10 +2,15 @@
 from them: Young-subgroup averages, immanants and the character-basis
 expansion of the alpha power weight.
 
-Characters are evaluated by the Murnaghan-Nakayama border-strip recursion,
-implemented on first-column hook lengths (beta numbers): removing a strip
-of size t from the diagram is sliding one beta number down by t, and the
-strip height is the number of beta numbers jumped over.
+Characters are evaluated by the Murnaghan-Nakayama border-strip recursion
+on the first-column hook lengths of the shape (its beta numbers), stored
+as the set bits of one int: a shape of l parts has beta numbers
+lambda_i + l - i, i = 1..l.  A border strip of size t is a set bit b whose
+bit b - t is clear; removing it moves that bit down by t, and its height
+is the number of set bits strictly between.  A strip that empties the
+last row leaves a zero part, bit 0 set, which is shifted out, so each
+partition has one beta set, and the recursion's memo one entry per
+(partition, classes left).
 """
 
 from __future__ import annotations
@@ -30,35 +35,37 @@ from .polynomials import QPoly
 CHARACTER_CAP = 12
 
 
-def _beta_numbers(shape: tuple[int, ...]) -> tuple[int, ...]:
-    length = len(shape)
-    return tuple(shape[i] + (length - 1 - i) for i in range(length))
-
-
-def _shape_from_betas(betas: Sequence[int]) -> tuple[int, ...]:
-    betas = sorted(betas, reverse=True)
-    length = len(betas)
-    return tuple(
-        b - (length - 1 - i) for i, b in enumerate(betas) if b - (length - 1 - i) > 0
-    )
+@cache
+def _mn(shape: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """The character of ``shape`` at the class of cycle type ``rho``, both
+    valid partitions of one n.  Memoized as asked, so that a repeated
+    question is one lookup, over the recursion's memo of beta sets."""
+    betas = 0
+    for i, part in enumerate(reversed(shape)):
+        betas |= 1 << part + i
+    return _strips(betas, rho)
 
 
 @cache
-def _mn(shape: tuple[int, ...], rho: tuple[int, ...]) -> int:
+def _strips(betas: int, rho: tuple[int, ...]) -> int:
+    """The Murnaghan-Nakayama sum over the border strips of size rho[0] of
+    the shape with beta set betas, removing the rest of rho recursively."""
     if not rho:
         return 1
-    strip, rest = rho[0], rho[1:]
-    betas = _beta_numbers(shape)
-    beta_set = set(betas)
+    t, rest = rho[0], rho[1:]
     total = 0
-    for i, b in enumerate(betas):
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in betas if nb < other < b)
-        sub = _shape_from_betas([nb if j == i else v for j, v in enumerate(betas)])
-        term = _mn(sub, rest)
-        total += -term if height % 2 else term
+    movable = betas >> t << t & ~(betas << t)  # b >= t in betas, b - t not
+    while movable:
+        b = movable.bit_length() - 1
+        movable ^= 1 << b
+        sub = betas ^ (1 << b) ^ (1 << b - t)
+        if b == t:  # shift out the zero parts
+            sub >>= (~sub & sub + 1).bit_length() - 1
+        term = _strips(sub, rest)
+        if (betas >> b - t & (1 << t) - 1).bit_count() & 1:
+            total -= term
+        else:
+            total += term
     return total
 
 

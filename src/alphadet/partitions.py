@@ -48,17 +48,31 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
 @cache
 def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """``partitions_of(n)`` as a memoized tuple, without the cap: the
-    cut-and-join builder reads every t = 1..n on each build."""
+    cut-and-join builder reads every t = 1..n on each build.
 
-    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    Each partition after (n) comes from the one before: its last part above
+    1 is lowered by one, and the trailing ones and the freed unit are
+    refilled with parts of the lowered size and one smaller remainder."""
+    if n == 0:
+        return ((),)
+    found = []
+    parts = [n]
+    while True:
+        found.append(tuple(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return tuple(found)
+        size = parts[-1] - 1
+        parts[-1] = size
+        spread = ones + 1
+        while spread >= size:
+            parts.append(size)
+            spread -= size
+        if spread:
+            parts.append(spread)
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:

@@ -279,11 +279,9 @@ def verify_omega(
 
 
 def _chi_case(args) -> CaseResult:
-    k, n, g_images = args
+    k, n, g_images, f = args
     g = Perm(g_images)
-    shape = (k,) * n
-    f = num_standard_tableaux(shape)
-    lhs = Fraction(character(shape, g.cycle_type()), f)
+    lhs = Fraction(character((k,) * n, g.cycle_type()), f)
     # P(g) is a permutation matrix, so its one class sum is {type of g: 1}
     rhs = _rect_scale(k, n) * _point_value(k, n, g) / f
     return _agree(f"g={format_perm(g)}", character_ratio=lhs, adet_ratio=rhs)
@@ -299,7 +297,10 @@ def verify_chi(
     size = k * n
     check_kn_cap(size)
     t0 = time.monotonic()
-    args = [(k, n, p.images) for p in _case_perms(size, samples, seed)]
+    # the tableau count of the rectangle, passed with each case's arguments
+    # so that the pool's workers get it too
+    f = num_standard_tableaux((k,) * n)
+    args = [(k, n, p.images, f) for p in _case_perms(size, samples, seed)]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
     cases = _run_cases(_chi_case, args, workers)
     return _report("chi", params, seed, cases, t0)
@@ -309,14 +310,12 @@ def verify_chi(
 
 
 def _stanley_case(args) -> CaseResult:
-    k, n, m, w_images = args
+    k, n, m, w_images, f = args
     size = k * n
-    shape = (k,) * n
     w = Perm(w_images)
     embedded = Perm(tuple(w.images) + tuple(range(m + 1, size + 1)))
-    f = num_standard_tableaux(shape)
     lhs = Fraction(factorial(size), factorial(size - m)) * Fraction(
-        character(shape, embedded.cycle_type()), f
+        character((k,) * n, embedded.cycle_type()), f
     )
     return _agree(f"w={format_perm(w)}", character_side=lhs, sum_side=_stanley_sum(k, n, w))
 
@@ -352,7 +351,8 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     if size > CHARACTER_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
-    args = [(k, n, m, w.images) for w in enumerate_perms(m)]
+    f = num_standard_tableaux((k,) * n)  # passed as verify_chi passes it
+    args = [(k, n, m, w.images, f) for w in enumerate_perms(m)]
     cases = _run_cases(_stanley_case, args, workers)
     return _report("stanley", {"k": k, "n": n, "m": m}, seed, cases, t0)
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import operator
 from fractions import Fraction as F
@@ -425,6 +426,22 @@ def test_type_walks_use_no_type_below_their_root(monkeypatch):
             assert c >> width * root & field >= 1, (root, c)
             letters = sum(c >> width * t & field for t in range(c.bit_length() // width + 1))
             assert letters == length, (c, length)
+
+
+def test_walks_leave_no_cycle_for_the_collector():
+    # each walk's memo is freed when the walk returns, not at the next
+    # collection: with the collector off, nothing unreachable is left
+    g = random_perm(8, SplitMix64(3))
+    counts = block_type_counts(g, (2, 2, 2, 2))
+    rows = [[1, 2, 0], [3, 1, 1], [0, 2, 5]]
+    gc.collect()
+    gc.disable()
+    try:
+        assert adet_module._typed_class_sums(counts)
+        assert class_sums(rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_adet_poly_matches_naive_sum():

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from functools import cache
 from math import factorial
 
 import pytest
@@ -17,6 +18,7 @@ from alphadet.characters import (
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.matrices import RatMatrix, block_ones
 from alphadet.partitions import (
+    _partitions,
     content_poly,
     kostka_ssyt,
     num_standard_tableaux,
@@ -61,6 +63,52 @@ def _convolve_characters(shape, rho) -> dict:
             for sigma in perm_tuples(n)
         )
     return out
+
+
+@cache
+def _mn_tuple(shape, rho) -> int:
+    """Oracle: the Murnaghan-Nakayama recursion on beta numbers held as a
+    tuple, one shape rebuilt and sorted per border strip."""
+    if not rho:
+        return 1
+    strip, rest = rho[0], rho[1:]
+    length = len(shape)
+    betas = tuple(shape[i] + (length - 1 - i) for i in range(length))
+    total = 0
+    for i, b in enumerate(betas):
+        nb = b - strip
+        if nb < 0 or nb in betas:
+            continue
+        height = sum(1 for other in betas if nb < other < b)
+        moved = sorted((nb if j == i else v for j, v in enumerate(betas)), reverse=True)
+        sub = tuple(v - (length - 1 - j) for j, v in enumerate(moved) if v - (length - 1 - j) > 0)
+        term = _mn_tuple(sub, rest)
+        total += -term if height % 2 else term
+    return total
+
+
+def test_bitmask_recursion_matches_the_tuple_oracle():
+    # every (shape, class) with 1 <= |shape| <= 10
+    pairs = [(lam, rho) for n in range(1, 11) for lam in _partitions(n) for rho in _partitions(n)]
+    assert len(pairs) == 3582
+    for lam, rho in pairs:
+        assert character(lam, rho) == _mn_tuple(lam, rho), (lam, rho)
+    # every class of two rectangles of 20 cells, past the cap of character
+    for shape in [(4,) * 5, (5,) * 4]:
+        for rho in _partitions(20):
+            assert characters_module._mn(shape, rho) == _mn_tuple(shape, rho), (shape, rho)
+
+
+def test_second_orthogonality():
+    # sum over shapes of chi(rho) chi(sigma) is the centralizer order of rho
+    # when rho = sigma and 0 otherwise
+    for n in range(1, 9):
+        shapes = partitions_of(n)
+        for rho in shapes:
+            centralizer = factorial(n) // _class_size(rho)
+            for sigma in shapes:
+                total = sum(character(lam, rho) * character(lam, sigma) for lam in shapes)
+                assert total == (centralizer if rho == sigma else 0), (rho, sigma)
 
 
 def test_trivial_and_sign_characters():

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 from math import factorial
+from typing import Iterator
 
 import pytest
 
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.partitions import (
+    _partitions,
     conjugate,
     content_poly,
     content_poly_at,
@@ -30,6 +32,24 @@ def test_partitions_reverse_lex_order():
         assert parts[-1] == (1,) * n
         assert all(a > b for a, b in zip(parts, parts[1:]))
         assert all(sum(p) == n for p in parts)
+
+
+def _partitions_recursive(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Oracle: the partitions of remaining into parts of at most cap, in
+    reverse-lexicographic order, largest first part first."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _partitions_recursive(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_partition_generator_matches_the_recursive_oracle():
+    # order included, past the cap that partitions_of applies
+    for n in range(15):
+        assert _partitions(n) == tuple(_partitions_recursive(n, n)), n
+    assert len(_partitions(14)) == 135
 
 
 def test_partitions_cap():

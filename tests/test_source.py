@@ -122,3 +122,23 @@ def test_one_orbit_memo_serves_both_readers_of_block_profiles():
         "adet.py:translate_class_sums",
     ]
     assert _readers("_swap_blocks") == []
+
+
+def test_one_murnaghan_nakayama_kernel():
+    # characters.py recurses in one place, on beta sets held as bits; the
+    # tuple helpers of the recursion it replaced are gone
+    tree = ast.parse((PACKAGE / "characters.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    recursive = [
+        func.name
+        for func in functions
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == func.name
+            for node in ast.walk(func)
+        )
+    ]
+    assert recursive == ["_strips"]
+    assert not {"_beta_numbers", "_shape_from_betas"} & {func.name for func in functions}
+    assert _readers("_strips") == ["characters.py:_mn", "characters.py:_strips"]

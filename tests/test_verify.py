@@ -15,7 +15,7 @@ from alphadet.adet import ADET_CAP, adet_structured, wrdet
 from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.matrices import PermutedBlockOnes, column_replicator
-from alphadet.partitions import conjugate, content_poly
+from alphadet.partitions import conjugate, content_poly, num_standard_tableaux
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
     verify_chi,
@@ -316,8 +316,9 @@ def test_stanley_case_enumerates_no_permutations(monkeypatch):
     monkeypatch.setattr(verify_module, "enumerate_perms", no_enumeration)
     monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
     monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
+    f = num_standard_tableaux((3, 3))
     for w_images in [(1, 2, 3, 4, 5), (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)]:
-        assert verify_module._stanley_case((3, 2, 5, w_images)).status == "pass"
+        assert verify_module._stanley_case((3, 2, 5, w_images, f)).status == "pass"
 
 
 @pytest.mark.parametrize(
