@@ -49,8 +49,7 @@ so one memo of (k, n), ``_orbit_slots``, keeps them for both readers, the
 inflation's sum and ``translate_class_sums`` at a rectangular mu, in one
 slot per orbit of profiles under relabeling the blocks and transposing:
 each orbit is walked by letter type once per process.  ``class_sums``
-walks the inflation only at k = 1, where it is the matrix itself, and
-where the profiles are at least as many as its 2^kn letter sets.
+walks the inflation only at k = 1, where it is the matrix itself.
 """
 
 from __future__ import annotations
@@ -66,13 +65,12 @@ from .matrices import (
     PermutedBlockOnes,
     RatMatrix,
     block_type_counts,
-    inflate,
     profile_type_counts,
     require_inflatable,
     scaled_int_rows,
 )
 from .partitions import _partitions
-from .perms import Perm, _embed, _trans_len, block_profile_count, block_profiles, perm_tuples
+from .perms import Perm, _embed, _trans_len, block_profiles, perm_tuples
 from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
@@ -314,13 +312,12 @@ class _OrbitSlots(dict):
     grouped with its whole orbit under one new slot, except the memo's first
     profile, which is grouped only when a second one is read: a run that
     reads one profile of (k, n), as ``omega`` does at each weight, groups
-    nothing.  listing keeps what ``_profile_class_sums`` lists, once it has."""
+    nothing."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
         self.alone: tuple[int, ...] | None = None  # the first profile, not yet grouped
-        self.listing: dict[tuple[tuple[int, ...], ...], list] | None = None
 
     @cached_property
     def moves(self) -> tuple[itemgetter, ...]:
@@ -523,20 +520,15 @@ def _typed_class_sums(
     return {_cycle_type(key, n): total for key, total in top.items()}
 
 
-def _profile_class_sums(k: int, n: int) -> dict[tuple[tuple[int, ...], ...], list]:
-    """Every n x n block profile M with sums k, mapped to its orbit's slot
-    in ``_orbit_slots(k, n)``: the slot holds w(M) once a profile of the
-    orbit is walked, and None before.  w(M) is the class sums of the type
-    counts ((r, b), M_rb), those of inflate(E, k) for every 0/1 kn x n matrix
-    E whose rows pick column b M_rb times in row block r, and of P(g) 1_(k^n)
-    for every g whose inverse has the profile M.  The listing is the same
-    for every matrix of (k, n), and is kept with the memo's slots, so it
-    never outlives them.
-    """
-    slots = _orbit_slots(k, n)
-    if slots.listing is None:
-        slots.listing = {m: slots[sum(m, ())] for m in block_profiles(k, n)}
-    return slots.listing
+@lru_cache(maxsize=1)
+def _profile_listing(
+    k: int, n: int
+) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+    """(rows, flat) of every block profile of (k, n), listed once per (k, n):
+    the rows weigh a matrix, and the flat tuple keys the profile's slot in
+    ``_orbit_slots(k, n)``.  It holds keys, not slots, so it stays valid
+    when a run at another (k, n) replaces that memo."""
+    return tuple((m, sum(m, ())) for m in block_profiles(k, n))
 
 
 @lru_cache(maxsize=1)
@@ -554,12 +546,12 @@ def _inflation_class_sums(
     profile M, M_rb the rows of row block r that pick b, that is
         class_sums(inflate(a, k)) = sum_M weight(M) w(M),
         weight(M) = prod_r [x^(M_r)] prod_(i in block r) sum_b a_ib x_b,
-    with w(M) the class sums of any 0/1 selection of profile M, kept per
-    orbit of profiles in the slots that ``_profile_class_sums`` lists; only
-    profiles of nonzero weight are walked, one per orbit.  At k = 1 the
-    inflation is a itself, which ``class_sums`` walks directly, and where
-    the P(k, n) profiles are at least the 2^kn letter sets of the
-    inflation, as at (2, 4), it walks the inflation.
+    with w(M) the class sums of any 0/1 selection of profile M.  The
+    profiles are read from ``_profile_listing(k, n)``, and each w(M) is
+    looked up in its orbit's slot of the live memo ``_orbit_slots(k, n)``;
+    only profiles of nonzero weight are looked up, and each orbit is walked
+    by letter type once.  At k = 1 the inflation is a itself, which
+    ``class_sums`` walks directly.
 
     The sum is memoized on (a, k), and a RatMatrix hashes and compares by
     its entries, so ``wreath_average_poly`` and ``wrdet`` of one matrix, the
@@ -567,10 +559,6 @@ def _inflation_class_sums(
     """
     require_inflatable(a, k)
     _check_adet_cap(a.rows)
-    # within the cap only (2, 4), where the dense walk is faster for the few
-    # matrices of a short theorem run, and the profile sum only for many
-    if k > 1 and block_profile_count(k, a.cols) >= 1 << a.rows:
-        a, k = inflate(a, k), 1
     rows, scale = scaled_int_rows(a)
     denom = scale ** len(rows)
     if k == 1:
@@ -589,13 +577,15 @@ def _inflation_class_sums(
                         grown[u] = grown.get(u, 0) + c * e
             poly = grown
         coefficients.append(poly)
+    slots = _orbit_slots(k, n)
     total: dict[tuple[int, ...], int] = {}
-    for m, slot in _profile_class_sums(k, n).items():
+    for m, flat in _profile_listing(k, n):
         weight = 1
         for poly, row in zip(coefficients, m):
             weight *= poly.get(row, 0)
         if not weight:
             continue
+        slot = slots[flat]
         w = slot[0]
         if w is None:
             w = slot[0] = tuple(_typed_class_sums(profile_type_counts(m)).items())

@@ -189,8 +189,9 @@ def column_replicator(n: int, k: int) -> RatMatrix:
 
 class PermutedBlockOnes:
     """The row-permuted block-ones matrix P(g) * block_ones(mu), kept
-    unmaterialized: entry (r, s) = 1 iff g^-1(r) and s share a mu-block.
-    Equal (g, mu) compare and hash equal."""
+    unmaterialized: entry (r, s) = 1 iff g^-1(r) and s share a mu-block, as
+    in ``block_ones(mu).permute_rows(g)``.  Equal (g, mu) compare and hash
+    equal."""
 
     __slots__ = ("g", "mu")
 
@@ -209,25 +210,6 @@ class PermutedBlockOnes:
 
     def __repr__(self):
         return f"PermutedBlockOnes(g={self.g!r}, mu={self.mu!r})"
-
-    def int_rows(self) -> list[tuple[int, ...]]:
-        """The 0/1 entries as integer rows, straight from (g, mu)."""
-        return block_word_rows(*coset_word(self.g, self.mu))
-
-    def materialize(self) -> RatMatrix:
-        return RatMatrix(self.int_rows())
-
-
-def coset_word(g: Perm, mu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(word, labels) for P(g) 1_mu, in one pass over g: labels[i] is the
-    mu-block of letter i + 1, and word[g(i) - 1] = labels[i - 1] is the block
-    that row g(i) marks.  The word depends on g only through the coset
-    g S_mu, and so does the matrix."""
-    labels = _block_labels(mu)
-    word = [0] * len(labels)
-    for label, v in zip(labels, g.images):
-        word[v - 1] = label
-    return tuple(word), tuple(labels)
 
 
 def _block_labels(mu: Sequence[int]) -> list[int]:
@@ -257,9 +239,3 @@ def profile_type_counts(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, in
     grid m with sums k: ``block_type_counts(g, (k,) * n)`` of every g whose
     inverse has the block profile m, read from the grid without a g."""
     return tuple(((r, b), c) for r, row in enumerate(m) for b, c in enumerate(row) if c)
-
-
-def block_word_rows(word: Sequence[int], labels: Sequence[int]) -> list[tuple[int, ...]]:
-    """The 0/1 rows of P(g) 1_mu from its coset word: row r has a 1 in the
-    columns of block word[r]."""
-    return [tuple(int(w == b) for b in labels) for w in word]

@@ -280,11 +280,12 @@ def _rows_within(k: int, residual: tuple[int, ...]) -> tuple[tuple[int, ...], ..
     )
 
 
-def block_profiles(k: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+def block_profiles(k: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Every n x n grid of non-negative integers whose rows and columns all
     sum to k, row by row in lexicographic order: the grids ``m`` of the
     block profiles of S_kn, one per double coset of S_k^n, without
-    enumerating S_kn.  The last row is what the others leave of each column."""
+    enumerating S_kn.  The last row is what the others leave of each column;
+    the count of the profiles is the length of the listing."""
 
     def grow(rows: tuple[tuple[int, ...], ...], residual: tuple[int, ...]):
         if len(rows) == n - 1:
@@ -293,26 +294,7 @@ def block_profiles(k: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         for row in _rows_within(k, residual):
             yield from grow((*rows, row), tuple(r - v for r, v in zip(residual, row)))
 
-    return grow((), (k,) * n) if n else iter(((),))
-
-
-@cache
-def block_profile_count(k: int, n: int) -> int:
-    """The number of n x n block profiles with sums k, counted row by row
-    over the multiset of column residuals, without listing the profiles:
-    the profiles that complete a partial grid depend only on its residual
-    column sums, up to order."""
-
-    @cache
-    def count(residual: tuple[int, ...]) -> int:
-        if not any(residual):
-            return 1
-        return sum(
-            count(tuple(sorted(r - v for r, v in zip(residual, row))))
-            for row in _rows_within(k, residual)
-        )
-
-    return count((k,) * n)
+    return tuple(grow((), (k,) * n)) if n else ((),)
 
 
 def double_coset_index(sigma: Perm, n: int, k: int) -> int:

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .adet import (
     ADET_CAP,
-    DET_POWER_TERM_CAP,
     SUBGROUP_AVG_CAP,
     _tables,
     adet2_structured,
@@ -392,9 +391,6 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
-    # det_power_coeff's bound on its k-tuples, of which k = 1 walks none
-    if k > 1 and factorial(n) ** k > DET_POWER_TERM_CAP:
-        raise SizeCapExceeded(f"(n!)^k exceeds coefficient-route cap {DET_POWER_TERM_CAP}")
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
     shape = (k,) * n

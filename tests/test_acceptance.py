@@ -29,7 +29,7 @@ from alphadet.verify import (
     verify_zsf,
 )
 
-from test_adet import _adet2_naive
+from test_adet import _adet2_naive, _dense
 
 THEOREM_GRID = [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)]
 
@@ -121,7 +121,7 @@ def test_criterion_09_structured_oracle_gate():
         g = random_perm(n, rng)
         mu = weights[rng.below(len(weights))]
         s = PermutedBlockOnes(g, mu)
-        oracle = _adet2_naive(s.materialize())
+        oracle = _adet2_naive(_dense(s))
         x, y = points[rng.below(len(points))]
         assert adet2_structured(s, x, y) == oracle.eval(x, y), (g, mu, x, y)
         instances += 1

@@ -31,9 +31,7 @@ from alphadet.matrices import (
     RatMatrix,
     block_ones,
     block_type_counts,
-    block_word_rows,
     column_replicator,
-    coset_word,
     inflate,
     scaled_int_rows,
 )
@@ -337,7 +335,7 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
         for mu in partitions_of(n):
             for g in (cycle, random_perm(n, rng)):
                 expected = _translate_cycle_types(g, mu)
-                rows, _ = scaled_int_rows(PermutedBlockOnes(g, mu).materialize())
+                rows = _block_ones_rows(g, mu)
                 assert class_sums(rows) == expected, (g, mu)
                 assert dict(translate_class_sums(g, mu)) == expected, (g, mu)
                 # the walk by letter type reads the type counts alone, which
@@ -347,10 +345,10 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
                 assert block_type_counts(h1 * g * h2, mu) == block_type_counts(g, mu), (g, mu)
                 assert translate_class_sums(h1 * g * h2, mu) == translate_class_sums(g, mu), (g, mu)
     # g and h g, h in S_mu, lie in one double coset S_mu g S_mu but in two
-    # left cosets g S_mu, so their coset words differ and their class sums agree
+    # left cosets g S_mu, so their matrices differ and their class sums agree
     g = Perm.from_cycles(4, [(2, 3)])
     hg = Perm.from_cycles(4, [(1, 2)]) * g
-    assert coset_word(g, (2, 2)) != coset_word(hg, (2, 2))
+    assert _block_ones_rows(g, (2, 2)) != _block_ones_rows(hg, (2, 2))
     assert translate_class_sums(g, (2, 2)) == translate_class_sums(hg, (2, 2))
 
 
@@ -361,17 +359,27 @@ def test_class_sums_matches_walk_on_block_ones_above_nine():
     for mu in [(8, 2), (7, 3), (6, 4, 2)]:
         n = sum(mu)
         for _ in range(2):
-            rows = PermutedBlockOnes(random_perm(n, rng), mu).int_rows()
+            rows = _block_ones_rows(random_perm(n, rng), mu)
             sums = class_sums(rows)
             assert sums == _class_sums_walk(rows), mu
             assert sum(sums.values()) == young_subgroup_order(mu), mu
+
+
+def _dense(s: PermutedBlockOnes) -> RatMatrix:
+    """Oracle: P(g) 1_mu as a dense matrix."""
+    return block_ones(s.mu).permute_rows(s.g)
+
+
+def _block_ones_rows(g: Perm, mu) -> list[tuple[int, ...]]:
+    """The 0/1 integer rows of P(g) 1_mu, built densely."""
+    return scaled_int_rows(_dense(PermutedBlockOnes(g, mu)))[0]
 
 
 def _typed_and_row_walks(g: Perm, mu) -> tuple[dict, dict]:
     """The class sums of P(g) 1_mu by letter type, and by the letter walk
     of its 0/1 rows."""
     typed = adet_module._typed_class_sums(block_type_counts(g, mu))
-    return typed, class_sums(block_word_rows(*coset_word(g, mu)))
+    return typed, class_sums(_block_ones_rows(g, mu))
 
 
 def test_typed_class_sums_match_the_letter_walk():
@@ -744,7 +752,7 @@ def test_structured_equals_naive_on_random_instances():
             g = random_perm(n, rng)
             mu = weights[rng.below(len(weights))]
             s = PermutedBlockOnes(g, mu)
-            oracle = _adet2_naive(s.materialize())
+            oracle = _adet2_naive(_dense(s))
             x, y = points[rng.below(len(points))]
             assert adet2_structured(s, x, y) == oracle.eval(x, y)
             checked += 1
@@ -762,7 +770,7 @@ def test_structured_equals_two_parameter_poly_at_the_point():
             g = random_perm(n, rng)
             mu = weights[rng.below(len(weights))]
             s = PermutedBlockOnes(g, mu)
-            grid = adet2_poly(s.materialize())
+            grid = adet2_poly(_dense(s))
             points = [(F(-1, k), F(1, m)) for k in (1, 2, 3) for m in (2, n + 1)]
             points += [(F(2, 3), F(-3, 5)), (F(-5, 2), F(1, 7))]
             for x, y in points:
@@ -775,7 +783,7 @@ def test_structured_equals_naive_for_every_weight():
     for n in range(1, 7):
         for mu in partitions_of(n):
             s = PermutedBlockOnes(random_perm(n, rng), mu)
-            oracle = _adet2_naive(s.materialize())
+            oracle = _adet2_naive(_dense(s))
             for x, y in points:
                 assert adet2_structured(s, x, y) == oracle.eval(x, y), (s, x, y)
 
@@ -813,7 +821,7 @@ def test_structured_adet_matches_adet_at_and_its_cap():
         for mu in partitions_of(n):
             s = PermutedBlockOnes(random_perm(n, rng), mu)
             for x in (F(-1, 2), F(3, 5), F(1)):
-                assert adet_structured(s, x) == adet_at(s.materialize(), x), (s, x)
+                assert adet_structured(s, x) == adet_at(_dense(s), x), (s, x)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         adet_structured(PermutedBlockOnes(Perm.identity(10), (10,)), F(1))
 
@@ -959,10 +967,9 @@ def _inflation_oracle(a: RatMatrix, k: int):
 
 
 @pytest.fixture
-def profile_route(monkeypatch):
-    """_inflation_class_sums with the profile sum at every k >= 2, (2, 4)
-    included, and with empty memos before and after."""
-    monkeypatch.setattr(adet_module, "block_profile_count", lambda k, n: 0)
+def profile_route():
+    """_inflation_class_sums, which sums by block profile at every k >= 2,
+    with empty memos before and after."""
     _clear_profile_memos()
     yield adet_module._inflation_class_sums
     _clear_profile_memos()
@@ -1024,9 +1031,12 @@ def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
     # relabeling the blocks (rows and columns permuted together) and
     # transposing keep w(M); the slots are exactly those orbits
     for k, n in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2), (3, 2), (6, 1)]:
-        slots = adet_module._profile_class_sums(k, n)
-        assert set(slots) == set(perms_module.block_profiles(k, n))
-        assert len(slots) == perms_module.block_profile_count(k, n)
+        listing = adet_module._profile_listing(k, n)
+        assert [m for m, _ in listing] == list(perms_module.block_profiles(k, n))
+        assert all(flat == sum(m, ()) for m, flat in listing)
+        memo = adet_module._orbit_slots(k, n)
+        slots = {m: memo[flat] for m, flat in listing}
+        assert len(slots) == len(listing) == len(memo), (k, n)
         orbits: dict = {}
         for m in slots:
             images = {
@@ -1105,7 +1115,7 @@ def test_theorem_and_zsf_runs_share_the_orbit_memo(profile_route, monkeypatch):
             assert (dict(pairs), denom) == _inflation_oracle(a, k), (k, n)
             for _ in range(3):
                 g = random_perm(k * n, rng)
-                rows = PermutedBlockOnes(g, mu).int_rows()
+                rows = _block_ones_rows(g, mu)
                 assert dict(translate_class_sums(g, mu)) == class_sums(rows), (k, n, g)
             assert verify_theorem(k, n, 1, rng.next_u64()).passed
             assert verify_zsf(k, n, samples=4, seed=rng.next_u64()).passed
@@ -1164,10 +1174,9 @@ def test_first_profile_is_grouped_when_a_second_is_read(monkeypatch):
     _clear_profile_memos()
 
 
-def test_dense_walk_runs_only_at_k1_and_2_4(monkeypatch):
-    # the inflation is walked densely where its P(k, n) block profiles are
-    # at least its 2^kn letter sets: within the cap only at (2, 4); at k = 1
-    # the inflation is the matrix itself, walked as it is
+def test_class_sums_walks_the_inflation_only_at_k1(monkeypatch):
+    # at k = 1 the inflation is the matrix itself, walked as it is; every
+    # k >= 2 sums by block profile and walks no dense matrix
     walked = []
     real = adet_module.class_sums
     monkeypatch.setattr(adet_module, "class_sums", lambda rows: walked.append(rows) or real(rows))
@@ -1180,15 +1189,14 @@ def test_dense_walk_runs_only_at_k1_and_2_4(monkeypatch):
             a = random_matrix(size, n, rng.next_u64())
             adet_module._inflation_class_sums.cache_clear()
             pairs, _ = adet_module._inflation_class_sums(a, k)
-            dense = k == 1 or (k, n) == (2, 4)
-            if dense:
+            if k == 1:
                 (rows,) = walked
-                assert rows == scaled_int_rows(a if k == 1 else inflate(a, k))[0]
+                assert rows == scaled_int_rows(a)[0]
             else:
-                assert walked == []
+                assert walked == [], (k, n)
             assert dict(pairs) == _inflation_oracle(a, k)[0], (k, n)
             walked.clear()
-    adet_module._inflation_class_sums.cache_clear()
+    _clear_profile_memos()
 
 
 def test_wreath_average_left_invariance():
@@ -1272,9 +1280,8 @@ def test_structured_cap(monkeypatch):
     def no_matrix(*args):
         raise AssertionError("the cap must be checked before materializing")
 
-    monkeypatch.setattr(PermutedBlockOnes, "materialize", no_matrix)
-    monkeypatch.setattr(PermutedBlockOnes, "int_rows", no_matrix)
-    monkeypatch.setattr(matrices_module, "block_word_rows", no_matrix)
+    monkeypatch.setattr(matrices_module, "block_ones", no_matrix)
+    monkeypatch.setattr(RatMatrix, "permute_rows", no_matrix)
     monkeypatch.setattr(adet_module, "block_type_counts", no_matrix)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         adet2_structured(PermutedBlockOnes(Perm.identity(10), (1,) * 10), F(1), F(1))
@@ -1297,7 +1304,10 @@ def test_inflation_caps_come_before_inflate(monkeypatch):
         raise AssertionError("the cap must be checked before inflating")
 
     with monkeypatch.context() as m:
-        m.setattr(adet_module, "inflate", no_inflation)
+        # and wherever the package holds a reference to it
+        for module in (matrices_module, adet_module):
+            if hasattr(module, "inflate"):
+                m.setattr(module, "inflate", no_inflation)
         with pytest.raises(SizeCapExceeded, match=r"^n=3000 exceeds alpha-determinant cap 9$"):
             wrdet(RatMatrix.ones(3000, 1), 3000)
         with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):

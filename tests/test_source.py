@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -104,17 +106,34 @@ def test_every_enumeration_of_s_n_is_pinned():
     assert _readers("_signed_cells") == ["adet.py:det_power_coeff"]
 
 
-def test_only_the_inflation_sum_reads_the_profile_sums():
-    # the per-profile class sums are one memo of (k, n), weighed by the
-    # profile weights of one matrix in one place
-    assert _readers("_profile_class_sums") == ["adet.py:_inflation_class_sums"]
+def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
+    # every k >= 2 sums the inflation by block profile, so the profile count
+    # that chose a dense route is gone, as are the listing wrapper and the
+    # second builder of the rows of P(g) 1_mu
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    gone = {
+        "block_profile_count",
+        "_profile_class_sums",
+        "coset_word",
+        "block_word_rows",
+        "materialize",
+        "int_rows",
+    }
+    assert not gone & defined
+    assert all(_readers(name) == [] for name in gone)
+    assert _readers("block_profiles") == ["adet.py:_profile_listing"]
+    assert _readers("_profile_listing") == ["adet.py:_inflation_class_sums"]
 
 
 def test_one_orbit_memo_serves_both_readers_of_block_profiles():
     # the translates at mu = (k^n) and the inflation's profile sum read one
     # memo of orbit slots, and only they walk by letter type
     assert _readers("_orbit_slots") == [
-        "adet.py:_profile_class_sums",
+        "adet.py:_inflation_class_sums",
         "adet.py:translate_class_sums",
     ]
     assert _readers("_typed_class_sums") == [
@@ -142,3 +161,32 @@ def test_one_murnaghan_nakayama_kernel():
     assert recursive == ["_strips"]
     assert not {"_beta_numbers", "_shape_from_betas"} & {func.name for func in functions}
     assert _readers("_strips") == ["characters.py:_mn", "characters.py:_strips"]
+
+
+def test_perfbench_names_resolve():
+    # Tracer.install raises KeyError on a name that the package lacks, and
+    # perfbench's own tests trace a fake package, so the real names are
+    # checked here: every traced attribute, and every name kernels.py imports
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, path, _, _ in tracer.LAYERS + tracer.SUITES:
+        owner = importlib.import_module(module_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module_name}.{path}")
+    kernels = ast.parse((perfbench / "kernels.py").read_text(encoding="utf-8"))
+    imports = [
+        node
+        for node in ast.walk(kernels)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("alphadet")
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert not missing, f"perfbench names missing from alphadet: {missing}"

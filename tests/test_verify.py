@@ -14,7 +14,7 @@ import alphadet.verify as verify_module
 from alphadet.adet import ADET_CAP, adet_structured, wrdet
 from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
-from alphadet.matrices import PermutedBlockOnes, column_replicator
+from alphadet.matrices import PermutedBlockOnes, RatMatrix, column_replicator
 from alphadet.partitions import conjugate, content_poly, num_standard_tableaux
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.verify import (
@@ -26,6 +26,8 @@ from alphadet.verify import (
     verify_weak_alternating,
     verify_zsf,
 )
+
+from test_adet import _flat_profile
 
 
 def _stripped(report):
@@ -74,7 +76,8 @@ def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
         raise AssertionError("size checks must come first")
 
     monkeypatch.setattr(verify_module, "num_standard_tableaux", no_work)
-    monkeypatch.setattr(matrices_module, "block_word_rows", no_work)
+    monkeypatch.setattr(matrices_module, "block_ones", no_work)
+    monkeypatch.setattr(RatMatrix, "permute_rows", no_work)
     monkeypatch.setattr(adet_module, "block_type_counts", no_work)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         verify_module.rect_formula_value(10, 1, (10,), Perm.identity(10))
@@ -203,8 +206,9 @@ def test_structured_suites_build_no_rows(monkeypatch):
 
     # and wherever the package holds a reference to it
     for module in (matrices_module, adet_module, characters_module, verify_module):
-        if hasattr(module, "block_word_rows"):
-            monkeypatch.setattr(module, "block_word_rows", no_rows)
+        if hasattr(module, "block_ones"):
+            monkeypatch.setattr(module, "block_ones", no_rows)
+    monkeypatch.setattr(RatMatrix, "permute_rows", no_rows)
     clear_walk_memos()
     assert verify_omega(2, 3, g=Perm.from_cycles(6, [(1, 4, 2), (3, 6)]), seed=0).passed
     assert verify_omega(3, 2, seed=0).passed
@@ -365,19 +369,20 @@ def test_failing_case_witness_lists_every_route(monkeypatch, route, run, case_id
 def test_size_caps_are_the_module_constants(monkeypatch):
     # Stanley's and Fourier's cap is CHARACTER_CAP (12);
     # zsf's is ADET_CAP (9): it runs alpha-determinants of kn x kn matrices
-    # and never a two-parameter sum; its coefficient-route bound is
-    # det_power_coeff's
-    assert verify_module.DET_POWER_TERM_CAP is adet_module.DET_POWER_TERM_CAP
+    # and never a two-parameter sum.  Its coefficient route is bounded by
+    # det_power_coeff alone, which no kn within the cap reaches: k >= 2
+    # with kn <= 9 gives (n!)^k <= 576
     assert adet_module.DET_POWER_TERM_CAP == 10**7
-    assert not hasattr(verify_module, "DET_POWER_ROUTE_CAP")
-    with monkeypatch.context() as m:
-        m.setattr(verify_module, "DET_POWER_TERM_CAP", factorial(4) ** 2 - 1)
-        message = r"^\(n!\)\^k exceeds coefficient-route cap 575$"
-        with pytest.raises(SizeCapExceeded, match=message):
-            verify_zsf(2, 4, samples=1, seed=1)
+    for gone in ("DET_POWER_TERM_CAP", "DET_POWER_ROUTE_CAP"):
+        assert not hasattr(verify_module, gone)
+    for k in range(2, ADET_CAP + 1):
+        for n in range(1, ADET_CAP // k + 1):
+            assert factorial(n) ** k <= adet_module.DET_POWER_TERM_CAP, (k, n)
+    message = r"^\(n!\)\^k = 5040\^2 exceeds 10000000$"
+    with pytest.raises(SizeCapExceeded, match=message):
+        adet_module.det_power_coeff(perms_module.block_profile(Perm.identity(14), 7, 2), 2)
     with monkeypatch.context() as m:
         # k = 1 walks no k-tuple, so no bound on (n!)^k refuses it
-        m.setattr(verify_module, "DET_POWER_TERM_CAP", 1)
         m.setattr(adet_module, "DET_POWER_TERM_CAP", 1)
         assert verify_zsf(1, 4, samples=3, seed=1).passed
     assert verify_zsf(3, 3, samples=2, seed=1).passed
@@ -467,18 +472,43 @@ def test_zsf_walks_the_class_sums_once_per_case(walks):
 
 
 def test_runs_of_one_k_n_share_walks_across_another(walks):
-    # a run at another (k, n) in between replaces the memo, and the profile
-    # listing goes with it, so the zsf and theorem runs of (2, 3) after it
-    # read one memo and walk each orbit once between them
+    # a run at another (k, n) in between replaces the memo, so the zsf and
+    # theorem runs of (2, 3) after it read one new memo and walk each orbit
+    # once between them
     assert verify_theorem(2, 3, trials=4, seed=1).passed
     assert verify_zsf(2, 2, samples=4, seed=1).passed
     walks.clear()
     assert verify_zsf(2, 3, samples=5, seed=1).passed
     assert verify_theorem(2, 3, trials=4, seed=2).passed
-    slots = adet_module._orbit_slots(2, 3)
-    listing = adet_module._profile_class_sums(2, 3)
-    assert all(slot is slots[sum(m, ())] for m, slot in listing.items())
-    assert len(walks) == len(_filled_orbits(slots)) <= 8
+    _assert_one_walk_per_orbit_of_the_live_memo(walks, 2, 3)
+
+
+def test_switching_k_n_leaves_no_stale_profile_slot(walks):
+    # the inflation's sum looks each profile up in the live memo, so after
+    # a theorem run at (3, 3) has replaced the memo of (2, 3), the theorem
+    # run back at (2, 3) fills the new memo, not the old one, and the zsf
+    # run after it walks nothing
+    assert verify_theorem(2, 3, trials=4, seed=1).passed
+    assert verify_theorem(3, 3, trials=2, seed=1).passed
+    walks.clear()
+    assert verify_theorem(2, 3, trials=4, seed=2).passed
+    _assert_one_walk_per_orbit_of_the_live_memo(walks, 2, 3)
+    theorem_walks = list(walks)
+    assert verify_zsf(2, 3, samples=5, seed=2).passed
+    assert walks == theorem_walks
+
+
+def _assert_one_walk_per_orbit_of_the_live_memo(walks, k: int, n: int) -> None:
+    """After a theorem run of (k, n), whose random matrices weigh every
+    block profile: the live ``_orbit_slots(k, n)`` holds every profile with
+    its class sums, and the walks recorded are by letter type, one per
+    orbit, each in a slot of that memo."""
+    slots = adet_module._orbit_slots(k, n)
+    assert len(slots) == len(perms_module.block_profiles(k, n))
+    assert all(slot[0] is not None for slot in slots.values())
+    walked = [slots.get(_flat_profile(counts, n)) for counts in walks]
+    assert None not in walked
+    assert len({id(slot) for slot in walked}) == len(walks) == len(_filled_orbits(slots))
 
 
 def test_zsf_walks_each_case_once(walks):
