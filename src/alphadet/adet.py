@@ -38,18 +38,25 @@ sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
 sums, regrouped.  The walks and the tables of this module, and so every sum
 here, are bounded by the one cap ``ADET_CAP``.  The wreath average is the
 two-parameter determinant of the inflation at beta = -1/k.  The wreath
-determinant is the alpha-determinant of the same inflation at -1/k, so one
-memoized sum of the inflation's class sums serves both sides of the main
-identity.  The inflation is unchanged by the column permutations inside
-S_k^n, so that sum regroups by block profile, the n x n count of the rows of
-each row block that pick each column block: a weight read from the matrix
-times the class sums of any 0/1 selection of that profile.  Those are the
-class sums of P(g) 1_(k^n) too, for every g whose inverse has the profile,
-so one memo of (k, n), ``_orbit_slots``, keeps them for both readers, the
-inflation's sum and ``translate_class_sums`` at a rectangular mu, in one
-slot per orbit of profiles under relabeling the blocks and transposing:
-each orbit is walked by letter type once per process.  ``class_sums``
-walks the inflation only at k = 1, where it is the matrix itself.
+determinant is the alpha-determinant of the same inflation at -1/k, so
+both sides of the main identity are read from the inflation's class sums,
+each by one integer helper: ``_wreath_average_counts`` weighs the table
+rows at beta = -1/k, and ``_wrdet_numerator`` signs and scales each class
+sum.  ``wreath_average_poly`` and ``wrdet`` wrap them, and the theorem
+suite reads both from one sum per trial and compares integers; the sum
+itself is not memoized.  The inflation is unchanged by the column
+permutations inside S_k^n, so that sum regroups by block profile, the
+n x n count of the rows of each row block that pick each column block: a
+weight read from the matrix times the class sums of any 0/1 selection of
+that profile.  Those class sums are one per orbit of profiles under
+relabeling the blocks and transposing, so the weights are added up per
+orbit first, and each orbit's total weighs its class sums once.  They are
+the class sums of P(g) 1_(k^n) too, for every g whose inverse has the
+profile, so one memo of (k, n), ``_orbit_slots``, keeps them for both
+readers, the inflation's sum and ``translate_class_sums`` at a rectangular
+mu, in one slot per orbit: each orbit is walked by letter type once per
+process.  ``class_sums`` walks the inflation only at k = 1, where it is the
+matrix itself.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from .matrices import (
     scaled_int_rows,
 )
 from .partitions import _partitions
-from .perms import Perm, _embed, _trans_len, block_profiles, perm_tuples
+from .perms import Perm, _embed, _rows_within, _trans_len, block_profiles, perm_tuples
 from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
@@ -521,17 +528,22 @@ def _typed_class_sums(
 
 
 @lru_cache(maxsize=1)
-def _profile_listing(
-    k: int, n: int
-) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
-    """(rows, flat) of every block profile of (k, n), listed once per (k, n):
-    the rows weigh a matrix, and the flat tuple keys the profile's slot in
-    ``_orbit_slots(k, n)``.  It holds keys, not slots, so it stays valid
-    when a run at another (k, n) replaces that memo."""
-    return tuple((m, sum(m, ())) for m in block_profiles(k, n))
+def _profile_listing(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(packed, flat) of every block profile of (k, n), listed once per (k, n).
+    packed holds each row of the profile as its block monomial, the row's
+    entries as base-(k + 1) digits, lowest block first, which is how
+    ``_inflation_class_sums`` keys the coefficients that weigh a matrix;
+    each distinct row is packed once.  The flat tuple, the profile in
+    row-major order, keys its slot in ``_orbit_slots(k, n)``.  The listing
+    holds keys, not slots, so it stays valid when a run at another (k, n)
+    replaces that memo."""
+    packed = {
+        row: sum(v * (k + 1) ** b for b, v in enumerate(row))
+        for row in _rows_within(k, (k,) * n)
+    }
+    return tuple((tuple(map(packed.get, m)), sum(m, ())) for m in block_profiles(k, n))
 
 
-@lru_cache(maxsize=1)
 def _inflation_class_sums(
     a: RatMatrix, k: int
 ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
@@ -546,16 +558,15 @@ def _inflation_class_sums(
     profile M, M_rb the rows of row block r that pick b, that is
         class_sums(inflate(a, k)) = sum_M weight(M) w(M),
         weight(M) = prod_r [x^(M_r)] prod_(i in block r) sum_b a_ib x_b,
-    with w(M) the class sums of any 0/1 selection of profile M.  The
-    profiles are read from ``_profile_listing(k, n)``, and each w(M) is
-    looked up in its orbit's slot of the live memo ``_orbit_slots(k, n)``;
-    only profiles of nonzero weight are looked up, and each orbit is walked
-    by letter type once.  At k = 1 the inflation is a itself, which
+    with w(M) the class sums of any 0/1 selection of profile M.  w(M) is the
+    same w_o for every M of one orbit o of ``_orbit_slots(k, n)``, so the
+    sum is taken orbit first, sum_o W_o w_o with W_o = sum_(M in o) weight(M):
+    the weights of the profiles from ``_profile_listing(k, n)`` are added
+    into their orbit's W_o, and each orbit with W_o != 0 is weighed once,
+    its w_o walked by letter type the first time the live memo meets it.  A
+    block monomial is packed as in the listing, so extending it by x_b is
+    one add of (k + 1)^b.  At k = 1 the inflation is a itself, which
     ``class_sums`` walks directly.
-
-    The sum is memoized on (a, k), and a RatMatrix hashes and compares by
-    its entries, so ``wreath_average_poly`` and ``wrdet`` of one matrix, the
-    two sides of the main identity, share it.
     """
     require_inflatable(a, k)
     _check_adet_cap(a.rows)
@@ -564,30 +575,39 @@ def _inflation_class_sums(
     if k == 1:
         return tuple(class_sums(rows).items()), denom
     n = a.cols
+    units = [(k + 1) ** b for b in range(n)]
     # coefficients[r][v] = [x^v] prod_(i in block r) sum_b rows[i][b] x_b
     coefficients = []
     for r in range(n):
-        poly = {(0,) * n: 1}
+        poly = {0: 1}
         for row in rows[r * k : r * k + k]:
-            grown: dict[tuple[int, ...], int] = {}
+            grown: dict[int, int] = {}
             for v, c in poly.items():
-                for b, e in enumerate(row):
+                for unit, e in zip(units, row):
                     if e:
-                        u = (*v[:b], v[b] + 1, *v[b + 1 :])
-                        grown[u] = grown.get(u, 0) + c * e
+                        grown[v + unit] = grown.get(v + unit, 0) + c * e
             poly = grown
         coefficients.append(poly)
     slots = _orbit_slots(k, n)
-    total: dict[tuple[int, ...], int] = {}
-    for m, flat in _profile_listing(k, n):
+    orbits: dict[int, list] = {}  # id of an orbit's slot -> [slot, W_o, its first profile]
+    for packed, flat in _profile_listing(k, n):
         weight = 1
-        for poly, row in zip(coefficients, m):
-            weight *= poly.get(row, 0)
+        for poly, v in zip(coefficients, packed):
+            weight *= poly.get(v, 0)
+        if weight:
+            slot = slots[flat]
+            orbit = orbits.get(id(slot))
+            if orbit is None:
+                orbits[id(slot)] = [slot, weight, flat]
+            else:
+                orbit[1] += weight
+    total: dict[tuple[int, ...], int] = {}
+    for slot, weight, flat in orbits.values():
         if not weight:
-            continue
-        slot = slots[flat]
+            continue  # the orbit's weights cancel
         w = slot[0]
         if w is None:
+            m = [flat[r * n : r * n + n] for r in range(n)]
             w = slot[0] = tuple(_typed_class_sums(profile_type_counts(m)).items())
         for rho, v in w:
             total[rho] = total.get(rho, 0) + weight * v
@@ -687,14 +707,32 @@ def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
     return eval_grid([counts], 1, 0, x)  # one row: a polynomial in the second variable
 
 
+def _wreath_average_counts(
+    sums: Iterable[tuple[tuple[int, ...], int]], k: int, size: int
+) -> tuple[list[int], int]:
+    """(counts, row_denom): the class sums of a size x size matrix weighing
+    the memoized table rows in alpha at beta = -1/k, so that counts[i] over
+    row_denom, and over the sums' own denominator, is the coefficient of
+    alpha^i in its two-parameter determinant at beta = -1/k; counts has
+    size + 1 entries."""
+    rows, row_denom = _tables(size, None, Fraction(-1, k))
+    return _weigh(rows, sums), row_denom
+
+
+def _wrdet_numerator(sums: Iterable[tuple[tuple[int, ...], int]], k: int, size: int) -> int:
+    """k^size times the alpha-determinant at -1/k of a size x size matrix
+    with the given class sums, over the sums' own denominator: a type rho
+    has transposition length size - len(rho), so it adds
+    w_rho (-1)^(size - len(rho)) k^len(rho)."""
+    return sum((-w if (size - len(rho)) % 2 else w) * k ** len(rho) for rho, w in sums)
+
+
 def wrdet(a: RatMatrix, k: int) -> Fraction:
     """k-wreath determinant of a kn x n matrix: the alpha-determinant of
-    the k-fold column inflation, evaluated at -1/k, from the inflation's
-    class sums by block profile, which ``wreath_average_poly`` of the same
-    matrix shares."""
+    the k-fold column inflation, evaluated at -1/k, read by
+    ``_wrdet_numerator`` from the inflation's class sums by block profile."""
     sums, denom = _inflation_class_sums(a, k)
-    # one row: a polynomial in the second variable
-    return eval_grid([_length_counts(sums, a.rows)], denom, 0, Fraction(-1, k))
+    return Fraction(_wrdet_numerator(sums, k, a.rows), denom * k**a.rows)
 
 
 def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
@@ -704,14 +742,14 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     That is the two-parameter determinant of the inflation at beta = -1/k:
     the pair (tau, sigma) contributes alpha^len(tau) (-1/k)^len(sigma) times
     the entry product of tau on the column-permuted inflation.  The class
-    sums of the inflation, summed by block profile and shared with ``wrdet``
-    of the same matrix, weigh the memoized table rows at beta, whose entry i
-    is the coefficient of alpha^i over their common denominator.
+    sums of the inflation, summed by block profile, weigh the memoized table
+    rows at beta in ``_wreath_average_counts``, whose entry i is the
+    coefficient of alpha^i over one integer denominator.
     """
     sums, denom = _inflation_class_sums(a, k)
-    rows, row_denom = _tables(a.rows, None, Fraction(-1, k))
+    counts, row_denom = _wreath_average_counts(sums, k, a.rows)
     denom *= row_denom
-    return QPoly(Fraction(v, denom) for v in _weigh(rows, sums))
+    return QPoly(Fraction(v, denom) for v in counts)
 
 
 def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:

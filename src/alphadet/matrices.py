@@ -22,9 +22,9 @@ class RatMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable]):
+        # a type test, as in polynomials._frac: a Fraction subclass is copied
         grid = tuple(
-            tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
-            for row in entries
+            tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in entries
         )
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise DimensionMismatch("ragged rows")

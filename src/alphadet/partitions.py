@@ -109,12 +109,21 @@ def num_standard_tableaux(parts: Sequence[int]) -> int:
     return count
 
 
+def _content_coefficients(parts: Sequence[int]) -> tuple[int, ...]:
+    """The integer coefficients of the product over cells (i, j) of
+    (1 + (j - i) * a), constant term first: |parts| + 1 of them, trailing
+    zeros kept.  Each factor is multiplied in place, from the top down."""
+    out = [1]
+    for i, j in cells(check_partition(parts)):
+        out.append(0)
+        for d in range(len(out) - 1, 0, -1):
+            out[d] += (j - i) * out[d - 1]
+    return tuple(out)
+
+
 def content_poly(parts: Sequence[int]) -> QPoly:
     """Product over cells (i, j) of (1 + (j - i) * a), expanded."""
-    out = QPoly.one()
-    for i, j in cells(check_partition(parts)):
-        out = out * QPoly((1, j - i))
-    return out
+    return QPoly(_content_coefficients(parts))
 
 
 def content_poly_at(parts: Sequence[int], x: Fraction) -> Fraction:

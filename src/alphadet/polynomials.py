@@ -18,7 +18,9 @@ from .rationals import format_rational, parse_rational
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    # a type test, not isinstance, whose ABC check is slow on an int; a
+    # Fraction subclass is copied to a plain Fraction
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class QPoly:

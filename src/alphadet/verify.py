@@ -21,7 +21,10 @@ from typing import Callable, Sequence
 from .adet import (
     ADET_CAP,
     SUBGROUP_AVG_CAP,
+    _inflation_class_sums,
     _tables,
+    _wrdet_numerator,
+    _wreath_average_counts,
     adet2_structured,
     adet_at,
     adet_structured,
@@ -39,6 +42,7 @@ from .characters import (
 from .errors import IdentityViolation, NotDivisible, ShapeWeightMismatch, SizeCapExceeded
 from .matrices import PermutedBlockOnes
 from .partitions import (
+    _content_coefficients,
     content_poly,
     content_poly_at,
     format_partition,
@@ -177,11 +181,18 @@ def _case_perms(size: int, samples: int, seed: int) -> list[Perm]:
 
 
 def _theorem_case(args) -> CaseResult:
-    k, n, trial, seed, rect_content = args
-    a = random_matrix(k * n, n, seed)
-    lhs = wreath_average_poly(a, k)
-    rhs = rect_content * wrdet(a, k)
-    if lhs == rhs:
+    k, n, trial, seed, content = args
+    size = k * n
+    a = random_matrix(size, n, seed)
+    # both sides from one sum of the inflation's class sums, over its
+    # denominator d: coefficient i of the average is
+    # average[i] / (d row_denom), and of the content times the wreath
+    # determinant content[i] numerator / (d k^size); d cancels
+    sums, _ = _inflation_class_sums(a, k)
+    average, row_denom = _wreath_average_counts(sums, k, size)
+    wreath = _wrdet_numerator(sums, k, size) * row_denom
+    scale = k**size
+    if all(v * scale == c * wreath for v, c in zip(average, content)):
         return CaseResult(f"trial={trial}", "pass")
     return CaseResult(
         f"trial={trial}",
@@ -189,8 +200,8 @@ def _theorem_case(args) -> CaseResult:
         witness={
             "matrix": a.to_json_dict(),
             "matrix_seed": seed,
-            "lhs": lhs.to_strings(),
-            "rhs": rhs.to_strings(),
+            "lhs": wreath_average_poly(a, k).to_strings(),
+            "rhs": (content_poly((k,) * n) * wrdet(a, k)).to_strings(),
         },
     )
 
@@ -200,17 +211,21 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     polynomial of the k^n rectangle times the k-wreath determinant, as exact
     polynomial equality, on seeded random integer matrices.
 
-    Both sides are functionals of the one inflation of a case's matrix, so
-    one sum of its class sums by block profile serves both, and the class
-    sums of each profile are walked once per suite; the content polynomial
-    is the same for every case and is built once per suite."""
+    Each trial sums its inflation's class sums once, orbit by orbit of
+    block profiles, and reads both sides from it in integers: the average's
+    coefficients in alpha over one denominator and the wreath determinant's
+    numerator, compared coefficient by coefficient against the rectangle's
+    integer content coefficients, which are built once per suite.  The
+    class sums of each orbit are walked once per process.  Only a failing
+    trial builds the two polynomials, with ``wreath_average_poly``,
+    ``content_poly`` and ``wrdet``, for its witness."""
     _require(k >= 1 and n >= 1 and trials >= 1, "k, n, trials must be positive")
     check_kn_cap(k * n)
     t0 = time.monotonic()
     rng = SplitMix64(seed)
     # passed with each case's arguments so that the pool's workers get it too
-    rect_content = content_poly((k,) * n)
-    args = [(k, n, t, rng.next_u64(), rect_content) for t in range(trials)]
+    content = _content_coefficients((k,) * n)
+    args = [(k, n, t, rng.next_u64(), content) for t in range(trials)]
     cases = _run_cases(_theorem_case, args, workers)
     return _report("theorem", {"k": k, "n": n, "trials": trials}, seed, cases, t0)
 
@@ -262,7 +277,14 @@ def verify_omega(
     """The rectangular-shape formula (structured two-parameter value over
     the all-ones normalization) equals the character-average route, and at
     the identity also the tableau-counting Kostka oracle.  Without an
-    explicit weight, all weights of kn are covered."""
+    explicit weight, all weights of kn are covered.
+
+    The first two routes are not independent: both weigh the class sums of
+    the translates g h, h in S_mu, from ``translate_class_sums``, one by the
+    table's point value of each cycle type and one by its character value.
+    Their agreement is a weighted sum of ``chi``'s per-type checks, so
+    ``chi`` at every cycle type of S_kn implies this suite at every
+    (mu, g).  At g = id only ``kostka_ssyt`` is an independent route."""
     _require(k >= 1 and n >= 1, "k, n must be positive")
     size = k * n
     check_kn_cap(size)

@@ -925,9 +925,10 @@ def test_main_identity_random_matrices():
             assert wreath_average_poly(a, k) == content_poly((k,) * n) * wrdet(a, k)
 
 
-def test_inflation_memo_serves_no_stale_matrix():
+def test_both_sides_match_the_dense_oracle_in_either_order(monkeypatch):
     # two matrices one entry apart, read alternately by both sides of the
-    # identity in both orders, must each get their own walk's values
+    # identity in both orders, each side summing the inflation itself: every
+    # value matches the one taken from empty orbit memos and the dense oracle
     k, n = 2, 3
     a = random_matrix(k * n, n, 57)
     b = a.with_column(0, [a[0, 0] + F(1, 2), *a.column(0)[1:]])
@@ -945,15 +946,20 @@ def test_inflation_memo_serves_no_stale_matrix():
         )
     cold = {}
     for key in oracle:
-        adet_module._inflation_class_sums.cache_clear()
+        _clear_profile_memos()
         m, fn = key
         cold[key] = fn(m, k)
-    adet_module._inflation_class_sums.cache_clear()
+    calls = []
+    real = adet_module._inflation_class_sums
+    monkeypatch.setattr(
+        adet_module, "_inflation_class_sums", lambda m, k: calls.append(m) or real(m, k)
+    )
     for order in ((wrdet, wreath_average_poly), (wreath_average_poly, wrdet)):
         for m in (a, b, a, b):
             for fn in order:
                 assert fn(m, k) == cold[m, fn] == oracle[m, fn], (m, fn)
-    assert adet_module._inflation_class_sums.cache_info().hits == 8
+    assert calls == [a, a, b, b] * 4
+    _clear_profile_memos()
 
 
 # every (k, n) with k >= 2 and kn <= 8, and the cap's (3, 3) and (9, 1)
@@ -969,14 +975,13 @@ def _inflation_oracle(a: RatMatrix, k: int):
 @pytest.fixture
 def profile_route():
     """_inflation_class_sums, which sums by block profile at every k >= 2,
-    with empty memos before and after."""
+    with empty orbit memos before and after."""
     _clear_profile_memos()
     yield adet_module._inflation_class_sums
     _clear_profile_memos()
 
 
 def _clear_profile_memos():
-    adet_module._inflation_class_sums.cache_clear()
     adet_module._orbit_slots.cache_clear()
     adet_module.translate_class_sums.cache_clear()
 
@@ -995,7 +1000,6 @@ def test_profile_sum_matches_the_dense_walk(profile_route):
         replicator = column_replicator(n, k)
         permuted = replicator.permute_rows(random_perm(k * n, rng))
         for m in (a, rational, zero_row, replicator, permuted):
-            profile_route.cache_clear()
             pairs, denom = profile_route(m, k)
             assert all(total for _, total in pairs)
             assert (dict(pairs), denom) == _inflation_oracle(m, k), (k, n, m)
@@ -1027,26 +1031,33 @@ def test_profile_sum_walks_only_profiles_of_nonzero_weight(profile_route, monkey
         walked.clear()
 
 
+def _profile_orbits(grids, n: int) -> list[list]:
+    """Oracle: the profile grids grouped by their orbits under relabeling
+    the blocks and transposing, found by applying every relabeling."""
+    orbits: dict = {}
+    for m in grids:
+        images = {
+            tuple(tuple(g[i][j] for j in p) for i in p)
+            for p in itertools.permutations(range(n))
+            for g in (m, tuple(zip(*m)))
+        }
+        orbits.setdefault(min(images), []).append(m)
+    return list(orbits.values())
+
+
 def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
     # relabeling the blocks (rows and columns permuted together) and
     # transposing keep w(M); the slots are exactly those orbits
     for k, n in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2), (3, 2), (6, 1)]:
         listing = adet_module._profile_listing(k, n)
-        assert [m for m, _ in listing] == list(perms_module.block_profiles(k, n))
-        assert all(flat == sum(m, ()) for m, flat in listing)
+        grids = list(perms_module.block_profiles(k, n))
+        assert [flat for _, flat in listing] == [sum(m, ()) for m in grids]
         memo = adet_module._orbit_slots(k, n)
-        slots = {m: memo[flat] for m, flat in listing}
+        slots = {m: memo[flat] for m, (_, flat) in zip(grids, listing)}
         assert len(slots) == len(listing) == len(memo), (k, n)
-        orbits: dict = {}
-        for m in slots:
-            images = {
-                tuple(tuple(g[i][j] for j in p) for i in p)
-                for p in itertools.permutations(range(n))
-                for g in (m, tuple(zip(*m)))
-            }
-            orbits.setdefault(min(images), []).append(m)
+        orbits = _profile_orbits(grids, n)
         assert len({id(slot) for slot in slots.values()}) == len(orbits), (k, n)
-        for members in orbits.values():
+        for members in orbits:
             assert len({id(slots[m]) for m in members}) == 1
             sums = [
                 adet_module._typed_class_sums(matrices_module.profile_type_counts(m))
@@ -1187,7 +1198,6 @@ def test_class_sums_walks_the_inflation_only_at_k1(monkeypatch):
                 continue
             n = size // k
             a = random_matrix(size, n, rng.next_u64())
-            adet_module._inflation_class_sums.cache_clear()
             pairs, _ = adet_module._inflation_class_sums(a, k)
             if k == 1:
                 (rows,) = walked
@@ -1197,6 +1207,112 @@ def test_class_sums_walks_the_inflation_only_at_k1(monkeypatch):
             assert dict(pairs) == _inflation_oracle(a, k)[0], (k, n)
             walked.clear()
     _clear_profile_memos()
+
+
+# every (k, n) with k >= 2 and kn <= 9; k = 1 walks the matrix itself
+SUMMED_SIZES = [(k, n) for k in range(2, ADET_CAP + 1) for n in range(1, ADET_CAP // k + 1)]
+
+
+def test_packed_listing_rows_decode_to_their_profile_rows():
+    for k, n in SUMMED_SIZES:
+        listing = adet_module._profile_listing(k, n)
+        grids = perms_module.block_profiles(k, n)
+        assert len(listing) == len(grids)
+        for (packed, flat), m in zip(listing, grids):
+            assert flat == sum(m, ())
+            assert len(packed) == n
+            for v, row in zip(packed, m):
+                digits = []
+                for _ in range(n):
+                    v, d = divmod(v, k + 1)
+                    digits.append(d)
+                assert v == 0 and tuple(digits) == row, (k, n, m)
+
+
+def _profile_weights(a: RatMatrix, k: int) -> dict:
+    """Oracle: weight(M) for every block profile grid M, each row block's
+    coefficient found by trying every choice of a column block per row."""
+    n = a.cols
+    by_block = []
+    for r in range(n):
+        coefficient: dict = {}
+        for picks in itertools.product(range(n), repeat=k):
+            term = F(1)
+            for i, b in enumerate(picks):
+                term *= a[r * k + i, b]
+            row = tuple(picks.count(b) for b in range(n))
+            coefficient[row] = coefficient.get(row, 0) + term
+        by_block.append(coefficient)
+    return {
+        m: functools.reduce(operator.mul, (c[row] for c, row in zip(by_block, m)), F(1))
+        for m in perms_module.block_profiles(k, n)
+    }
+
+
+def _with_corner(a: RatMatrix, t) -> RatMatrix:
+    return a.with_column(0, [t, *a.column(0)[1:]])
+
+
+def _root_in_the_corner(a: RatMatrix, value) -> F | None:
+    """The t at which value(a with a[0, 0] = t), linear in t, vanishes, or
+    None when it does not depend on t."""
+    v0, v1 = value(_with_corner(a, 0)), value(_with_corner(a, 1))
+    return None if v0 == v1 else v0 / (v0 - v1)
+
+
+def _inflation_value(a: RatMatrix, k: int, rho) -> F:
+    """Oracle: the class sum of type rho of inflate(a, k), unscaled."""
+    sums, denom = _inflation_oracle(a, k)
+    return F(sums.get(rho, 0), denom)
+
+
+def test_cancelling_orbit_weights_drop_what_the_dense_walk_drops(profile_route, monkeypatch):
+    # every weight is linear in the entry a[0, 0], so the weights of one
+    # orbit can be made to cancel, W_o = 0, by solving for it; past n = 2
+    # the orbit has two or more profiles of nonzero weight, and up to n = 2
+    # every orbit is one profile, so W_o is that profile's weight.  The
+    # orbit is never walked, and the sum matches the dense walk.  Solving
+    # for one type's total instead makes the dense walk drop that type, and
+    # the sum drops it too
+    walked = []
+    real = adet_module._typed_class_sums
+    monkeypatch.setattr(adet_module, "_typed_class_sums", lambda c: walked.append(c) or real(c))
+    rng = SplitMix64(2601)
+    for k, n in SUMMED_SIZES:
+        # no zero entry, so that no weight of an orbit that picks a[0, 0]
+        # is cut off from it
+        drawn = random_matrix(k * n, n, rng.next_u64())
+        a = RatMatrix([[e or 1 for e in row] for row in drawn.entries])
+        orbits = sorted(_profile_orbits(perms_module.block_profiles(k, n), n), key=len)
+        assert (len(orbits[-1]) > 1) == (n > 2), (k, n)
+        for members in reversed(orbits):
+            t = _root_in_the_corner(a, lambda m: sum(_profile_weights(m, k)[p] for p in members))
+            if t is not None:
+                break
+        cancelled = _with_corner(a, t)
+        weights = _profile_weights(cancelled, k)
+        assert sum(weights[p] for p in members) == 0
+        if len(members) > 1:
+            assert sum(1 for p in members if weights[p]) >= 2, (k, n)
+        _clear_profile_memos()
+        walked.clear()
+        pairs, _ = profile_route(cancelled, k)
+        assert all(total for _, total in pairs)
+        assert dict(pairs) == _inflation_oracle(cancelled, k)[0], (k, n)
+        orbit = {sum(p, ()) for p in members}
+        assert not orbit & {_flat_profile(c, n) for c in walked}, (k, n)
+        # one type's total made to vanish
+        totals = _inflation_oracle(a, k)[0]
+        for rho in sorted(totals):
+            t = _root_in_the_corner(a, lambda m: _inflation_value(m, k, rho))
+            if t is not None:
+                break
+        dropped = _with_corner(a, t)
+        oracle = _inflation_oracle(dropped, k)[0]
+        assert rho not in oracle
+        pairs, _ = profile_route(dropped, k)
+        assert all(total for _, total in pairs)
+        assert dict(pairs) == oracle, (k, n)
 
 
 def test_wreath_average_left_invariance():

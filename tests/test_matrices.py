@@ -32,6 +32,20 @@ def test_json_dimension_check():
         RatMatrix.from_json("[" * 10**5 + "]" * 10**5)
 
 
+class _Tagged(F):
+    """A Fraction subclass, which an entry must not stay."""
+
+
+def test_entries_are_plain_fractions():
+    # entries are tested by type, not isinstance: ints and Fraction
+    # subclasses alike are made plain Fractions, and a Fraction is kept
+    half = F(1, 2)
+    m = RatMatrix([[1, half], [_Tagged(3, 4), True]])
+    assert m.entries == ((F(1), F(1, 2)), (F(3, 4), F(1)))
+    assert {type(e) for row in m.entries for e in row} == {F}
+    assert m[0, 1] is half
+
+
 def test_inflate_examples():
     col = RatMatrix([[3], [5]])
     assert inflate(col, 2) == RatMatrix([[3, 3], [5, 5]])

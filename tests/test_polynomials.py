@@ -22,6 +22,18 @@ def test_eval_known_values():
     assert p.eval(F(1)) == 6  # 3!
 
 
+def test_coefficients_are_plain_fractions():
+    # as RatMatrix entries: a Fraction subclass is copied, a Fraction kept
+    class Tagged(F):
+        pass
+
+    third = F(1, 3)
+    p = QPoly([Tagged(1, 2), 2, third])
+    assert p.coeffs == (F(1, 2), F(2), F(1, 3)) and p.coeffs[2] is third
+    assert {type(c) for c in p.coeffs} == {F}
+    assert {type(c) for row in QPoly2([[Tagged(1), 1]]).grid for c in row} == {F}
+
+
 def test_canonical_form_strips_trailing_zeros():
     assert QPoly([1, 2, 0, 0]) == QPoly([1, 2])
     assert QPoly([0, 0]) == QPoly.zero()

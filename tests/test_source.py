@@ -127,6 +127,43 @@ def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
     assert all(_readers(name) == [] for name in gone)
     assert _readers("block_profiles") == ["adet.py:_profile_listing"]
     assert _readers("_profile_listing") == ["adet.py:_inflation_class_sums"]
+    # the listing packs each distinct row once, from the rows that the
+    # profile enumerator grows
+    assert _readers("_rows_within") == [
+        "adet.py:_profile_listing",
+        "perms.py:_rows_within",
+        "perms.py:block_profiles",
+        "perms.py:grow",
+    ]
+
+
+def test_one_integer_formula_per_side_of_the_main_identity():
+    # the inflation's sum is taken once per call, with no memo; each side
+    # has one integer helper, read by its public wrapper and by the
+    # theorem's trial, and the rectangle's content coefficients by
+    # content_poly and the suite
+    tree = ast.parse((PACKAGE / "adet.py").read_text(encoding="utf-8"))
+    (inflation,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_inflation_class_sums"
+    ]
+    assert inflation.decorator_list == []
+    assert _readers("_inflation_class_sums") == [
+        "adet.py:wrdet",
+        "adet.py:wreath_average_poly",
+        "verify.py:_theorem_case",
+    ]
+    assert _readers("_wrdet_numerator") == ["adet.py:wrdet", "verify.py:_theorem_case"]
+    assert _readers("_wreath_average_counts") == [
+        "adet.py:wreath_average_poly",
+        "verify.py:_theorem_case",
+    ]
+    assert _readers("_length_counts") == ["adet.py:_adet_counts", "adet.py:adet_structured"]
+    assert _readers("_content_coefficients") == [
+        "partitions.py:content_poly",
+        "verify.py:verify_theorem",
+    ]
 
 
 def test_one_orbit_memo_serves_both_readers_of_block_profiles():

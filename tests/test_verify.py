@@ -11,12 +11,18 @@ import alphadet.characters as characters_module
 import alphadet.matrices as matrices_module
 import alphadet.perms as perms_module
 import alphadet.verify as verify_module
-from alphadet.adet import ADET_CAP, adet_structured, wrdet
+from alphadet.adet import ADET_CAP, adet_structured, wrdet, wreath_average_poly
 from alphadet.cli import main
 from alphadet.errors import ShapeWeightMismatch, SizeCapExceeded
 from alphadet.matrices import PermutedBlockOnes, RatMatrix, column_replicator
-from alphadet.partitions import conjugate, content_poly, num_standard_tableaux
+from alphadet.partitions import (
+    _content_coefficients,
+    conjugate,
+    content_poly,
+    num_standard_tableaux,
+)
 from alphadet.perms import Perm, enumerate_perms
+from alphadet.randmat import SplitMix64, random_matrix
 from alphadet.verify import (
     verify_chi,
     verify_omega,
@@ -112,7 +118,6 @@ def clear_walk_memos():
     """Empty the memos of class-sum walks, so that no walk of an earlier
     test is served from them."""
     adet_module.translate_class_sums.cache_clear()
-    adet_module._inflation_class_sums.cache_clear()
     adet_module._orbit_slots.cache_clear()
 
 
@@ -219,13 +224,14 @@ def test_structured_suites_build_no_rows(monkeypatch):
 
 
 def test_theorem_case_walks_the_inflation_once(walks):
-    # the wreath average and the wreath determinant share one sum of the
+    # the wreath average and the wreath determinant read one sum of the
     # inflation's class sums; at (2, 3) it walks one block profile of each
     # orbit of nonzero weight, by letter type, never the dense inflation,
     # and a second matrix walks only the orbits that the first did not.
     # The orbits are the slots of the memo that zsf reads too
     profiles = {matrices_module.profile_type_counts(m) for m in perms_module.block_profiles(2, 3)}
-    result = verify_module._theorem_case((2, 3, 0, 91, content_poly((2, 2, 2))))
+    content = _content_coefficients((2, 2, 2))
+    result = verify_module._theorem_case((2, 3, 0, 91, content))
     assert result.status == "pass"
     first = list(walks)
     slots = adet_module._orbit_slots(2, 3)
@@ -233,13 +239,76 @@ def test_theorem_case_walks_the_inflation_once(walks):
     assert len(first) == len(_filled_orbits(slots)) > 0
     assert len(set(first)) == len(first) and set(first) <= profiles
     walks.clear()
-    result = verify_module._theorem_case((2, 3, 1, 92, content_poly((2, 2, 2))))
+    result = verify_module._theorem_case((2, 3, 1, 92, content))
     assert result.status == "pass"
     assert len(set(walks)) == len(walks) and set(walks) <= profiles - set(first)
     assert len(first) + len(walks) == len(_filled_orbits(slots))
     assert adet_module._orbit_slots(2, 3) is slots
-    assert adet_module._inflation_class_sums.cache_info().maxsize == 1
     assert adet_module._orbit_slots.cache_info().maxsize == 1
+
+
+def test_theorem_sums_each_inflation_once_per_trial(monkeypatch):
+    # both sides of a passing trial read one sum of its inflation's class
+    # sums, and no memo keeps it past the trial
+    assert not hasattr(adet_module._inflation_class_sums, "cache_info")
+    summed = []
+    real = adet_module._inflation_class_sums
+
+    def spy(a, k):
+        summed.append(a)
+        return real(a, k)
+
+    for module in (adet_module, verify_module):
+        monkeypatch.setattr(module, "_inflation_class_sums", spy)
+    for k, n, trials in [(1, 3, 3), (2, 3, 5), (3, 2, 4), (2, 4, 2)]:
+        summed.clear()
+        report = verify_theorem(k, n, trials=trials, seed=31)
+        assert report.passed
+        rng = SplitMix64(31)
+        assert summed == [random_matrix(k * n, n, rng.next_u64()) for _ in range(trials)]
+
+
+def _conjugate_content(monkeypatch) -> None:
+    """Give the theorem suite the content of the conjugate rectangle, in
+    its integer check and in its witness alike."""
+    real = verify_module._content_coefficients
+    monkeypatch.setattr(
+        verify_module, "_content_coefficients", lambda shape: real(conjugate(shape))
+    )
+    monkeypatch.setattr(verify_module, "content_poly", lambda shape: content_poly(conjugate(shape)))
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (4, 2)])
+def test_theorem_witness_is_the_public_polynomials(monkeypatch, k, n):
+    # the conjugate rectangle's content negates every content, so no trial
+    # holds; each witness is the pair that the public functions give
+    _conjugate_content(monkeypatch)
+    report = verify_theorem(k, n, trials=3, seed=41)
+    assert report.status == "fail"
+    assert [c.status for c in report.cases] == ["fail"] * 3
+    for case in report.cases:
+        a = random_matrix(k * n, n, case.witness["matrix_seed"])
+        assert case.witness == {
+            "matrix": a.to_json_dict(),
+            "matrix_seed": case.witness["matrix_seed"],
+            "lhs": wreath_average_poly(a, k).to_strings(),
+            "rhs": (content_poly(conjugate((k,) * n)) * wrdet(a, k)).to_strings(),
+        }
+    argv = ["verify", "theorem", "--k", str(k), "--n", str(n), "--trials", "3", "--seed", "41"]
+    assert main(argv) == 1
+
+
+def test_theorem_pass_path_builds_no_polynomial(monkeypatch):
+    # a passing trial compares integers: the polynomial sides are built
+    # only for a failing trial's witness
+    def no_polynomial(*args):
+        raise AssertionError("a passing trial built a polynomial side")
+
+    for name in ("wreath_average_poly", "wrdet", "content_poly"):
+        monkeypatch.setattr(verify_module, name, no_polynomial)
+    for k, n in [(1, 4), (2, 3), (3, 3), (4, 2), (9, 1)]:
+        assert verify_theorem(k, n, trials=3, seed=43).passed
+    assert main(["verify", "theorem", "--k", "2", "--n", "2", "--trials", "2", "--seed", "0"]) == 0
 
 
 def _filled_orbits(slots) -> set:
