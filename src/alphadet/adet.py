@@ -16,18 +16,18 @@ the tests, as their oracle.  ``class_sums`` takes any integer matrix: a DP
 over letter sets that splits off the cycle through the least letter, with
 single-cycle sums from a Held-Karp table grown along nonzero entries only,
 so zeros prune it.  ``_typed_class_sums`` takes the row-permuted block-ones
-matrix P(g) 1_mu, whose letters of one type (column block, marked block)
-are interchangeable: the same split, over the counts of the letters of each
-type left, so the walk no longer grows with the orderings inside a block.
-It serves every structured value, one- and two-parameter, the
-subgroup-averaged character, through ``translate_class_sums``, and the
-block profiles of the inflation; ``class_sums`` serves the dense values,
-and is the typed kernel's oracle.  Every two-parameter sum reads the
-cycle-class tables of S_n by class sums, and one builder, ``_cut_and_join``,
-makes them all at once by Jucys-Murphy cut-and-join, without enumerating
-S_n: the coefficients of the homogeneous central product
-prod_m (x + q J_m)(y + s J_m), one per cycle type, with the types coded as
-class-sum keys.  One memoized reader,
+matrix P(g) 1_mu as the mu-profile of g, ``perms.profile_cells``, whose
+nonzero cells are letter types whose letters are interchangeable: the same
+split, over the counts of the letters of each type left, so the walk no
+longer grows with the orderings inside a block.  It serves every structured
+value, one- and two-parameter, the subgroup-averaged character, through
+``translate_class_sums``, and the block profiles of the inflation;
+``class_sums`` serves the dense values, and is the typed kernel's oracle.
+Every two-parameter sum reads the cycle-class tables of S_n by class sums,
+and one builder, ``_cut_and_join``, makes them all at once by Jucys-Murphy
+cut-and-join, without enumerating S_n: the coefficients of the homogeneous
+central product prod_m (x + q J_m)(y + s J_m), one per cycle type, with the
+types coded as class-sum keys.  One memoized reader,
 ``_tables(n, alpha, beta)``, runs it with each parameter either substituted
 or kept free as a packed power of two: ``adet2_poly`` reads the full
 (n+1) x (n+1) grids, the wreath average rows in alpha at beta = -1/k, and
@@ -51,33 +51,36 @@ weight read from the matrix times the class sums of any 0/1 selection of
 that profile.  Those class sums are one per orbit of profiles under
 relabeling the blocks and transposing, so the weights are added up per
 orbit first, and each orbit's total weighs its class sums once.  They are
-the class sums of P(g) 1_(k^n) too, for every g whose inverse has the
-profile, so one memo of (k, n), ``_orbit_slots``, keeps them for both
-readers, the inflation's sum and ``translate_class_sums`` at a rectangular
-mu, in one slot per orbit: each orbit is walked by letter type once per
-process.  ``class_sums`` walks the inflation only at k = 1, where it is the
-matrix itself.
+the class sums of P(g) 1_(k^n) too, for every g of a profile in the orbit,
+so one memo of (k, n), ``_orbit_slots``, keeps them for both readers, the
+inflation's sum and ``translate_class_sums`` at a rectangular mu, in one
+slot per orbit, keyed by the profile's flat cells: each orbit is walked by
+letter type once per process.  The same memo lists the profiles for the
+inflation's sum, grouped by orbit, once per (k, n).  ``class_sums`` walks
+the inflation only at k = 1, where it is the matrix itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import factorial
+from itertools import compress
+from math import factorial, isqrt
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, SizeCapExceeded
-from .matrices import (
-    PermutedBlockOnes,
-    RatMatrix,
-    block_type_counts,
-    profile_type_counts,
-    require_inflatable,
-    scaled_int_rows,
-)
+from .matrices import PermutedBlockOnes, RatMatrix, require_inflatable, scaled_int_rows
 from .partitions import _partitions
-from .perms import Perm, _embed, _rows_within, _trans_len, block_profiles, perm_tuples
+from .perms import (
+    Perm,
+    _embed,
+    _rows_within,
+    _trans_len,
+    block_profiles,
+    perm_tuples,
+    profile_cells,
+)
 from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
@@ -287,43 +290,41 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
 
-    They are walked by letter type from the type counts of P(g) 1_mu, which
-    depend on g only through its double coset S_mu g S_mu; no n x n rows are
-    built.  At a rectangular mu = (k^n) with k >= 2 the type counts are the
-    block profile of g^-1, and the walk is kept in its orbit's slot of
-    ``_orbit_slots(k, n)``, so each orbit of profiles is walked once however
-    many g meet it, and a theorem run of the same (k, n) shares the walks.
-    At k = 1 the orbits are the conjugacy classes of S_n and every g is its
-    own walk, so mu = 1^n, like any mu that is not rectangular, walks
-    directly.  The memo keeps the last (g, mu), so the two sums of one case
-    that read it count its types once.
+    They are walked by letter type from the mu-profile of g,
+    ``profile_cells(g, mu)``, which depends on g only through its double
+    coset S_mu g S_mu; no n x n rows are built.  At a rectangular
+    mu = (k^n) with k >= 2 the walk is kept in the slot that
+    ``_orbit_slots(k, n)`` keys by that same profile, so each orbit of
+    profiles is walked once however many g meet it, and a theorem run of
+    the same (k, n) shares the walks.  At k = 1 the orbits are the
+    conjugacy classes of S_n and every g is its own walk, so mu = 1^n, like
+    any mu that is not rectangular, walks directly.  The memo keeps the
+    last (g, mu), so the two sums of one case that read it count its types
+    once.
     """
-    counts = block_type_counts(g, mu)
+    cells = profile_cells(g, mu)
     k = mu[0] if mu else 1
     if k == 1 or any(part != k for part in mu):
-        return tuple(_typed_class_sums(counts).items())
-    n = len(mu)
-    profile = [0] * (n * n)
-    for (a, b), m in counts:
-        profile[a * n + b] = m
-    slot = _orbit_slots(k, n)[tuple(profile)]
+        return tuple(_typed_class_sums(cells).items())
+    slot = _orbit_slots(k, len(mu))[cells]
     if slot[0] is None:
-        slot[0] = tuple(_typed_class_sums(counts).items())
+        slot[0] = tuple(_typed_class_sums(cells).items())
     return slot[0]
 
 
 class _OrbitSlots(dict):
-    """The n x n block profiles of one (k, n), flat in row-major order, each
-    mapped to a one-item slot that holds its class sums once walked and None
-    before; see ``_orbit_slots``.  A profile read for the first time is
+    """The block profiles of one (k, n), as ``profile_cells`` gives them,
+    each mapped to a one-item slot that holds its class sums once walked and
+    None before; see ``_orbit_slots``.  A profile read for the first time is
     grouped with its whole orbit under one new slot, except the memo's first
     profile, which is grouped only when a second one is read: a run that
     reads one profile of (k, n), as ``omega`` does at each weight, groups
-    nothing."""
+    nothing.  ``listing`` groups every orbit, the first time the inflation's
+    sum reads it."""
 
-    def __init__(self, n: int):
+    def __init__(self, k: int, n: int):
         super().__init__()
-        self.n = n
+        self.k, self.n = k, n
         self.alone: tuple[int, ...] | None = None  # the first profile, not yet grouped
 
     @cached_property
@@ -341,23 +342,46 @@ class _OrbitSlots(dict):
             moves.append(itemgetter(*(swap[c // n] * n + swap[c % n] for c in cells)))
         return tuple(moves)
 
-    def __missing__(self, profile: tuple[int, ...]) -> list:
+    @cached_property
+    def listing(self) -> tuple[tuple[list, tuple[int, ...], list[tuple[int, ...]]], ...]:
+        """(slot, cells, packed) for each orbit, in the order of its first
+        profile in ``block_profiles(k, n)``: its slot, that profile's cells,
+        and every member's rows packed as block monomials, the row's entries
+        as base-(k + 1) digits, lowest block first, which is how
+        ``_inflation_class_sums`` keys the coefficients that weigh a matrix;
+        each distinct row is packed once."""
+        k, n = self.k, self.n
+        packed = {
+            row: sum(v * (k + 1) ** b for b, v in enumerate(row))
+            for row in _rows_within(k, (k,) * n)
+        }
+        orbits: dict[int, tuple] = {}  # id of a slot -> its orbit's entry
+        for m in block_profiles(k, n):
+            cells = sum(m, ())
+            slot = self[cells]
+            orbit = orbits.get(id(slot))
+            if orbit is None:
+                orbit = orbits[id(slot)] = (slot, cells, [])
+            orbit[2].append(tuple(map(packed.get, m)))
+        return tuple(orbits.values())
+
+    def __missing__(self, cells: tuple[int, ...]) -> list:
         if not self:
-            self.alone = profile
-            slot = self[profile] = [None]
+            self.alone = cells
+            slot = self[cells] = [None]
             return slot
         if self.alone is not None:
             first, self.alone = self.alone, None
             self._group(first, self[first])
-            if profile in self:
-                return self[profile]
+            if cells in self:
+                return self[cells]
         slot = [None]
-        self._group(profile, slot)
+        self._group(cells, slot)
         return slot
 
-    def _group(self, profile: tuple[int, ...], slot: list) -> None:
-        self[profile] = slot
-        orbit = [profile]
+    def _group(self, cells: tuple[int, ...], slot: list) -> None:
+        self[cells] = slot
+        orbit = [cells]
         while orbit:
             m = orbit.pop()
             for move in self.moves:
@@ -369,19 +393,19 @@ class _OrbitSlots(dict):
 
 @lru_cache(maxsize=1)
 def _orbit_slots(k: int, n: int) -> _OrbitSlots:
-    """The one memo of the class sums of the 0/1 selections of each block
-    profile M of (k, n), shared by ``translate_class_sums`` at mu = (k^n)
-    and the inflation's sum by profile.  Relabeling the blocks conjugates
-    the permutations of a profile by a permutation that keeps S_k^n,
-    permuting the rows and columns of M together, and inverting them
-    transposes M; neither changes a cycle type, so the class sums are
-    constant on the orbit that the swaps of adjacent blocks and the
-    transposition generate, and its profiles share one slot.  Orbits are
-    grouped as their profiles are read (see ``_OrbitSlots``), so a run
-    groups only the orbits that it meets.  The memo keeps the last (k, n), as
-    ``_tables`` keeps a suite's reading.
+    """The one memo of the block profiles of (k, n): the class sums of each
+    orbit of profiles, shared by ``translate_class_sums`` at mu = (k^n) and
+    the inflation's sum by profile, and the listing that the sum reads.
+    Relabeling the blocks conjugates the permutations of a profile by a
+    permutation that keeps S_k^n, permuting the rows and columns of the
+    profile together, and inverting them transposes it; neither changes a
+    cycle type, so the class sums are constant on the orbit that the swaps
+    of adjacent blocks and the transposition generate, and its profiles
+    share one slot.  Orbits are grouped as their profiles are read (see
+    ``_OrbitSlots``), so a run groups only the orbits that it meets.  The
+    memo keeps the last (k, n), as ``_tables`` keeps a suite's reading.
     """
-    return _OrbitSlots(n)
+    return _OrbitSlots(k, n)
 
 
 @cache
@@ -449,11 +473,16 @@ def _type_cycles(
     return found
 
 
-def _typed_class_sums(
-    counts: Sequence[tuple[tuple[int, int], int]]
-) -> dict[tuple[int, ...], int]:
-    """``class_sums`` of P(g) 1_mu, walked by letter type from its type
-    counts ((a, b), M_ab), sorted, as ``block_type_counts`` gives them.
+def _typed_class_sums(cells: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """``class_sums`` of P(g) 1_mu, walked by letter type from the
+    mu-profile of g, ``profile_cells(g, mu)``.
+
+    The nonzero cells (a, b) of the profile are the letter types, with
+    counts M_ab; they are the types of P(g^-1) 1_mu, whose letter of type
+    (a, b) lies in column block a and marks row block b.  Its class sums
+    count the g^-1 h, h in S_mu, by cycle type, and those of P(g) 1_mu count
+    the g h: these agree, since g^-1 h is the inverse of h^-1 g, which is
+    conjugate to g h^-1, and h^-1 runs over S_mu too.
 
     A permutation has product 1 exactly when it sends each letter of a type
     (a, b) to a letter of a type (a', b') with b' = a, so the sums over the
@@ -467,7 +496,9 @@ def _typed_class_sums(
     factorial: the root's own letter is taken out of its count first.  Keys
     and their decoding are those of ``class_sums``.
     """
-    n = sum(m for _, m in counts)
+    ell = isqrt(len(cells))
+    counts = [(divmod(c, ell), cells[c]) for c in compress(range(len(cells)), cells)]
+    n = sum(cells)
     width = n.bit_length() + 1
     guard = _guard(len(counts), width)
     field = (1 << width - 1) - 1
@@ -527,23 +558,6 @@ def _typed_class_sums(
     return {_cycle_type(key, n): total for key, total in top.items()}
 
 
-@lru_cache(maxsize=1)
-def _profile_listing(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(packed, flat) of every block profile of (k, n), listed once per (k, n).
-    packed holds each row of the profile as its block monomial, the row's
-    entries as base-(k + 1) digits, lowest block first, which is how
-    ``_inflation_class_sums`` keys the coefficients that weigh a matrix;
-    each distinct row is packed once.  The flat tuple, the profile in
-    row-major order, keys its slot in ``_orbit_slots(k, n)``.  The listing
-    holds keys, not slots, so it stays valid when a run at another (k, n)
-    replaces that memo."""
-    packed = {
-        row: sum(v * (k + 1) ** b for b, v in enumerate(row))
-        for row in _rows_within(k, (k,) * n)
-    }
-    return tuple((tuple(map(packed.get, m)), sum(m, ())) for m in block_profiles(k, n))
-
-
 def _inflation_class_sums(
     a: RatMatrix, k: int
 ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
@@ -561,12 +575,13 @@ def _inflation_class_sums(
     with w(M) the class sums of any 0/1 selection of profile M.  w(M) is the
     same w_o for every M of one orbit o of ``_orbit_slots(k, n)``, so the
     sum is taken orbit first, sum_o W_o w_o with W_o = sum_(M in o) weight(M):
-    the weights of the profiles from ``_profile_listing(k, n)`` are added
-    into their orbit's W_o, and each orbit with W_o != 0 is weighed once,
-    its w_o walked by letter type the first time the live memo meets it.  A
-    block monomial is packed as in the listing, so extending it by x_b is
-    one add of (k + 1)^b.  At k = 1 the inflation is a itself, which
-    ``class_sums`` walks directly.
+    the memo's listing gives each orbit's slot, one member's cells and every
+    member's packed rows, the member weights are added up into W_o, and
+    each orbit with W_o != 0 is weighed once, its w_o walked by letter type
+    from those cells the first time the live memo meets it.  A block
+    monomial is packed as in the listing, so extending it by x_b is one add
+    of (k + 1)^b.  At k = 1 the inflation is a itself, which ``class_sums``
+    walks directly.
     """
     require_inflatable(a, k)
     _check_adet_cap(a.rows)
@@ -588,27 +603,19 @@ def _inflation_class_sums(
                         grown[v + unit] = grown.get(v + unit, 0) + c * e
             poly = grown
         coefficients.append(poly)
-    slots = _orbit_slots(k, n)
-    orbits: dict[int, list] = {}  # id of an orbit's slot -> [slot, W_o, its first profile]
-    for packed, flat in _profile_listing(k, n):
-        weight = 1
-        for poly, v in zip(coefficients, packed):
-            weight *= poly.get(v, 0)
-        if weight:
-            slot = slots[flat]
-            orbit = orbits.get(id(slot))
-            if orbit is None:
-                orbits[id(slot)] = [slot, weight, flat]
-            else:
-                orbit[1] += weight
     total: dict[tuple[int, ...], int] = {}
-    for slot, weight, flat in orbits.values():
+    for slot, cells, members in _orbit_slots(k, n).listing:
+        weight = 0  # W_o
+        for packed in members:
+            term = 1
+            for poly, v in zip(coefficients, packed):
+                term *= poly.get(v, 0)
+            weight += term
         if not weight:
             continue  # the orbit's weights cancel
         w = slot[0]
         if w is None:
-            m = [flat[r * n : r * n + n] for r in range(n)]
-            w = slot[0] = tuple(_typed_class_sums(profile_type_counts(m)).items())
+            w = slot[0] = tuple(_typed_class_sums(cells).items())
         for rho, v in w:
             total[rho] = total.get(rho, 0) + weight * v
     return tuple((rho, v) for rho, v in total.items() if v), denom
@@ -690,7 +697,7 @@ def adet2_structured(s: PermutedBlockOnes, x: Fraction, y: Fraction) -> Fraction
     memoized value at (x, y), and the values are weighted by the class sums
     of the translates over one common denominator.
     """
-    # its cap refuses a huge g before its type counts
+    # its cap refuses a huge g before its mu-profile
     values, denom = _tables(s.g.n, Fraction(x), Fraction(y))
     (total,) = _weigh(values, translate_class_sums(s.g, tuple(s.mu)))
     return Fraction(total, denom)

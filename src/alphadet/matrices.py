@@ -190,12 +190,14 @@ def column_replicator(n: int, k: int) -> RatMatrix:
 class PermutedBlockOnes:
     """The row-permuted block-ones matrix P(g) * block_ones(mu), kept
     unmaterialized: entry (r, s) = 1 iff g^-1(r) and s share a mu-block, as
-    in ``block_ones(mu).permute_rows(g)``.  Equal (g, mu) compare and hash
-    equal."""
+    in ``block_ones(mu).permute_rows(g)``.  mu is any composition of n:
+    every part is at least 1.  Equal (g, mu) compare and hash equal."""
 
     __slots__ = ("g", "mu")
 
     def __init__(self, g: Perm, mu: tuple[int, ...]):
+        if mu and min(mu) < 1:
+            raise ValueError(f"parts must be positive: {tuple(mu)}")
         if g.n != sum(mu):
             raise DimensionMismatch("permutation size != sum(mu)")
         self.g, self.mu = g, mu
@@ -211,31 +213,3 @@ class PermutedBlockOnes:
     def __repr__(self):
         return f"PermutedBlockOnes(g={self.g!r}, mu={self.mu!r})"
 
-
-def _block_labels(mu: Sequence[int]) -> list[int]:
-    """labels[i] = the mu-block of letter i + 1."""
-    labels: list[int] = []
-    for b, part in enumerate(mu):
-        labels += [b] * part
-    return labels
-
-
-def block_type_counts(g: Perm, mu: Sequence[int]) -> tuple[tuple[tuple[int, int], int], ...]:
-    """((a, b), M_ab) pairs, sorted, for P(g) 1_mu, nonzero counts only: M_ab
-    counts the letters l of type (a, b), where a is the block of column l and
-    b the block that row l marks.  Row g(i) marks the block of i, so letter
-    g(i) has the type (block of g(i), block of i); M is the mu-profile of
-    g^-1 and depends on g only through the double coset S_mu g S_mu."""
-    labels = _block_labels(mu)
-    counts: dict[tuple[int, int], int] = {}
-    for label, v in zip(labels, g.images):
-        t = (labels[v - 1], label)
-        counts[t] = counts.get(t, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def profile_type_counts(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], int], ...]:
-    """((r, b), m_rb) pairs, sorted, nonzero only, for an n x n block profile
-    grid m with sums k: ``block_type_counts(g, (k,) * n)`` of every g whose
-    inverse has the block profile m, read from the grid without a g."""
-    return tuple(((r, b), c) for r, row in enumerate(m) for b, c in enumerate(row) if c)

@@ -1,6 +1,8 @@
 """Permutations of {1..n}: cycle statistics, enumeration, Young-subgroup
 blocks and orders, the Jucys-Murphy group-algebra product, block profiles
-with their enumeration and count, and double-coset indices.
+with their enumeration and count, and double-coset indices.  A block
+profile has one form, the flat row-major tuple of ``profile_cells``, which
+``block_profile`` reads as a grid.
 
 One-line notation is 1-based everywhere, matching the serialized form
 "2,1,3".  Everything is exhaustive by design, except the double-coset
@@ -256,15 +258,29 @@ class BlockProfile:
         return index
 
 
+def profile_cells(g: Perm, mu: Sequence[int]) -> tuple[int, ...]:
+    """The mu-profile of g, flat in row-major order: for l = len(mu), cell
+    i l + j counts the letters of block i that g sends into block j, the
+    blocks being the consecutive runs of sizes mu_1, mu_2, ...  It depends
+    on g only through the double coset S_mu g S_mu."""
+    ell = len(mu)
+    labels = [b for b, part in enumerate(mu) for _ in range(part)]
+    if len(labels) != g.n:
+        raise ValueError(f"permutation size {g.n} != {len(labels)} letters of the blocks {mu}")
+    cells = [0] * (ell * ell)
+    for b, image in zip(labels, g.images):
+        cells[b * ell + labels[image - 1]] += 1
+    return tuple(cells)
+
+
 def block_profile(sigma: Perm, n: int, k: int) -> BlockProfile:
     """Count, for each block pair (i, j), the letters s in block i whose
-    image sigma(s) lies in block j (blocks are consecutive runs of k)."""
+    image sigma(s) lies in block j (blocks are consecutive runs of k): the
+    rows of ``profile_cells(sigma, (k,) * n)``."""
     if sigma.n != n * k:
         raise ValueError(f"permutation size {sigma.n} != k*n = {n * k}")
-    grid = [[0] * n for _ in range(n)]
-    for s, image in enumerate(sigma.images, start=1):
-        grid[(s - 1) // k][(image - 1) // k] += 1
-    return BlockProfile(tuple(tuple(r) for r in grid), n, k)
+    cells = profile_cells(sigma, (k,) * n)
+    return BlockProfile(tuple(cells[i * n : i * n + n] for i in range(n)), n, k)
 
 
 @cache

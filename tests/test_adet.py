@@ -30,7 +30,6 @@ from alphadet.matrices import (
     PermutedBlockOnes,
     RatMatrix,
     block_ones,
-    block_type_counts,
     column_replicator,
     inflate,
     scaled_int_rows,
@@ -44,6 +43,7 @@ from alphadet.perms import (
     block_profile,
     enumerate_perms,
     perm_tuples,
+    profile_cells,
     young_blocks,
     young_subgroup_order,
 )
@@ -338,11 +338,11 @@ def test_class_sums_of_permuted_block_ones_counts_translates():
                 rows = _block_ones_rows(g, mu)
                 assert class_sums(rows) == expected, (g, mu)
                 assert dict(translate_class_sums(g, mu)) == expected, (g, mu)
-                # the walk by letter type reads the type counts alone, which
-                # are the same on the double coset S_mu g S_mu
+                # the walk by letter type reads the mu-profile alone, which
+                # is the same on the double coset S_mu g S_mu
                 h1 = _random_subgroup_element(mu, coset_rng)
                 h2 = _random_subgroup_element(mu, coset_rng)
-                assert block_type_counts(h1 * g * h2, mu) == block_type_counts(g, mu), (g, mu)
+                assert profile_cells(h1 * g * h2, mu) == profile_cells(g, mu), (g, mu)
                 assert translate_class_sums(h1 * g * h2, mu) == translate_class_sums(g, mu), (g, mu)
     # g and h g, h in S_mu, lie in one double coset S_mu g S_mu but in two
     # left cosets g S_mu, so their matrices differ and their class sums agree
@@ -378,17 +378,30 @@ def _block_ones_rows(g: Perm, mu) -> list[tuple[int, ...]]:
 def _typed_and_row_walks(g: Perm, mu) -> tuple[dict, dict]:
     """The class sums of P(g) 1_mu by letter type, and by the letter walk
     of its 0/1 rows."""
-    typed = adet_module._typed_class_sums(block_type_counts(g, mu))
+    typed = adet_module._typed_class_sums(profile_cells(g, mu))
     return typed, class_sums(_block_ones_rows(g, mu))
 
 
+def _compositions(n: int):
+    """Every composition of n: tuples of positive parts summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
 def test_typed_class_sums_match_the_letter_walk():
-    # every g and every mu up to n = 6
-    for n in range(7):
-        for mu in partitions_of(n):
-            for g in enumerate_perms(n):
-                typed, rows = _typed_and_row_walks(g, mu)
-                assert typed == rows, (g, mu)
+    # the walk of g's own mu-profile, against the dense walk of
+    # block_ones(mu).permute_rows(g): every g at every composition mu up to
+    # n = 5 and every partition mu of 6
+    cases = [mu for n in range(6) for mu in _compositions(n)] + partitions_of(6)
+    assert len(cases) == 32 + 11
+    for mu in cases:
+        n = sum(mu)
+        for g in enumerate_perms(n):
+            typed, rows = _typed_and_row_walks(g, mu)
+            assert typed == rows, (g, mu)
     # seeded g at every mu of n = 7..9
     rng = SplitMix64(1616)
     for n in range(7, 10):
@@ -422,7 +435,7 @@ def test_type_walks_use_no_type_below_their_root(monkeypatch):
     for mu in [(3, 3, 2), (2, 2, 2, 2), (4, 2, 1, 1), (1,) * 8]:
         for _ in range(4):
             g = random_perm(8, rng)
-            assert adet_module._typed_class_sums(block_type_counts(g, mu)) == (
+            assert adet_module._typed_class_sums(profile_cells(g, mu)) == (
                 _translate_cycle_types(g, mu)
             )
     assert any(root > 0 and found for _, root, found in seen)
@@ -440,12 +453,12 @@ def test_walks_leave_no_cycle_for_the_collector():
     # each walk's memo is freed when the walk returns, not at the next
     # collection: with the collector off, nothing unreachable is left
     g = random_perm(8, SplitMix64(3))
-    counts = block_type_counts(g, (2, 2, 2, 2))
+    cells = profile_cells(g, (2, 2, 2, 2))
     rows = [[1, 2, 0], [3, 1, 1], [0, 2, 5]]
     gc.collect()
     gc.disable()
     try:
-        assert adet_module._typed_class_sums(counts)
+        assert adet_module._typed_class_sums(cells)
         assert class_sums(rows)
         assert gc.collect() == 0
     finally:
@@ -1017,8 +1030,9 @@ def _no_dense_walk(rows):
 
 
 def test_profile_sum_walks_only_profiles_of_nonzero_weight(profile_route, monkeypatch):
-    # a column replicator weighs only the profile k I, permuted rows only
-    # their own profile, so each walks one typed count and no dense matrix
+    # a column replicator weighs only the profile k I, rows permuted by g
+    # only the profile of g^-1, so each walks the cells of one profile of
+    # that orbit, the orbit's first in the listing, and no dense matrix
     walked = []
     real = adet_module._typed_class_sums
     monkeypatch.setattr(adet_module, "class_sums", _no_dense_walk)
@@ -1027,7 +1041,10 @@ def test_profile_sum_walks_only_profiles_of_nonzero_weight(profile_route, monkey
     for k, n in [(2, 3), (3, 3), (2, 4)]:
         g = random_perm(k * n, rng)
         profile_route(column_replicator(n, k).permute_rows(g), k)
-        assert walked == [block_type_counts(g, (k,) * n)], (k, n)
+        slots = adet_module._orbit_slots(k, n)
+        ((slot, cells, _),) = [o for o in slots.listing if o[0] is slots[walked[0]]]
+        assert walked == [cells], (k, n)
+        assert slots[profile_cells(g.inverse(), (k,) * n)] is slot, (k, n)
         walked.clear()
 
 
@@ -1045,30 +1062,46 @@ def _profile_orbits(grids, n: int) -> list[list]:
     return list(orbits.values())
 
 
+def _unpack_rows(packed, k: int, n: int):
+    """The profile grid whose rows are packed as base-(k + 1) digits,
+    lowest block first."""
+    rows = []
+    for v in packed:
+        digits = []
+        for _ in range(n):
+            v, d = divmod(v, k + 1)
+            digits.append(d)
+        assert v == 0
+        rows.append(tuple(digits))
+    return tuple(rows)
+
+
 def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
     # relabeling the blocks (rows and columns permuted together) and
-    # transposing keep w(M); the slots are exactly those orbits
+    # transposing keep w(M); the memo's listing holds each profile in one
+    # orbit entry, its entries are exactly those orbits, and its slots are
+    # the memo's
     for k, n in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2), (3, 2), (6, 1)]:
-        listing = adet_module._profile_listing(k, n)
-        grids = list(perms_module.block_profiles(k, n))
-        assert [flat for _, flat in listing] == [sum(m, ()) for m in grids]
         memo = adet_module._orbit_slots(k, n)
-        slots = {m: memo[flat] for m, (_, flat) in zip(grids, listing)}
-        assert len(slots) == len(listing) == len(memo), (k, n)
+        grids = list(perms_module.block_profiles(k, n))
+        listed = [
+            [_unpack_rows(packed, k, n) for packed in members] for _, _, members in memo.listing
+        ]
+        assert sorted(m for members in listed for m in members) == grids, (k, n)
         orbits = _profile_orbits(grids, n)
-        assert len({id(slot) for slot in slots.values()}) == len(orbits), (k, n)
-        for members in orbits:
-            assert len({id(slots[m]) for m in members}) == 1
-            sums = [
-                adet_module._typed_class_sums(matrices_module.profile_type_counts(m))
-                for m in members
-            ]
+        assert sorted(map(sorted, listed)) == sorted(map(sorted, orbits)), (k, n)
+        assert len(memo) == len(grids), (k, n)
+        assert len({id(slot) for slot, _, _ in memo.listing}) == len(orbits), (k, n)
+        for (slot, cells, _), members in zip(memo.listing, listed):
+            assert cells == sum(members[0], ())
+            assert all(memo[sum(m, ())] is slot for m in members)
+            sums = [adet_module._typed_class_sums(sum(m, ())) for m in members]
             assert all(w == sums[0] for w in sums), (k, n, members)
 
 
 def _check_memo_against_the_walk():
     """The memoized translate_class_sums against the typed walk of each g's
-    own type counts: every g at the small rectangles, seeded g at kn = 8, 9."""
+    own mu-profile: every g at the small rectangles, seeded g at kn = 8, 9."""
     rng = SplitMix64(2301)
     cases = [((k,) * n, list(enumerate_perms(k * n))) for k, n in [(2, 2), (2, 3), (3, 2), (6, 1)]]
     cases += [
@@ -1077,7 +1110,7 @@ def _check_memo_against_the_walk():
     for mu, perms in cases:
         _clear_profile_memos()
         for g in perms:
-            walked = adet_module._typed_class_sums(block_type_counts(g, mu))
+            walked = adet_module._typed_class_sums(profile_cells(g, mu))
             assert dict(translate_class_sums(g, mu)) == walked, (g, mu)
 
 
@@ -1132,16 +1165,7 @@ def test_theorem_and_zsf_runs_share_the_orbit_memo(profile_route, monkeypatch):
             assert verify_zsf(k, n, samples=4, seed=rng.next_u64()).passed
         slots = adet_module._orbit_slots(k, n)
         assert len(walked) == len({id(slot) for slot in slots.values() if slot[0] is not None})
-        assert len(walked) == len({id(slots[_flat_profile(c, n)]) for c in walked})
-
-
-def _flat_profile(counts, n: int) -> tuple[int, ...]:
-    """The n x n block profile of type counts ((r, b), m_rb), flat in
-    row-major order."""
-    flat = [0] * (n * n)
-    for (r, b), m in counts:
-        flat[r * n + b] = m
-    return tuple(flat)
+        assert len(walked) == len({id(slots[cells]) for cells in walked})
 
 
 def test_only_rectangles_with_k_at_least_two_use_the_orbit_memo():
@@ -1178,8 +1202,7 @@ def test_first_profile_is_grouped_when_a_second_is_read(monkeypatch):
         assert len(slots) == 1 and "moves" not in vars(slots)
         assert translate_class_sums(g.inverse(), mu) == first
         assert len(walked) == 1
-        flat = _flat_profile(block_type_counts(g, mu), n)
-        assert slots[flat] is slots[_flat_profile(block_type_counts(g.inverse(), mu), n)]
+        assert slots[profile_cells(g, mu)] is slots[profile_cells(g.inverse(), mu)]
         orbit = {id(slot) for slot in slots.values()}
         assert len(orbit) == 1 and len(slots) > 1
     _clear_profile_memos()
@@ -1213,20 +1236,18 @@ def test_class_sums_walks_the_inflation_only_at_k1(monkeypatch):
 SUMMED_SIZES = [(k, n) for k in range(2, ADET_CAP + 1) for n in range(1, ADET_CAP // k + 1)]
 
 
-def test_packed_listing_rows_decode_to_their_profile_rows():
+def test_packed_listing_rows_decode_to_their_profile_rows(profile_route):
+    # every profile is listed once, its rows packed as base-(k + 1) digits,
+    # and each orbit entry's cells are its first member's
     for k, n in SUMMED_SIZES:
-        listing = adet_module._profile_listing(k, n)
-        grids = perms_module.block_profiles(k, n)
-        assert len(listing) == len(grids)
-        for (packed, flat), m in zip(listing, grids):
-            assert flat == sum(m, ())
-            assert len(packed) == n
-            for v, row in zip(packed, m):
-                digits = []
-                for _ in range(n):
-                    v, d = divmod(v, k + 1)
-                    digits.append(d)
-                assert v == 0 and tuple(digits) == row, (k, n, m)
+        listing = adet_module._orbit_slots(k, n).listing
+        decoded = []
+        for _, cells, members in listing:
+            assert all(len(packed) == n for packed in members)
+            grids = [_unpack_rows(packed, k, n) for packed in members]
+            assert cells == sum(grids[0], ()), (k, n)
+            decoded += grids
+        assert sorted(decoded) == list(perms_module.block_profiles(k, n)), (k, n)
 
 
 def _profile_weights(a: RatMatrix, k: int) -> dict:
@@ -1300,7 +1321,7 @@ def test_cancelling_orbit_weights_drop_what_the_dense_walk_drops(profile_route, 
         assert all(total for _, total in pairs)
         assert dict(pairs) == _inflation_oracle(cancelled, k)[0], (k, n)
         orbit = {sum(p, ()) for p in members}
-        assert not orbit & {_flat_profile(c, n) for c in walked}, (k, n)
+        assert not orbit & set(walked), (k, n)
         # one type's total made to vanish
         totals = _inflation_oracle(a, k)[0]
         for rho in sorted(totals):
@@ -1392,13 +1413,13 @@ def test_adet2_of_block_ones_expansion():
 
 def test_structured_cap(monkeypatch):
     # the cap comes first, so a huge g is refused without its n x n matrix
-    # or its type counts
+    # or its mu-profile
     def no_matrix(*args):
         raise AssertionError("the cap must be checked before materializing")
 
     monkeypatch.setattr(matrices_module, "block_ones", no_matrix)
     monkeypatch.setattr(RatMatrix, "permute_rows", no_matrix)
-    monkeypatch.setattr(adet_module, "block_type_counts", no_matrix)
+    monkeypatch.setattr(adet_module, "profile_cells", no_matrix)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         adet2_structured(PermutedBlockOnes(Perm.identity(10), (1,) * 10), F(1), F(1))
     with pytest.raises(SizeCapExceeded):

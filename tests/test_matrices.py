@@ -116,6 +116,20 @@ def test_permuted_block_ones_checks_size_and_is_a_value():
     assert s != (g, (2, 2))
 
 
+def test_permuted_block_ones_refuses_a_part_below_one():
+    # a negative part let (3, -1, 2) pass the size check, and a zero part
+    # is no block either: both are refused, as check_partition refuses them
+    g = Perm([2, 1, 4, 3])
+    with pytest.raises(ValueError, match=r"^parts must be positive: \(3, -1, 2\)$"):
+        PermutedBlockOnes(g, (3, -1, 2))
+    with pytest.raises(ValueError, match=r"^parts must be positive: \(2, 0, 2\)$"):
+        PermutedBlockOnes(g, (2, 0, 2))
+    with pytest.raises(ValueError):
+        PermutedBlockOnes(g, (0, 4))
+    # compositions that are not partitions stay admitted
+    assert PermutedBlockOnes(g, (1, 3)).mu == (1, 3)
+
+
 def test_random_matrix_deterministic():
     a = random_matrix(3, 2, 42)
     b = random_matrix(3, 2, 42)

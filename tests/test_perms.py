@@ -8,8 +8,8 @@ import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 
 from alphadet.errors import SizeCapExceeded
-from alphadet.matrices import block_type_counts, perm_matrix, profile_type_counts
-from alphadet.partitions import content_poly
+from alphadet.matrices import perm_matrix
+from alphadet.partitions import content_poly, partitions_of
 from alphadet.perms import (
     FOURIER_JM_CAP,
     BlockProfile,
@@ -25,6 +25,7 @@ from alphadet.perms import (
     jucys_murphy_product,
     parse_perm,
     perm_tuples,
+    profile_cells,
     young_blocks,
     young_subgroup_order,
 )
@@ -363,13 +364,39 @@ def test_block_profiles_list_no_permutation(monkeypatch):
     assert len(block_profiles(2, 5)) == 6210
 
 
-def test_profile_type_counts_are_the_block_type_counts():
-    # the type counts of P(g) 1_(k^n) are the block profile of g^-1
-    for size in range(1, 7):
+def _profile_cells_naive(g: Perm, mu) -> tuple[int, ...]:
+    """Oracle: cell i l + j counts the letters s of block i with g(s) in
+    block j, each found by searching the blocks."""
+    blocks = young_blocks(mu)
+    ell = len(mu)
+    return tuple(
+        sum(1 for s in blocks[i] if g(s) in blocks[j]) for i in range(ell) for j in range(ell)
+    )
+
+
+def test_profile_cells_count_the_letters_between_blocks():
+    # every g at every mu up to size 6; block_profile reads the same cells
+    # as its rows, and the profile of g^-1 is the transpose of g's
+    for size in range(7):
+        for mu in partitions_of(size):
+            ell = len(mu)
+            for g in enumerate_perms(size):
+                cells = profile_cells(g, mu)
+                assert cells == _profile_cells_naive(g, mu), (g, mu)
+                inverse = profile_cells(g.inverse(), mu)
+                assert inverse == tuple(cells[j * ell + i] for i in range(ell) for j in range(ell))
         for k in range(1, size + 1):
             if size % k:
                 continue
             n = size // k
             for g in enumerate_perms(size):
-                m = block_profile(g.inverse(), n, k).m
-                assert profile_type_counts(m) == block_type_counts(g, (k,) * n), (g, k)
+                cells = profile_cells(g, (k,) * n)
+                rows = tuple(cells[i * n : i * n + n] for i in range(n))
+                assert block_profile(g, n, k).m == rows, (g, k)
+    assert profile_cells(Perm.from_cycles(5, [(1, 3, 5)]), (2, 1, 2)) == (1, 1, 0, 0, 0, 1, 1, 0, 1)
+    assert profile_cells(Perm.identity(0), ()) == ()
+    # the cells need the blocks to hold exactly the letters of g
+    with pytest.raises(ValueError, match=r"^permutation size 4 != 5 letters of the blocks"):
+        profile_cells(Perm.identity(4), (3, 2))
+    with pytest.raises(ValueError):
+        profile_cells(Perm([2, 1, 4, 3]), (3, -1, 2))

@@ -109,7 +109,9 @@ def test_every_enumeration_of_s_n_is_pinned():
 def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
     # every k >= 2 sums the inflation by block profile, so the profile count
     # that chose a dense route is gone, as are the listing wrapper and the
-    # second builder of the rows of P(g) 1_mu
+    # second builder of the rows of P(g) 1_mu; a block profile has one form,
+    # the flat cells of perms.profile_cells, so the type-count helpers and
+    # the listing memo beside the orbit memo are gone too
     defined = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -122,15 +124,20 @@ def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
         "block_word_rows",
         "materialize",
         "int_rows",
+        "block_type_counts",
+        "profile_type_counts",
+        "_block_labels",
+        "_profile_listing",
     }
     assert not gone & defined
     assert all(_readers(name) == [] for name in gone)
-    assert _readers("block_profiles") == ["adet.py:_profile_listing"]
-    assert _readers("_profile_listing") == ["adet.py:_inflation_class_sums"]
-    # the listing packs each distinct row once, from the rows that the
-    # profile enumerator grows
+    assert _readers("profile_cells") == ["adet.py:translate_class_sums", "perms.py:block_profile"]
+    assert _readers("block_profiles") == ["adet.py:listing"]
+    assert _readers("listing") == ["adet.py:_inflation_class_sums"]
+    # the orbit memo's listing packs each distinct row once, from the rows
+    # that the profile enumerator grows
     assert _readers("_rows_within") == [
-        "adet.py:_profile_listing",
+        "adet.py:listing",
         "perms.py:_rows_within",
         "perms.py:block_profiles",
         "perms.py:grow",
@@ -164,6 +171,18 @@ def test_one_integer_formula_per_side_of_the_main_identity():
         "partitions.py:content_poly",
         "verify.py:verify_theorem",
     ]
+
+
+def test_matrices_defines_no_block_profile_helper():
+    # matrices.py holds matrices; the profile of P(g) 1_mu is perms' one
+    # format, read by adet
+    tree = ast.parse((PACKAGE / "matrices.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined
+    helpers = [name for name in defined if any(w in name for w in ("profile", "type", "label"))]
+    assert not helpers, f"block-profile helpers in matrices.py: {helpers}"
 
 
 def test_one_orbit_memo_serves_both_readers_of_block_profiles():

@@ -33,8 +33,6 @@ from alphadet.verify import (
     verify_zsf,
 )
 
-from test_adet import _flat_profile
-
 
 def _stripped(report):
     data = report.to_dict()
@@ -84,7 +82,7 @@ def test_rect_formula_checks_sizes_before_any_work(monkeypatch):
     monkeypatch.setattr(verify_module, "num_standard_tableaux", no_work)
     monkeypatch.setattr(matrices_module, "block_ones", no_work)
     monkeypatch.setattr(RatMatrix, "permute_rows", no_work)
-    monkeypatch.setattr(adet_module, "block_type_counts", no_work)
+    monkeypatch.setattr(adet_module, "profile_cells", no_work)
     with pytest.raises(SizeCapExceeded, match=r"^n=10 exceeds alpha-determinant cap 9$"):
         verify_module.rect_formula_value(10, 1, (10,), Perm.identity(10))
     with pytest.raises(ShapeWeightMismatch):
@@ -148,7 +146,7 @@ def test_chi_omega_and_stanley_never_build_the_tables(monkeypatch):
 @pytest.fixture
 def walks(monkeypatch):
     """The input of every class-sum walk, starting from empty memos: the
-    rows of each class_sums walk and the type counts of each walk of
+    rows of each class_sums walk and the profile cells of each walk of
     P(g) 1_mu by letter type, which _typed_class_sums makes instead."""
     seen = []
     real_rows, real_typed = adet_module.class_sums, adet_module._typed_class_sums
@@ -178,17 +176,17 @@ def test_omega_case_walks_the_translates_once(walks):
 
 def test_one_type_count_per_case(monkeypatch):
     # the character average and the structured value of an omega or zsf
-    # case read one (g, mu), so its type counts are made once per case; zsf
-    # makes them once more for its denominator, at the identity, which an
+    # case read one (g, mu), so its mu-profile is made once per case; zsf
+    # makes one more for its denominator, at the identity, which an
     # exhaustive run's first case reads again from the memo
     calls = []
-    real = adet_module.block_type_counts
+    real = adet_module.profile_cells
 
     def spy(g, mu):
         calls.append((g, mu))
         return real(g, mu)
 
-    monkeypatch.setattr(adet_module, "block_type_counts", spy)
+    monkeypatch.setattr(adet_module, "profile_cells", spy)
     g = Perm.from_cycles(6, [(1, 4, 2), (3, 6)])
     runs = [
         (lambda: verify_omega(2, 3, g=g, seed=0), 0),
@@ -205,7 +203,7 @@ def test_one_type_count_per_case(monkeypatch):
 
 
 def test_structured_suites_build_no_rows(monkeypatch):
-    # omega, chi and zsf read P(g) 1_mu through its type counts only
+    # omega, chi and zsf read P(g) 1_mu through the mu-profile of g only
     def no_rows(*args):
         raise AssertionError("a structured path built the n x n rows of P(g) 1_mu")
 
@@ -229,7 +227,7 @@ def test_theorem_case_walks_the_inflation_once(walks):
     # orbit of nonzero weight, by letter type, never the dense inflation,
     # and a second matrix walks only the orbits that the first did not.
     # The orbits are the slots of the memo that zsf reads too
-    profiles = {matrices_module.profile_type_counts(m) for m in perms_module.block_profiles(2, 3)}
+    profiles = {sum(m, ()) for m in perms_module.block_profiles(2, 3)}
     content = _content_coefficients((2, 2, 2))
     result = verify_module._theorem_case((2, 3, 0, 91, content))
     assert result.status == "pass"
@@ -575,7 +573,7 @@ def _assert_one_walk_per_orbit_of_the_live_memo(walks, k: int, n: int) -> None:
     slots = adet_module._orbit_slots(k, n)
     assert len(slots) == len(perms_module.block_profiles(k, n))
     assert all(slot[0] is not None for slot in slots.values())
-    walked = [slots.get(_flat_profile(counts, n)) for counts in walks]
+    walked = [slots.get(cells) for cells in walks]
     assert None not in walked
     assert len({id(slot) for slot in walked}) == len(walks) == len(_filled_orbits(slots))
 
@@ -586,7 +584,7 @@ def test_zsf_walks_each_case_once(walks):
     # the denominator's walk serves all 720 cases
     report = verify_zsf(6, 1, seed=0)
     assert report.passed and report.case_count == 720
-    assert walks == [(((0, 0), 6),)]
+    assert walks == [(6,)]
 
 
 def test_zsf_denominator_is_the_replicators_wreath_determinant():
