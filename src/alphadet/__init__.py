@@ -46,7 +46,6 @@ from .partitions import (
     partitions_of,
 )
 from .perms import (
-    BlockProfile,
     Perm,
     block_profile,
     double_coset_index,

@@ -73,6 +73,7 @@ from .errors import IdentityViolation, SizeCapExceeded
 from .matrices import PermutedBlockOnes, RatMatrix, require_inflatable, scaled_int_rows
 from .partitions import _partitions
 from .perms import (
+    EXHAUSTIVE_CAP,
     Perm,
     _embed,
     _rows_within,
@@ -84,7 +85,6 @@ from .perms import (
 from .polynomials import QPoly, QPoly2, eval_grid
 
 ADET_CAP = 9
-SUBGROUP_AVG_CAP = 7
 DET_POWER_TERM_CAP = 10**7
 
 
@@ -346,23 +346,23 @@ class _OrbitSlots(dict):
     def listing(self) -> tuple[tuple[list, tuple[int, ...], list[tuple[int, ...]]], ...]:
         """(slot, cells, packed) for each orbit, in the order of its first
         profile in ``block_profiles(k, n)``: its slot, that profile's cells,
-        and every member's rows packed as block monomials, the row's entries
-        as base-(k + 1) digits, lowest block first, which is how
-        ``_inflation_class_sums`` keys the coefficients that weigh a matrix;
-        each distinct row is packed once."""
+        and every member's rows, each sliced from its cells and packed as a
+        block monomial, the row's entries as base-(k + 1) digits, lowest
+        block first, which is how ``_inflation_class_sums`` keys the
+        coefficients that weigh a matrix; each distinct row is packed once."""
         k, n = self.k, self.n
         packed = {
             row: sum(v * (k + 1) ** b for b, v in enumerate(row))
             for row in _rows_within(k, (k,) * n)
         }
+        starts = [i * n for i in range(n)]  # no rows, and no step, at n = 0
         orbits: dict[int, tuple] = {}  # id of a slot -> its orbit's entry
-        for m in block_profiles(k, n):
-            cells = sum(m, ())
+        for cells in block_profiles(k, n):
             slot = self[cells]
             orbit = orbits.get(id(slot))
             if orbit is None:
                 orbit = orbits[id(slot)] = (slot, cells, [])
-            orbit[2].append(tuple(map(packed.get, m)))
+            orbit[2].append(tuple([packed[cells[i : i + n]] for i in starts]))
         return tuple(orbits.values())
 
     def __missing__(self, cells: tuple[int, ...]) -> list:
@@ -765,8 +765,8 @@ def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:
     n = a.require_square()
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    if n > SUBGROUP_AVG_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds subgroup-average cap {SUBGROUP_AVG_CAP}")
+    if n > EXHAUSTIVE_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds subgroup-average cap {EXHAUSTIVE_CAP}")
     total = QPoly.zero()
     for s in perm_tuples(k):
         sigma = Perm(_embed(s, n))
@@ -784,13 +784,16 @@ def _signed_cells(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def det_power_coeff(profile, k: int) -> int:
+def det_power_coeff(cells: Sequence[int], k: int) -> int:
     """Coefficient of the monomial prod x_ij^m_ij in the k-th power of the
     determinant of an n x n matrix of indeterminates, by expanding over
-    k-tuples of permutations with sign products.
+    k-tuples of permutations with sign products.  The exponents m_ij come as
+    the flat row-major cells of a block profile, ``perms.profile_cells``;
+    cells that are not a square grid of non-negative integers, or whose rows
+    and columns do not all sum to k >= 1, raise ValueError before any work.
 
     The expansion is layered by the residual profile, m less the matrices of
-    the permutations placed so far, flat in row-major order: a layer maps each
+    the permutations placed so far, flat like the cells: a layer maps each
     residual to the signed count of the placed prefixes that leave it, so
     prefixes that leave the same residual are expanded once.  Each of the
     first k - 1 factors is a permutation whose cells are all positive in the
@@ -798,9 +801,13 @@ def det_power_coeff(profile, k: int) -> int:
     the matrix of the one permutation that closes the tuple, and only its
     sign is added; at k = 1 no layer runs and no permutation is enumerated.
     """
-    n = profile.n
-    if k < 1 or k != profile.k:
-        raise ValueError(f"k={k} must be positive and equal the profile's sums {profile.k}")
+    n = isqrt(len(cells))
+    if n * n != len(cells):
+        raise ValueError(f"{len(cells)} cells are not an n x n profile")
+    if min(cells, default=0) < 0:
+        raise ValueError("profile cells must be non-negative")
+    if k < 1 or any(sum(cells[i * n : i * n + n]) != k or sum(cells[i::n]) != k for i in range(n)):
+        raise ValueError(f"k={k} must be positive and equal every row and column sum")
     # the cap bounds the k-tuples, so it does not apply at k = 1; past that,
     # n! >= 2 puts (n!)^k over the cap once k reaches the cap's bit length,
     # so the power is never built past that
@@ -808,7 +815,7 @@ def det_power_coeff(profile, k: int) -> int:
         nperms = factorial(n)
         if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
             raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
-    layer = {tuple(v for row in profile.m for v in row): 1}  # residual -> signed count
+    layer = {tuple(cells): 1}  # residual -> signed count
     for _ in range(k - 1):
         grown: dict[tuple[int, ...], int] = {}
         for rest, ways in layer.items():

@@ -1,27 +1,27 @@
 """Permutations of {1..n}: cycle statistics, enumeration, Young-subgroup
 blocks and orders, the Jucys-Murphy group-algebra product, block profiles
-with their enumeration and count, and double-coset indices.  A block
-profile has one form, the flat row-major tuple of ``profile_cells``, which
-``block_profile`` reads as a grid.
+and their listing, and double-coset indices.  A block profile has one form,
+the flat row-major tuple of ``profile_cells``, which every reader takes as
+it is.
 
 One-line notation is 1-based everywhere, matching the serialized form
 "2,1,3".  Everything is exhaustive by design, except the double-coset
 index, which has a closed form in the block profile, and the block
-profiles, which are listed and counted as grids, not from S_kn; size caps
-raise SizeCapExceeded instead of degrading.
+profiles, which are listed from the row and column sums, not from S_kn;
+size caps raise SizeCapExceeded instead of degrading.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import comb, factorial
+from math import factorial, isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapExceeded
 from .polynomials import QPoly
 
-ENUM_CAP = 10  # 10! ~ 3.6M permutations
+EXHAUSTIVE_CAP = 7  # every listing of all of S_m: enumerate_perms, subgroup_avg_adet, the suites
 FOURIER_JM_CAP = 6  # the group-algebra product has n! support
 
 
@@ -159,8 +159,8 @@ def perm_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_perms(n: int) -> Iterator[Perm]:
     """All n! permutations in lexicographic one-line order, identity first."""
-    if n > ENUM_CAP:
-        raise SizeCapExceeded(f"n={n} exceeds enumeration cap {ENUM_CAP}")
+    if n > EXHAUSTIVE_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     for t in perm_tuples(n):
         p = Perm.__new__(Perm)
         p.images = t
@@ -213,51 +213,6 @@ def jucys_murphy_product(n: int) -> dict[Perm, QPoly]:
     return {Perm(t): c for t, c in state.items()}
 
 
-class BlockProfile:
-    """n x n grid counting how a permutation of kn letters maps size-k
-    letter blocks to size-k letter blocks; all row/column sums equal k.
-    Equal grids compare and hash equal."""
-
-    __slots__ = ("m", "n", "k")
-
-    def __init__(self, m: tuple[tuple[int, ...], ...], n: int, k: int):
-        if len(m) != n or any(len(r) != n for r in m):
-            raise ValueError("profile grid must be n x n")
-        for i in range(n):
-            if sum(m[i]) != k or sum(r[i] for r in m) != k:
-                raise ValueError("row and column sums must all equal k")
-        self.m, self.n, self.k = m, n, k
-
-    def __eq__(self, other):
-        if type(other) is not BlockProfile:
-            return NotImplemented
-        return (self.m, self.n, self.k) == (other.m, other.n, other.k)
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.k))
-
-    def __repr__(self):
-        return f"BlockProfile(m={self.m!r}, n={self.n!r}, k={self.k!r})"
-
-    def double_coset_index(self) -> int:
-        """Index of the conjugation-stable part, |H| / |H intersect s^-1 H s|
-        for H = S_k^n and any s of this profile, by Mackey's formula.
-
-        An h in H lies in s^-1 H s exactly when it also keeps each set
-        s^-1(block j), that is when it permutes each cell (block i) intersect
-        s^-1(block j) of size m_ij.  So |H intersect s^-1 H s| = prod m_ij!,
-        and the index is the product over the blocks i of the multinomials
-        k! / prod_j m_ij!; H is not enumerated.
-        """
-        index = 1
-        for row in self.m:
-            placed = 0
-            for m in row:
-                placed += m
-                index *= comb(placed, m)
-        return index
-
-
 def profile_cells(g: Perm, mu: Sequence[int]) -> tuple[int, ...]:
     """The mu-profile of g, flat in row-major order: for l = len(mu), cell
     i l + j counts the letters of block i that g sends into block j, the
@@ -273,14 +228,13 @@ def profile_cells(g: Perm, mu: Sequence[int]) -> tuple[int, ...]:
     return tuple(cells)
 
 
-def block_profile(sigma: Perm, n: int, k: int) -> BlockProfile:
-    """Count, for each block pair (i, j), the letters s in block i whose
-    image sigma(s) lies in block j (blocks are consecutive runs of k): the
-    rows of ``profile_cells(sigma, (k,) * n)``."""
+def block_profile(sigma: Perm, n: int, k: int) -> tuple[int, ...]:
+    """The block profile of sigma: ``profile_cells(sigma, (k,) * n)``, whose
+    cell i n + j counts the letters s in block i with sigma(s) in block j,
+    the blocks being the consecutive runs of k letters."""
     if sigma.n != n * k:
         raise ValueError(f"permutation size {sigma.n} != k*n = {n * k}")
-    cells = profile_cells(sigma, (k,) * n)
-    return BlockProfile(tuple(cells[i * n : i * n + n] for i in range(n)), n, k)
+    return profile_cells(sigma, (k,) * n)
 
 
 @cache
@@ -296,26 +250,42 @@ def _rows_within(k: int, residual: tuple[int, ...]) -> tuple[tuple[int, ...], ..
     )
 
 
-def block_profiles(k: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def block_profiles(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Every n x n grid of non-negative integers whose rows and columns all
-    sum to k, row by row in lexicographic order: the grids ``m`` of the
-    block profiles of S_kn, one per double coset of S_k^n, without
-    enumerating S_kn.  The last row is what the others leave of each column;
-    the count of the profiles is the length of the listing."""
+    sum to k, as flat row-major cells in lexicographic order: the block
+    profiles of S_kn, one per double coset of S_k^n, without enumerating
+    S_kn.  The last row is what the others leave of each column; the count
+    of the profiles is the length of the listing."""
+    if k < 0 or n < 0:
+        raise ValueError(f"k={k} and n={n} must be non-negative")
+    last = n * n - n
 
-    def grow(rows: tuple[tuple[int, ...], ...], residual: tuple[int, ...]):
-        if len(rows) == n - 1:
-            yield (*rows, residual)
+    def grow(cells: tuple[int, ...], residual: tuple[int, ...]):
+        if len(cells) == last:
+            yield cells + residual
             return
         for row in _rows_within(k, residual):
-            yield from grow((*rows, row), tuple(r - v for r, v in zip(residual, row)))
+            yield from grow(cells + row, tuple(r - v for r, v in zip(residual, row)))
 
     return tuple(grow((), (k,) * n)) if n else ((),)
+
+
+def profile_coset_index(cells: Sequence[int], k: int) -> int:
+    """Index of the conjugation-stable part, |H| / |H intersect s^-1 H s|
+    for H = S_k^n and any s whose block profile is cells, by Mackey's
+    formula.
+
+    An h in H lies in s^-1 H s exactly when it also keeps each set
+    s^-1(block j), that is when it permutes each set (block i) intersect
+    s^-1(block j) of size m_ij.  So |H intersect s^-1 H s| = prod m_ij!,
+    and the index is (k!)^n / prod m_ij!, the product over the blocks i of
+    the multinomials k! / prod_j m_ij!; H is not enumerated.
+    """
+    return factorial(k) ** isqrt(len(cells)) // prod(map(factorial, cells))
 
 
 def double_coset_index(sigma: Perm, n: int, k: int) -> int:
     """Index of the conjugation-stable part: |H| / |H intersect s^-1 H s|
     for H = S_k^n, by Mackey's formula on the block profile of s; see
-    ``BlockProfile.double_coset_index``.  ``block_profile`` refuses a size
-    other than kn."""
-    return block_profile(sigma, n, k).double_coset_index()
+    ``profile_coset_index``.  ``block_profile`` refuses a size other than kn."""
+    return profile_coset_index(block_profile(sigma, n, k), k)

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .adet import (
     ADET_CAP,
-    SUBGROUP_AVG_CAP,
     _inflation_class_sums,
     _tables,
     _wrdet_numerator,
@@ -51,19 +50,19 @@ from .partitions import (
     partitions_of,
 )
 from .perms import (
+    EXHAUSTIVE_CAP,
     FOURIER_JM_CAP,
     Perm,
     block_profile,
     enumerate_perms,
     format_perm,
     jucys_murphy_product,
+    profile_coset_index,
     young_subgroup_order,
 )
 from .polynomials import QPoly
 from .randmat import SplitMix64, random_matrix, random_perm
 from .rationals import format_rational
-
-EXHAUSTIVE_CAP = 7  # chi and zsf without samples run all (kn)! cases, stanley all m!
 
 
 class CaseResult:
@@ -388,7 +387,7 @@ def _zsf_case(args) -> CaseResult:
     average = subgroup_averaged_character(shape, shape, g)
     ratio = adet_structured(PermutedBlockOnes(g, shape), Fraction(-1, k)) / rep_wrdet
     profile = block_profile(g, n, k)
-    coeff = Fraction(det_power_coeff(profile, k), profile.double_coset_index())
+    coeff = Fraction(det_power_coeff(profile, k), profile_coset_index(profile, k))
     return _agree(
         f"g={format_perm(g)}",
         character_average=average,
@@ -409,7 +408,9 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     the character average reads too.  Its denominator wrdet(R, k) is the
     same formula at g = id, P(id) 1_(k^n) = inflate(R, k), computed once per
     suite.  At k >= 2 those class sums are kept per orbit of block profiles,
-    so an exhaustive run walks each orbit once, not each case."""
+    so an exhaustive run walks each orbit once, not each case.  The third
+    route builds the block profile of g once, as flat cells, and reads both
+    the coefficient and Mackey's index from it."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
@@ -473,8 +474,8 @@ def verify_weak_alternating(
     (k+1 columns cannot fit) and only the divisibility part runs."""
     _require(size >= 2 and trials >= 1, "size >= 2 and trials >= 1 required")
     _require(1 <= k <= size, "need 1 <= k <= size")
-    if size > SUBGROUP_AVG_CAP:  # the bound of subgroup_avg_adet, which every run calls
-        raise SizeCapExceeded(f"size={size} exceeds cap {SUBGROUP_AVG_CAP}")
+    if size > EXHAUSTIVE_CAP:  # the bound of subgroup_avg_adet, which every run calls
+        raise SizeCapExceeded(f"size={size} exceeds cap {EXHAUSTIVE_CAP}")
     t0 = time.monotonic()
     rng = SplitMix64(seed)
     args = []

@@ -4,7 +4,7 @@ import itertools
 import operator
 from fractions import Fraction as F
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt, lcm
 
 import pytest
 
@@ -37,8 +37,8 @@ from alphadet.matrices import (
 from alphadet.characters import character
 from alphadet.partitions import content_poly, num_standard_tableaux, partitions_of
 from alphadet.perms import (
-    BlockProfile,
     Perm,
+    _cycle_type,
     _trans_len,
     block_profile,
     enumerate_perms,
@@ -57,15 +57,15 @@ from test_perms import _perm_of_cycle_type, _young_subgroup
 def _class_sums_naive(rows) -> dict:
     """Oracle: the full S_n scan, each nonzero product prod_j rows[p(j)][j]
     added under the cycle type of p; types whose products cancel to 0 are
-    dropped."""
+    dropped.  The raw listing has no size cap, so the scan reaches S_8."""
     n = len(rows)
     sums: dict = {}
-    for p in enumerate_perms(n):
+    for p in perm_tuples(n):
         prod = 1
         for j in range(n):
-            prod *= rows[p(j + 1) - 1][j]
+            prod *= rows[p[j] - 1][j]
         if prod:
-            ct = p.cycle_type()
+            ct = _cycle_type(p)
             sums[ct] = sums.get(ct, 0) + prod
     return {ct: total for ct, total in sums.items() if total}
 
@@ -1048,32 +1048,31 @@ def test_profile_sum_walks_only_profiles_of_nonzero_weight(profile_route, monkey
         walked.clear()
 
 
-def _profile_orbits(grids, n: int) -> list[list]:
-    """Oracle: the profile grids grouped by their orbits under relabeling
-    the blocks and transposing, found by applying every relabeling."""
+def _profile_orbits(profiles, n: int) -> list[list]:
+    """Oracle: the profiles, flat n x n cells, grouped by their orbits under
+    relabeling the blocks and transposing, found by applying every
+    relabeling."""
     orbits: dict = {}
-    for m in grids:
+    for m in profiles:
         images = {
-            tuple(tuple(g[i][j] for j in p) for i in p)
+            tuple(c[p[i] * n + p[j]] for i in range(n) for j in range(n))
             for p in itertools.permutations(range(n))
-            for g in (m, tuple(zip(*m)))
+            for c in (m, tuple(m[j * n + i] for i in range(n) for j in range(n)))
         }
         orbits.setdefault(min(images), []).append(m)
     return list(orbits.values())
 
 
-def _unpack_rows(packed, k: int, n: int):
-    """The profile grid whose rows are packed as base-(k + 1) digits,
-    lowest block first."""
-    rows = []
+def _unpack_cells(packed, k: int, n: int) -> tuple[int, ...]:
+    """The flat cells of the profile whose rows are packed as base-(k + 1)
+    digits, lowest block first."""
+    cells = []
     for v in packed:
-        digits = []
         for _ in range(n):
             v, d = divmod(v, k + 1)
-            digits.append(d)
+            cells.append(d)
         assert v == 0
-        rows.append(tuple(digits))
-    return tuple(rows)
+    return tuple(cells)
 
 
 def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
@@ -1083,19 +1082,19 @@ def test_profiles_of_one_orbit_share_their_class_sums(profile_route):
     # the memo's
     for k, n in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2), (3, 2), (6, 1)]:
         memo = adet_module._orbit_slots(k, n)
-        grids = list(perms_module.block_profiles(k, n))
+        profiles = list(perms_module.block_profiles(k, n))
         listed = [
-            [_unpack_rows(packed, k, n) for packed in members] for _, _, members in memo.listing
+            [_unpack_cells(packed, k, n) for packed in members] for _, _, members in memo.listing
         ]
-        assert sorted(m for members in listed for m in members) == grids, (k, n)
-        orbits = _profile_orbits(grids, n)
+        assert sorted(m for members in listed for m in members) == profiles, (k, n)
+        orbits = _profile_orbits(profiles, n)
         assert sorted(map(sorted, listed)) == sorted(map(sorted, orbits)), (k, n)
-        assert len(memo) == len(grids), (k, n)
+        assert len(memo) == len(profiles), (k, n)
         assert len({id(slot) for slot, _, _ in memo.listing}) == len(orbits), (k, n)
         for (slot, cells, _), members in zip(memo.listing, listed):
-            assert cells == sum(members[0], ())
-            assert all(memo[sum(m, ())] is slot for m in members)
-            sums = [adet_module._typed_class_sums(sum(m, ())) for m in members]
+            assert cells == members[0]
+            assert all(memo[m] is slot for m in members)
+            sums = [adet_module._typed_class_sums(m) for m in members]
             assert all(w == sums[0] for w in sums), (k, n, members)
 
 
@@ -1244,14 +1243,14 @@ def test_packed_listing_rows_decode_to_their_profile_rows(profile_route):
         decoded = []
         for _, cells, members in listing:
             assert all(len(packed) == n for packed in members)
-            grids = [_unpack_rows(packed, k, n) for packed in members]
-            assert cells == sum(grids[0], ()), (k, n)
-            decoded += grids
+            profiles = [_unpack_cells(packed, k, n) for packed in members]
+            assert cells == profiles[0], (k, n)
+            decoded += profiles
         assert sorted(decoded) == list(perms_module.block_profiles(k, n)), (k, n)
 
 
 def _profile_weights(a: RatMatrix, k: int) -> dict:
-    """Oracle: weight(M) for every block profile grid M, each row block's
+    """Oracle: weight(M) for every block profile M, each row block's
     coefficient found by trying every choice of a column block per row."""
     n = a.cols
     by_block = []
@@ -1265,7 +1264,9 @@ def _profile_weights(a: RatMatrix, k: int) -> dict:
             coefficient[row] = coefficient.get(row, 0) + term
         by_block.append(coefficient)
     return {
-        m: functools.reduce(operator.mul, (c[row] for c, row in zip(by_block, m)), F(1))
+        m: functools.reduce(
+            operator.mul, (c[m[r * n : r * n + n]] for r, c in enumerate(by_block)), F(1)
+        )
         for m in perms_module.block_profiles(k, n)
     }
 
@@ -1320,7 +1321,7 @@ def test_cancelling_orbit_weights_drop_what_the_dense_walk_drops(profile_route, 
         pairs, _ = profile_route(cancelled, k)
         assert all(total for _, total in pairs)
         assert dict(pairs) == _inflation_oracle(cancelled, k)[0], (k, n)
-        orbit = {sum(p, ()) for p in members}
+        orbit = set(members)
         assert not orbit & set(walked), (k, n)
         # one type's total made to vanish
         totals = _inflation_oracle(a, k)[0]
@@ -1461,27 +1462,28 @@ def test_det_power_coeff_known_values():
     identity_profile = block_profile(Perm.identity(4), 2, 2)
     assert det_power_coeff(identity_profile, 2) == 1
     crossing = block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2)
-    assert crossing.m == ((1, 1), (1, 1))
+    assert crossing == (1, 1, 1, 1)
     assert det_power_coeff(crossing, 2) == -2
     swap = block_profile(Perm.from_cycles(4, [(1, 3), (2, 4)]), 2, 2)
-    assert swap.m == ((0, 2), (2, 0))
+    assert swap == (0, 2, 2, 0)
     assert det_power_coeff(swap, 2) == 1
 
 
 def _det_power_coeff_naive(profile, k: int) -> int:
     """Oracle: the sign products of every k-tuple of permutations of S_n
-    whose permutation matrices sum to the profile, with no pruning."""
-    n = profile.n
+    whose permutation matrices sum to the profile, flat row-major cells,
+    with no pruning."""
+    n = isqrt(len(profile))
     perms = list(perm_tuples(n))
     total = 0
     for tup in itertools.product(perms, repeat=k):
-        grid = [[0] * n for _ in range(n)]
+        cells = [0] * (n * n)
         sign = 1
         for p in tup:
             sign *= -1 if _trans_len(p) % 2 else 1
             for i in range(n):
-                grid[i][p[i] - 1] += 1
-        if tuple(map(tuple, grid)) == profile.m:
+                cells[i * n + p[i] - 1] += 1
+        if tuple(cells) == profile:
             total += sign
     return total
 
@@ -1498,9 +1500,31 @@ def test_det_power_coeff_matches_unpruned_expansion():
                 k,
             )
     mismatched = block_profile(Perm.identity(4), 2, 2)
-    for profile, k in [(mismatched, 1), (mismatched, 3), (BlockProfile(((0,),), 1, 0), 0)]:
+    for profile, k in [(mismatched, 1), (mismatched, 3), ((0,), 0)]:
         with pytest.raises(ValueError):
             det_power_coeff(profile, k)
+
+
+def test_det_power_coeff_refuses_negative_cells():
+    # det(X)^k has no monomial with a negative exponent, so a grid with a
+    # negative cell is refused even when its rows and columns sum to k; the
+    # expansion once returned -1 for this one
+    with pytest.raises(ValueError, match=r"^profile cells must be non-negative$"):
+        det_power_coeff((2, 1, -1, 0, 1, 1, 0, 0, 2), 2)
+    # every 3 x 3 grid with entries in -1..3 and all sums 2: the profiles
+    # are read, and each grid with a negative cell is refused
+    read = 0
+    for top in itertools.product(range(-1, 4), repeat=6):
+        cells = top + tuple(2 - top[j] - top[3 + j] for j in range(3))
+        if sum(top[:3]) != 2 or sum(top[3:]) != 2 or not -1 <= min(cells) <= max(cells) <= 3:
+            continue
+        if min(cells) < 0:
+            with pytest.raises(ValueError, match=r"^profile cells must be non-negative$"):
+                det_power_coeff(cells, 2)
+        else:
+            assert det_power_coeff(cells, 2) == _det_power_coeff_naive(cells, 2), cells
+            read += 1
+    assert read == len(perms_module.block_profiles(2, 3)) == 21
 
 
 def test_det_power_coeff_closed_form_at_n2():
@@ -1508,34 +1532,55 @@ def test_det_power_coeff_closed_form_at_n2():
     # has coefficient (-1)^(k - a) C(k, a), up to the largest k the cap admits
     for k in range(1, 24):
         for a in range(k + 1):
-            profile = BlockProfile(((a, k - a), (k - a, a)), 2, k)
+            profile = (a, k - a, k - a, a)
             assert det_power_coeff(profile, k) == (-1) ** (k - a) * comb(k, a), (k, a)
 
 
 def test_det_power_coeff_checks_k_before_the_power():
-    # k is checked against the profile first, and the cap message names
-    # the power without computing its digits
+    # the cells are checked first, in this order: a square length, no
+    # negative cell, a positive k, and every row and column summing to k;
+    # then the cap, whose message names the power without computing its
+    # digits
+    negative = r"^profile cells must be non-negative$"
+    sums = r"^k=10000000 must be positive and equal every row and column sum$"
+    for cells, k, message in [
+        ((2, 0), 2, r"^2 cells are not an n x n profile$"),
+        ((2, 0, 0, 1, 1), 2, r"^5 cells are not an n x n profile$"),
+        ((2, -1, 0), 0, r"^3 cells are not an n x n profile$"),
+        ((-1, 3, 3, -1), 0, negative),
+        ((-1, 3, 3, -1), 10**7, negative),
+        ((1, 2, 0, 0), 0, r"^k=0 must be positive"),
+        ((0, 0, 0, 0), 0, r"^k=0 must be positive"),
+        ((2, 1, 0, 1), 2, r"^k=2 must be positive and equal"),  # rows sum to 3 and 1
+        ((2, 0, 2, 0), 2, r"^k=2 must be positive and equal"),  # columns sum to 4 and 0
+        ((2, 0, 0, 2), 3, r"^k=3 must be positive and equal"),
+        ((1, 0, 0, 1), 10**7, sums),
+        ((10**7, 0, 0, 0, 10**7, 0, 0, 0, 1), 10**7, sums),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            det_power_coeff(cells, k)
+    assert det_power_coeff((), 1) == 1  # the empty determinant
     k1_profile = block_profile(Perm.identity(3), 3, 1)
-    with pytest.raises(ValueError, match=r"^k=10000000 must be positive and equal"):
+    with pytest.raises(ValueError, match=sums):
         det_power_coeff(k1_profile, 10**7)
-    wide = BlockProfile(((6000, 0, 0), (0, 6000, 0), (0, 0, 6000)), 3, 6000)
+    wide = (6000, 0, 0, 0, 6000, 0, 0, 0, 6000)
     with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 6\^6000 exceeds 10000000$"):
         det_power_coeff(wide, 6000)
     # 2^23 is under the cap and 2^24 over it; 1^k never is
     for k, admitted in [(23, True), (24, False)]:
-        diagonal = BlockProfile(((k, 0), (0, k)), 2, k)
+        diagonal = (k, 0, 0, k)
         if admitted:
             assert det_power_coeff(diagonal, k) == 1
         else:
             with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 2\^24 exceeds"):
                 det_power_coeff(diagonal, k)
-    assert det_power_coeff(BlockProfile(((30,),), 1, 30), 30) == 1
+    assert det_power_coeff((30,), 30) == 1
 
 
 def test_det_power_coeff_is_not_bounded_by_the_recursion_limit():
     # at n = 1 the cap admits any k, since (1!)^k = 1; the tuple of k - 1
     # factors is extended without recursing once per factor
-    assert det_power_coeff(BlockProfile(((2000,),), 1, 2000), 2000) == 1
+    assert det_power_coeff((2000,), 2000) == 1
 
 
 def test_det_power_coeff_at_k1_enumerates_no_permutation(monkeypatch):

@@ -11,8 +11,8 @@ from alphadet.errors import SizeCapExceeded
 from alphadet.matrices import perm_matrix
 from alphadet.partitions import content_poly, partitions_of
 from alphadet.perms import (
+    EXHAUSTIVE_CAP,
     FOURIER_JM_CAP,
-    BlockProfile,
     Perm,
     _compose,
     _embed,
@@ -26,6 +26,7 @@ from alphadet.perms import (
     parse_perm,
     perm_tuples,
     profile_cells,
+    profile_coset_index,
     young_blocks,
     young_subgroup_order,
 )
@@ -99,8 +100,12 @@ def test_enumerate_small():
 
 
 def test_enumerate_cap():
-    with pytest.raises(SizeCapExceeded):
-        list(enumerate_perms(11))
+    # one exhaustive cap bounds every listing of S_m, this one included
+    assert EXHAUSTIVE_CAP == 7 and not hasattr(perms_module, "ENUM_CAP")
+    assert sum(1 for _ in enumerate_perms(7)) == 5040
+    for n in (8, 11):
+        with pytest.raises(SizeCapExceeded, match=rf"^n={n} exceeds exhaustive cap 7$"):
+            list(enumerate_perms(n))
 
 
 def test_transposition_length_examples():
@@ -220,33 +225,18 @@ def test_jucys_murphy_cap():
 
 
 def test_block_profile_examples():
-    assert block_profile(Perm.identity(4), 2, 2).m == ((2, 0), (0, 2))
-    assert block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2).m == ((1, 1), (1, 1))
-
-
-def test_block_profile_checks_its_grid_and_is_a_value():
-    with pytest.raises(ValueError, match=r"^profile grid must be n x n$"):
-        BlockProfile(((2, 0),), 2, 2)
-    with pytest.raises(ValueError, match=r"^profile grid must be n x n$"):
-        BlockProfile(((2, 0), (0, 1, 1)), 2, 2)
-    with pytest.raises(ValueError, match=r"^row and column sums must all equal k$"):
-        BlockProfile(((2, 1), (0, 1)), 2, 2)  # rows sum to k = 3 and 1
-    with pytest.raises(ValueError, match=r"^row and column sums must all equal k$"):
-        BlockProfile(((2, 0), (2, 0)), 2, 2)  # columns sum to 4 and 0
-    profile = BlockProfile(m=((1, 1), (1, 1)), n=2, k=2)
-    assert (profile.m, profile.n, profile.k) == (((1, 1), (1, 1)), 2, 2)
-    same = block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2)
-    assert profile == same and hash(profile) == hash(same)
-    assert len({profile, same, block_profile(Perm.from_cycles(4, [(1, 4)]), 2, 2)}) == 1
-    assert profile != block_profile(Perm.identity(4), 2, 2)
-    assert profile != ((1, 1), (1, 1))
+    assert block_profile(Perm.identity(4), 2, 2) == (2, 0, 0, 2)
+    assert block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2) == (1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^permutation size 5 != k\*n = 4$"):
+        block_profile(Perm.identity(5), 2, 2)
 
 
 def test_block_profile_row_column_sums():
-    def check(prof, n, k):
+    def check(cells, n, k):
+        assert len(cells) == n * n
         for i in range(n):
-            assert sum(prof.m[i]) == k
-            assert sum(row[i] for row in prof.m) == k
+            assert sum(cells[i * n : i * n + n]) == k
+            assert sum(cells[i::n]) == k
 
     # exhaustive below size 8
     for n, k in [(2, 2), (3, 2), (2, 3)]:
@@ -265,10 +255,10 @@ def test_block_profile_double_coset_invariance():
     subgroup = list(_young_subgroup((k,) * n))
     for _ in range(15):
         sigma = random_perm(n * k, rng)
-        base = block_profile(sigma, n, k).m
+        base = block_profile(sigma, n, k)
         g = subgroup[rng.below(len(subgroup))]
         h = subgroup[rng.below(len(subgroup))]
-        assert block_profile(g * sigma * h, n, k).m == base
+        assert block_profile(g * sigma * h, n, k) == base
 
 
 @cache
@@ -314,9 +304,11 @@ def test_double_coset_index_enumerates_no_subgroup(monkeypatch):
 def test_double_coset_index_examples():
     assert double_coset_index(Perm.identity(4), 2, 2) == 1
     assert double_coset_index(Perm.from_cycles(4, [(2, 3)]), 2, 2) == 4
-    # the profile carries the product, so a caller holding one builds no other
-    assert block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2).double_coset_index() == 4
-    assert BlockProfile(((1, 2, 0), (2, 0, 1), (0, 1, 2)), 3, 3).double_coset_index() == 27
+    # the product reads the profile's cells, so a caller holding them builds
+    # no other
+    assert profile_coset_index(block_profile(Perm.from_cycles(4, [(2, 3)]), 2, 2), 2) == 4
+    assert profile_coset_index((1, 2, 0, 2, 0, 1, 0, 1, 2), 3) == 27
+    assert profile_coset_index((), 5) == 1
 
 
 def test_double_coset_index_divides_group_order():
@@ -336,7 +328,12 @@ def test_block_profile_counts_known_values():
     assert [len(block_profiles(k, 2)) for k in range(6)] == [k + 1 for k in range(6)]
     assert [len(block_profiles(1, n)) for n in range(8)] == [factorial(n) for n in range(8)]
     assert block_profiles(5, 0) == ((),)
-    assert block_profiles(0, 5) == (((0,) * 5,) * 5,)
+    assert block_profiles(0, 5) == ((0,) * 25,)
+    assert block_profiles(0, 0) == ((),)
+    # k = -1 once listed the grid (-1), and n = -1 recursed without end
+    for k, n in [(-1, 1), (-1, 0), (0, -1), (2, -3)]:
+        with pytest.raises(ValueError, match=rf"^k={k} and n={n} must be non-negative$"):
+            block_profiles(k, n)
 
 
 def test_block_profiles_match_the_profiles_of_s_kn():
@@ -348,10 +345,8 @@ def test_block_profiles_match_the_profiles_of_s_kn():
             n = size // k
             listed = list(block_profiles(k, n))
             assert len(set(listed)) == len(listed) and listed == sorted(listed)
-            seen = {block_profile(g, n, k).m for g in enumerate_perms(size)}
+            seen = {block_profile(g, n, k) for g in enumerate_perms(size)}
             assert set(listed) == seen, (k, n)
-            for m in listed:
-                assert BlockProfile(m, n, k).m == m
 
 
 def test_block_profiles_list_no_permutation(monkeypatch):
@@ -375,8 +370,8 @@ def _profile_cells_naive(g: Perm, mu) -> tuple[int, ...]:
 
 
 def test_profile_cells_count_the_letters_between_blocks():
-    # every g at every mu up to size 6; block_profile reads the same cells
-    # as its rows, and the profile of g^-1 is the transpose of g's
+    # every g at every mu up to size 6; block_profile is the same cells at
+    # mu = (k^n), and the profile of g^-1 is the transpose of g's
     for size in range(7):
         for mu in partitions_of(size):
             ell = len(mu)
@@ -390,9 +385,7 @@ def test_profile_cells_count_the_letters_between_blocks():
                 continue
             n = size // k
             for g in enumerate_perms(size):
-                cells = profile_cells(g, (k,) * n)
-                rows = tuple(cells[i * n : i * n + n] for i in range(n))
-                assert block_profile(g, n, k).m == rows, (g, k)
+                assert block_profile(g, n, k) == profile_cells(g, (k,) * n), (g, k)
     assert profile_cells(Perm.from_cycles(5, [(1, 3, 5)]), (2, 1, 2)) == (1, 1, 0, 0, 0, 1, 1, 0, 1)
     assert profile_cells(Perm.identity(0), ()) == ()
     # the cells need the blocks to hold exactly the letters of g

@@ -49,6 +49,30 @@ def test_every_cap_is_checked():
     assert not defined - compared, f"never compared: {sorted(defined - compared)}"
 
 
+def test_the_caps_are_pinned():
+    # a new cap needs a deliberate edit here; every run over all of S_m
+    # shares EXHAUSTIVE_CAP
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                defined.update(
+                    f"{path.name}:{t.id}"
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.endswith("_CAP")
+                )
+    assert sorted(defined) == [
+        "adet.py:ADET_CAP",
+        "adet.py:DET_POWER_TERM_CAP",
+        "characters.py:CHARACTER_CAP",
+        "partitions.py:KOSTKA_CAP",
+        "partitions.py:PARTITIONS_CAP",
+        "perms.py:EXHAUSTIVE_CAP",
+        "perms.py:FOURIER_JM_CAP",
+        "randmat.py:MATRIX_CELL_CAP",
+    ]
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so invariants in the package must raise
     paths = sorted(PACKAGE.glob("*.py"))
@@ -128,10 +152,19 @@ def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
         "profile_type_counts",
         "_block_labels",
         "_profile_listing",
+        "BlockProfile",
     }
     assert not gone & defined
     assert all(_readers(name) == [] for name in gone)
     assert _readers("profile_cells") == ["adet.py:translate_class_sums", "perms.py:block_profile"]
+    # the flat cells of block_profile are read as they are: the double-coset
+    # index and zsf's coefficient route take them, and Mackey's product is
+    # taken in one place
+    assert _readers("block_profile") == ["perms.py:double_coset_index", "verify.py:_zsf_case"]
+    assert _readers("profile_coset_index") == [
+        "perms.py:double_coset_index",
+        "verify.py:_zsf_case",
+    ]
     assert _readers("block_profiles") == ["adet.py:listing"]
     assert _readers("listing") == ["adet.py:_inflation_class_sums"]
     # the orbit memo's listing packs each distinct row once, from the rows

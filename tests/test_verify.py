@@ -227,7 +227,7 @@ def test_theorem_case_walks_the_inflation_once(walks):
     # orbit of nonzero weight, by letter type, never the dense inflation,
     # and a second matrix walks only the orbits that the first did not.
     # The orbits are the slots of the memo that zsf reads too
-    profiles = {sum(m, ()) for m in perms_module.block_profiles(2, 3)}
+    profiles = set(perms_module.block_profiles(2, 3))
     content = _content_coefficients((2, 2, 2))
     result = verify_module._theorem_case((2, 3, 0, 91, content))
     assert result.status == "pass"
@@ -314,14 +314,15 @@ def _filled_orbits(slots) -> set:
     return {id(slot) for slot in slots.values() if slot[0] is not None}
 
 
-def _orbit_key(m) -> tuple:
-    """One label of the orbit of the block profile m under relabeling the
-    blocks and transposing, found by trying every relabeling."""
-    n = len(m)
+def _orbit_key(m, n: int) -> tuple:
+    """One label of the orbit of the block profile m, flat n x n cells,
+    under relabeling the blocks and transposing, found by trying every
+    relabeling."""
+    transpose = tuple(m[j * n + i] for i in range(n) for j in range(n))
     return min(
-        tuple(tuple(h[i][j] for j in p) for i in p)
+        tuple(h[p[i] * n + p[j]] for i in range(n) for j in range(n))
         for p in itertools.permutations(range(n))
-        for h in (m, tuple(zip(*m)))
+        for h in (m, transpose)
     )
 
 
@@ -478,9 +479,14 @@ def test_size_caps_are_the_module_constants(monkeypatch):
     with pytest.raises(SizeCapExceeded, match=r"^m=8 exceeds min\(kn, 7\)$"):
         verify_stanley(8, 1, 8, seed=0)
     # weak-alt's bound is subgroup_avg_adet's; chi and zsf share one
-    # exhaustive bound
+    # exhaustive bound, and so do those two and enumerate_perms, all read
+    # from perms
     for gone in ("CHI_EXHAUSTIVE_CAP", "ZSF_EXHAUSTIVE_CAP", "WEAK_ALT_CAP"):
         assert not hasattr(verify_module, gone)
+    assert not hasattr(adet_module, "SUBGROUP_AVG_CAP")
+    assert verify_module.EXHAUSTIVE_CAP is adet_module.EXHAUSTIVE_CAP is perms_module.EXHAUSTIVE_CAP
+    with pytest.raises(SizeCapExceeded, match=r"^n=8 exceeds subgroup-average cap 7$"):
+        adet_module.subgroup_avg_adet(RatMatrix.ones(8, 8), 2)
     with pytest.raises(SizeCapExceeded, match=r"^size=8 exceeds cap 7$"):
         verify_weak_alternating(8, 2, 1, 0)
     exhaustive = r"^exhaustive run needs kn <= 7; pass samples for kn=8$"
@@ -534,7 +540,7 @@ def test_zsf_walks_the_class_sums_once_per_case(walks):
         walks.clear()
         assert verify_zsf(2, 3, samples=samples, seed=4).passed
         met = [Perm.identity(6), *verify_module._case_perms(6, samples, 4)]
-        orbits = {_orbit_key(perms_module.block_profile(g, 3, 2).m) for g in met}
+        orbits = {_orbit_key(perms_module.block_profile(g, 3, 2), 3) for g in met}
         assert len(walks) == len(orbits) == len(_filled_orbits(adet_module._orbit_slots(2, 3)))
 
 
