@@ -302,7 +302,15 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     last (g, mu), so the two sums of one case that read it count its types
     once.
     """
-    cells = profile_cells(g, mu)
+    return _cells_class_sums(profile_cells(g, mu), mu)
+
+
+def _cells_class_sums(
+    cells: tuple[int, ...], mu: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``translate_class_sums`` of any g whose mu-profile is cells, for a
+    caller that holds the cells already: the orbit's slot at a rectangular
+    mu with k >= 2, and a direct walk otherwise.  Not memoized itself."""
     k = mu[0] if mu else 1
     if k == 1 or any(part != k for part in mu):
         return tuple(_typed_class_sums(cells).items())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .adet import _check_adet_cap, class_sums, translate_class_sums
 from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
@@ -96,8 +96,14 @@ def subgroup_averaged_character(
     if g.n > CHARACTER_CAP:  # before the walk
         raise SizeCapExceeded(f"|shape| > {CHARACTER_CAP}")
     # shape and the class sums' cycle types are valid partitions of n already
-    total = sum(_mn(shape, ct) * cnt for ct, cnt in translate_class_sums(g, mu))
-    return Fraction(total, young_subgroup_order(mu))
+    return Fraction(_character_sum(shape, translate_class_sums(g, mu)), young_subgroup_order(mu))
+
+
+def _character_sum(shape: tuple[int, ...], sums: Iterable[tuple[tuple[int, ...], int]]) -> int:
+    """sum_rho chi^shape(rho) w_rho over the (rho, w_rho) class sums, for a
+    valid shape and cycle types of its size: the character average's
+    numerator, read by ``subgroup_averaged_character`` and zsf's case."""
+    return sum(_mn(shape, rho) * w for rho, w in sums)
 
 
 def immanant(shape: Sequence[int], a: RatMatrix) -> Fraction:

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 from .adet import (
     ADET_CAP,
+    _cells_class_sums,
     _inflation_class_sums,
     _tables,
     _wrdet_numerator,
@@ -34,6 +35,7 @@ from .adet import (
 )
 from .characters import (
     CHARACTER_CAP,
+    _character_sum,
     alpha_power_expansion,
     character,
     subgroup_averaged_character,
@@ -53,10 +55,10 @@ from .perms import (
     EXHAUSTIVE_CAP,
     FOURIER_JM_CAP,
     Perm,
-    block_profile,
     enumerate_perms,
     format_perm,
     jucys_murphy_product,
+    profile_cells,
     profile_coset_index,
     young_subgroup_order,
 )
@@ -381,18 +383,30 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
 
 
 def _zsf_case(args) -> CaseResult:
-    k, n, g_images, rep_wrdet = args
+    k, n, g_images, identity_numerator = args
     g = Perm(g_images)
+    size = k * n
     shape = (k,) * n
-    average = subgroup_averaged_character(shape, shape, g)
-    ratio = adet_structured(PermutedBlockOnes(g, shape), Fraction(-1, k)) / rep_wrdet
-    profile = block_profile(g, n, k)
-    coeff = Fraction(det_power_coeff(profile, k), profile_coset_index(profile, k))
+    cells = profile_cells(g, shape)
+    # the three routes as integer numerators: the character average is
+    # average / |S_k^n| and the wreath ratio numerator / identity_numerator,
+    # both weighing the class sums of g's orbit, and the coefficient route
+    # is coeff / index, read from g's own cells
+    sums = _cells_class_sums(cells, shape)
+    average = _character_sum(shape, sums)
+    numerator = _wrdet_numerator(sums, k, size)
+    coeff = det_power_coeff(cells, k)
+    index = profile_coset_index(cells, k)
+    order = young_subgroup_order(shape)
+    case_id = f"g={format_perm(g)}"
+    if average * identity_numerator == numerator * order and average * index == coeff * order:
+        return CaseResult(case_id, "pass")
+    identity_wrdet = Fraction(identity_numerator, k**size)
     return _agree(
-        f"g={format_perm(g)}",
-        character_average=average,
-        wreath_ratio=ratio,
-        coefficient_over_index=coeff,
+        case_id,
+        character_average=subgroup_averaged_character(shape, shape, g),
+        wreath_ratio=adet_structured(PermutedBlockOnes(g, shape), Fraction(-1, k)) / identity_wrdet,
+        coefficient_over_index=Fraction(coeff, index),
     )
 
 
@@ -402,25 +416,35 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     row-permuted column replicator, and determinant-power coefficient over
     the double-coset index.
 
-    The ratio's numerator wrdet(P(g) R, k), for the column replicator R, is
-    the alpha-determinant at -1/k of inflate(P(g) R, k) = P(g) 1_(k^n), so it
-    is evaluated from the class sums of the translates g h, h in S_k^n, that
-    the character average reads too.  Its denominator wrdet(R, k) is the
-    same formula at g = id, P(id) 1_(k^n) = inflate(R, k), computed once per
-    suite.  At k >= 2 those class sums are kept per orbit of block profiles,
-    so an exhaustive run walks each orbit once, not each case.  The third
-    route builds the block profile of g once, as flat cells, and reads both
-    the coefficient and Mackey's index from it."""
+    Each case builds the block profile of g once, as the flat cells of
+    ``profile_cells``, and decides in integers.  The ratio's numerator
+    wrdet(P(g) R, k), for the column replicator R, is the alpha-determinant
+    at -1/k of inflate(P(g) R, k) = P(g) 1_(k^n), so ``character_average``
+    and ``wreath_ratio`` weigh the same class sums of the translates g h,
+    h in S_k^n, read once per case from the cells: A / |S_k^n| with
+    A = sum_rho chi(rho) w_rho, and R / R_id with R the wreath determinant's
+    integer numerator, ``_wrdet_numerator``.  R_id is that numerator at
+    g = id, P(id) 1_(k^n) = inflate(R, k), computed once per suite.  At
+    k >= 2 the class sums are kept per orbit of block profiles, so an
+    exhaustive run walks each orbit once, not each case; at k = 1 every g
+    walks.  ``coefficient_over_index`` is D / I, with D from
+    ``det_power_coeff`` and Mackey's index I from ``profile_coset_index``,
+    both read from g's own cells and never from an orbit's slot, so it is
+    the route that does not share the orbit grouping.  A case passes when
+    A R_id = R |S_k^n| and A I = D |S_k^n|.  Only a failing case builds the
+    three Fractions, through ``subgroup_averaged_character``,
+    ``adet_structured`` and D / I, for its witness."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
     shape = (k,) * n
-    # the ratio's denominator is the same for every g: computed once, and
-    # passed with each case's arguments so that the pool's workers get it too
-    rep_wrdet = adet_structured(PermutedBlockOnes(Perm.identity(size), shape), Fraction(-1, k))
-    args = [(k, n, p.images, rep_wrdet) for p in perms]
+    # the ratio's denominator R_id is the same for every g: computed once,
+    # and passed with each case's arguments so that the pool's workers get it too
+    identity = _cells_class_sums(profile_cells(Perm.identity(size), shape), shape)
+    identity_numerator = _wrdet_numerator(identity, k, size)
+    args = [(k, n, p.images, identity_numerator) for p in perms]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
     cases = _run_cases(_zsf_case, args, workers)
     return _report("zsf", params, seed, cases, t0)

@@ -156,11 +156,17 @@ def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
     }
     assert not gone & defined
     assert all(_readers(name) == [] for name in gone)
-    assert _readers("profile_cells") == ["adet.py:translate_class_sums", "perms.py:block_profile"]
-    # the flat cells of block_profile are read as they are: the double-coset
-    # index and zsf's coefficient route take them, and Mackey's product is
-    # taken in one place
-    assert _readers("block_profile") == ["perms.py:double_coset_index", "verify.py:_zsf_case"]
+    # a zsf case builds g's block profile itself, and the suite the
+    # identity's for its denominator; the cells are read as they are, by the
+    # class sums, the coefficient route and the double-coset index, and
+    # Mackey's product is taken in one place
+    assert _readers("profile_cells") == [
+        "adet.py:translate_class_sums",
+        "perms.py:block_profile",
+        "verify.py:_zsf_case",
+        "verify.py:verify_zsf",
+    ]
+    assert _readers("block_profile") == ["perms.py:double_coset_index"]
     assert _readers("profile_coset_index") == [
         "perms.py:double_coset_index",
         "verify.py:_zsf_case",
@@ -181,7 +187,11 @@ def test_one_integer_formula_per_side_of_the_main_identity():
     # the inflation's sum is taken once per call, with no memo; each side
     # has one integer helper, read by its public wrapper and by the
     # theorem's trial, and the rectangle's content coefficients by
-    # content_poly and the suite
+    # content_poly and the suite.  zsf reads the wreath determinant's
+    # numerator too, per case and once for its denominator, from the class
+    # sums of the translates, which it reads by the cells it built, as
+    # translate_class_sums does; the character average's numerator has one
+    # helper, read by the public average and by the zsf case
     tree = ast.parse((PACKAGE / "adet.py").read_text(encoding="utf-8"))
     (inflation,) = [
         node
@@ -194,7 +204,21 @@ def test_one_integer_formula_per_side_of_the_main_identity():
         "adet.py:wreath_average_poly",
         "verify.py:_theorem_case",
     ]
-    assert _readers("_wrdet_numerator") == ["adet.py:wrdet", "verify.py:_theorem_case"]
+    assert _readers("_wrdet_numerator") == [
+        "adet.py:wrdet",
+        "verify.py:_theorem_case",
+        "verify.py:_zsf_case",
+        "verify.py:verify_zsf",
+    ]
+    assert _readers("_cells_class_sums") == [
+        "adet.py:translate_class_sums",
+        "verify.py:_zsf_case",
+        "verify.py:verify_zsf",
+    ]
+    assert _readers("_character_sum") == [
+        "characters.py:subgroup_averaged_character",
+        "verify.py:_zsf_case",
+    ]
     assert _readers("_wreath_average_counts") == [
         "adet.py:wreath_average_poly",
         "verify.py:_theorem_case",
@@ -204,6 +228,42 @@ def test_one_integer_formula_per_side_of_the_main_identity():
         "partitions.py:content_poly",
         "verify.py:verify_theorem",
     ]
+
+
+def test_a_zsf_case_builds_its_block_profile_once(monkeypatch):
+    # a zsf case builds g's block profile once, and its class sums, its
+    # coefficient and Mackey's index read those cells; the suite builds one
+    # more, the identity's, for its denominator.  Empty memos make any
+    # second build show
+    import alphadet.adet as adet
+    import alphadet.perms as perms
+    import alphadet.verify as verify
+
+    built, coefficients = [], []
+    real_cells, real_coeff = perms.profile_cells, verify.det_power_coeff
+
+    def cells_spy(g, mu):
+        cells = real_cells(g, mu)
+        built.append((g, mu, cells))
+        return cells
+
+    def coeff_spy(cells, k):
+        coefficients.append(cells)
+        return real_coeff(cells, k)
+
+    for module in (perms, adet, verify):
+        monkeypatch.setattr(module, "profile_cells", cells_spy)
+    monkeypatch.setattr(verify, "det_power_coeff", coeff_spy)
+    for k, n, samples in [(1, 4, 0), (2, 2, 0), (2, 3, 6), (4, 1, 0)]:
+        adet.translate_class_sums.cache_clear()
+        adet._orbit_slots.cache_clear()
+        built.clear()
+        coefficients.clear()
+        assert verify.verify_zsf(k, n, samples=samples, seed=3).passed
+        shape = (k,) * n
+        met = [perms.Perm.identity(k * n), *verify._case_perms(k * n, samples, 3)]
+        assert [(g, mu) for g, mu, _ in built] == [(g, shape) for g in met]
+        assert all(c is b[2] for c, b in zip(coefficients, built[1:], strict=True))
 
 
 def test_matrices_defines_no_block_profile_helper():
@@ -219,15 +279,16 @@ def test_matrices_defines_no_block_profile_helper():
 
 
 def test_one_orbit_memo_serves_both_readers_of_block_profiles():
-    # the translates at mu = (k^n) and the inflation's profile sum read one
-    # memo of orbit slots, and only they walk by letter type
+    # the translates at mu = (k^n), read by their cells, and the
+    # inflation's profile sum read one memo of orbit slots, and only they
+    # walk by letter type
     assert _readers("_orbit_slots") == [
+        "adet.py:_cells_class_sums",
         "adet.py:_inflation_class_sums",
-        "adet.py:translate_class_sums",
     ]
     assert _readers("_typed_class_sums") == [
+        "adet.py:_cells_class_sums",
         "adet.py:_inflation_class_sums",
-        "adet.py:translate_class_sums",
     ]
     assert _readers("_swap_blocks") == []
 

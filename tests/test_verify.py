@@ -23,6 +23,7 @@ from alphadet.partitions import (
 )
 from alphadet.perms import Perm, enumerate_perms
 from alphadet.randmat import SplitMix64, random_matrix
+from alphadet.rationals import format_rational
 from alphadet.verify import (
     verify_chi,
     verify_omega,
@@ -175,10 +176,10 @@ def test_omega_case_walks_the_translates_once(walks):
 
 
 def test_one_type_count_per_case(monkeypatch):
-    # the character average and the structured value of an omega or zsf
-    # case read one (g, mu), so its mu-profile is made once per case; zsf
-    # makes one more for its denominator, at the identity, which an
-    # exhaustive run's first case reads again from the memo
+    # the character average and the structured value of an omega case read
+    # one (g, mu), so its mu-profile is made once per case; a zsf case
+    # makes its block profile once and reads all three routes from it, and
+    # the suite makes one more for its denominator, at the identity
     calls = []
     real = adet_module.profile_cells
 
@@ -187,11 +188,12 @@ def test_one_type_count_per_case(monkeypatch):
         return real(g, mu)
 
     monkeypatch.setattr(adet_module, "profile_cells", spy)
+    monkeypatch.setattr(verify_module, "profile_cells", spy)
     g = Perm.from_cycles(6, [(1, 4, 2), (3, 6)])
     runs = [
         (lambda: verify_omega(2, 3, g=g, seed=0), 0),
         (lambda: verify_omega(3, 2, g=Perm.from_cycles(6, [(1, 2)]), seed=0), 0),
-        (lambda: verify_zsf(2, 2, seed=0), 0),
+        (lambda: verify_zsf(2, 2, seed=0), 1),
         (lambda: verify_zsf(2, 3, samples=6, seed=3), 1),
     ]
     for run, denominator in runs:
@@ -508,28 +510,154 @@ def test_zsf_suite_sampled_at_six():
 
 
 def test_zsf_evaluates_the_replicator_once(monkeypatch):
-    # the ratio's denominator wrdet(column_replicator(n, k), k) is the
-    # numerator's own formula at g = id, evaluated once per suite; no wrdet
-    # runs, and each case's numerator reads the class sums that its
-    # character average has walked
+    # the ratio's denominator R_id = k^kn wrdet(column_replicator(n, k), k)
+    # is the numerator's own integer formula at g = id, evaluated once per
+    # suite before any case and passed to every case; no wrdet runs, and
+    # each case reads one numerator, from the class sums that its character
+    # average weighs too
     def no_wrdet(a, k):
         raise AssertionError("zsf evaluated a wreath determinant densely")
 
-    structured = []
-    real = verify_module.adet_structured
+    numerators = []
+    real = verify_module._wrdet_numerator
 
-    def spy(s, x):
-        structured.append(s.g)
-        return real(s, x)
+    def spy(sums, k, size):
+        numerators.append(tuple(sums))
+        return real(sums, k, size)
+
+    passed = []
+    real_run = verify_module._run_cases
+
+    def run_spy(case_fn, case_args, workers):
+        passed.append([a[-1] for a in case_args])
+        return real_run(case_fn, case_args, workers)
 
     monkeypatch.setattr(verify_module, "wrdet", no_wrdet)
     monkeypatch.setattr(adet_module, "wrdet", no_wrdet)
-    monkeypatch.setattr(verify_module, "adet_structured", spy)
-    for samples in (1, 5):
-        structured.clear()
-        assert verify_zsf(2, 3, samples=samples, seed=4).passed
-        assert structured[0] == Perm.identity(6)
-        assert len(structured) == samples + 1
+    monkeypatch.setattr(verify_module, "_wrdet_numerator", spy)
+    monkeypatch.setattr(verify_module, "_run_cases", run_spy)
+    for k, n, samples in [(2, 3, 1), (2, 3, 5), (1, 4, 3), (3, 2, 4), (4, 2, 2)]:
+        numerators.clear()
+        passed.clear()
+        assert verify_zsf(k, n, samples=samples, seed=4).passed
+        size = k * n
+        identity = adet_module.translate_class_sums(Perm.identity(size), (k,) * n)
+        assert numerators[0] == identity
+        assert len(numerators) == samples + 1
+        expected = k**size * wrdet(column_replicator(n, k), k)  # the original, unpatched
+        assert expected.denominator == 1 and expected != 0
+        assert passed == [[expected.numerator] * samples]
+
+
+def test_zsf_pass_path_builds_no_fraction_route(monkeypatch):
+    # a passing case compares integer numerators: the three Fraction routes
+    # are built only for a failing case's witness
+    def no_route(*args):
+        raise AssertionError("a passing zsf case built a Fraction route")
+
+    for name in ("subgroup_averaged_character", "adet_structured", "wrdet", "Fraction"):
+        monkeypatch.setattr(verify_module, name, no_route)
+    for k, n in [(1, 4), (2, 3), (3, 2), (6, 1)]:
+        assert verify_zsf(k, n, seed=0).passed
+    for k, n in [(2, 4), (3, 3)]:
+        assert verify_zsf(k, n, samples=8, seed=5).passed
+    assert main(["verify", "zsf", "--k", "2", "--n", "3", "--samples", "4", "--seed", "0"]) == 0
+
+
+def _zsf_public_routes(k: int, n: int, g: Perm) -> dict:
+    """The three routes of a zsf case, as Fractions from the public
+    functions that the suite's witness reads, looked up in ``verify`` so
+    that a patch there shows: the character average, the structured value
+    over the replicator's, and the coefficient over Mackey's index."""
+    shape = (k,) * n
+    x = Fraction(-1, k)
+    identity = PermutedBlockOnes(Perm.identity(k * n), shape)
+    profile = perms_module.block_profile(g, n, k)
+    return {
+        "character_average": verify_module.subgroup_averaged_character(shape, shape, g),
+        "wreath_ratio": verify_module.adet_structured(PermutedBlockOnes(g, shape), x)
+        / verify_module.adet_structured(identity, x),
+        "coefficient_over_index": Fraction(
+            verify_module.det_power_coeff(profile, k), perms_module.double_coset_index(g, n, k)
+        ),
+    }
+
+
+def _coefficient_plus_one(monkeypatch) -> None:
+    real = verify_module.det_power_coeff
+    monkeypatch.setattr(verify_module, "det_power_coeff", lambda cells, k: real(cells, k) + 1)
+
+
+def _conjugate_character_sum(monkeypatch) -> None:
+    """Give zsf's character numerator the conjugate rectangle, in its
+    integer check and in the public route of its witness alike."""
+    real = characters_module._character_sum
+    mutant = lambda shape, sums: real(conjugate(shape), sums)  # noqa: E731
+    monkeypatch.setattr(characters_module, "_character_sum", mutant)
+    monkeypatch.setattr(verify_module, "_character_sum", mutant)
+
+
+def _unsigned_wreath_ratio(monkeypatch) -> None:
+    """Take zsf's wreath ratio at +1/k, not -1/k, in its integer numerators
+    and in the structured values of its witness alike."""
+    real_numerator, real_structured = verify_module._wrdet_numerator, verify_module.adet_structured
+
+    def numerator(sums, k, size):
+        unsigned = [(rho, -w if (size - len(rho)) % 2 else w) for rho, w in sums]
+        return real_numerator(unsigned, k, size)
+
+    monkeypatch.setattr(verify_module, "_wrdet_numerator", numerator)
+    monkeypatch.setattr(verify_module, "adet_structured", lambda s, x: real_structured(s, -x))
+
+
+@pytest.mark.parametrize(
+    "mutate", [None, _coefficient_plus_one, _conjugate_character_sum, _unsigned_wreath_ratio]
+)
+def test_zsf_integer_verdict_is_the_public_routes_agreement(monkeypatch, capsys, mutate):
+    # at every g of S_6, a case's integer verdict is whether the three
+    # public Fraction routes agree, on the program and on three mutants of
+    # it: the coefficient off by one, which breaks every case, the
+    # character numerator of the conjugate rectangle (every (k, n) here has
+    # k != n) and the wreath ratio at +1/k, which break the cases whose
+    # route value changes with them; a failing case's witness is each
+    # public route's value, and the CLI exits 1
+    if mutate is not None:
+        mutate(monkeypatch)
+    witnessed = []
+    real_agree = verify_module._agree
+
+    def agree_spy(case_id, **values):
+        witnessed.append(case_id)
+        return real_agree(case_id, **values)
+
+    monkeypatch.setattr(verify_module, "_agree", agree_spy)
+    failed = {}
+    for k, n in [(1, 6), (2, 3), (3, 2), (6, 1)]:
+        witnessed.clear()
+        report = verify_zsf(k, n, seed=0)
+        failed[k, n] = 0
+        for g, case in zip(enumerate_perms(6), report.cases, strict=True):
+            routes = _zsf_public_routes(k, n, g)
+            holds = len(set(routes.values())) == 1
+            assert (case.id in witnessed) == (not holds), (k, n, case.id)
+            assert case.status == ("pass" if holds else "fail")
+            if not holds:
+                failed[k, n] += 1
+                assert case.witness == {name: format_rational(v) for name, v in routes.items()}
+    # the count of broken cases at each (k, n) above: at k = 1 the average
+    # is sign(g) and its conjugate's 1, and at n = 1 P(g) 1_(k^n) is the
+    # all-ones matrix for every g, so its ratio is 1 at either sign
+    expected = {
+        None: [0, 0, 0, 0],
+        _coefficient_plus_one: [720, 720, 720, 720],
+        _conjugate_character_sum: [360, 696, 720, 720],
+        _unsigned_wreath_ratio: [360, 392, 684, 0],
+    }[mutate]
+    assert list(failed.values()) == expected
+    if mutate is not None:
+        capsys.readouterr()
+        assert main(["verify", "zsf", "--k", "2", "--n", "3", "--seed", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_zsf_walks_the_class_sums_once_per_case(walks):
