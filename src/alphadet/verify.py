@@ -23,6 +23,7 @@ from .adet import (
     _cells_class_sums,
     _inflation_class_sums,
     _tables,
+    _weigh,
     _wrdet_numerator,
     _wreath_average_counts,
     adet2_structured,
@@ -30,12 +31,14 @@ from .adet import (
     adet_structured,
     det_power_coeff,
     subgroup_avg_adet,
+    translate_class_sums,
     wrdet,
     wreath_average_poly,
 )
 from .characters import (
     CHARACTER_CAP,
     _character_sum,
+    _mn,
     alpha_power_expansion,
     character,
     subgroup_averaged_character,
@@ -44,6 +47,7 @@ from .errors import IdentityViolation, NotDivisible, ShapeWeightMismatch, SizeCa
 from .matrices import PermutedBlockOnes
 from .partitions import (
     _content_coefficients,
+    check_partition,
     content_poly,
     content_poly_at,
     format_partition,
@@ -236,12 +240,16 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
 
 def rect_formula_value(k: int, n: int, mu: tuple[int, ...], g: Perm) -> Fraction:
     """(f / mu!) * adet[-1/k, 1/n](P(g) 1_mu) / adet[-1/kn](all-ones)."""
-    size = k * n
-    if sum(mu) != size:
-        raise ShapeWeightMismatch(f"|{tuple(mu)}| != {size} = k*n")
+    _check_weight(k * n, mu)
     # first, so that its size cap rejects a huge shape before the tableau count
     value = adet2_structured(PermutedBlockOnes(g, mu), Fraction(-1, k), Fraction(1, n))
     return _rect_scale(k, n) * value / young_subgroup_order(mu)
+
+
+def _check_weight(size: int, mu: Sequence[int]) -> None:
+    """Refuse a weight mu of any size but kn."""
+    if sum(mu) != size:
+        raise ShapeWeightMismatch(f"|{tuple(mu)}| != {size} = k*n")
 
 
 @lru_cache(maxsize=1)
@@ -254,17 +262,40 @@ def _rect_scale(k: int, n: int) -> Fraction:
     return f / content_poly_at((size,), Fraction(-1, size))
 
 
+def _rect_point(k: int, n: int) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int, int]:
+    """(values, p, q): the value of each cycle type of S_kn at the formula's
+    point (-1/k, 1/n), as the one integer of ``_tables`` over its denominator
+    d, and p / q = ``_rect_scale(k, n)`` / d, so that the formula weighs a
+    point value v as p v / q.  Read once per omega or chi suite."""
+    values, denom = _tables(k * n, Fraction(-1, k), Fraction(1, n))
+    scale = _rect_scale(k, n)
+    return values, scale.numerator, scale.denominator * denom
+
+
 def _omega_case(args) -> CaseResult:
-    k, n, mu, g_images = args
+    k, n, mu, g_images, values, p, q = args
     g = Perm(g_images)
     shape = (k,) * n
-    values = {
+    # over |S_mu|, the formula is p T / q and the character average A, for
+    # T and A the point values and the characters weighed by one read of the
+    # class sums of the translates g h
+    sums = translate_class_sums(g, mu)
+    average = _character_sum(shape, sums)
+    (total,) = _weigh(values, sums)
+    at_identity = g.is_identity()
+    holds = p * total == q * average
+    if holds and at_identity:
+        holds = average == kostka_ssyt(shape, mu) * young_subgroup_order(mu)
+    case_id = f"mu={format_partition(mu)};g={format_perm(g)}"
+    if holds:
+        return CaseResult(case_id, "pass")
+    routes = {
         "rect_formula": rect_formula_value(k, n, mu, g),
         "character_average": subgroup_averaged_character(shape, mu, g),
     }
-    if g.is_identity():
-        values["kostka_ssyt"] = Fraction(kostka_ssyt(shape, mu))
-    return _agree(f"mu={format_partition(mu)};g={format_perm(g)}", **values)
+    if at_identity:
+        routes["kostka_ssyt"] = Fraction(kostka_ssyt(shape, mu))
+    return _agree(case_id, **routes)
 
 
 def verify_omega(
@@ -280,12 +311,22 @@ def verify_omega(
     the identity also the tableau-counting Kostka oracle.  Without an
     explicit weight, all weights of kn are covered.
 
+    A case decides in integers.  It reads the class sums of the translates
+    g h, h in S_mu, once from ``translate_class_sums``, and weighs them
+    twice: by the character of each cycle type, A = sum_rho chi(rho) w_rho
+    (``characters._character_sum``), and by its point value at (-1/k, 1/n),
+    T (``adet._weigh``).  The point values and the formula's scale p / q come
+    from ``_rect_point``, read once per suite, so the formula is p T / q over
+    |S_mu| and the character average A over |S_mu|.  A case passes when
+    p T = q A and, at g = id, A = K |S_mu| for K from ``kostka_ssyt``.  Only
+    a failing case builds the Fraction routes, ``rect_formula_value``,
+    ``subgroup_averaged_character`` and the Kostka number, for its witness.
+
     The first two routes are not independent: both weigh the class sums of
-    the translates g h, h in S_mu, from ``translate_class_sums``, one by the
-    table's point value of each cycle type and one by its character value.
-    Their agreement is a weighted sum of ``chi``'s per-type checks, so
-    ``chi`` at every cycle type of S_kn implies this suite at every
-    (mu, g).  At g = id only ``kostka_ssyt`` is an independent route."""
+    the translates from ``translate_class_sums``.  Their agreement is a
+    weighted sum of ``chi``'s per-type checks, so ``chi`` at every cycle
+    type of S_kn implies this suite at every (mu, g).  At g = id only
+    ``kostka_ssyt`` is an independent route."""
     _require(k >= 1 and n >= 1, "k, n must be positive")
     size = k * n
     check_kn_cap(size)
@@ -293,20 +334,30 @@ def verify_omega(
     if g is None:
         g = Perm.identity(size)
     _require(g.n == size, "permutation size must equal kn")
+    if mu is not None:
+        # the checks that the Fraction routes make, in their order
+        _check_weight(size, mu)
+        check_partition(mu)
     weights = [tuple(mu)] if mu is not None else partitions_of(size)
-    args = [(k, n, w, g.images) for w in weights]
+    point = _rect_point(k, n)
+    args = [(k, n, w, g.images, *point) for w in weights]
     params = {"k": k, "n": n, "mu": format_partition(mu) if mu else "all", "g": format_perm(g)}
     cases = _run_cases(_omega_case, args, workers)
     return _report("omega", params, seed, cases, t0)
 
 
 def _chi_case(args) -> CaseResult:
-    k, n, g_images, f = args
+    k, n, g_images, f, values, p, q = args
     g = Perm(g_images)
-    lhs = Fraction(character((k,) * n, g.cycle_type()), f)
-    # P(g) is a permutation matrix, so its one class sum is {type of g: 1}
+    rho = g.cycle_type()
+    case_id = f"g={format_perm(g)}"
+    # P(g) is a permutation matrix, so its one class sum is {type of g: 1},
+    # and both sides are over f: chi(rho) and p v / q, v rho's point value
+    if _mn((k,) * n, rho) * q == p * values[rho][0]:
+        return CaseResult(case_id, "pass")
+    lhs = Fraction(character((k,) * n, rho), f)
     rhs = _rect_scale(k, n) * _point_value(k, n, g) / f
-    return _agree(f"g={format_perm(g)}", character_ratio=lhs, adet_ratio=rhs)
+    return _agree(case_id, character_ratio=lhs, adet_ratio=rhs)
 
 
 def verify_chi(
@@ -314,15 +365,25 @@ def verify_chi(
 ) -> SuiteReport:
     """Normalized rectangular character equals the two-parameter value of
     the bare permutation matrix over the all-ones normalization; exhaustive
-    in g up to kn = 7, seeded samples at kn = 8 and 9."""
+    in g up to kn = 7, seeded samples at kn = 8 and 9.
+
+    A case decides in integers: chi(rho) q = p v, for rho the cycle type of
+    g, chi from Murnaghan-Nakayama and v the point value of rho from the
+    cut-and-join tables, with the point values and p / q read once per suite
+    by ``_rect_point``.  The two sides share no kernel.  Only a failing case
+    builds the two Fraction ratios, through ``character`` and
+    ``_point_value``, for its witness."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
     t0 = time.monotonic()
-    # the tableau count of the rectangle, passed with each case's arguments
-    # so that the pool's workers get it too
+    perms = _case_perms(size, samples, seed)
+    # the suite's constants, passed with each case's arguments so that the
+    # pool's workers get them too: the tableau count of the rectangle, for a
+    # witness, and the point values with the formula's scale
     f = num_standard_tableaux((k,) * n)
-    args = [(k, n, p.images, f) for p in _case_perms(size, samples, seed)]
+    point = _rect_point(k, n)
+    args = [(k, n, g.images, f, *point) for g in perms]
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
     cases = _run_cases(_chi_case, args, workers)
     return _report("chi", params, seed, cases, t0)
@@ -332,14 +393,17 @@ def verify_chi(
 
 
 def _stanley_case(args) -> CaseResult:
-    k, n, m, w_images, f = args
-    size = k * n
+    k, n, m, w_images, f, falling, values = args
     w = Perm(w_images)
-    embedded = Perm(tuple(w.images) + tuple(range(m + 1, size + 1)))
-    lhs = Fraction(factorial(size), factorial(size - m)) * Fraction(
-        character((k,) * n, embedded.cycle_type()), f
-    )
-    return _agree(f"w={format_perm(w)}", character_side=lhs, sum_side=_stanley_sum(k, n, w))
+    rho = w.cycle_type()
+    embedded = rho + (1,) * (k * n - m)  # the cycle type of w on kn letters
+    case_id = f"w={format_perm(w)}"
+    # the character side is falling chi / f, and the sum side is rho's point
+    # value over the denominator (kn)^m, which that sum's factor cancels
+    if falling * _mn((k,) * n, embedded) == f * values[rho][0]:
+        return CaseResult(case_id, "pass")
+    lhs = Fraction(falling * character((k,) * n, embedded), f)
+    return _agree(case_id, character_side=lhs, sum_side=_stanley_sum(k, n, w))
 
 
 def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
@@ -365,7 +429,15 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     """Rescaled rectangular character on a permutation supported on the
     first m letters equals the signed double-power sum over S_m, for every
     w in S_m.  The sum side is read from the cycle-class table of w, so no
-    case enumerates S_m."""
+    case enumerates S_m.
+
+    A case decides in integers: (kn)! / (kn - m)! chi(rho') = f v, for
+    rho' the cycle type of w on kn letters, chi from Murnaghan-Nakayama, f
+    the tableau count of the rectangle and v the point value of w's type in
+    S_m at (-1/k, 1/n), which ``_tables`` gives over (kn)^m, so that v is
+    the sum side itself.  The point values are read once per suite.  Only a
+    failing case builds the two Fraction sides, through ``character`` and
+    ``_stanley_sum``, for its witness."""
     _require(k >= 1 and n >= 1 and m >= 1, "k, n, m must be positive")
     size = k * n
     if m > min(size, EXHAUSTIVE_CAP):
@@ -373,8 +445,11 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     if size > CHARACTER_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
-    f = num_standard_tableaux((k,) * n)  # passed as verify_chi passes it
-    args = [(k, n, m, w.images, f) for w in enumerate_perms(m)]
+    # passed with each case's arguments, as verify_chi passes its constants
+    f = num_standard_tableaux((k,) * n)
+    falling = factorial(size) // factorial(size - m)
+    values, _ = _tables(m, Fraction(-1, k), Fraction(1, n))
+    args = [(k, n, m, w.images, f, falling, values) for w in enumerate_perms(m)]
     cases = _run_cases(_stanley_case, args, workers)
     return _report("stanley", {"k": k, "n": n, "m": m}, seed, cases, t0)
 

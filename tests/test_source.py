@@ -191,7 +191,7 @@ def test_one_integer_formula_per_side_of_the_main_identity():
     # numerator too, per case and once for its denominator, from the class
     # sums of the translates, which it reads by the cells it built, as
     # translate_class_sums does; the character average's numerator has one
-    # helper, read by the public average and by the zsf case
+    # helper, read by the public average and by the omega and zsf cases
     tree = ast.parse((PACKAGE / "adet.py").read_text(encoding="utf-8"))
     (inflation,) = [
         node
@@ -217,6 +217,7 @@ def test_one_integer_formula_per_side_of_the_main_identity():
     ]
     assert _readers("_character_sum") == [
         "characters.py:subgroup_averaged_character",
+        "verify.py:_omega_case",
         "verify.py:_zsf_case",
     ]
     assert _readers("_wreath_average_counts") == [

@@ -20,9 +20,10 @@ from alphadet.partitions import (
     conjugate,
     content_poly,
     num_standard_tableaux,
+    partitions_of,
 )
 from alphadet.perms import Perm, enumerate_perms
-from alphadet.randmat import SplitMix64, random_matrix
+from alphadet.randmat import SplitMix64, random_matrix, random_perm
 from alphadet.rationals import format_rational
 from alphadet.verify import (
     verify_chi,
@@ -113,6 +114,25 @@ def test_omega_suite_kostka_cross_check_at_six():
     assert report.passed
 
 
+def test_omega_refuses_a_weight_as_its_routes_do():
+    # the suite checks a given weight once, before its cases, with the
+    # errors that the Fraction routes raised from its first case: the size
+    # from rect_formula_value, then the parts from the character average
+    cases = [
+        ((2, 1), ShapeWeightMismatch, r"^\|\(2, 1\)\| != 4 = k\*n$"),
+        ((3, 2, -1), ValueError, r"^parts must be positive: \(3, 2, -1\)$"),
+        ((1, 2, 1), ValueError, r"^parts must be weakly decreasing: \(1, 2, 1\)$"),
+        ((2, 2, 0), ValueError, r"^parts must be positive: \(2, 2, 0\)$"),
+        ((5, -1), ValueError, r"^parts must be positive: \(5, -1\)$"),
+    ]
+    for mu, error, message in cases:
+        with pytest.raises(error, match=message):
+            verify_omega(2, 2, mu=mu, seed=0)
+        with pytest.raises(error, match=message):
+            verify_module.rect_formula_value(2, 2, mu, Perm.identity(4))
+            verify_module.subgroup_averaged_character((2, 2), mu, Perm.identity(4))
+
+
 def clear_walk_memos():
     """Empty the memos of class-sum walks, so that no walk of an earlier
     test is served from them."""
@@ -168,11 +188,18 @@ def walks(monkeypatch):
 
 
 def test_omega_case_walks_the_translates_once(walks):
-    # the two-parameter value and the character average share one walk of P(g) 1_mu
-    result = verify_module._omega_case((2, 2, (2, 1, 1), (2, 3, 4, 1)))
+    # the point-value sum and the character sum share one walk of P(g) 1_mu,
+    # and so do the two Fraction routes that a failing case builds
+    args = (2, 2, (2, 1, 1), (2, 3, 4, 1), *verify_module._rect_point(2, 2))
+    result = verify_module._omega_case(args)
     assert result.status == "pass"
     assert len(walks) == 1
     assert adet_module.translate_class_sums.cache_info().maxsize == 1
+    walks.clear()
+    shape, mu, g = (2, 2), (2, 1, 1), Perm((2, 3, 4, 1))
+    formula = verify_module.rect_formula_value(2, 2, mu, g)
+    assert formula == verify_module.subgroup_averaged_character(shape, mu, g)
+    assert walks == []
 
 
 def test_one_type_count_per_case(monkeypatch):
@@ -391,49 +418,221 @@ def test_stanley_case_enumerates_no_permutations(monkeypatch):
     monkeypatch.setattr(perms_module, "perm_tuples", no_enumeration)
     monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
     f = num_standard_tableaux((3, 3))
+    values, _ = adet_module._tables(5, Fraction(-1, 3), Fraction(1, 2))
     for w_images in [(1, 2, 3, 4, 5), (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)]:
-        assert verify_module._stanley_case((3, 2, 5, w_images, f)).status == "pass"
+        args = (3, 2, 5, w_images, f, factorial(6) // factorial(1), values)
+        assert verify_module._stanley_case(args).status == "pass"
 
 
 @pytest.mark.parametrize(
-    "route, run, case_id, witness",
+    "routes, run, case_id, witness",
     [
         (
-            "character",
+            ("_mn", "character"),
             lambda: verify_chi(2, 2, seed=0),
             "g=1,2,3,4",
             {"character_ratio": "3/2", "adet_ratio": "1"},
         ),
         (
-            "character",
+            ("_mn", "character"),
             lambda: verify_stanley(2, 2, 3, seed=0),
             "w=1,2,3",
             {"character_side": "36", "sum_side": "24"},
         ),
         (
-            "det_power_coeff",
+            ("det_power_coeff",),
             lambda: verify_zsf(2, 2, seed=0),
             "g=1,2,3,4",
             {"character_average": "1", "wreath_ratio": "1", "coefficient_over_index": "2"},
         ),
         (
-            "kostka_ssyt",
+            ("kostka_ssyt",),
             lambda: verify_omega(2, 2, mu=(2, 1, 1), seed=0),
             "mu=2,1,1;g=1,2,3,4",
             {"rect_formula": "1", "character_average": "1", "kostka_ssyt": "2"},
         ),
     ],
 )
-def test_failing_case_witness_lists_every_route(monkeypatch, route, run, case_id, witness):
-    # one route off by one: the witness names each route's value, in the
-    # order the case computes them
-    real = getattr(verify_module, route)
-    monkeypatch.setattr(verify_module, route, lambda *args: real(*args) + 1)
+def test_failing_case_witness_lists_every_route(monkeypatch, routes, run, case_id, witness):
+    # one route off by one, under each name that a case reads it by: the
+    # integer kernel of the pass path and the public function of the
+    # witness.  The witness names each route's value, in the order the case
+    # computes them
+    for route in routes:
+        real = getattr(verify_module, route)
+        monkeypatch.setattr(verify_module, route, lambda *args, real=real: real(*args) + 1)
     report = run()
     assert report.status == "fail"
     failing = next(c for c in report.cases if c.status == "fail")
     assert failing.id == case_id
     assert list(failing.witness.items()) == list(witness.items())
+
+
+def test_omega_chi_and_stanley_pass_paths_build_no_fraction_route(monkeypatch):
+    # a passing omega, chi or stanley case compares integers: the Fraction
+    # routes are built only for a failing case's witness, and a case builds
+    # no Fraction at all; the suites build their constants with Fractions,
+    # before their cases run
+    def no_route(*args):
+        raise AssertionError("a passing case built a Fraction route")
+
+    for name in (
+        "rect_formula_value",
+        "adet2_structured",
+        "subgroup_averaged_character",
+        "_point_value",
+        "_stanley_sum",
+    ):
+        monkeypatch.setattr(verify_module, name, no_route)
+    real_run = verify_module._run_cases
+
+    def run_without_fractions(case_fn, case_args, workers):
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "Fraction", no_route)
+            return real_run(case_fn, case_args, workers)
+
+    monkeypatch.setattr(verify_module, "_run_cases", run_without_fractions)
+    rng = SplitMix64(47)
+    for size in range(1, 7):
+        for k in (k for k in range(1, size + 1) if size % k == 0):
+            report = verify_omega(k, size // k, seed=0)
+            assert report.passed and report.case_count == len(partitions_of(size))
+            assert verify_omega(k, size // k, g=random_perm(size, rng), seed=0).passed
+    for k, n in [(2, 3), (3, 2), (1, 6), (6, 1)]:
+        assert verify_chi(k, n, seed=0).passed
+    for k, n in [(2, 4), (3, 3)]:
+        assert verify_chi(k, n, samples=8, seed=5).passed
+    for m in range(1, 7):
+        assert verify_stanley(2, 3, m, seed=0).passed
+    for argv in [
+        ["verify", "omega", "--k", "2", "--n", "3", "--seed", "0"],
+        ["verify", "omega", "--k", "2", "--n", "3", "--perm", "3,1,2,6,4,5", "--seed", "0"],
+        ["verify", "chi", "--k", "2", "--n", "3", "--samples", "4", "--seed", "0"],
+        ["verify", "stanley", "--k", "2", "--n", "3", "--m", "4", "--seed", "0"],
+    ]:
+        assert main(argv) == 0, argv
+
+
+def _omega_public_routes(k: int, n: int, mu: tuple[int, ...], g: Perm) -> dict:
+    """The routes of an omega case, as Fractions from the public functions
+    that its witness reads, looked up in ``verify`` so that a patch there
+    shows: the formula, the character average and, at g = id, the Kostka
+    number."""
+    shape = (k,) * n
+    routes = {
+        "rect_formula": verify_module.rect_formula_value(k, n, mu, g),
+        "character_average": verify_module.subgroup_averaged_character(shape, mu, g),
+    }
+    if g.is_identity():
+        routes["kostka_ssyt"] = Fraction(verify_module.kostka_ssyt(shape, mu))
+    return routes
+
+
+def _chi_public_routes(k: int, n: int, g: Perm) -> dict:
+    """The two ratios of a chi case from public functions: the character
+    over f, and the formula at the weight 1^kn, whose P(g) 1_mu is the
+    permutation matrix of g, over f."""
+    shape = (k,) * n
+    f = num_standard_tableaux(shape)
+    return {
+        "character_ratio": Fraction(verify_module.character(shape, g.cycle_type()), f),
+        "adet_ratio": verify_module.rect_formula_value(k, n, (1,) * (k * n), g) / f,
+    }
+
+
+def _conjugate_character(monkeypatch) -> None:
+    """Give every character of the rectangle the conjugate rectangle's, in
+    the integer checks and in the public routes alike."""
+    real = characters_module._mn
+    mutant = lambda shape, rho: real(conjugate(shape), rho)  # noqa: E731
+    monkeypatch.setattr(characters_module, "_mn", mutant)
+    monkeypatch.setattr(verify_module, "_mn", mutant)
+
+
+def _table_at_plus_one_over_k(monkeypatch) -> None:
+    """Read every point value at (1/k, 1/n), not (-1/k, 1/n), in the suites'
+    constants and in the public routes alike."""
+    real = adet_module._tables
+
+    def mutant(n, alpha, beta):
+        return real(n, None if alpha is None else -alpha, beta)
+
+    monkeypatch.setattr(adet_module, "_tables", mutant)
+    monkeypatch.setattr(verify_module, "_tables", mutant)
+
+
+def _kostka_plus_one(monkeypatch) -> None:
+    real = verify_module.kostka_ssyt
+    monkeypatch.setattr(verify_module, "kostka_ssyt", lambda shape, mu: real(shape, mu) + 1)
+
+
+@pytest.mark.parametrize(
+    "mutate", [None, _conjugate_character, _table_at_plus_one_over_k, _kostka_plus_one]
+)
+def test_omega_and_chi_integer_verdicts_are_the_public_routes_agreement(
+    monkeypatch, capsys, mutate
+):
+    # a case's integer verdict is whether the public Fraction routes agree:
+    # omega at every weight, for g = id and three seeded g, and chi at every
+    # g of S_6, on the program and on three mutants of it: the conjugate
+    # rectangle's character, the point values at +1/k and the Kostka number
+    # off by one, which breaks every omega case at g = id.  A failing case's
+    # witness is each public route's value, and the CLI exits 1
+    if mutate is not None:
+        mutate(monkeypatch)
+    witnessed = []
+    real_agree = verify_module._agree
+
+    def agree_spy(case_id, **values):
+        witnessed.append(case_id)
+        return real_agree(case_id, **values)
+
+    monkeypatch.setattr(verify_module, "_agree", agree_spy)
+
+    def check(report, routes_of_case) -> int:
+        failed = 0
+        for case, routes in zip(report.cases, routes_of_case, strict=True):
+            holds = len(set(routes.values())) == 1
+            assert (case.id in witnessed) == (not holds), case.id
+            assert case.status == ("pass" if holds else "fail"), case.id
+            if not holds:
+                failed += 1
+                assert case.witness == {name: format_rational(v) for name, v in routes.items()}
+        witnessed.clear()
+        return failed
+
+    failed = {}
+    rng = SplitMix64(53)
+    for k, n in [(2, 2), (2, 3), (3, 2), (1, 4), (4, 1)]:
+        size = k * n
+        for g in [Perm.identity(size), *(random_perm(size, rng) for _ in range(3))]:
+            report = verify_omega(k, n, g=g, seed=0)
+            routes = [_omega_public_routes(k, n, mu, g) for mu in partitions_of(size)]
+            key = ("omega", k, n, "id" if g.is_identity() else "g")
+            failed[key] = failed.get(key, 0) + check(report, routes)
+    for k, n in [(1, 6), (2, 3), (3, 2), (6, 1)]:
+        report = verify_chi(k, n, seed=0)
+        routes = [_chi_public_routes(k, n, g) for g in enumerate_perms(6)]
+        failed["chi", k, n] = check(report, routes)
+    # the broken cases at each key above: omega at g = id, then at the
+    # seeded g, of (2,2), (2,3), (3,2), (1,4) and (4,1), then chi at (1,6),
+    # (2,3), (3,2) and (6,1).  The conjugate of (2,2) is itself, and the
+    # Kostka number is a route at g = id only
+    expected = {
+        None: [0] * 14,
+        _conjugate_character: [0, 0, 5, 18, 5, 17, 4, 13, 4, 13, 360, 240, 240, 360],
+        _table_at_plus_one_over_k: [5, 15, 11, 33, 11, 33, 5, 15, 5, 15, 720, 720, 720, 720],
+        _kostka_plus_one: [5, 0, 11, 0, 11, 0, 5, 0, 5, 0, 0, 0, 0, 0],
+    }[mutate]
+    assert list(failed.values()) == expected
+    if mutate is not None:
+        for argv, broken in [
+            (["verify", "omega", "--k", "2", "--n", "3", "--seed", "0"], failed["omega", 2, 3, "id"]),
+            (["verify", "chi", "--k", "2", "--n", "3", "--seed", "0"], failed["chi", 2, 3]),
+        ]:
+            capsys.readouterr()
+            assert main(argv) == (1 if broken else 0)
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_size_caps_are_the_module_constants(monkeypatch):
@@ -653,7 +852,7 @@ def test_zsf_integer_verdict_is_the_public_routes_agreement(monkeypatch, capsys,
         _conjugate_character_sum: [360, 696, 720, 720],
         _unsigned_wreath_ratio: [360, 392, 684, 0],
     }[mutate]
-    assert list(failed.values()) == expected
+    assert list(failed.values()) == expected, list(failed.values())
     if mutate is not None:
         capsys.readouterr()
         assert main(["verify", "zsf", "--k", "2", "--n", "3", "--seed", "0"]) == 1
