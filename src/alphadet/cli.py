@@ -6,15 +6,21 @@ image lists "2,1,3", rationals are "p/q".
 
 Exit codes: 0 on success / overall pass, 1 on any verification failure,
 2 on usage or size-cap errors.
+
+Each run is a fresh process that pays for its imports, so a well-formed
+argv loads neither ``argparse`` nor ``json``: ``_plain_args`` reads it
+straight from the command tables, and argparse is imported only to build
+the full parser, for help and usage errors.  Every JSON output (reports,
+summary and FAIL lines, polynomials) comes from ``rationals.dumps``;
+``json`` is imported only to read a matrix file.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .adet import adet2_poly, adet_at, adet_poly, wrdet
 from .characters import character, subgroup_averaged_character
@@ -22,7 +28,7 @@ from .errors import AlphadetError, IdentityViolation
 from .matrices import RatMatrix
 from .partitions import kostka_ssyt, parse_partition
 from .perms import Perm, parse_perm
-from .rationals import format_rational, parse_rational
+from .rationals import dumps, format_rational, parse_rational
 from .verify import (
     check_kn_cap,
     rect_formula_value,
@@ -35,6 +41,9 @@ from .verify import (
     verify_zsf,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 
 def _load_matrix(path: str) -> RatMatrix:
     with open(path, "r", encoding="utf-8") as handle:
@@ -46,7 +55,7 @@ def _cmd_adet(args) -> int:
     if args.alpha is not None:
         print(format_rational(adet_at(m, parse_rational(args.alpha))))
     else:
-        print(json.dumps(adet_poly(m).to_strings()))
+        print(dumps(adet_poly(m).to_strings()))
     return 0
 
 
@@ -58,7 +67,7 @@ def _cmd_adet2(args) -> int:
     if args.alpha is not None:
         print(format_rational(poly.eval(parse_rational(args.alpha), parse_rational(args.beta))))
     else:
-        print(json.dumps(poly.to_strings()))
+        print(dumps(poly.to_strings()))
     return 0
 
 
@@ -142,13 +151,13 @@ def _cmd_verify(args) -> int:
             os.remove(args.json)
         raise
     print(
-        f"suite={report.suite} params={json.dumps(report.params)} "
+        f"suite={report.suite} params={dumps(report.params)} "
         f"seed={report.seed} cases={report.case_count} status={report.status} "
         f"wall={report.wall_time_s}s"
     )
     for case in report.cases:
         if case.status != "pass":
-            print(f"FAIL {case.id}: {json.dumps(case.witness)}")
+            print(f"FAIL {case.id}: {dumps(case.witness)}")
     if args.json is not None:
         with handle or open(args.json, "w", encoding="utf-8") as out:
             out.write(report.to_json() + "\n")
@@ -158,14 +167,18 @@ def _cmd_verify(args) -> int:
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {value}")
+        from argparse import ArgumentTypeError  # its message is the usage error
+
+        raise ArgumentTypeError(f"seed must lie in [0, 2^64), got {value}")
     return value
 
 
 def _workers(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"workers must be at least 1, got {value}")
     return value
 
 
@@ -252,7 +265,10 @@ def _add_parsers(sub, table: dict, common=()) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, the only source of help and usage errors."""
+    """The full parser, the only source of help and usage errors; argparse
+    is imported here, so that a well-formed argv never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="alphadet",
         description="Exact alpha-determinant computations and identity verification.",
@@ -264,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """build_parser().parse_args(argv), read straight from the tables when
     argv is plain: a command, under verify a suite, then distinct
     "--flag value" pairs with every required flag, each value valid and not
@@ -295,12 +311,18 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
         else:
             try:
                 value = spec.get("type", str)(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None  # the errors that argparse reports as usage errors
+            except Exception as exc:
+                # argparse reports these as usage errors; it is imported only
+                # on this branch, after which the full parser answers argv
+                from argparse import ArgumentTypeError
+
+                if isinstance(exc, (ArgumentTypeError, TypeError, ValueError)):
+                    return None
+                raise
             if "choices" in spec and value not in spec["choices"]:
                 return None
         values[flag.lstrip("-").replace("-", "_")] = value
-    return None if given else argparse.Namespace(**values)
+    return None if given else SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -6,14 +6,13 @@ JSON wire form: {"rows": R, "cols": C, "entries": [["p/q", ...], ...]}.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
 from .perms import Perm, young_blocks
-from .rationals import format_rational, parse_rational
+from .rationals import dumps, format_rational, parse_rational
 
 
 class RatMatrix:
@@ -108,7 +107,7 @@ class RatMatrix:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatMatrix":
@@ -124,6 +123,8 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "RatMatrix":
+        import json  # only reading a matrix file needs the decoder
+
         try:
             data = json.loads(text)
         except RecursionError:

@@ -10,7 +10,6 @@ serialized exactly.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from fractions import Fraction
@@ -68,7 +67,7 @@ from .perms import (
 )
 from .polynomials import QPoly
 from .randmat import SplitMix64, random_matrix, random_perm
-from .rationals import format_rational
+from .rationals import dumps, format_rational
 
 
 class CaseResult:
@@ -119,7 +118,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dumps(self.to_dict(), indent=2)
 
 
 def _run_cases(case_fn: Callable, case_args: list, workers: int) -> list[CaseResult]:

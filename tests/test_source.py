@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import alphadet
+from test_bench_digests import workloads
 
 PACKAGE = Path(alphadet.__file__).parent
 
@@ -84,16 +85,47 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_cli_import_loads_no_process_pool_or_dataclasses():
-    # every `alphadet` run pays for what `import alphadet.cli` loads; -S keeps
-    # site's own imports out of the count
-    heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
-    code = f"import sys, alphadet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+_HEAVY = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+          "argparse", "gettext", "json"]
+
+
+def _loaded_heavy_modules(code):
+    """The modules of _HEAVY loaded after code runs in a fresh interpreter;
+    -S keeps site's own imports out of the count."""
+    code += f"\nimport sys\nprint([m for m in {_HEAVY!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_process_pool_dataclasses_argparse_or_json():
+    # every `alphadet` run pays for what `import alphadet.cli` loads
+    assert _loaded_heavy_modules("import alphadet.cli") == "[]"
+
+
+def test_plain_runs_load_no_argparse_or_json(tmp_path):
+    # a lazy import that a well-formed run still reaches would move its cost
+    # from process start into the suite's own time: one serial run of every
+    # suite, and every benchmark workload with a --json report
+    argvs = [
+        ["verify", "theorem", "--k", "1", "--n", "2", "--trials", "1"],
+        ["verify", "omega", "--k", "2", "--n", "2"],
+        ["verify", "chi", "--k", "2", "--n", "2"],
+        ["verify", "stanley", "--k", "2", "--n", "2", "--m", "2"],
+        ["verify", "zsf", "--k", "2", "--n", "2"],
+        ["verify", "weak-alt", "--size", "3", "--k", "1", "--trials", "1"],
+        ["verify", "fourier", "--size", "3"],
+    ]
+    argvs = [[*argv, "--seed", "1", "--workers", "1"] for argv in argvs]
+    argvs += [
+        [*workloads.suite_argv(w, 0), "--json", str(tmp_path / f"{name}.json")]
+        for name, w in workloads.WORKLOADS.items()
+    ]
+    runs = f"{{alphadet.cli.main(a) for a in {argvs!r}}}"
+    code = f"import alphadet.cli\nif {runs} != {{0}}:\n    raise SystemExit('a run failed')"
+    assert _loaded_heavy_modules(code) == "[]"
 
 
 def _readers(name):
