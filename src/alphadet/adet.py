@@ -792,6 +792,40 @@ def _signed_cells(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
+def _det_square_coeff(rest: Sequence[int], n: int) -> int:
+    """Coefficient of prod x_ij^r_ij in det(X)^2, for flat row-major cells
+    r whose rows and columns all sum to 2, without listing S_n.
+
+    Such a grid is a 2-regular bipartite multigraph between rows and
+    columns, so it splits into c components: d doubled cells, and even
+    cycles through L >= 2 rows.  A pair (sigma, tau) with
+    P_sigma + P_tau = r takes both of a doubled cell and either matching of
+    a cycle, so there are 2^(c - d) ordered pairs; sigma^-1 tau has one
+    cycle per component, so each has sign(sigma) sign(tau) = (-1)^(n - c).
+    The components are counted by a union-find over the columns, which
+    each row with two cells of 1 joins.
+    """
+    root = list(range(n))
+    joins = doubled = 0
+    for i in range(n):
+        row = rest[i * n : i * n + n]
+        if 2 in row:
+            doubled += 1
+            continue
+        a = row.index(1)
+        b = row.index(1, a + 1)
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a != b:
+            root[a] = b
+            joins += 1
+    # c = n - joins components, c - d of them cycles
+    pairs = 1 << (n - joins - doubled)
+    return -pairs if joins % 2 else pairs
+
+
 def det_power_coeff(cells: Sequence[int], k: int) -> int:
     """Coefficient of the monomial prod x_ij^m_ij in the k-th power of the
     determinant of an n x n matrix of indeterminates, by expanding over
@@ -800,14 +834,16 @@ def det_power_coeff(cells: Sequence[int], k: int) -> int:
     cells that are not a square grid of non-negative integers, or whose rows
     and columns do not all sum to k >= 1, raise ValueError before any work.
 
-    The expansion is layered by the residual profile, m less the matrices of
-    the permutations placed so far, flat like the cells: a layer maps each
-    residual to the signed count of the placed prefixes that leave it, so
-    prefixes that leave the same residual are expanded once.  Each of the
-    first k - 1 factors is a permutation whose cells are all positive in the
-    residual.  After them every residual has row and column sums 1, so it is
-    the matrix of the one permutation that closes the tuple, and only its
-    sign is added; at k = 1 no layer runs and no permutation is enumerated.
+    At k = 1 the cells are the matrix of one permutation, and its sign is
+    the coefficient.  Past that, the expansion is layered by the residual
+    profile, m less the matrices of the permutations placed so far, flat
+    like the cells: a layer maps each residual to the signed count of the
+    placed prefixes that leave it, so prefixes that leave the same residual
+    are expanded once.  Each of the first k - 2 factors is a permutation
+    whose cells are all positive in the residual.  After them every
+    residual has row and column sums 2, and ``_det_square_coeff`` reads the
+    signed count of the pairs that close the tuple off its cycles; at
+    k = 2 no layer runs and no permutation is enumerated.
     """
     n = isqrt(len(cells))
     if n * n != len(cells):
@@ -816,15 +852,21 @@ def det_power_coeff(cells: Sequence[int], k: int) -> int:
         raise ValueError("profile cells must be non-negative")
     if k < 1 or any(sum(cells[i * n : i * n + n]) != k or sum(cells[i::n]) != k for i in range(n)):
         raise ValueError(f"k={k} must be positive and equal every row and column sum")
-    # the cap bounds the k-tuples, so it does not apply at k = 1; past that,
-    # n! >= 2 puts (n!)^k over the cap once k reaches the cap's bit length,
-    # so the power is never built past that
+    # the cap bounds (n!)^k, the k-tuples of permutations, so it does not
+    # apply at k = 1; it still refuses k = 2 from n = 7 on, although k = 2
+    # lists no tuple (ROADMAP item 3 retires it).  Past k = 1, n! >= 2 puts
+    # (n!)^k over the cap once k reaches the cap's bit length, so the power
+    # is never built past that
     if k > 1:
         nperms = factorial(n)
         if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
             raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
-    layer = {tuple(cells): 1}  # residual -> signed count
-    for _ in range(k - 1):
+    rest = tuple(cells)
+    if k == 1:
+        closing = [rest.index(1, i * n, i * n + n) - i * n + 1 for i in range(n)]
+        return -1 if _trans_len(closing) % 2 else 1
+    layer = {rest: 1}  # residual -> signed count
+    for _ in range(k - 2):
         grown: dict[tuple[int, ...], int] = {}
         for rest, ways in layer.items():
             for cells, sign in _signed_cells(n):
@@ -838,8 +880,4 @@ def det_power_coeff(cells: Sequence[int], k: int) -> int:
                     key = tuple(left)
                     grown[key] = grown.get(key, 0) + sign * ways
         layer = grown
-    total = 0
-    for rest, ways in layer.items():
-        closing = [rest.index(1, i * n, i * n + n) - i * n + 1 for i in range(n)]
-        total += -ways if _trans_len(closing) % 2 else ways
-    return total
+    return sum(ways * _det_square_coeff(rest, n) for rest, ways in layer.items())

@@ -7,6 +7,7 @@ from functools import cache
 from math import comb, factorial, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alphadet.adet as adet_module
 import alphadet.matrices as matrices_module
@@ -1534,6 +1535,90 @@ def test_det_power_coeff_closed_form_at_n2():
         for a in range(k + 1):
             profile = (a, k - a, k - a, a)
             assert det_power_coeff(profile, k) == (-1) ** (k - a) * comb(k, a), (k, a)
+
+
+def test_det_power_coeff_of_the_empty_and_the_1x1_grid():
+    # det of the 0 x 0 matrix is 1, and det(x)^k = x^k, so both
+    # coefficients are 1 for every k the cap admits (1!^k = 1)
+    for k in range(1, 5):
+        assert det_power_coeff((), k) == 1, k
+    for k in range(1, 24):
+        assert det_power_coeff((k,), k) == 1, k
+
+
+@cache
+def _det_power_buckets(k: int, n: int) -> dict:
+    """Oracle: every k-tuple of S_n bucketed once by the flat cells of the
+    sum of its permutation matrices, with the sign products added up."""
+    signed = []
+    for p in perm_tuples(n):
+        cells = [0] * (n * n)
+        for i in range(n):
+            cells[i * n + p[i] - 1] = 1
+        signed.append((cells, -1 if _trans_len(p) % 2 else 1))
+    buckets: dict = {}
+    for tup in itertools.product(signed, repeat=k):
+        key = tuple(map(sum, zip(*(cells for cells, _ in tup))))
+        buckets[key] = buckets.get(key, 0) + functools.reduce(operator.mul, (s for _, s in tup))
+    return buckets
+
+
+@pytest.mark.parametrize(
+    "k, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+)
+def test_det_power_coeff_matches_the_exhaustive_tuple_buckets(k, n):
+    # the sums of k permutation matrices are exactly the block profiles
+    # (Birkhoff), and each profile's coefficient is its bucket, zeros kept
+    buckets = _det_power_buckets(k, n)
+    profiles = perms_module.block_profiles(k, n)
+    assert len(profiles) == len(set(profiles)) == len(buckets)
+    assert set(profiles) == set(buckets)
+    for profile in profiles:
+        assert det_power_coeff(profile, k) == buckets[profile], profile
+
+
+def test_det_power_coeff_at_k2_lists_no_permutation(monkeypatch):
+    # k = 2 reads its pairs off the residual's cycles, so neither the
+    # coefficient nor a k = 2 zsf run builds the signed cells of S_n
+    expected = _det_power_buckets(2, 4)
+
+    def no_signed_cells(n):
+        raise AssertionError("k = 2 must not build _signed_cells")
+
+    monkeypatch.setattr(adet_module, "_signed_cells", no_signed_cells)
+    for profile in perms_module.block_profiles(2, 4):
+        assert det_power_coeff(profile, 2) == expected[profile], profile
+    report = verify_zsf(2, 4, samples=64, seed=1)
+    assert report.passed and len(report.cases) == 64
+    # k = 3 still runs one layer over the signed cells, so the patch is live
+    with pytest.raises(AssertionError, match="must not build _signed_cells"):
+        det_power_coeff(block_profile(Perm.identity(6), 2, 3), 3)
+
+
+@st.composite
+def _small_profiles(draw):
+    """A block profile of a random permutation of S_kn with kn <= 9, and a
+    relabeling of its n blocks."""
+    k, n = draw(st.sampled_from([(k, n) for k in range(1, 10) for n in range(1, 10) if k * n <= 9]))
+    sigma = Perm(draw(st.permutations(range(1, k * n + 1))))
+    relabel = draw(st.permutations(range(n)))
+    return block_profile(sigma, n, k), k, n, relabel
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(drawn=_small_profiles())
+def test_det_power_coeff_is_invariant_under_transpose_and_relabeling(drawn):
+    # det(X^T) = det(P X P^T) = det(X), so the coefficient of a profile is
+    # that of its transpose and of any relabeling of rows and columns alike
+    cells, k, n, relabel = drawn
+    coeff = det_power_coeff(cells, k)
+    transposed = tuple(cells[j * n + i] for i in range(n) for j in range(n))
+    assert det_power_coeff(transposed, k) == coeff
+    relabeled = [0] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            relabeled[relabel[i] * n + relabel[j]] = cells[i * n + j]
+    assert det_power_coeff(tuple(relabeled), k) == coeff
 
 
 def test_det_power_coeff_checks_k_before_the_power():
