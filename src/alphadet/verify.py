@@ -1,11 +1,14 @@
 """Identity-verification suites with reproducible JSON reports.
 
-Each suite enumerates its cases deterministically from (parameters, seed),
-runs them serially or on a process pool, and assembles the report in case
-order, so the report content is identical for any worker count and for
-repeated runs with the same seed (the wall-time field aside).  Failing
-cases carry a witness with the offending inputs and both side values,
-serialized exactly.
+Each suite builds its constants once, the values that are the same for
+every case, and lists its cases deterministically from (parameters, seed).
+A case is a function of (constants, item), for item what varies per case:
+a permutation, a weight, a (trial, seed) pair or a kind.  One runner,
+``_run``, binds the constants to the case, maps it over the items serially
+or on a process pool, and assembles the report in item order, so the report
+content is identical for any worker count and for repeated runs with the
+same seed (the wall-time field aside).  Failing cases carry a witness with
+the offending inputs and both side values, serialized exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Callable, Sequence
 
@@ -121,19 +124,28 @@ class SuiteReport:
         return dumps(self.to_dict(), indent=2)
 
 
-def _run_cases(case_fn: Callable, case_args: list, workers: int) -> list[CaseResult]:
-    """Run the cases in order, on at most one process per case and per CPU."""
-    workers = min(workers, len(case_args), os.cpu_count() or 1)
+def _run(
+    suite: str,
+    params: dict,
+    seed: int,
+    t0: float,
+    case: Callable,
+    constants: object,
+    items: list,
+    workers: int,
+) -> SuiteReport:
+    """Run case(constants, item) for each item in order, on at most one
+    process per item and per CPU, and report the results timed from t0."""
+    decide = partial(case, constants)
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
-        return [case_fn(a) for a in case_args]
-    # imported here so that a serial run never loads the pool's modules
-    from concurrent.futures import ProcessPoolExecutor
+        cases = [decide(item) for item in items]
+    else:
+        # imported here so that a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(case_fn, case_args))
-
-
-def _report(suite: str, params: dict, seed: int, cases: list[CaseResult], t0: float) -> SuiteReport:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cases = list(pool.map(decide, items))
     status = "pass" if all(c.status == "pass" for c in cases) else "fail"
     return SuiteReport(
         suite=suite,
@@ -184,8 +196,9 @@ def _case_perms(size: int, samples: int, seed: int) -> list[Perm]:
 # --- main averaging identity ------------------------------------------------
 
 
-def _theorem_case(args) -> CaseResult:
-    k, n, trial, seed, content = args
+def _theorem_case(constants, item) -> CaseResult:
+    k, n, content = constants
+    trial, seed = item
     size = k * n
     a = random_matrix(size, n, seed)
     # both sides from one sum of the inflation's class sums, over its
@@ -227,11 +240,10 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     check_kn_cap(k * n)
     t0 = time.monotonic()
     rng = SplitMix64(seed)
-    # passed with each case's arguments so that the pool's workers get it too
-    content = _content_coefficients((k,) * n)
-    args = [(k, n, t, rng.next_u64(), content) for t in range(trials)]
-    cases = _run_cases(_theorem_case, args, workers)
-    return _report("theorem", {"k": k, "n": n, "trials": trials}, seed, cases, t0)
+    constants = (k, n, _content_coefficients((k,) * n))
+    items = [(t, rng.next_u64()) for t in range(trials)]
+    params = {"k": k, "n": n, "trials": trials}
+    return _run("theorem", params, seed, t0, _theorem_case, constants, items, workers)
 
 
 # --- rectangular-shape subgroup averages and Kostka numbers -------------------
@@ -271,9 +283,8 @@ def _rect_point(k: int, n: int) -> tuple[dict[tuple[int, ...], tuple[int, ...]],
     return values, scale.numerator, scale.denominator * denom
 
 
-def _omega_case(args) -> CaseResult:
-    k, n, mu, g_images, values, p, q = args
-    g = Perm(g_images)
+def _omega_case(constants, mu) -> CaseResult:
+    k, n, g, values, p, q = constants
     shape = (k,) * n
     # over |S_mu|, the formula is p T / q and the character average A, for
     # T and A the point values and the characters weighed by one read of the
@@ -338,16 +349,13 @@ def verify_omega(
         _check_weight(size, mu)
         check_partition(mu)
     weights = [tuple(mu)] if mu is not None else partitions_of(size)
-    point = _rect_point(k, n)
-    args = [(k, n, w, g.images, *point) for w in weights]
+    constants = (k, n, g, *_rect_point(k, n))
     params = {"k": k, "n": n, "mu": format_partition(mu) if mu else "all", "g": format_perm(g)}
-    cases = _run_cases(_omega_case, args, workers)
-    return _report("omega", params, seed, cases, t0)
+    return _run("omega", params, seed, t0, _omega_case, constants, weights, workers)
 
 
-def _chi_case(args) -> CaseResult:
-    k, n, g_images, f, values, p, q = args
-    g = Perm(g_images)
+def _chi_case(constants, g) -> CaseResult:
+    k, n, f, values, p, q = constants
     rho = g.cycle_type()
     case_id = f"g={format_perm(g)}"
     # P(g) is a permutation matrix, so its one class sum is {type of g: 1},
@@ -377,25 +385,20 @@ def verify_chi(
     check_kn_cap(size)
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
-    # the suite's constants, passed with each case's arguments so that the
-    # pool's workers get them too: the tableau count of the rectangle, for a
-    # witness, and the point values with the formula's scale
-    f = num_standard_tableaux((k,) * n)
-    point = _rect_point(k, n)
-    args = [(k, n, g.images, f, *point) for g in perms]
+    # the tableau count of the rectangle, for a witness, and the point
+    # values with the formula's scale
+    constants = (k, n, num_standard_tableaux((k,) * n), *_rect_point(k, n))
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
-    cases = _run_cases(_chi_case, args, workers)
-    return _report("chi", params, seed, cases, t0)
+    return _run("chi", params, seed, t0, _chi_case, constants, perms, workers)
 
 
 # --- rectangular character values on small supports (Stanley) ----------------
 
 
-def _stanley_case(args) -> CaseResult:
-    k, n, m, w_images, f, falling, values = args
-    w = Perm(w_images)
+def _stanley_case(constants, w) -> CaseResult:
+    k, n, f, falling, values = constants
     rho = w.cycle_type()
-    embedded = rho + (1,) * (k * n - m)  # the cycle type of w on kn letters
+    embedded = rho + (1,) * (k * n - w.n)  # the cycle type of w on kn letters
     case_id = f"w={format_perm(w)}"
     # the character side is falling chi / f, and the sum side is rho's point
     # value over the denominator (kn)^m, which that sum's factor cancels
@@ -444,21 +447,20 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     if size > CHARACTER_CAP:
         raise SizeCapExceeded(f"kn={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
-    # passed with each case's arguments, as verify_chi passes its constants
     f = num_standard_tableaux((k,) * n)
     falling = factorial(size) // factorial(size - m)
     values, _ = _tables(m, Fraction(-1, k), Fraction(1, n))
-    args = [(k, n, m, w.images, f, falling, values) for w in enumerate_perms(m)]
-    cases = _run_cases(_stanley_case, args, workers)
-    return _report("stanley", {"k": k, "n": n, "m": m}, seed, cases, t0)
+    constants = (k, n, f, falling, values)
+    items = list(enumerate_perms(m))
+    params = {"k": k, "n": n, "m": m}
+    return _run("stanley", params, seed, t0, _stanley_case, constants, items, workers)
 
 
 # --- diagonal subgroup average: three independent routes ----------------------
 
 
-def _zsf_case(args) -> CaseResult:
-    k, n, g_images, identity_numerator = args
-    g = Perm(g_images)
+def _zsf_case(constants, g) -> CaseResult:
+    k, n, identity_numerator = constants
     size = k * n
     shape = (k,) * n
     cells = profile_cells(g, shape)
@@ -514,21 +516,19 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
     shape = (k,) * n
-    # the ratio's denominator R_id is the same for every g: computed once,
-    # and passed with each case's arguments so that the pool's workers get it too
+    # the ratio's denominator R_id is the same for every g: computed once
     identity = _cells_class_sums(profile_cells(Perm.identity(size), shape), shape)
-    identity_numerator = _wrdet_numerator(identity, k, size)
-    args = [(k, n, p.images, identity_numerator) for p in perms]
+    constants = (k, n, _wrdet_numerator(identity, k, size))
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
-    cases = _run_cases(_zsf_case, args, workers)
-    return _report("zsf", params, seed, cases, t0)
+    return _run("zsf", params, seed, t0, _zsf_case, constants, perms, workers)
 
 
 # --- weak alternating / divisibility ------------------------------------------
 
 
-def _weak_alt_case(args) -> CaseResult:
-    kind, size, k, trial, seed = args
+def _weak_alt_case(constants, item) -> CaseResult:
+    size, k = constants
+    kind, trial, seed = item
     a = random_matrix(size, size, seed)
     if kind == "duplicate-columns":
         col = a.column(0)
@@ -576,21 +576,18 @@ def verify_weak_alternating(
         raise SizeCapExceeded(f"size={size} exceeds cap {EXHAUSTIVE_CAP}")
     t0 = time.monotonic()
     rng = SplitMix64(seed)
-    args = []
+    items = []
     if k < size:
-        args += [("duplicate-columns", size, k, t, rng.next_u64()) for t in range(trials)]
-    args += [("divisibility", size, k, t, rng.next_u64()) for t in range(trials)]
-    cases = _run_cases(_weak_alt_case, args, workers)
-    return _report(
-        "weak-alt", {"size": size, "k": k, "trials": trials}, seed, cases, t0
-    )
+        items += [("duplicate-columns", t, rng.next_u64()) for t in range(trials)]
+    items += [("divisibility", t, rng.next_u64()) for t in range(trials)]
+    params = {"size": size, "k": k, "trials": trials}
+    return _run("weak-alt", params, seed, t0, _weak_alt_case, (size, k), items, workers)
 
 
 # --- character expansion of the alpha power weight ----------------------------
 
 
-def _fourier_case(args) -> CaseResult:
-    kind, size = args
+def _fourier_case(size, kind) -> CaseResult:
     if kind == "expansion":
         try:
             alpha_power_expansion(size)
@@ -622,8 +619,7 @@ def verify_fourier_jm(size: int, seed: int = 0, workers: int = 1) -> SuiteReport
     if size > CHARACTER_CAP:
         raise SizeCapExceeded(f"size={size} exceeds character-evaluation cap {CHARACTER_CAP}")
     t0 = time.monotonic()
-    args: list = [("expansion", size)]
+    kinds = ["expansion"]
     if size <= FOURIER_JM_CAP:  # larger sizes run the expansion only
-        args.append(("jucys-murphy", size))
-    cases = _run_cases(_fourier_case, args, workers)
-    return _report("fourier", {"size": size}, seed, cases, t0)
+        kinds.append("jucys-murphy")
+    return _run("fourier", {"size": size}, seed, t0, _fourier_case, size, kinds, workers)

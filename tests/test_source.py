@@ -346,6 +346,23 @@ def test_one_murnaghan_nakayama_kernel():
     assert _readers("_strips") == ["characters.py:_mn", "characters.py:_strips"]
 
 
+def test_one_runner_for_every_suite():
+    # every suite hands its constants and items to the one runner, which
+    # alone builds the process pool; the case runner and the report
+    # builder that it replaced have no readers left
+    assert _readers("_run") == [
+        "verify.py:verify_chi",
+        "verify.py:verify_fourier_jm",
+        "verify.py:verify_omega",
+        "verify.py:verify_stanley",
+        "verify.py:verify_theorem",
+        "verify.py:verify_weak_alternating",
+        "verify.py:verify_zsf",
+    ]
+    assert _readers("ProcessPoolExecutor") == ["verify.py:_run"]
+    assert _readers("_run_cases") == [] and _readers("_report") == []
+
+
 def test_perfbench_names_resolve():
     # Tracer.install raises KeyError on a name that the package lacks, and
     # perfbench's own tests trace a fake package, so the real names are

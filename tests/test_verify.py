@@ -190,8 +190,8 @@ def walks(monkeypatch):
 def test_omega_case_walks_the_translates_once(walks):
     # the point-value sum and the character sum share one walk of P(g) 1_mu,
     # and so do the two Fraction routes that a failing case builds
-    args = (2, 2, (2, 1, 1), (2, 3, 4, 1), *verify_module._rect_point(2, 2))
-    result = verify_module._omega_case(args)
+    constants = (2, 2, Perm((2, 3, 4, 1)), *verify_module._rect_point(2, 2))
+    result = verify_module._omega_case(constants, (2, 1, 1))
     assert result.status == "pass"
     assert len(walks) == 1
     assert adet_module.translate_class_sums.cache_info().maxsize == 1
@@ -258,7 +258,7 @@ def test_theorem_case_walks_the_inflation_once(walks):
     # The orbits are the slots of the memo that zsf reads too
     profiles = set(perms_module.block_profiles(2, 3))
     content = _content_coefficients((2, 2, 2))
-    result = verify_module._theorem_case((2, 3, 0, 91, content))
+    result = verify_module._theorem_case((2, 3, content), (0, 91))
     assert result.status == "pass"
     first = list(walks)
     slots = adet_module._orbit_slots(2, 3)
@@ -266,7 +266,7 @@ def test_theorem_case_walks_the_inflation_once(walks):
     assert len(first) == len(_filled_orbits(slots)) > 0
     assert len(set(first)) == len(first) and set(first) <= profiles
     walks.clear()
-    result = verify_module._theorem_case((2, 3, 1, 92, content))
+    result = verify_module._theorem_case((2, 3, content), (1, 92))
     assert result.status == "pass"
     assert len(set(walks)) == len(walks) and set(walks) <= profiles - set(first)
     assert len(first) + len(walks) == len(_filled_orbits(slots))
@@ -419,9 +419,9 @@ def test_stanley_case_enumerates_no_permutations(monkeypatch):
     monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
     f = num_standard_tableaux((3, 3))
     values, _ = adet_module._tables(5, Fraction(-1, 3), Fraction(1, 2))
+    constants = (3, 2, f, factorial(6) // factorial(1), values)
     for w_images in [(1, 2, 3, 4, 5), (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)]:
-        args = (3, 2, 5, w_images, f, factorial(6) // factorial(1), values)
-        assert verify_module._stanley_case(args).status == "pass"
+        assert verify_module._stanley_case(constants, Perm(w_images)).status == "pass"
 
 
 @pytest.mark.parametrize(
@@ -484,14 +484,20 @@ def test_omega_chi_and_stanley_pass_paths_build_no_fraction_route(monkeypatch):
         "_stanley_sum",
     ):
         monkeypatch.setattr(verify_module, name, no_route)
-    real_run = verify_module._run_cases
 
-    def run_without_fractions(case_fn, case_args, workers):
-        with monkeypatch.context() as m:
-            m.setattr(verify_module, "Fraction", no_route)
-            return real_run(case_fn, case_args, workers)
+    decided = set()
 
-    monkeypatch.setattr(verify_module, "_run_cases", run_without_fractions)
+    def without_fractions(case):
+        def run(constants, item):
+            decided.add(case.__name__)
+            with monkeypatch.context() as m:
+                m.setattr(verify_module, "Fraction", no_route)
+                return case(constants, item)
+
+        return run
+
+    for name in ("_omega_case", "_chi_case", "_stanley_case"):
+        monkeypatch.setattr(verify_module, name, without_fractions(getattr(verify_module, name)))
     rng = SplitMix64(47)
     for size in range(1, 7):
         for k in (k for k in range(1, size + 1) if size % k == 0):
@@ -511,6 +517,7 @@ def test_omega_chi_and_stanley_pass_paths_build_no_fraction_route(monkeypatch):
         ["verify", "stanley", "--k", "2", "--n", "3", "--m", "4", "--seed", "0"],
     ]:
         assert main(argv) == 0, argv
+    assert decided == {"_omega_case", "_chi_case", "_stanley_case"}
 
 
 def _omega_public_routes(k: int, n: int, mu: tuple[int, ...], g: Perm) -> dict:
@@ -711,7 +718,7 @@ def test_zsf_suite_sampled_at_six():
 def test_zsf_evaluates_the_replicator_once(monkeypatch):
     # the ratio's denominator R_id = k^kn wrdet(column_replicator(n, k), k)
     # is the numerator's own integer formula at g = id, evaluated once per
-    # suite before any case and passed to every case; no wrdet runs, and
+    # suite before any case and bound to every case; no wrdet runs, and
     # each case reads one numerator, from the class sums that its character
     # average weighs too
     def no_wrdet(a, k):
@@ -725,16 +732,19 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
         return real(sums, k, size)
 
     passed = []
-    real_run = verify_module._run_cases
+    real_run = verify_module._run
 
-    def run_spy(case_fn, case_args, workers):
-        passed.append([a[-1] for a in case_args])
-        return real_run(case_fn, case_args, workers)
+    def run_spy(suite, params, seed, t0, case, constants, items, workers):
+        def spy_case(constants, item):
+            passed.append(constants[-1])
+            return case(constants, item)
+
+        return real_run(suite, params, seed, t0, spy_case, constants, items, workers)
 
     monkeypatch.setattr(verify_module, "wrdet", no_wrdet)
     monkeypatch.setattr(adet_module, "wrdet", no_wrdet)
     monkeypatch.setattr(verify_module, "_wrdet_numerator", spy)
-    monkeypatch.setattr(verify_module, "_run_cases", run_spy)
+    monkeypatch.setattr(verify_module, "_run", run_spy)
     for k, n, samples in [(2, 3, 1), (2, 3, 5), (1, 4, 3), (3, 2, 4), (4, 2, 2)]:
         numerators.clear()
         passed.clear()
@@ -745,7 +755,7 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
         assert len(numerators) == samples + 1
         expected = k**size * wrdet(column_replicator(n, k), k)  # the original, unpatched
         assert expected.denominator == 1 and expected != 0
-        assert passed == [[expected.numerator] * samples]
+        assert passed == [expected.numerator] * samples
 
 
 def test_zsf_pass_path_builds_no_fraction_route(monkeypatch):
@@ -1028,6 +1038,10 @@ class _PoolSpy:
         return map(fn, items)
 
 
+def _echo_case(constants, item):
+    return verify_module.CaseResult(f"{constants}{item}", "pass")
+
+
 @pytest.mark.parametrize(
     "workers, cases, cpus, expected",
     [(64, 3, 4, [3]), (64, 10, 4, [4]), (2, 10, 4, [2]), (8, 1, 4, []), (8, 5, None, [])],
@@ -1036,10 +1050,40 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cases, cpus, expected):
     _PoolSpy.sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSpy)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
-    assert verify_module._run_cases(str, list(range(cases)), workers) == [
-        str(i) for i in range(cases)
-    ]
+    report = verify_module._run("echo", {}, 0, 0.0, _echo_case, "c", list(range(cases)), workers)
+    assert [c.id for c in report.cases] == [f"c{i}" for i in range(cases)]
     assert _PoolSpy.sizes == expected
+
+
+def test_every_suite_crosses_a_real_pool_of_two(monkeypatch):
+    # on any machine, even one with a single CPU: the Perm items and the
+    # bound constants of every suite are pickled to two workers and back
+    sizes = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def pool_spy(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_spy)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 2)
+    g = Perm.from_cycles(6, [(1, 4, 2), (3, 6)])
+    runs = [
+        lambda workers: verify_theorem(2, 2, trials=4, seed=23, workers=workers),
+        lambda workers: verify_omega(2, 3, g=g, seed=0, workers=workers),
+        lambda workers: verify_chi(2, 3, samples=12, seed=5, workers=workers),
+        lambda workers: verify_stanley(2, 3, 4, seed=0, workers=workers),
+        lambda workers: verify_zsf(2, 3, samples=12, seed=3, workers=workers),
+        lambda workers: verify_weak_alternating(4, 2, trials=2, seed=1, workers=workers),
+        lambda workers: verify_fourier_jm(5, seed=0, workers=workers),
+    ]
+    for run in runs:
+        sizes.clear()
+        serial = run(1)
+        assert serial.passed and sizes == []
+        parallel = run(2)
+        assert sizes == [2], serial.suite
+        assert _stripped(parallel) == _stripped(serial), serial.suite
 
 
 def test_sampled_suites_respect_seed():
