@@ -299,8 +299,10 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     the same (k, n) shares the walks.  At k = 1 the orbits are the
     conjugacy classes of S_n and every g is its own walk, so mu = 1^n, like
     any mu that is not rectangular, walks directly.  The memo keeps the
-    last (g, mu), so the two sums of one case that read it count its types
-    once.
+    last (g, mu): an ``omega`` case reads the sums once and weighs them
+    twice, and only a failing case reads them again, through its two
+    Fraction routes, ``rect_formula_value`` and
+    ``subgroup_averaged_character``, which share one walk.
     """
     return _cells_class_sums(profile_cells(g, mu), mu)
 
@@ -844,6 +846,16 @@ def det_power_coeff(cells: Sequence[int], k: int) -> int:
     residual has row and column sums 2, and ``_det_square_coeff`` reads the
     signed count of the pairs that close the tuple off its cycles; at
     k = 2 no layer runs and no permutation is enumerated.
+
+    So k <= 2 has no size cap.  At k >= 3 the layers scan all of S_n:
+    n > ``EXHAUSTIVE_CAP`` raises SizeCapExceeded before S_n is listed, and
+    ``DET_POWER_TERM_CAP`` bounds the (residual, permutation) pairs that the
+    layers test.  A residual is a regular bipartite multigraph, so by Hall's
+    theorem it has a perfect matching and no layer is empty: (k - 2) n! are
+    counted up front, and n! for each further residual as its layer is
+    reached.  A count over the cap raises SizeCapExceeded before that layer
+    runs, so k - 2 > cap / n! is refused at once, and the refusal is the
+    same as counting the layers' tests exactly.
     """
     n = isqrt(len(cells))
     if n * n != len(cells):
@@ -852,21 +864,23 @@ def det_power_coeff(cells: Sequence[int], k: int) -> int:
         raise ValueError("profile cells must be non-negative")
     if k < 1 or any(sum(cells[i * n : i * n + n]) != k or sum(cells[i::n]) != k for i in range(n)):
         raise ValueError(f"k={k} must be positive and equal every row and column sum")
-    # the cap bounds (n!)^k, the k-tuples of permutations, so it does not
-    # apply at k = 1; it still refuses k = 2 from n = 7 on, although k = 2
-    # lists no tuple (ROADMAP item 3 retires it).  Past k = 1, n! >= 2 puts
-    # (n!)^k over the cap once k reaches the cap's bit length, so the power
-    # is never built past that
-    if k > 1:
-        nperms = factorial(n)
-        if nperms ** min(k, DET_POWER_TERM_CAP.bit_length()) > DET_POWER_TERM_CAP:
-            raise SizeCapExceeded(f"(n!)^k = {nperms}^{k} exceeds {DET_POWER_TERM_CAP}")
     rest = tuple(cells)
     if k == 1:
         closing = [rest.index(1, i * n, i * n + n) - i * n + 1 for i in range(n)]
         return -1 if _trans_len(closing) % 2 else 1
+    if k == 2:
+        return _det_square_coeff(rest, n)
+    if n > EXHAUSTIVE_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
+    # each layer tests its residuals against all n! permutations and has one
+    # at least (a regular residual has a perfect matching): count those first
+    nperms = factorial(n)
+    tests = (k - 2) * nperms
     layer = {rest: 1}  # residual -> signed count
     for _ in range(k - 2):
+        tests += (len(layer) - 1) * nperms
+        if tests > DET_POWER_TERM_CAP:
+            raise SizeCapExceeded(f"k={k}, n={n} needs over {DET_POWER_TERM_CAP} residual tests")
         grown: dict[tuple[int, ...], int] = {}
         for rest, ways in layer.items():
             for cells, sign in _signed_cells(n):

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import SizeCapExceeded
 from .polynomials import QPoly
 
-EXHAUSTIVE_CAP = 7  # every listing of all of S_m: enumerate_perms, subgroup_avg_adet, the suites
+EXHAUSTIVE_CAP = 7  # every listing of all of S_m: enumerate_perms, subgroup_avg_adet, det_power_coeff, the suites
 FOURIER_JM_CAP = 6  # the group-algebra product has n! support
 
 

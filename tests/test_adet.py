@@ -1530,16 +1530,17 @@ def test_det_power_coeff_refuses_negative_cells():
 
 def test_det_power_coeff_closed_form_at_n2():
     # det(X)^k = (x11 x22 - x12 x21)^k, so the profile ((a, k - a), (k - a, a))
-    # has coefficient (-1)^(k - a) C(k, a), up to the largest k the cap admits
-    for k in range(1, 24):
-        for a in range(k + 1):
+    # has coefficient (-1)^(k - a) C(k, a); past k = 24, a few a per k keep
+    # the test short
+    for k in [*range(1, 25), 100, 300]:
+        for a in range(k + 1) if k <= 24 else (0, 1, k // 3, k // 2, k - 1, k):
             profile = (a, k - a, k - a, a)
             assert det_power_coeff(profile, k) == (-1) ** (k - a) * comb(k, a), (k, a)
 
 
 def test_det_power_coeff_of_the_empty_and_the_1x1_grid():
     # det of the 0 x 0 matrix is 1, and det(x)^k = x^k, so both
-    # coefficients are 1 for every k the cap admits (1!^k = 1)
+    # coefficients are 1 for every k
     for k in range(1, 5):
         assert det_power_coeff((), k) == 1, k
     for k in range(1, 24):
@@ -1624,8 +1625,8 @@ def test_det_power_coeff_is_invariant_under_transpose_and_relabeling(drawn):
 def test_det_power_coeff_checks_k_before_the_power():
     # the cells are checked first, in this order: a square length, no
     # negative cell, a positive k, and every row and column summing to k;
-    # then the cap, whose message names the power without computing its
-    # digits
+    # then the count of the layers' residual tests, whose lower bound
+    # (k - 2) n! refuses a huge k before any layer runs
     negative = r"^profile cells must be non-negative$"
     sums = r"^k=10000000 must be positive and equal every row and column sum$"
     for cells, k, message in [
@@ -1648,23 +1649,25 @@ def test_det_power_coeff_checks_k_before_the_power():
     k1_profile = block_profile(Perm.identity(3), 3, 1)
     with pytest.raises(ValueError, match=sums):
         det_power_coeff(k1_profile, 10**7)
-    wide = (6000, 0, 0, 0, 6000, 0, 0, 0, 6000)
-    with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 6\^6000 exceeds 10000000$"):
-        det_power_coeff(wide, 6000)
-    # 2^23 is under the cap and 2^24 over it; 1^k never is
-    for k, admitted in [(23, True), (24, False)]:
-        diagonal = (k, 0, 0, k)
-        if admitted:
-            assert det_power_coeff(diagonal, k) == 1
-        else:
-            with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 2\^24 exceeds"):
-                det_power_coeff(diagonal, k)
+    # one residual per layer of n! = 6 or 2 tests puts these far under the
+    # cap, however large (n!)^k is
+    for k, n in [(6000, 3), (23, 2), (24, 2)]:
+        diagonal = tuple(k if i % (n + 1) == 0 else 0 for i in range(n * n))
+        assert det_power_coeff(diagonal, k) == 1, (k, n)
+    # the 7 x 7 all-ones grid at k = 7 leaves 5040 residuals after its first
+    # layer, so the second would make 5040 * 5040 tests; n = 1 refuses
+    # 10^9 - 2 layers of one test each before the first
+    with pytest.raises(SizeCapExceeded, match=r"^k=7, n=7 needs over 10000000 residual tests$"):
+        det_power_coeff((1,) * 49, 7)
+    with pytest.raises(SizeCapExceeded, match=r"^k=1000000000, n=1 needs over 10000000 residual"):
+        det_power_coeff((10**9,), 10**9)
     assert det_power_coeff((30,), 30) == 1
 
 
 def test_det_power_coeff_is_not_bounded_by_the_recursion_limit():
-    # at n = 1 the cap admits any k, since (1!)^k = 1; the tuple of k - 1
-    # factors is extended without recursing once per factor
+    # at n = 1 each of the k - 2 layers tests one residual against the one
+    # permutation, so k = 2000 is far under the cap; the layers are run by a
+    # loop, without recursing once per factor
     assert det_power_coeff((2000,), 2000) == 1
 
 
@@ -1682,13 +1685,72 @@ def test_det_power_coeff_at_k1_enumerates_no_permutation(monkeypatch):
         assert det_power_coeff(block_profile(sigma, 9, 1), 1) == expected
 
 
-def test_det_power_coeff_cap_bounds_only_the_tuples():
-    # (n!)^k bounds the k-tuples walked, and k = 1 walks none: a permutation
-    # profile of size 12 is read at once, while n = 7, k = 2 is still refused
+def _det_square_naive(cells, n: int) -> int:
+    """Oracle at k = 2: every sigma of S_n whose cells fit in the profile,
+    signed by sign(sigma) sign(tau) for the permutation tau left over."""
+    total = 0
+    for p in perm_tuples(n):
+        left = list(cells)
+        for i in range(n):
+            left[i * n + p[i] - 1] -= 1
+        if min(left) >= 0:
+            tau = [left.index(1, i * n, i * n + n) - i * n + 1 for i in range(n)]
+            total += (-1) ** (_trans_len(p) + _trans_len(tau))
+    return total
+
+
+def test_det_power_coeff_caps_no_k_up_to_2():
+    # k <= 2 lists no permutation, so no size bounds it: a permutation
+    # profile of size 12 is read by its sign, and (2,7) and (2,12) are read
+    # off the residual's cycles
     rng = SplitMix64(46)
     for _ in range(5):
         sigma = random_perm(12, rng)
         expected = -1 if sigma.transposition_length % 2 else 1
         assert det_power_coeff(block_profile(sigma, 12, 1), 1) == expected
-    with pytest.raises(SizeCapExceeded, match=r"^\(n!\)\^k = 5040\^2 exceeds 10000000$"):
-        det_power_coeff(block_profile(Perm.identity(14), 7, 2), 2)
+        cells = block_profile(random_perm(14, rng), 7, 2)
+        assert det_power_coeff(cells, 2) == _det_square_naive(cells, 7), cells
+    assert det_power_coeff(block_profile(Perm.identity(14), 7, 2), 2) == 1
+    # the identity plus one 12-cycle is a single cycle through all rows: the
+    # pairs (id, c) and (c, id), each of sign (-1)^11
+    cycle = tuple(int(j in (i, (i + 1) % 12)) for i in range(12) for j in range(12))
+    assert det_power_coeff(cycle, 2) == -2
+    assert det_power_coeff(block_profile(Perm.identity(24), 12, 2), 2) == 1
+
+
+def test_det_power_coeff_refuses_n_past_the_exhaustive_cap_before_listing(monkeypatch):
+    # at k >= 3 the layers scan S_n, so n = 8 is refused before S_n is
+    # listed, while k = 2 at n = 8 lists nothing and is admitted
+    def no_enumeration(n):
+        raise AssertionError("S_n must not be listed")
+
+    monkeypatch.setattr(adet_module, "perm_tuples", no_enumeration)
+    for k in (3, 4, 10**9):
+        with pytest.raises(SizeCapExceeded, match=r"^n=8 exceeds exhaustive cap 7$"):
+            det_power_coeff(tuple(k if i % 9 == 0 else 0 for i in range(64)), k)
+    with pytest.raises(SizeCapExceeded, match=r"^n=8 exceeds exhaustive cap 7$"):
+        det_power_coeff(block_profile(random_perm(24, SplitMix64(47)), 8, 3), 3)
+    assert det_power_coeff(block_profile(Perm.identity(16), 8, 2), 2) == 1
+
+
+def test_det_power_coeff_counts_each_residual_test_against_the_cap(monkeypatch):
+    # the layers read the signed cells of S_n once per residual, and test
+    # that residual against all n! of them: a profile is admitted with the
+    # cap at exactly its count of tests and refused one below it
+    read = []
+    signed = adet_module._signed_cells
+    monkeypatch.setattr(adet_module, "_signed_cells", lambda n: read.append(n) or signed(n))
+    cases = []
+    for k, n in [(3, 3), (5, 3), (12, 3), (4, 4), (3, 7), (4, 7)]:
+        q, r = divmod(k, n)
+        cells = tuple(q + ((j - i) % n < r) for i in range(n) for j in range(n))
+        read.clear()
+        coeff = det_power_coeff(cells, k)
+        cases.append((cells, k, coeff, len(read) * factorial(n)))
+    assert [tests for *_, tests in cases] == [6, 126, 5838, 600, 5040, 730800]
+    for cells, k, coeff, tests in cases:
+        monkeypatch.setattr(adet_module, "DET_POWER_TERM_CAP", tests)
+        assert det_power_coeff(cells, k) == coeff
+        monkeypatch.setattr(adet_module, "DET_POWER_TERM_CAP", tests - 1)
+        with pytest.raises(SizeCapExceeded, match=f" needs over {tests - 1} residual tests$"):
+            det_power_coeff(cells, k)

@@ -160,6 +160,11 @@ def test_every_enumeration_of_s_n_is_pinned():
         "perms.py:enumerate_perms",
     ]
     assert _readers("_signed_cells") == ["adet.py:det_power_coeff"]
+    # and each function that lists S_n, directly or through the signed
+    # cells, reads the one cap on such listings
+    listers = (set(_readers("perm_tuples")) - {"adet.py:_signed_cells"}) | set(_readers("_signed_cells"))
+    capped = set(_readers("EXHAUSTIVE_CAP"))
+    assert listers <= capped, sorted(listers - capped)
 
 
 def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():

@@ -646,21 +646,30 @@ def test_size_caps_are_the_module_constants(monkeypatch):
     # Stanley's and Fourier's cap is CHARACTER_CAP (12);
     # zsf's is ADET_CAP (9): it runs alpha-determinants of kn x kn matrices
     # and never a two-parameter sum.  Its coefficient route is bounded by
-    # det_power_coeff alone, which no kn within the cap reaches: k >= 2
-    # with kn <= 9 gives (n!)^k <= 576
+    # det_power_coeff alone, which no kn within the cap reaches: k <= 2
+    # lists no permutation, and at k >= 3 the layers of every block profile
+    # with kn <= 9 test at most 7 (residual, permutation) pairs
     assert adet_module.DET_POWER_TERM_CAP == 10**7
     for gone in ("DET_POWER_TERM_CAP", "DET_POWER_ROUTE_CAP"):
         assert not hasattr(verify_module, gone)
-    for k in range(2, ADET_CAP + 1):
-        for n in range(1, ADET_CAP // k + 1):
-            assert factorial(n) ** k <= adet_module.DET_POWER_TERM_CAP, (k, n)
-    message = r"^\(n!\)\^k = 5040\^2 exceeds 10000000$"
-    with pytest.raises(SizeCapExceeded, match=message):
-        adet_module.det_power_coeff(perms_module.block_profile(Perm.identity(14), 7, 2), 2)
+    read = []
+    signed = adet_module._signed_cells
     with monkeypatch.context() as m:
-        # k = 1 walks no k-tuple, so no bound on (n!)^k refuses it
-        m.setattr(adet_module, "DET_POWER_TERM_CAP", 1)
+        m.setattr(adet_module, "_signed_cells", lambda n: read.append(n) or signed(n))
+        most = 0
+        for k in range(3, ADET_CAP + 1):
+            for n in range(1, ADET_CAP // k + 1):
+                for cells in perms_module.block_profiles(k, n):
+                    read.clear()
+                    adet_module.det_power_coeff(cells, k)
+                    most = max(most, len(read) * factorial(n))
+    assert most == 7
+    assert adet_module.det_power_coeff(perms_module.block_profile(Perm.identity(14), 7, 2), 2) == 1
+    with monkeypatch.context() as m:
+        # k <= 2 lists no permutation, so the count of tests never refuses it
+        m.setattr(adet_module, "DET_POWER_TERM_CAP", 0)
         assert verify_zsf(1, 4, samples=3, seed=1).passed
+        assert verify_zsf(2, 4, samples=3, seed=1).passed
     assert verify_zsf(3, 3, samples=2, seed=1).passed
     with pytest.raises(SizeCapExceeded, match=r"^kn=10 exceeds cap 9$"):
         verify_zsf(2, 5, samples=1, seed=1)
