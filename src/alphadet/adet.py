@@ -285,7 +285,6 @@ def _tables(
     return grids, (a2 * b2) ** n
 
 
-@lru_cache(maxsize=1)
 def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(rho, #{h in S_mu : g h has cycle type rho}) pairs: the class sums of
     P(g) 1_mu, whose nonzero entry products are exactly the translates g h.
@@ -298,11 +297,8 @@ def translate_class_sums(g: Perm, mu: tuple[int, ...]) -> tuple[tuple[tuple[int,
     profiles is walked once however many g meet it, and a theorem run of
     the same (k, n) shares the walks.  At k = 1 the orbits are the
     conjugacy classes of S_n and every g is its own walk, so mu = 1^n, like
-    any mu that is not rectangular, walks directly.  The memo keeps the
-    last (g, mu): an ``omega`` case reads the sums once and weighs them
-    twice, and only a failing case reads them again, through its two
-    Fraction routes, ``rect_formula_value`` and
-    ``subgroup_averaged_character``, which share one walk.
+    any mu that is not rectangular, walks directly.  An ``omega`` case
+    reads the sums once and weighs them twice.
     """
     return _cells_class_sums(profile_cells(g, mu), mu)
 

@@ -7,8 +7,11 @@ a permutation, a weight, a (trial, seed) pair or a kind.  One runner,
 ``_run``, binds the constants to the case, maps it over the items serially
 or on a process pool, and assembles the report in item order, so the report
 content is identical for any worker count and for repeated runs with the
-same seed (the wall-time field aside).  Failing cases carry a witness with
-the offending inputs and both side values, serialized exactly.
+same seed (the wall-time field aside).  A case's verdict is one exact
+comparison in integers, and a failing case's witness is the values that it
+compared, as exact rationals, with the inputs that it needs.  No case calls
+a public Fraction route: those stay public API, and the tests hold them as
+oracles of the integer checks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial
 from typing import Callable, Sequence
 
@@ -30,20 +33,15 @@ from .adet import (
     _wreath_average_counts,
     adet2_structured,
     adet_at,
-    adet_structured,
     det_power_coeff,
     subgroup_avg_adet,
     translate_class_sums,
-    wrdet,
-    wreath_average_poly,
 )
 from .characters import (
     CHARACTER_CAP,
     _character_sum,
     _mn,
     alpha_power_expansion,
-    character,
-    subgroup_averaged_character,
 )
 from .errors import IdentityViolation, NotDivisible, ShapeWeightMismatch, SizeCapExceeded
 from .matrices import PermutedBlockOnes
@@ -163,12 +161,9 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _agree(case_id: str, **values: Fraction) -> CaseResult:
-    """Pass when every route gives the same value; the witness of a failure
-    is each route's value, in argument order."""
-    first, *rest = values.values()
-    if all(v == first for v in rest):
-        return CaseResult(case_id, "pass")
+def _fail(case_id: str, **values: Fraction) -> CaseResult:
+    """A failing case, witnessed by the value of each side that its integer
+    check compared, in argument order."""
     return CaseResult(
         case_id, "fail", witness={name: format_rational(v) for name, v in values.items()}
     )
@@ -205,20 +200,21 @@ def _theorem_case(constants, item) -> CaseResult:
     # denominator d: coefficient i of the average is
     # average[i] / (d row_denom), and of the content times the wreath
     # determinant content[i] numerator / (d k^size); d cancels
-    sums, _ = _inflation_class_sums(a, k)
+    sums, denom = _inflation_class_sums(a, k)
     average, row_denom = _wreath_average_counts(sums, k, size)
     wreath = _wrdet_numerator(sums, k, size) * row_denom
     scale = k**size
     if all(v * scale == c * wreath for v, c in zip(average, content)):
         return CaseResult(f"trial={trial}", "pass")
+    denom *= row_denom  # d row_denom, under the coefficients of both sides
     return CaseResult(
         f"trial={trial}",
         "fail",
         witness={
             "matrix": a.to_json_dict(),
             "matrix_seed": seed,
-            "lhs": wreath_average_poly(a, k).to_strings(),
-            "rhs": (content_poly((k,) * n) * wrdet(a, k)).to_strings(),
+            "lhs": QPoly(Fraction(v, denom) for v in average).to_strings(),
+            "rhs": QPoly(Fraction(c * wreath, denom * scale) for c in content).to_strings(),
         },
     )
 
@@ -233,9 +229,9 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     coefficients in alpha over one denominator and the wreath determinant's
     numerator, compared coefficient by coefficient against the rectangle's
     integer content coefficients, which are built once per suite.  The
-    class sums of each orbit are walked once per process.  Only a failing
-    trial builds the two polynomials, with ``wreath_average_poly``,
-    ``content_poly`` and ``wrdet``, for its witness."""
+    class sums of each orbit are walked once per process.  That comparison
+    is the verdict; a failing trial's witness is the two polynomials that
+    it compared, each coefficient over the sum's denominator."""
     _require(k >= 1 and n >= 1 and trials >= 1, "k, n, trials must be positive")
     check_kn_cap(k * n)
     t0 = time.monotonic()
@@ -263,7 +259,6 @@ def _check_weight(size: int, mu: Sequence[int]) -> None:
         raise ShapeWeightMismatch(f"|{tuple(mu)}| != {size} = k*n")
 
 
-@lru_cache(maxsize=1)
 def _rect_scale(k: int, n: int) -> Fraction:
     """f / adet[-1/kn](all-ones) for f the number of standard tableaux of
     the k^n rectangle: the factor of the formula that is the same for every
@@ -299,13 +294,14 @@ def _omega_case(constants, mu) -> CaseResult:
     case_id = f"mu={format_partition(mu)};g={format_perm(g)}"
     if holds:
         return CaseResult(case_id, "pass")
-    routes = {
-        "rect_formula": rect_formula_value(k, n, mu, g),
-        "character_average": subgroup_averaged_character(shape, mu, g),
+    order = young_subgroup_order(mu)
+    sides = {
+        "rect_formula": Fraction(p * total, q * order),
+        "character_average": Fraction(average, order),
     }
     if at_identity:
-        routes["kostka_ssyt"] = Fraction(kostka_ssyt(shape, mu))
-    return _agree(case_id, **routes)
+        sides["kostka_ssyt"] = Fraction(kostka_ssyt(shape, mu))
+    return _fail(case_id, **sides)
 
 
 def verify_omega(
@@ -328,9 +324,8 @@ def verify_omega(
     T (``adet._weigh``).  The point values and the formula's scale p / q come
     from ``_rect_point``, read once per suite, so the formula is p T / q over
     |S_mu| and the character average A over |S_mu|.  A case passes when
-    p T = q A and, at g = id, A = K |S_mu| for K from ``kostka_ssyt``.  Only
-    a failing case builds the Fraction routes, ``rect_formula_value``,
-    ``subgroup_averaged_character`` and the Kostka number, for its witness.
+    p T = q A and, at g = id, A = K |S_mu| for K from ``kostka_ssyt``;
+    otherwise its witness is p T / (q |S_mu|), A / |S_mu| and, at g = id, K.
 
     The first two routes are not independent: both weigh the class sums of
     the translates from ``translate_class_sums``.  Their agreement is a
@@ -362,9 +357,11 @@ def _chi_case(constants, g) -> CaseResult:
     # and both sides are over f: chi(rho) and p v / q, v rho's point value
     if _mn((k,) * n, rho) * q == p * values[rho][0]:
         return CaseResult(case_id, "pass")
-    lhs = Fraction(character((k,) * n, rho), f)
-    rhs = _rect_scale(k, n) * _point_value(k, n, g) / f
-    return _agree(case_id, character_ratio=lhs, adet_ratio=rhs)
+    return _fail(
+        case_id,
+        character_ratio=Fraction(_mn((k,) * n, rho), f),
+        adet_ratio=Fraction(p * values[rho][0], q * f),
+    )
 
 
 def verify_chi(
@@ -377,9 +374,8 @@ def verify_chi(
     A case decides in integers: chi(rho) q = p v, for rho the cycle type of
     g, chi from Murnaghan-Nakayama and v the point value of rho from the
     cut-and-join tables, with the point values and p / q read once per suite
-    by ``_rect_point``.  The two sides share no kernel.  Only a failing case
-    builds the two Fraction ratios, through ``character`` and
-    ``_point_value``, for its witness."""
+    by ``_rect_point``.  The two sides share no kernel.  A failing case's
+    witness is the two ratios that it compared, chi / f and p v / (q f)."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
@@ -404,27 +400,11 @@ def _stanley_case(constants, w) -> CaseResult:
     # value over the denominator (kn)^m, which that sum's factor cancels
     if falling * _mn((k,) * n, embedded) == f * values[rho][0]:
         return CaseResult(case_id, "pass")
-    lhs = Fraction(falling * character((k,) * n, embedded), f)
-    return _agree(case_id, character_side=lhs, sum_side=_stanley_sum(k, n, w))
-
-
-def _stanley_sum(k: int, n: int, w: Perm) -> Fraction:
-    """(-1)^m sum over s in S_m of (-k)^c(ws) n^c(s), for c the number of
-    cycles: the class table of w, K[i][j] = #{s : len(ws) = i, len(s) = j},
-    weighted by (-k)^(m-i) n^(m-j).  As (-1)^m (-k)^m = k^m, that is
-    (kn)^m sum_ij K[i][j] (-1/k)^i (1/n)^j, the table at the point of the
-    rectangular formula: (kn)^m times w's point value, which the cut-and-join
-    builder gives over the denominator (kn)^m, so the sum is that integer."""
-    return (k * n) ** w.n * _point_value(k, n, w)
-
-
-def _point_value(k: int, n: int, w: Perm) -> Fraction:
-    """sum_ij K[i][j] (-1/k)^i (1/n)^j for K the class table of w's cycle
-    type: the memoized value of that type at the rectangular formula's point
-    (alpha, beta) = (-1/k, 1/n), which is also the two-parameter value of
-    the permutation matrix of w there."""
-    values, denom = _tables(w.n, Fraction(-1, k), Fraction(1, n))
-    return Fraction(values[w.cycle_type()][0], denom)
+    return _fail(
+        case_id,
+        character_side=Fraction(falling * _mn((k,) * n, embedded), f),
+        sum_side=Fraction(values[rho][0]),
+    )
 
 
 def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:
@@ -437,9 +417,12 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     rho' the cycle type of w on kn letters, chi from Murnaghan-Nakayama, f
     the tableau count of the rectangle and v the point value of w's type in
     S_m at (-1/k, 1/n), which ``_tables`` gives over (kn)^m, so that v is
-    the sum side itself.  The point values are read once per suite.  Only a
-    failing case builds the two Fraction sides, through ``character`` and
-    ``_stanley_sum``, for its witness."""
+    the sum side itself.  For c the number of cycles and K the class table
+    of w, K[i][j] = #{s : len(ws) = i, len(s) = j}, that sum is
+    (-1)^m sum_s (-k)^c(ws) n^c(s) = (kn)^m sum_ij K[i][j] (-1/k)^i (1/n)^j,
+    as (-1)^m (-k)^m = k^m.  The point values are read once per suite.  A
+    failing case's witness is the two sides that it compared,
+    (kn)! / (kn - m)! chi / f and v."""
     _require(k >= 1 and n >= 1 and m >= 1, "k, n, m must be positive")
     size = k * n
     if m > min(size, EXHAUSTIVE_CAP):
@@ -477,11 +460,10 @@ def _zsf_case(constants, g) -> CaseResult:
     case_id = f"g={format_perm(g)}"
     if average * identity_numerator == numerator * order and average * index == coeff * order:
         return CaseResult(case_id, "pass")
-    identity_wrdet = Fraction(identity_numerator, k**size)
-    return _agree(
+    return _fail(
         case_id,
-        character_average=subgroup_averaged_character(shape, shape, g),
-        wreath_ratio=adet_structured(PermutedBlockOnes(g, shape), Fraction(-1, k)) / identity_wrdet,
+        character_average=Fraction(average, order),
+        wreath_ratio=Fraction(numerator, identity_numerator),
         coefficient_over_index=Fraction(coeff, index),
     )
 
@@ -507,9 +489,8 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     ``det_power_coeff`` and Mackey's index I from ``profile_coset_index``,
     both read from g's own cells and never from an orbit's slot, so it is
     the route that does not share the orbit grouping.  A case passes when
-    A R_id = R |S_k^n| and A I = D |S_k^n|.  Only a failing case builds the
-    three Fractions, through ``subgroup_averaged_character``,
-    ``adet_structured`` and D / I, for its witness."""
+    A R_id = R |S_k^n| and A I = D |S_k^n|; otherwise its witness is the
+    three ratios A / |S_k^n|, R / R_id and D / I."""
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)

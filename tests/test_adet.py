@@ -997,7 +997,6 @@ def profile_route():
 
 def _clear_profile_memos():
     adet_module._orbit_slots.cache_clear()
-    adet_module.translate_class_sums.cache_clear()
 
 
 def test_profile_sum_matches_the_dense_walk(profile_route):

@@ -268,6 +268,38 @@ def test_one_integer_formula_per_side_of_the_main_identity():
     ]
 
 
+def test_a_verify_case_decides_once():
+    # a case's integer check is its verdict: verify reads no public Fraction
+    # route, which the tests keep as oracles, and a failing corollary case
+    # is witnessed by the values that it compared; the formula's Fraction
+    # value stays in verify for the CLI
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for name in (
+        "wreath_average_poly",
+        "wrdet",
+        "adet_structured",
+        "subgroup_averaged_character",
+        "character",
+    ):
+        assert name not in imported, name
+        assert not [r for r in _readers(name) if r.startswith("verify.py:")], name
+    for name in ("_agree", "_point_value", "_stanley_sum"):
+        assert _readers(name) == [], name
+    assert _readers("_fail") == [
+        "verify.py:_chi_case",
+        "verify.py:_omega_case",
+        "verify.py:_stanley_case",
+        "verify.py:_zsf_case",
+    ]
+    assert _readers("rect_formula_value") == ["cli.py:_cmd_kostka"]
+
+
 def test_a_zsf_case_builds_its_block_profile_once(monkeypatch):
     # a zsf case builds g's block profile once, and its class sums, its
     # coefficient and Mackey's index read those cells; the suite builds one
@@ -293,7 +325,6 @@ def test_a_zsf_case_builds_its_block_profile_once(monkeypatch):
         monkeypatch.setattr(module, "profile_cells", cells_spy)
     monkeypatch.setattr(verify, "det_power_coeff", coeff_spy)
     for k, n, samples in [(1, 4, 0), (2, 2, 0), (2, 3, 6), (4, 1, 0)]:
-        adet.translate_class_sums.cache_clear()
         adet._orbit_slots.cache_clear()
         built.clear()
         coefficients.clear()

@@ -9,6 +9,7 @@ import pytest
 import alphadet.adet as adet_module
 import alphadet.characters as characters_module
 import alphadet.matrices as matrices_module
+import alphadet.partitions as partitions_module
 import alphadet.perms as perms_module
 import alphadet.verify as verify_module
 from alphadet.adet import ADET_CAP, adet_structured, wrdet, wreath_average_poly
@@ -130,13 +131,12 @@ def test_omega_refuses_a_weight_as_its_routes_do():
             verify_omega(2, 2, mu=mu, seed=0)
         with pytest.raises(error, match=message):
             verify_module.rect_formula_value(2, 2, mu, Perm.identity(4))
-            verify_module.subgroup_averaged_character((2, 2), mu, Perm.identity(4))
+            characters_module.subgroup_averaged_character((2, 2), mu, Perm.identity(4))
 
 
 def clear_walk_memos():
-    """Empty the memos of class-sum walks, so that no walk of an earlier
-    test is served from them."""
-    adet_module.translate_class_sums.cache_clear()
+    """Empty the memo of class-sum walks, so that no walk of an earlier
+    test is served from it."""
     adet_module._orbit_slots.cache_clear()
 
 
@@ -188,18 +188,20 @@ def walks(monkeypatch):
 
 
 def test_omega_case_walks_the_translates_once(walks):
-    # the point-value sum and the character sum share one walk of P(g) 1_mu,
-    # and so do the two Fraction routes that a failing case builds
+    # the point-value sum and the character sum share one walk of P(g) 1_mu;
+    # no memo keeps the walk of a weight that is not rectangular past the
+    # case, so each public route walks its own
     constants = (2, 2, Perm((2, 3, 4, 1)), *verify_module._rect_point(2, 2))
     result = verify_module._omega_case(constants, (2, 1, 1))
     assert result.status == "pass"
     assert len(walks) == 1
-    assert adet_module.translate_class_sums.cache_info().maxsize == 1
+    assert not hasattr(adet_module.translate_class_sums, "cache_info")
+    assert not hasattr(verify_module._rect_scale, "cache_info")
     walks.clear()
     shape, mu, g = (2, 2), (2, 1, 1), Perm((2, 3, 4, 1))
     formula = verify_module.rect_formula_value(2, 2, mu, g)
-    assert formula == verify_module.subgroup_averaged_character(shape, mu, g)
-    assert walks == []
+    assert formula == characters_module.subgroup_averaged_character(shape, mu, g)
+    assert len(walks) == 2
 
 
 def test_one_type_count_per_case(monkeypatch):
@@ -327,12 +329,14 @@ def test_theorem_witness_is_the_public_polynomials(monkeypatch, k, n):
 
 def test_theorem_pass_path_builds_no_polynomial(monkeypatch):
     # a passing trial compares integers: the polynomial sides are built
-    # only for a failing trial's witness
+    # only for a failing trial's witness, and no public route is called
     def no_polynomial(*args):
         raise AssertionError("a passing trial built a polynomial side")
 
-    for name in ("wreath_average_poly", "wrdet", "content_poly"):
+    for name in ("QPoly", "content_poly"):
         monkeypatch.setattr(verify_module, name, no_polynomial)
+    for name in ("wreath_average_poly", "wrdet"):
+        monkeypatch.setattr(adet_module, name, no_polynomial)
     for k, n in [(1, 4), (2, 3), (3, 3), (4, 2), (9, 1)]:
         assert verify_theorem(k, n, trials=3, seed=43).passed
     assert main(["verify", "theorem", "--k", "2", "--n", "2", "--trials", "2", "--seed", "0"]) == 0
@@ -402,11 +406,15 @@ def _stanley_sum_naive(k, n, w):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_stanley_sum_matches_the_s_m_scan(m):
-    # every k, n in 1..3 up to m = 5; the m = 6 scan is 720^2 products per (k, n)
+    # the sum side that a stanley case compares is the integer point value
+    # of w's cycle type at (-1/k, 1/n), over (kn)^m: the sum itself.  Every
+    # k, n in 1..3 up to m = 5; the m = 6 scan is 720^2 products per (k, n)
     kns = [(2, 3)] if m == 6 else [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
-    for w in enumerate_perms(m):
-        for k, n in kns:
-            got = verify_module._stanley_sum(k, n, w)
+    for k, n in kns:
+        values, denom = adet_module._tables(m, Fraction(-1, k), Fraction(1, n))
+        assert denom == (k * n) ** m
+        for w in enumerate_perms(m):
+            got = values[w.cycle_type()][0]
             assert got == _stanley_sum_naive(k, n, w), (k, n, w)
 
 
@@ -428,13 +436,13 @@ def test_stanley_case_enumerates_no_permutations(monkeypatch):
     "routes, run, case_id, witness",
     [
         (
-            ("_mn", "character"),
+            ("_mn",),
             lambda: verify_chi(2, 2, seed=0),
             "g=1,2,3,4",
             {"character_ratio": "3/2", "adet_ratio": "1"},
         ),
         (
-            ("_mn", "character"),
+            ("_mn",),
             lambda: verify_stanley(2, 2, 3, seed=0),
             "w=1,2,3",
             {"character_side": "36", "sum_side": "24"},
@@ -454,9 +462,8 @@ def test_stanley_case_enumerates_no_permutations(monkeypatch):
     ],
 )
 def test_failing_case_witness_lists_every_route(monkeypatch, routes, run, case_id, witness):
-    # one route off by one, under each name that a case reads it by: the
-    # integer kernel of the pass path and the public function of the
-    # witness.  The witness names each route's value, in the order the case
+    # one integer kernel of the pass path off by one.  The witness names
+    # the value of each side that the case compared, in the order the case
     # computes them
     for route in routes:
         real = getattr(verify_module, route)
@@ -468,22 +475,46 @@ def test_failing_case_witness_lists_every_route(monkeypatch, routes, run, case_i
     assert list(failing.witness.items()) == list(witness.items())
 
 
+@pytest.mark.parametrize(
+    "kernel, run, argv",
+    [
+        ("_mn", lambda: verify_chi(2, 2, seed=0), ["chi", "--k", "2", "--n", "2"]),
+        (
+            "_mn",
+            lambda: verify_stanley(2, 3, 4, seed=0),
+            ["stanley", "--k", "2", "--n", "3", "--m", "4"],
+        ),
+        ("_character_sum", lambda: verify_omega(2, 3, seed=0), ["omega", "--k", "2", "--n", "3"]),
+        ("_character_sum", lambda: verify_zsf(2, 2, seed=0), ["zsf", "--k", "2", "--n", "2"]),
+    ],
+)
+def test_a_broken_integer_kernel_fails_every_case(monkeypatch, capsys, kernel, run, argv):
+    # the integer check is the verdict: with only the kernel that it reads
+    # off by one, in verify, and every public route intact, no case passes,
+    # and each witness shows the values that disagreed
+    real = getattr(verify_module, kernel)
+    monkeypatch.setattr(verify_module, kernel, lambda shape, arg: real(shape, arg) + 1)
+    report = run()
+    assert report.status == "fail" and report.case_count > 0
+    for case in report.cases:
+        assert case.status == "fail", case.id
+        assert len(set(case.witness.values())) > 1, case.id
+    capsys.readouterr()
+    assert main(["verify", *argv, "--seed", "0"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_omega_chi_and_stanley_pass_paths_build_no_fraction_route(monkeypatch):
-    # a passing omega, chi or stanley case compares integers: the Fraction
-    # routes are built only for a failing case's witness, and a case builds
-    # no Fraction at all; the suites build their constants with Fractions,
-    # before their cases run
+    # a passing omega, chi or stanley case compares integers: it calls no
+    # public Fraction route and builds no Fraction at all; the suites build
+    # their constants with Fractions, before their cases run
     def no_route(*args):
         raise AssertionError("a passing case built a Fraction route")
 
-    for name in (
-        "rect_formula_value",
-        "adet2_structured",
-        "subgroup_averaged_character",
-        "_point_value",
-        "_stanley_sum",
-    ):
+    for name in ("rect_formula_value", "adet2_structured"):
         monkeypatch.setattr(verify_module, name, no_route)
+    for name in ("character", "subgroup_averaged_character"):
+        monkeypatch.setattr(characters_module, name, no_route)
 
     decided = set()
 
@@ -521,17 +552,16 @@ def test_omega_chi_and_stanley_pass_paths_build_no_fraction_route(monkeypatch):
 
 
 def _omega_public_routes(k: int, n: int, mu: tuple[int, ...], g: Perm) -> dict:
-    """The routes of an omega case, as Fractions from the public functions
-    that its witness reads, looked up in ``verify`` so that a patch there
-    shows: the formula, the character average and, at g = id, the Kostka
-    number."""
+    """The routes of an omega case, as Fractions from the public functions,
+    each looked up in its own module so that a patch there shows: the
+    formula, the character average and, at g = id, the Kostka number."""
     shape = (k,) * n
     routes = {
         "rect_formula": verify_module.rect_formula_value(k, n, mu, g),
-        "character_average": verify_module.subgroup_averaged_character(shape, mu, g),
+        "character_average": characters_module.subgroup_averaged_character(shape, mu, g),
     }
     if g.is_identity():
-        routes["kostka_ssyt"] = Fraction(verify_module.kostka_ssyt(shape, mu))
+        routes["kostka_ssyt"] = Fraction(partitions_module.kostka_ssyt(shape, mu))
     return routes
 
 
@@ -542,7 +572,7 @@ def _chi_public_routes(k: int, n: int, g: Perm) -> dict:
     shape = (k,) * n
     f = num_standard_tableaux(shape)
     return {
-        "character_ratio": Fraction(verify_module.character(shape, g.cycle_type()), f),
+        "character_ratio": Fraction(characters_module.character(shape, g.cycle_type()), f),
         "adet_ratio": verify_module.rect_formula_value(k, n, (1,) * (k * n), g) / f,
     }
 
@@ -569,8 +599,10 @@ def _table_at_plus_one_over_k(monkeypatch) -> None:
 
 
 def _kostka_plus_one(monkeypatch) -> None:
-    real = verify_module.kostka_ssyt
-    monkeypatch.setattr(verify_module, "kostka_ssyt", lambda shape, mu: real(shape, mu) + 1)
+    real = partitions_module.kostka_ssyt
+    mutant = lambda shape, mu: real(shape, mu) + 1  # noqa: E731
+    monkeypatch.setattr(partitions_module, "kostka_ssyt", mutant)
+    monkeypatch.setattr(verify_module, "kostka_ssyt", mutant)
 
 
 @pytest.mark.parametrize(
@@ -579,22 +611,24 @@ def _kostka_plus_one(monkeypatch) -> None:
 def test_omega_and_chi_integer_verdicts_are_the_public_routes_agreement(
     monkeypatch, capsys, mutate
 ):
-    # a case's integer verdict is whether the public Fraction routes agree:
-    # omega at every weight, for g = id and three seeded g, and chi at every
-    # g of S_6, on the program and on three mutants of it: the conjugate
-    # rectangle's character, the point values at +1/k and the Kostka number
-    # off by one, which breaks every omega case at g = id.  A failing case's
-    # witness is each public route's value, and the CLI exits 1
+    # a case's integer verdict is whether the public Fraction routes, the
+    # test's oracles, agree: omega at every weight, for g = id and three
+    # seeded g, and chi at every g of S_6, on the program and on three
+    # mutants of it, each patching an integer kernel and its public route
+    # alike: the conjugate rectangle's character, the point values at +1/k
+    # and the Kostka number off by one, which breaks every omega case at
+    # g = id.  A failing case's witness is each public route's value, and
+    # the CLI exits 1
     if mutate is not None:
         mutate(monkeypatch)
     witnessed = []
-    real_agree = verify_module._agree
+    real_fail = verify_module._fail
 
-    def agree_spy(case_id, **values):
+    def fail_spy(case_id, **values):
         witnessed.append(case_id)
-        return real_agree(case_id, **values)
+        return real_fail(case_id, **values)
 
-    monkeypatch.setattr(verify_module, "_agree", agree_spy)
+    monkeypatch.setattr(verify_module, "_fail", fail_spy)
 
     def check(report, routes_of_case) -> int:
         failed = 0
@@ -750,7 +784,6 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
 
         return real_run(suite, params, seed, t0, spy_case, constants, items, workers)
 
-    monkeypatch.setattr(verify_module, "wrdet", no_wrdet)
     monkeypatch.setattr(adet_module, "wrdet", no_wrdet)
     monkeypatch.setattr(verify_module, "_wrdet_numerator", spy)
     monkeypatch.setattr(verify_module, "_run", run_spy)
@@ -768,13 +801,15 @@ def test_zsf_evaluates_the_replicator_once(monkeypatch):
 
 
 def test_zsf_pass_path_builds_no_fraction_route(monkeypatch):
-    # a passing case compares integer numerators: the three Fraction routes
-    # are built only for a failing case's witness
+    # a passing case compares integer numerators: it calls no public
+    # Fraction route and builds no Fraction
     def no_route(*args):
         raise AssertionError("a passing zsf case built a Fraction route")
 
-    for name in ("subgroup_averaged_character", "adet_structured", "wrdet", "Fraction"):
-        monkeypatch.setattr(verify_module, name, no_route)
+    monkeypatch.setattr(verify_module, "Fraction", no_route)
+    monkeypatch.setattr(characters_module, "subgroup_averaged_character", no_route)
+    for name in ("adet_structured", "wrdet"):
+        monkeypatch.setattr(adet_module, name, no_route)
     for k, n in [(1, 4), (2, 3), (3, 2), (6, 1)]:
         assert verify_zsf(k, n, seed=0).passed
     for k, n in [(2, 4), (3, 3)]:
@@ -784,26 +819,28 @@ def test_zsf_pass_path_builds_no_fraction_route(monkeypatch):
 
 def _zsf_public_routes(k: int, n: int, g: Perm) -> dict:
     """The three routes of a zsf case, as Fractions from the public
-    functions that the suite's witness reads, looked up in ``verify`` so
-    that a patch there shows: the character average, the structured value
-    over the replicator's, and the coefficient over Mackey's index."""
+    functions, each looked up in its own module so that a patch there
+    shows: the character average, the structured value over the
+    replicator's, and the coefficient over Mackey's index."""
     shape = (k,) * n
     x = Fraction(-1, k)
     identity = PermutedBlockOnes(Perm.identity(k * n), shape)
     profile = perms_module.block_profile(g, n, k)
     return {
-        "character_average": verify_module.subgroup_averaged_character(shape, shape, g),
-        "wreath_ratio": verify_module.adet_structured(PermutedBlockOnes(g, shape), x)
-        / verify_module.adet_structured(identity, x),
+        "character_average": characters_module.subgroup_averaged_character(shape, shape, g),
+        "wreath_ratio": adet_module.adet_structured(PermutedBlockOnes(g, shape), x)
+        / adet_module.adet_structured(identity, x),
         "coefficient_over_index": Fraction(
-            verify_module.det_power_coeff(profile, k), perms_module.double_coset_index(g, n, k)
+            adet_module.det_power_coeff(profile, k), perms_module.double_coset_index(g, n, k)
         ),
     }
 
 
 def _coefficient_plus_one(monkeypatch) -> None:
-    real = verify_module.det_power_coeff
-    monkeypatch.setattr(verify_module, "det_power_coeff", lambda cells, k: real(cells, k) + 1)
+    real = adet_module.det_power_coeff
+    mutant = lambda cells, k: real(cells, k) + 1  # noqa: E731
+    monkeypatch.setattr(adet_module, "det_power_coeff", mutant)
+    monkeypatch.setattr(verify_module, "det_power_coeff", mutant)
 
 
 def _conjugate_character_sum(monkeypatch) -> None:
@@ -817,15 +854,15 @@ def _conjugate_character_sum(monkeypatch) -> None:
 
 def _unsigned_wreath_ratio(monkeypatch) -> None:
     """Take zsf's wreath ratio at +1/k, not -1/k, in its integer numerators
-    and in the structured values of its witness alike."""
-    real_numerator, real_structured = verify_module._wrdet_numerator, verify_module.adet_structured
+    and in the public structured values alike."""
+    real_numerator, real_structured = verify_module._wrdet_numerator, adet_module.adet_structured
 
     def numerator(sums, k, size):
         unsigned = [(rho, -w if (size - len(rho)) % 2 else w) for rho, w in sums]
         return real_numerator(unsigned, k, size)
 
     monkeypatch.setattr(verify_module, "_wrdet_numerator", numerator)
-    monkeypatch.setattr(verify_module, "adet_structured", lambda s, x: real_structured(s, -x))
+    monkeypatch.setattr(adet_module, "adet_structured", lambda s, x: real_structured(s, -x))
 
 
 @pytest.mark.parametrize(
@@ -833,8 +870,9 @@ def _unsigned_wreath_ratio(monkeypatch) -> None:
 )
 def test_zsf_integer_verdict_is_the_public_routes_agreement(monkeypatch, capsys, mutate):
     # at every g of S_6, a case's integer verdict is whether the three
-    # public Fraction routes agree, on the program and on three mutants of
-    # it: the coefficient off by one, which breaks every case, the
+    # public Fraction routes, the test's oracles, agree, on the program and
+    # on three mutants of it, each patching an integer kernel and its public
+    # route alike: the coefficient off by one, which breaks every case, the
     # character numerator of the conjugate rectangle (every (k, n) here has
     # k != n) and the wreath ratio at +1/k, which break the cases whose
     # route value changes with them; a failing case's witness is each
@@ -842,13 +880,13 @@ def test_zsf_integer_verdict_is_the_public_routes_agreement(monkeypatch, capsys,
     if mutate is not None:
         mutate(monkeypatch)
     witnessed = []
-    real_agree = verify_module._agree
+    real_fail = verify_module._fail
 
-    def agree_spy(case_id, **values):
+    def fail_spy(case_id, **values):
         witnessed.append(case_id)
-        return real_agree(case_id, **values)
+        return real_fail(case_id, **values)
 
-    monkeypatch.setattr(verify_module, "_agree", agree_spy)
+    monkeypatch.setattr(verify_module, "_fail", fail_spy)
     failed = {}
     for k, n in [(1, 6), (2, 3), (3, 2), (6, 1)]:
         witnessed.clear()
