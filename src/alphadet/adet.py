@@ -35,8 +35,11 @@ the structured value and Stanley's sum one integer per type at their point,
 with no grid built.  One weigher, ``_weigh``, sums them by class sums.  By
 sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
 = sum_rho w_rho (sum_ij K_rho[i][j] alpha^i beta^j) these are the same
-sums, regrouped.  The walks and the tables of this module, and so every sum
-here, are bounded by the one cap ``ADET_CAP``.  The wreath average is the
+sums, regrouped.  The walks and the tables of this module are bounded by
+``ADET_CAP``.  Two sums have their own bounds: ``det_power_coeff`` has no
+size cap at k <= 2, and at k >= 3 ``EXHAUSTIVE_CAP`` bounds n and
+``DET_POWER_TERM_CAP`` its residual tests; ``subgroup_avg_adet`` is bounded
+by ``EXHAUSTIVE_CAP``, besides its walks.  The wreath average is the
 two-parameter determinant of the inflation at beta = -1/k.  The wreath
 determinant is the alpha-determinant of the same inflation at -1/k, so
 both sides of the main identity are read from the inflation's class sums,

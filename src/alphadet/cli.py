@@ -107,22 +107,22 @@ def _cmd_omega(args) -> int:
 def _run_suite(args):
     """The report of the suite that args name."""
     suite = args.suite
-    common = {"seed": args.seed, "workers": args.workers}
+    seed = args.seed
     if suite == "theorem":
-        return verify_theorem(args.k, args.n, args.trials, **common)
+        return verify_theorem(args.k, args.n, args.trials, seed=seed)
     if suite == "omega":
         mu = None if args.mu is None else parse_partition(args.mu)
         g = None if args.perm is None else parse_perm(args.perm)
-        return verify_omega(args.k, args.n, mu=mu, g=g, **common)
+        return verify_omega(args.k, args.n, mu=mu, g=g, seed=seed)
     if suite == "chi":
-        return verify_chi(args.k, args.n, samples=args.samples, **common)
+        return verify_chi(args.k, args.n, samples=args.samples, seed=seed)
     if suite == "stanley":
-        return verify_stanley(args.k, args.n, args.m, **common)
+        return verify_stanley(args.k, args.n, args.m, seed=seed)
     if suite == "zsf":
-        return verify_zsf(args.k, args.n, samples=args.samples, **common)
+        return verify_zsf(args.k, args.n, samples=args.samples, seed=seed)
     if suite == "weak-alt":
-        return verify_weak_alternating(args.size, args.k, args.trials, **common)
-    return verify_fourier_jm(args.size, **common)
+        return verify_weak_alternating(args.size, args.k, args.trials, seed=seed)
+    return verify_fourier_jm(args.size, seed=seed)
 
 
 def _cmd_verify(args) -> int:
@@ -249,7 +249,8 @@ SUITES = {
 _SUITE_COMMON = [
     ("--seed", {"type": _seed, "required": True, "help": "integer in [0, 2^64)"}),
     ("--json", {"help": "write the JSON report to this path"}),
-    ("--workers", {"type": _workers, "default": 1, "help": "positive integer"}),
+    ("--workers", {"type": _workers, "default": 1,
+                   "help": "positive integer, accepted for compatibility: every suite runs in one process"}),
 ]
 
 

@@ -4,10 +4,9 @@ Each suite builds its constants once, the values that are the same for
 every case, and lists its cases deterministically from (parameters, seed).
 A case is a function of (constants, item), for item what varies per case:
 a permutation, a weight, a (trial, seed) pair or a kind.  One runner,
-``_run``, binds the constants to the case, maps it over the items serially
-or on a process pool, and assembles the report in item order, so the report
-content is identical for any worker count and for repeated runs with the
-same seed (the wall-time field aside).  A case's verdict is one exact
+``_run``, runs the case on each item in order, in one process, and
+assembles the report, so the report content is identical for repeated runs
+with the same seed (the wall-time field aside).  A case's verdict is one exact
 comparison in integers, and a failing case's witness is the values that it
 compared, as exact rationals, with the inputs that it needs.  No case calls
 a public Fraction route: those stay public API, and the tests hold them as
@@ -16,10 +15,8 @@ oracles of the integer checks.
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
-from functools import partial
 from math import factorial
 from typing import Callable, Sequence
 
@@ -130,20 +127,10 @@ def _run(
     case: Callable,
     constants: object,
     items: list,
-    workers: int,
 ) -> SuiteReport:
-    """Run case(constants, item) for each item in order, on at most one
-    process per item and per CPU, and report the results timed from t0."""
-    decide = partial(case, constants)
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        cases = [decide(item) for item in items]
-    else:
-        # imported here so that a serial run never loads the pool's modules
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(decide, items))
+    """Run case(constants, item) for each item in order, in this process,
+    and report the results timed from t0."""
+    cases = [case(constants, item) for item in items]
     status = "pass" if all(c.status == "pass" for c in cases) else "fail"
     return SuiteReport(
         suite=suite,
@@ -219,7 +206,7 @@ def _theorem_case(constants, item) -> CaseResult:
     )
 
 
-def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> SuiteReport:
+def verify_theorem(k: int, n: int, trials: int, seed: int) -> SuiteReport:
     """Averaged alpha-determinant of the inflated matrix equals the content
     polynomial of the k^n rectangle times the k-wreath determinant, as exact
     polynomial equality, on seeded random integer matrices.
@@ -239,7 +226,7 @@ def verify_theorem(k: int, n: int, trials: int, seed: int, workers: int = 1) -> 
     constants = (k, n, _content_coefficients((k,) * n))
     items = [(t, rng.next_u64()) for t in range(trials)]
     params = {"k": k, "n": n, "trials": trials}
-    return _run("theorem", params, seed, t0, _theorem_case, constants, items, workers)
+    return _run("theorem", params, seed, t0, _theorem_case, constants, items)
 
 
 # --- rectangular-shape subgroup averages and Kostka numbers -------------------
@@ -310,7 +297,6 @@ def verify_omega(
     mu: Sequence[int] | None = None,
     g: Perm | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> SuiteReport:
     """The rectangular-shape formula (structured two-parameter value over
     the all-ones normalization) equals the character-average route, and at
@@ -346,7 +332,7 @@ def verify_omega(
     weights = [tuple(mu)] if mu is not None else partitions_of(size)
     constants = (k, n, g, *_rect_point(k, n))
     params = {"k": k, "n": n, "mu": format_partition(mu) if mu else "all", "g": format_perm(g)}
-    return _run("omega", params, seed, t0, _omega_case, constants, weights, workers)
+    return _run("omega", params, seed, t0, _omega_case, constants, weights)
 
 
 def _chi_case(constants, g) -> CaseResult:
@@ -364,9 +350,7 @@ def _chi_case(constants, g) -> CaseResult:
     )
 
 
-def verify_chi(
-    k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
-) -> SuiteReport:
+def verify_chi(k: int, n: int, samples: int = 0, seed: int = 0) -> SuiteReport:
     """Normalized rectangular character equals the two-parameter value of
     the bare permutation matrix over the all-ones normalization; exhaustive
     in g up to kn = 7, seeded samples at kn = 8 and 9.
@@ -385,7 +369,7 @@ def verify_chi(
     # values with the formula's scale
     constants = (k, n, num_standard_tableaux((k,) * n), *_rect_point(k, n))
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
-    return _run("chi", params, seed, t0, _chi_case, constants, perms, workers)
+    return _run("chi", params, seed, t0, _chi_case, constants, perms)
 
 
 # --- rectangular character values on small supports (Stanley) ----------------
@@ -407,7 +391,7 @@ def _stanley_case(constants, w) -> CaseResult:
     )
 
 
-def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> SuiteReport:
+def verify_stanley(k: int, n: int, m: int, seed: int = 0) -> SuiteReport:
     """Rescaled rectangular character on a permutation supported on the
     first m letters equals the signed double-power sum over S_m, for every
     w in S_m.  The sum side is read from the cycle-class table of w, so no
@@ -436,10 +420,10 @@ def verify_stanley(k: int, n: int, m: int, seed: int = 0, workers: int = 1) -> S
     constants = (k, n, f, falling, values)
     items = list(enumerate_perms(m))
     params = {"k": k, "n": n, "m": m}
-    return _run("stanley", params, seed, t0, _stanley_case, constants, items, workers)
+    return _run("stanley", params, seed, t0, _stanley_case, constants, items)
 
 
-# --- diagonal subgroup average: three independent routes ----------------------
+# --- diagonal subgroup average: two routes share g's orbit walk, the coefficient is independent
 
 
 def _zsf_case(constants, g) -> CaseResult:
@@ -468,7 +452,7 @@ def _zsf_case(constants, g) -> CaseResult:
     )
 
 
-def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1) -> SuiteReport:
+def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0) -> SuiteReport:
     """Three-way agreement for the rectangular diagonal average: character
     average over the Young subgroup, ratio of wreath determinants of the
     row-permuted column replicator, and determinant-power coefficient over
@@ -501,7 +485,7 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0, workers: int = 1
     identity = _cells_class_sums(profile_cells(Perm.identity(size), shape), shape)
     constants = (k, n, _wrdet_numerator(identity, k, size))
     params = {"k": k, "n": n, "samples": samples if samples > 0 else "exhaustive"}
-    return _run("zsf", params, seed, t0, _zsf_case, constants, perms, workers)
+    return _run("zsf", params, seed, t0, _zsf_case, constants, perms)
 
 
 # --- weak alternating / divisibility ------------------------------------------
@@ -542,9 +526,7 @@ def _weak_alt_case(constants, item) -> CaseResult:
         )
 
 
-def verify_weak_alternating(
-    size: int, k: int, trials: int, seed: int, workers: int = 1
-) -> SuiteReport:
+def verify_weak_alternating(size: int, k: int, trials: int, seed: int) -> SuiteReport:
     """(a) random matrices with k+1 duplicated columns vanish at -1/k;
     (b) the S_k column average of a random matrix divides exactly by the
     single-row content polynomial of size k.
@@ -562,7 +544,7 @@ def verify_weak_alternating(
         items += [("duplicate-columns", t, rng.next_u64()) for t in range(trials)]
     items += [("divisibility", t, rng.next_u64()) for t in range(trials)]
     params = {"size": size, "k": k, "trials": trials}
-    return _run("weak-alt", params, seed, t0, _weak_alt_case, (size, k), items, workers)
+    return _run("weak-alt", params, seed, t0, _weak_alt_case, (size, k), items)
 
 
 # --- character expansion of the alpha power weight ----------------------------
@@ -592,7 +574,7 @@ def _fourier_case(size, kind) -> CaseResult:
     return CaseResult("jucys-murphy", "fail", witness=witness)
 
 
-def verify_fourier_jm(size: int, seed: int = 0, workers: int = 1) -> SuiteReport:
+def verify_fourier_jm(size: int, seed: int = 0) -> SuiteReport:
     """Per-cycle-type check of the character-basis expansion of the alpha
     power weight (size <= 12), plus the Jucys-Murphy product expansion whose
     coefficients must be the plain monomials (size <= 6)."""
@@ -603,4 +585,4 @@ def verify_fourier_jm(size: int, seed: int = 0, workers: int = 1) -> SuiteReport
     kinds = ["expansion"]
     if size <= FOURIER_JM_CAP:  # larger sizes run the expansion only
         kinds.append("jucys-murphy")
-    return _run("fourier", {"size": size}, seed, t0, _fourier_case, size, kinds, workers)
+    return _run("fourier", {"size": size}, seed, t0, _fourier_case, size, kinds)

@@ -5,7 +5,9 @@ asserted where the criteria carry one.  Run with `pytest -s` to see the
 per-criterion lines as they complete.
 """
 
-import json
+import contextlib
+import io
+import re
 import time
 from fractions import Fraction as F
 from math import factorial
@@ -14,6 +16,7 @@ import pytest
 
 from alphadet.adet import adet2_structured, adet_poly
 from alphadet.characters import character, immanant
+from alphadet.cli import main
 from alphadet.matrices import PermutedBlockOnes
 from alphadet.partitions import content_poly, num_standard_tableaux, partitions_of
 from alphadet.perms import Perm, enumerate_perms
@@ -149,7 +152,7 @@ def test_criterion_05_rectangular_character_formula():
         report = verify_chi(k, n, seed=0)
         assert report.passed
         assert report.case_count == factorial(k * n)
-    sampled = verify_chi(2, 4, samples=200, seed=8, workers=2)
+    sampled = verify_chi(2, 4, samples=200, seed=8)
     assert sampled.passed
     assert sampled.case_count == 200
     _line(5, "rectangular character formula, exhaustive + 200 samples at size 8",
@@ -202,28 +205,33 @@ def test_criterion_08_vanishing_and_divisibility():
           time.monotonic() - t0)
 
 
-def _stripped(report) -> str:
-    data = report.to_dict()
-    data.pop("wall_time_s")
-    return json.dumps(data, sort_keys=True)
+def _report_bytes(argv: list[str], path) -> bytes:
+    """The --json report of `alphadet verify` argv, its wall time masked."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", *argv, "--json", str(path)]) == 0, argv
+    masked, count = re.subn(rb'"wall_time_s": [^,\n}]*', b'"wall_time_s": null', path.read_bytes())
+    assert count == 1
+    return masked
 
 
-def test_criterion_10_determinism_and_parallelism():
+def test_criterion_10_determinism_and_parallelism(tmp_path):
+    # at the CLI, which still takes --workers: every suite runs in one
+    # process, so the flag must leave the report bytes as they are
     t0 = time.monotonic()
-    runners = [
-        lambda w: verify_theorem(2, 2, trials=3, seed=42, workers=w),
-        lambda w: verify_omega(2, 2, seed=42, workers=w),
-        lambda w: verify_chi(2, 2, seed=42, workers=w),
-        lambda w: verify_stanley(2, 2, 2, seed=42, workers=w),
-        lambda w: verify_zsf(2, 2, seed=42, workers=w),
-        lambda w: verify_weak_alternating(5, 2, trials=4, seed=42, workers=w),
-        lambda w: verify_fourier_jm(4, seed=42, workers=w),
+    argvs = [
+        ["theorem", "--k", "2", "--n", "2", "--trials", "3", "--seed", "42"],
+        ["omega", "--k", "2", "--n", "2", "--seed", "42"],
+        ["chi", "--k", "2", "--n", "2", "--seed", "42"],
+        ["stanley", "--k", "2", "--n", "2", "--m", "2", "--seed", "42"],
+        ["zsf", "--k", "2", "--n", "2", "--seed", "42"],
+        ["weak-alt", "--size", "5", "--k", "2", "--trials", "4", "--seed", "42"],
+        ["fourier", "--size", "4", "--seed", "42"],
     ]
-    for run in runners:
-        reference = _stripped(run(1))
-        assert _stripped(run(1)) == reference  # same seed, fresh run
-        for workers in (2, 8):
-            assert _stripped(run(workers)) == reference
+    path = tmp_path / "report.json"
+    for argv in argvs:
+        reference = _report_bytes([*argv, "--workers", "1"], path)
+        for workers in ("1", "2", "8"):  # a fresh run at 1, then 2 and 8
+            assert _report_bytes([*argv, "--workers", workers], path) == reference, (argv, workers)
     _line(10, "identical reports at 1/2/8 workers and across reruns", "PASS",
           time.monotonic() - t0)
 

@@ -172,7 +172,7 @@ def test_missing_matrix_file(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     # exit-code contract for a failing case, independent of the identities
     # (which hold); substitute a canned failing report
-    def fake(k, n, trials, seed, workers=1):
+    def fake(k, n, trials, seed):
         return SuiteReport(
             suite="theorem",
             params={"k": k, "n": n, "trials": trials},

@@ -384,8 +384,9 @@ def test_one_murnaghan_nakayama_kernel():
 
 def test_one_runner_for_every_suite():
     # every suite hands its constants and items to the one runner, which
-    # alone builds the process pool; the case runner and the report
-    # builder that it replaced have no readers left
+    # runs them in one process: no function reads a process pool or a
+    # worker count; the case runner and the report builder that it
+    # replaced have no readers left
     assert _readers("_run") == [
         "verify.py:verify_chi",
         "verify.py:verify_fourier_jm",
@@ -395,7 +396,8 @@ def test_one_runner_for_every_suite():
         "verify.py:verify_weak_alternating",
         "verify.py:verify_zsf",
     ]
-    assert _readers("ProcessPoolExecutor") == ["verify.py:_run"]
+    assert _readers("ProcessPoolExecutor") == [] and _readers("cpu_count") == []
+    assert _readers("workers") == []
     assert _readers("_run_cases") == [] and _readers("_report") == []
 
 
