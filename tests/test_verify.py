@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 from fractions import Fraction
 from math import factorial
 
@@ -1065,6 +1066,55 @@ def test_reports_reproducible_across_runs():
     assert _stripped(a) == _stripped(b)
     c = verify_theorem(2, 2, trials=3, seed=12)
     assert _stripped(a) != _stripped(c)
+
+
+@pytest.mark.parametrize("count, failing", [(1, None), (3, None), (10, None), (10, 4), (64, 63)])
+def test_runner_runs_each_case_once_in_item_order(count, failing):
+    # the runner is a serial map: a case's side effects land in this
+    # process, once per item and in item order, and one failure fails the suite
+    seen = []
+
+    def case(constants, item):
+        seen.append((constants, item))
+        return verify_module.CaseResult(f"{constants}{item}", "fail" if item == failing else "pass")
+
+    report = verify_module._run("echo", {}, 0, 0.0, case, "c", list(range(count)))
+    assert seen == [("c", i) for i in range(count)]
+    assert [c.id for c in report.cases] == [f"c{i}" for i in range(count)]
+    assert report.case_count == count
+    assert report.status == ("pass" if failing is None else "fail")
+
+
+_SUITE_RUNS = {
+    "theorem": lambda: verify_theorem(2, 2, trials=4, seed=23),
+    "omega": lambda: verify_omega(2, 3, g=Perm.from_cycles(6, [(1, 4, 2), (3, 6)]), seed=0),
+    "chi": lambda: verify_chi(2, 3, samples=12, seed=5),
+    "stanley": lambda: verify_stanley(2, 3, 4, seed=0),
+    "zsf": lambda: verify_zsf(2, 3, samples=12, seed=3),
+    "weak-alt": lambda: verify_weak_alternating(4, 2, trials=2, seed=1),
+    "fourier": lambda: verify_fourier_jm(5, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(_SUITE_RUNS))
+def test_every_suite_runs_in_the_calling_process(monkeypatch, name):
+    # every case of every suite runs in this process, and a rerun gives
+    # the same report
+    pids = []
+    real_run = verify_module._run
+
+    def run_spy(suite, params, seed, t0, case, constants, items):
+        def pid_case(constants, item):
+            pids.append(os.getpid())
+            return case(constants, item)
+
+        return real_run(suite, params, seed, t0, pid_case, constants, items)
+
+    monkeypatch.setattr(verify_module, "_run", run_spy)
+    first = _SUITE_RUNS[name]()
+    assert first.passed and first.case_count > 0
+    assert pids == [os.getpid()] * first.case_count
+    assert _stripped(_SUITE_RUNS[name]()) == _stripped(first)
 
 
 def test_sampled_suites_respect_seed():
