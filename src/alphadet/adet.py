@@ -38,8 +38,8 @@ sum_ij (sum_rho w_rho K_rho[i][j]) alpha^i beta^j
 sums, regrouped.  The walks and the tables of this module are bounded by
 ``ADET_CAP``.  Two sums have their own bounds: ``det_power_coeff`` has no
 size cap at k <= 2, and at k >= 3 ``EXHAUSTIVE_CAP`` bounds n and
-``DET_POWER_TERM_CAP`` its residual tests; ``subgroup_avg_adet`` is bounded
-by ``EXHAUSTIVE_CAP``, besides its walks.  The wreath average is the
+``DET_POWER_TERM_CAP`` its residual tests; ``_column_average_sums``, the
+S_k column average, is bounded by ``EXHAUSTIVE_CAP``, besides its walks.  The wreath average is the
 two-parameter determinant of the inflation at beta = -1/k.  The wreath
 determinant is the alpha-determinant of the same inflation at -1/k, so
 both sides of the main identity are read from the inflation's class sums,
@@ -78,7 +78,6 @@ from .partitions import _partitions
 from .perms import (
     EXHAUSTIVE_CAP,
     Perm,
-    _embed,
     _rows_within,
     _trans_len,
     block_profiles,
@@ -768,19 +767,33 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     return QPoly(Fraction(v, denom) for v in counts)
 
 
-def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:
-    """Sum of adet_poly over the column permutations by S_k embedded in S_n
-    fixing the letters k+1..n."""
+def _column_average_sums(
+    a: RatMatrix, k: int
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """(pairs, denom): the class sums of a P(sigma) summed over S_k in S_n,
+    fixing k+1..n, with a scaled to integer rows over denom.  A matrix that
+    is not square, a k out of range and n > ``EXHAUSTIVE_CAP`` are refused
+    in that order, before any work."""
     n = a.require_square()
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     if n > EXHAUSTIVE_CAP:
         raise SizeCapExceeded(f"n={n} exceeds subgroup-average cap {EXHAUSTIVE_CAP}")
-    total = QPoly.zero()
+    rows, scale = scaled_int_rows(a)
+    total: dict[tuple[int, ...], int] = {}
     for s in perm_tuples(k):
-        sigma = Perm(_embed(s, n))
-        total = total + adet_poly(a.permute_columns(sigma))
-    return total
+        columns = (*(j - 1 for j in s), *range(k, n))  # column j of a P(sigma) is a's sigma(j)
+        for rho, v in class_sums([[row[j] for j in columns] for row in rows]).items():
+            total[rho] = total.get(rho, 0) + v
+    return tuple((rho, v) for rho, v in total.items() if v), scale**n
+
+
+def subgroup_avg_adet(a: RatMatrix, k: int) -> QPoly:
+    """Sum of adet_poly over the column permutations by S_k embedded in S_n
+    fixing the letters k+1..n: the summed class sums of
+    ``_column_average_sums`` folded by transposition length."""
+    sums, denom = _column_average_sums(a, k)
+    return QPoly(Fraction(v, denom) for v in _length_counts(sums, a.rows))
 
 
 @cache

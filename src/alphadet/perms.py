@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import SizeCapExceeded
 from .polynomials import QPoly
 
-EXHAUSTIVE_CAP = 7  # every listing of all of S_m: enumerate_perms, subgroup_avg_adet, det_power_coeff, the suites
+EXHAUSTIVE_CAP = 7  # every listing of all of S_m: enumerate_perms, _column_average_sums, det_power_coeff, the suites
 FOURIER_JM_CAP = 6  # the group-algebra product has n! support
 
 
@@ -182,10 +182,6 @@ def young_subgroup_order(mu: Sequence[int]) -> int:
     for part in mu:
         out *= factorial(part)
     return out
-
-
-def _embed(images: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(images) + tuple(range(len(images) + 1, n + 1))
 
 
 def jucys_murphy_product(n: int) -> dict[Perm, QPoly]:

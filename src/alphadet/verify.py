@@ -7,10 +7,12 @@ a permutation, a weight, a (trial, seed) pair or a kind.  One runner,
 ``_run``, runs the case on each item in order, in one process, and
 assembles the report, so the report content is identical for repeated runs
 with the same seed (the wall-time field aside).  A case's verdict is one exact
-comparison in integers, and a failing case's witness is the values that it
-compared, as exact rationals, with the inputs that it needs.  No case calls
-a public Fraction route: those stay public API, and the tests hold them as
-oracles of the integer checks.
+comparison in integers, and ``_fail`` builds every failing case, witnessed
+by the values that it compared, as exact rationals, with the inputs that it
+needs.  No case calls a public Fraction route: those stay public API, and
+the tests hold them as oracles of the integer checks.  ``fourier`` is the
+exception: it calls ``alpha_power_expansion`` and ``jucys_murphy_product``,
+because those two routes are what it checks.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from typing import Callable, Sequence
 from .adet import (
     ADET_CAP,
     _cells_class_sums,
+    _column_average_sums,
     _inflation_class_sums,
+    _length_counts,
     _tables,
     _weigh,
     _wrdet_numerator,
     _wreath_average_counts,
     adet2_structured,
-    adet_at,
     det_power_coeff,
-    subgroup_avg_adet,
     translate_class_sums,
 )
 from .characters import (
@@ -40,12 +42,11 @@ from .characters import (
     _mn,
     alpha_power_expansion,
 )
-from .errors import IdentityViolation, NotDivisible, ShapeWeightMismatch, SizeCapExceeded
+from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
 from .matrices import PermutedBlockOnes
 from .partitions import (
     _content_coefficients,
     check_partition,
-    content_poly,
     content_poly_at,
     format_partition,
     kostka_ssyt,
@@ -148,12 +149,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _fail(case_id: str, **values: Fraction) -> CaseResult:
-    """A failing case, witnessed by the value of each side that its integer
-    check compared, in argument order."""
-    return CaseResult(
-        case_id, "fail", witness={name: format_rational(v) for name, v in values.items()}
-    )
+def _fail(case_id: str, **values: object) -> CaseResult:
+    """A failing case, witnessed in argument order by the values that its
+    check compared and the inputs it needs, a Fraction as its exact rational."""
+    witness = {k: format_rational(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+    return CaseResult(case_id, "fail", witness=witness)
 
 
 def check_kn_cap(size: int) -> None:
@@ -194,15 +194,12 @@ def _theorem_case(constants, item) -> CaseResult:
     if all(v * scale == c * wreath for v, c in zip(average, content)):
         return CaseResult(f"trial={trial}", "pass")
     denom *= row_denom  # d row_denom, under the coefficients of both sides
-    return CaseResult(
+    return _fail(
         f"trial={trial}",
-        "fail",
-        witness={
-            "matrix": a.to_json_dict(),
-            "matrix_seed": seed,
-            "lhs": QPoly(Fraction(v, denom) for v in average).to_strings(),
-            "rhs": QPoly(Fraction(c * wreath, denom * scale) for c in content).to_strings(),
-        },
+        matrix=a.to_json_dict(),
+        matrix_seed=seed,
+        lhs=QPoly(Fraction(v, denom) for v in average).to_strings(),
+        rhs=QPoly(Fraction(c * wreath, denom * scale) for c in content).to_strings(),
     )
 
 
@@ -496,34 +493,23 @@ def _weak_alt_case(constants, item) -> CaseResult:
     kind, trial, seed = item
     a = random_matrix(size, size, seed)
     if kind == "duplicate-columns":
-        col = a.column(0)
         for j in range(1, k + 1):
-            a = a.with_column(j, col)
-        value = adet_at(a, Fraction(-1, k))
-        case_id = f"dup;trial={trial}"
-        if value == 0:
-            return CaseResult(case_id, "pass")
-        return CaseResult(
-            case_id,
-            "fail",
-            witness={"matrix": a.to_json_dict(), "value": format_rational(value)},
-        )
-    total = subgroup_avg_adet(a, k)
-    divisor = content_poly((k,))
-    case_id = f"div;trial={trial}"
-    try:
-        total.exact_div(divisor)
+            a = a.with_column(j, a.column(0))
+        case_id, group, roots = f"dup;trial={trial}", 1, (k,)
+    else:
+        case_id, group, roots = f"div;trial={trial}", k, range(1, k)
+    sums, denom = _column_average_sums(a, group)
+    if all(_wrdet_numerator(sums, j, size) == 0 for j in roots):
         return CaseResult(case_id, "pass")
-    except NotDivisible:
-        return CaseResult(
-            case_id,
-            "fail",
-            witness={
-                "matrix": a.to_json_dict(),
-                "sum": total.to_strings(),
-                "divisor": divisor.to_strings(),
-            },
-        )
+    if kind == "duplicate-columns":
+        value = Fraction(_wrdet_numerator(sums, k, size), denom * k**size)
+        return _fail(case_id, matrix=a.to_json_dict(), value=value)
+    return _fail(
+        case_id,
+        matrix=a.to_json_dict(),
+        sum=QPoly(Fraction(v, denom) for v in _length_counts(sums, size)).to_strings(),
+        divisor=QPoly(_content_coefficients((k,))).to_strings(),
+    )
 
 
 def verify_weak_alternating(size: int, k: int, trials: int, seed: int) -> SuiteReport:
@@ -532,10 +518,15 @@ def verify_weak_alternating(size: int, k: int, trials: int, seed: int) -> SuiteR
     single-row content polynomial of size k.
 
     With k equal to the matrix size the duplicated-column part is vacuous
-    (k+1 columns cannot fit) and only the divisibility part runs."""
+    (k+1 columns cannot fit) and only the divisibility part runs.
+
+    A case decides in integers from ``_column_average_sums`` over S_1 for (a)
+    and S_k for (b): the average vanishes at -1/j iff ``_wrdet_numerator`` at
+    j is 0.  (a) checks j = k.  C_(k) = prod_(j < k) (1 + j alpha) has the
+    simple roots -1/j, so (b) holds iff the average vanishes at every j < k."""
     _require(size >= 2 and trials >= 1, "size >= 2 and trials >= 1 required")
     _require(1 <= k <= size, "need 1 <= k <= size")
-    if size > EXHAUSTIVE_CAP:  # the bound of subgroup_avg_adet, which every run calls
+    if size > EXHAUSTIVE_CAP:  # the bound of _column_average_sums, which every case calls
         raise SizeCapExceeded(f"size={size} exceeds cap {EXHAUSTIVE_CAP}")
     t0 = time.monotonic()
     rng = SplitMix64(seed)
@@ -556,7 +547,7 @@ def _fourier_case(size, kind) -> CaseResult:
             alpha_power_expansion(size)
             return CaseResult("expansion", "pass")
         except IdentityViolation as exc:
-            return CaseResult("expansion", "fail", witness={"detail": str(exc)})
+            return _fail("expansion", detail=str(exc))
     product = jucys_murphy_product(size)
     bad = [
         (p, c)
@@ -565,19 +556,18 @@ def _fourier_case(size, kind) -> CaseResult:
     ]
     if len(product) == factorial(size) and not bad:
         return CaseResult("jucys-murphy", "pass")
-    witness = {
-        "support": len(product),
-        "mismatches": [
-            {"perm": format_perm(p), "coefficient": c.to_strings()} for p, c in bad[:5]
-        ],
-    }
-    return CaseResult("jucys-murphy", "fail", witness=witness)
+    return _fail(
+        "jucys-murphy",
+        support=len(product),
+        mismatches=[{"perm": format_perm(p), "coefficient": c.to_strings()} for p, c in bad[:5]],
+    )
 
 
 def verify_fourier_jm(size: int, seed: int = 0) -> SuiteReport:
     """Per-cycle-type check of the character-basis expansion of the alpha
     power weight (size <= 12), plus the Jucys-Murphy product expansion whose
-    coefficients must be the plain monomials (size <= 6)."""
+    coefficients must be the plain monomials (size <= 6).  Its cases call
+    those two public routes, because they are what it checks."""
     _require(size >= 1, "size must be positive")
     if size > CHARACTER_CAP:
         raise SizeCapExceeded(f"size={size} exceeds character-evaluation cap {CHARACTER_CAP}")

@@ -1357,6 +1357,33 @@ def test_subgroup_avg_trivial_and_full():
     assert subgroup_avg_adet(ones, 4) == factorial(4) * content_poly((4,))
 
 
+def _subgroup_avg_naive(a: RatMatrix, k: int) -> QPoly:
+    """Oracle: adet_poly of each column permutation by S_k in S_n, fixing
+    the letters k+1..n, summed."""
+    n = a.require_square()
+    total = QPoly.zero()
+    for s in perm_tuples(k):
+        total = total + adet_poly(a.permute_columns(Perm(s + tuple(range(k + 1, n + 1)))))
+    return total
+
+
+def test_subgroup_avg_matches_the_column_permutation_loop():
+    for n in range(2, 7):
+        for a in (random_matrix(n, n, 1300 + n), _rational_matrix(n, 1310 + n)):
+            for k in range(1, n + 1):
+                assert subgroup_avg_adet(a, k) == _subgroup_avg_naive(a, k), (n, k)
+    # all of S_7, on a rational matrix kept on the cells with j - i in
+    # {0, 1, 3} mod 7, so that the 5040 walks stay cheap; over all of S_n
+    # the average is also per(a) content_poly((n,)), the sum over S_n of
+    # alpha^len(sigma)
+    a = _rational_matrix(7, 1317)
+    kept = [[(j - i) % 7 in (0, 1, 3) for j in range(7)] for i in range(7)]
+    a = RatMatrix([[a[i, j] if kept[i][j] else 0 for j in range(7)] for i in range(7)])
+    total = subgroup_avg_adet(a, 7)
+    assert total == _subgroup_avg_naive(a, 7) == _per(a) * content_poly((7,))
+    assert total.degree == 6
+
+
 def test_subgroup_avg_divisibility():
     for seed in (1, 2, 3):
         a = random_matrix(5, 5, seed)

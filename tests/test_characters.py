@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 from functools import cache
 from math import factorial
@@ -371,3 +372,17 @@ def test_perm_of_cycle_type():
     p = _perm_of_cycle_type((3, 2, 1), 6)
     assert p.cycle_type() == (3, 2, 1)
     assert _perm_of_cycle_type((1, 1), 2).is_identity()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: character((13,), (13,)), SizeCapExceeded, "|shape| > 12"),
+        (lambda: character((7, 6), (1,) * 13), SizeCapExceeded, "|shape| > 12"),
+        (lambda: immanant((2, 1), RatMatrix.identity(2)), ShapeWeightMismatch, "|(2, 1)| != 2"),
+        (lambda: immanant((1,), RatMatrix.ones(2, 2)), ShapeWeightMismatch, "|(1,)| != 2"),
+    ],
+)
+def test_character_and_immanant_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

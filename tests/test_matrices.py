@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -158,3 +159,31 @@ def test_splitmix_reference_values():
     rng = SplitMix64(0)
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RatMatrix([[1, 2], [3]]), "ragged rows"),
+        (lambda: RatMatrix([[1], [2, 3]]), "ragged rows"),
+        (lambda: RatMatrix.identity(2) @ RatMatrix.ones(3, 2), "2x2 @ 3x2"),
+        (lambda: RatMatrix.ones(2, 3) @ RatMatrix.ones(2, 3), "2x3 @ 2x3"),
+        (
+            lambda: RatMatrix.ones(2, 3).permute_columns(Perm.identity(2)),
+            "permutation size != column count",
+        ),
+        (
+            lambda: RatMatrix.ones(2, 3).permute_rows(Perm.identity(3)),
+            "permutation size != row count",
+        ),
+    ],
+)
+def test_rat_matrix_refuses_mismatched_sizes(call, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+def test_random_matrix_refuses_non_positive_dimensions(rows, cols):
+    with pytest.raises(ValueError, match="^dimensions must be positive$"):
+        random_matrix(rows, cols, 1)

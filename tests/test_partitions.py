@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from math import factorial
 from typing import Iterator
@@ -180,3 +181,17 @@ def test_partition_strings():
     assert format_partition((3, 2, 1)) == "3,2,1"
     with pytest.raises(ValueError):
         parse_partition("1,2")
+
+
+@pytest.mark.parametrize(
+    "shape, weight, message",
+    [
+        ((2, 1), (4, -1), "weight entries must be non-negative: (4, -1)"),
+        ((1,), (-1, 2), "weight entries must be non-negative: (-1, 2)"),
+        ((3,), [2, 2, -1], "weight entries must be non-negative: (2, 2, -1)"),
+    ],
+)
+def test_kostka_refuses_a_negative_weight(shape, weight, message):
+    # before the size check, which the negative entry would pass
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kostka_ssyt(shape, weight)

@@ -15,7 +15,6 @@ from alphadet.perms import (
     FOURIER_JM_CAP,
     Perm,
     _compose,
-    _embed,
     _trans_len,
     block_profile,
     block_profiles,
@@ -76,6 +75,11 @@ def _coset_factor(tau: Perm, k: int) -> Perm:
             found.append(cand)
     assert len(found) == 1, f"{len(found)} coset factors for {tau!r} with k={k}"
     return Perm(found[0])
+
+
+def _embed(images, n: int) -> tuple[int, ...]:
+    """The images of S_k in S_n fixing the letters k+1..n."""
+    return tuple(images) + tuple(range(len(images) + 1, n + 1))
 
 
 def _check_weak_alternating(tau: Perm, k: int) -> None:
@@ -393,3 +397,9 @@ def test_profile_cells_count_the_letters_between_blocks():
         profile_cells(Perm.identity(4), (3, 2))
     with pytest.raises(ValueError):
         profile_cells(Perm([2, 1, 4, 3]), (3, -1, 2))
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2), (1, 4)])
+def test_perm_product_refuses_a_size_mismatch(a, b):
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        Perm.identity(a) * Perm.identity(b)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -120,3 +121,14 @@ def test_qpoly2_outer_and_arithmetic():
     assert (prod + prod) == 2 * prod
     x, y = F(2, 3), F(-1, 7)
     assert prod.eval(x, y) == a.eval(x) * b.eval(y)
+
+
+@pytest.mark.parametrize(
+    "dividend, divisor",
+    [([1, 2], [1, 1, 1]), ([5], [0, 1]), ([0, 0, 3], [1, 0, 0, 1])],
+)
+def test_exact_div_refuses_a_shorter_nonzero_dividend(dividend, divisor):
+    # a nonzero dividend of lower degree than the divisor is no multiple of it
+    p, d = QPoly(dividend), QPoly(divisor)
+    with pytest.raises(NotDivisible, match=f"^{re.escape(f'{p!r} is not divisible by {d!r}')}$"):
+        p.exact_div(d)

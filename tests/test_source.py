@@ -155,8 +155,8 @@ def test_every_enumeration_of_s_n_is_pinned():
     # every place the package lists S_n; the coefficient route lists it only
     # through the memoized signed cells, which only det_power_coeff reads
     assert _readers("perm_tuples") == [
+        "adet.py:_column_average_sums",
         "adet.py:_signed_cells",
-        "adet.py:subgroup_avg_adet",
         "perms.py:enumerate_perms",
     ]
     assert _readers("_signed_cells") == ["adet.py:det_power_coeff"]
@@ -244,6 +244,7 @@ def test_one_integer_formula_per_side_of_the_main_identity():
     assert _readers("_wrdet_numerator") == [
         "adet.py:wrdet",
         "verify.py:_theorem_case",
+        "verify.py:_weak_alt_case",
         "verify.py:_zsf_case",
         "verify.py:verify_zsf",
     ]
@@ -261,18 +262,31 @@ def test_one_integer_formula_per_side_of_the_main_identity():
         "adet.py:wreath_average_poly",
         "verify.py:_theorem_case",
     ]
-    assert _readers("_length_counts") == ["adet.py:_adet_counts", "adet.py:adet_structured"]
+    assert _readers("_length_counts") == [
+        "adet.py:_adet_counts",
+        "adet.py:adet_structured",
+        "adet.py:subgroup_avg_adet",
+        "verify.py:_weak_alt_case",
+    ]
     assert _readers("_content_coefficients") == [
         "partitions.py:content_poly",
+        "verify.py:_weak_alt_case",
         "verify.py:verify_theorem",
+    ]
+    # the S_k column average's sums have one integer helper too, read by
+    # the public average and by weak-alt's case, at S_1 and at S_k
+    assert _readers("_column_average_sums") == [
+        "adet.py:subgroup_avg_adet",
+        "verify.py:_weak_alt_case",
     ]
 
 
 def test_a_verify_case_decides_once():
     # a case's integer check is its verdict: verify reads no public Fraction
-    # route, which the tests keep as oracles, and a failing corollary case
-    # is witnessed by the values that it compared; the formula's Fraction
-    # value stays in verify for the CLI
+    # route, which the tests keep as oracles, and every failing case is
+    # built by _fail, witnessed by the values that it compared; the
+    # formula's Fraction value stays in verify for the CLI, and fourier
+    # calls the two routes that it checks
     tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
     imported = {
         alias.name
@@ -286,6 +300,11 @@ def test_a_verify_case_decides_once():
         "adet_structured",
         "subgroup_averaged_character",
         "character",
+        "adet_at",
+        "subgroup_avg_adet",
+        "content_poly",
+        "NotDivisible",
+        "exact_div",
     ):
         assert name not in imported, name
         assert not [r for r in _readers(name) if r.startswith("verify.py:")], name
@@ -293,10 +312,25 @@ def test_a_verify_case_decides_once():
         assert _readers(name) == [], name
     assert _readers("_fail") == [
         "verify.py:_chi_case",
+        "verify.py:_fourier_case",
         "verify.py:_omega_case",
         "verify.py:_stanley_case",
+        "verify.py:_theorem_case",
+        "verify.py:_weak_alt_case",
         "verify.py:_zsf_case",
     ]
+    # and only _fail builds a failing case
+    builders = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "CaseResult"
+        and any(isinstance(a, ast.Constant) and a.value == "fail" for a in node.args)
+    }
+    assert builders == {"_fail"}
     assert _readers("rect_formula_value") == ["cli.py:_cmd_kostka"]
 
 

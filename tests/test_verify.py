@@ -24,6 +24,7 @@ from alphadet.partitions import (
     partitions_of,
 )
 from alphadet.perms import Perm, enumerate_perms
+from alphadet.polynomials import QPoly
 from alphadet.randmat import SplitMix64, random_matrix, random_perm
 from alphadet.rationals import format_rational
 from alphadet.verify import (
@@ -314,7 +315,6 @@ def _conjugate_content(monkeypatch) -> None:
     monkeypatch.setattr(
         verify_module, "_content_coefficients", lambda shape: real(conjugate(shape))
     )
-    monkeypatch.setattr(verify_module, "content_poly", lambda shape: content_poly(conjugate(shape)))
 
 
 @pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (4, 2)])
@@ -343,8 +343,7 @@ def test_theorem_pass_path_builds_no_polynomial(monkeypatch):
     def no_polynomial(*args):
         raise AssertionError("a passing trial built a polynomial side")
 
-    for name in ("QPoly", "content_poly"):
-        monkeypatch.setattr(verify_module, name, no_polynomial)
+    monkeypatch.setattr(verify_module, "QPoly", no_polynomial)
     for name in ("wreath_average_poly", "wrdet"):
         monkeypatch.setattr(adet_module, name, no_polynomial)
     for k, n in [(1, 4), (2, 3), (3, 3), (4, 2), (9, 1)]:
@@ -739,7 +738,8 @@ def test_size_caps_are_the_module_constants(monkeypatch):
     assert report.passed and report.case_count == 5040
     with pytest.raises(SizeCapExceeded, match=r"^m=8 exceeds min\(kn, 7\)$"):
         verify_stanley(8, 1, 8, seed=0)
-    # weak-alt's bound is subgroup_avg_adet's; chi and zsf share one
+    # weak-alt's bound is that of the column average's sums, which
+    # subgroup_avg_adet reads too; chi and zsf share one
     # exhaustive bound, and so do those two and enumerate_perms, all read
     # from perms
     for gone in ("CHI_EXHAUSTIVE_CAP", "ZSF_EXHAUSTIVE_CAP", "WEAK_ALT_CAP"):
@@ -1058,6 +1058,140 @@ def test_fourier_suite_fails_on_a_broken_expansion(monkeypatch):
     assert expansion.witness == {"detail": "expansion mismatch at cycle type (4, 1)"}
     assert report.cases[1].status == "pass"  # the JM product does not read it
     assert main(["verify", "fourier", "--size", "5", "--seed", "0"]) == 1
+
+
+def _identity_class_plus_one(monkeypatch) -> None:
+    # the class sum of the identity's type one too large, in every walk
+    real = adet_module.class_sums
+
+    def bumped(rows):
+        sums = real(rows)
+        identity = (1,) * len(rows)
+        sums[identity] = sums.get(identity, 0) + 1
+        return sums
+
+    monkeypatch.setattr(adet_module, "class_sums", bumped)
+
+
+@pytest.mark.parametrize(
+    "size, k, cases",
+    [
+        (
+            3,
+            2,
+            [
+                (
+                    "dup;trial=0",
+                    {
+                        "matrix": {
+                            "rows": 3,
+                            "cols": 3,
+                            "entries": [["-5", "-5", "-5"], ["-5", "-5", "-5"], ["8", "8", "8"]],
+                        },
+                        "value": "1",
+                    },
+                ),
+                (
+                    "div;trial=0",
+                    {
+                        "matrix": {
+                            "rows": 3,
+                            "cols": 3,
+                            "entries": [["-4", "-5", "3"], ["-2", "-6", "-3"], ["4", "-6", "-3"]],
+                        },
+                        "sum": ["-100", "-150", "-48"],
+                        "divisor": ["1", "1"],
+                    },
+                ),
+            ],
+        ),
+        (
+            3,
+            3,
+            [
+                (
+                    "div;trial=0",
+                    {
+                        "matrix": {
+                            "rows": 3,
+                            "cols": 3,
+                            "entries": [["-5", "0", "7"], ["-5", "-7", "-3"], ["8", "-3", "6"]],
+                        },
+                        "sum": ["-116", "-366", "-244"],
+                        "divisor": ["1", "3", "2"],
+                    },
+                ),
+            ],
+        ),
+    ],
+)
+def test_weak_alt_witnesses_under_a_broken_class_sum(monkeypatch, capsys, size, k, cases):
+    # one class sum off by one in every walk: the duplicated columns no
+    # longer vanish at -1/k, by 1, and each of the k! column walks adds 1 to
+    # the sum's constant term, so it is no multiple of C_(k)
+    _identity_class_plus_one(monkeypatch)
+    report = verify_weak_alternating(size, k, trials=1, seed=1)
+    assert [(c.id, c.status, c.witness) for c in report.cases] == [
+        (case_id, "fail", witness) for case_id, witness in cases
+    ]
+    capsys.readouterr()
+    argv = ["verify", "weak-alt", "--size", str(size), "--k", str(k), "--trials", "1", "--seed", "1"]
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_weak_alt_div_fails_when_the_average_misses_one_root(monkeypatch, k):
+    # an average that vanishes at every root -1/j of C_(k) but one is no
+    # multiple of it, and one that vanishes at all of them is; the class sum
+    # of the type (d + 1, 1, ..., 1) is the coefficient of alpha^d
+    size = 6
+
+    def product(factors):
+        coefficients = [1]
+        for j in factors:
+            coefficients = [a + j * b for a, b in zip([*coefficients, 0], [0, *coefficients])]
+        return coefficients
+
+    def case(coefficients):
+        sums = tuple(((d + 1,) + (1,) * (size - d - 1), c) for d, c in enumerate(coefficients))
+        monkeypatch.setattr(verify_module, "_column_average_sums", lambda a, group: (sums, 1))
+        return verify_module._weak_alt_case((size, k), ("divisibility", 0, 7))
+
+    divisor = [str(c) for c in product(range(1, k))]  # C_(k)
+    for missed in range(1, k):
+        coefficients = product(j for j in range(1, k) if j != missed)
+        failing = case(coefficients)
+        assert failing.status == "fail", missed
+        assert failing.witness["sum"] == [str(c) for c in coefficients]
+        assert failing.witness["divisor"] == divisor
+    assert case(product([*range(1, k), 3])).status == "pass"
+
+
+def test_fourier_witness_under_a_wrong_jucys_murphy_coefficient(monkeypatch, capsys):
+    # one coefficient of the Jucys-Murphy product one too large: the
+    # witness is the support and that one mismatch
+    real = verify_module.jucys_murphy_product
+
+    def wrong(n):
+        product = dict(real(n))
+        p = sorted(product)[3]
+        product[p] = product[p] + QPoly.one()
+        return product
+
+    monkeypatch.setattr(verify_module, "jucys_murphy_product", wrong)
+    report = verify_fourier_jm(4, seed=0)
+    assert [(c.id, c.status, c.witness) for c in report.cases] == [
+        ("expansion", "pass", None),
+        (
+            "jucys-murphy",
+            "fail",
+            {"support": 24, "mismatches": [{"perm": "1,3,4,2", "coefficient": ["1", "0", "1"]}]},
+        ),
+    ]
+    capsys.readouterr()
+    assert main(["verify", "fourier", "--size", "4", "--seed", "0"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_reports_reproducible_across_runs():
