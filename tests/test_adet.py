@@ -1,5 +1,6 @@
 import functools
 import gc
+import inspect
 import itertools
 import operator
 from fractions import Fraction as F
@@ -26,7 +27,7 @@ from alphadet.adet import (
     wrdet,
     wreath_average_poly,
 )
-from alphadet.errors import DimensionMismatch, NotSquare, SizeCapExceeded
+from alphadet.errors import DimensionMismatch, IdentityViolation, NotSquare, SizeCapExceeded
 from alphadet.matrices import (
     PermutedBlockOnes,
     RatMatrix,
@@ -448,6 +449,83 @@ def test_type_walks_use_no_type_below_their_root(monkeypatch):
             assert c >> width * root & field >= 1, (root, c)
             letters = sum(c >> width * t & field for t in range(c.bit_length() // width + 1))
             assert letters == length, (c, length)
+
+
+def test_typed_class_sums_match_the_dense_walk_in_every_type_order():
+    # profiles whose types the walk reorders by ascending count, loops
+    # (a, a) and non-loops mixed: g = id has loop types only, a 9-cycle and
+    # a seeded g mix both; against the dense walk of P(g) 1_mu
+    rng = SplitMix64(3838)
+    cycle = Perm.from_cycles(9, [tuple(range(1, 10))])
+    for mu in [(3, 3, 3), (5, 4), (4, 4, 1), (3, 3, 2, 1)]:
+        for g in (Perm.identity(9), cycle, *(random_perm(9, rng) for _ in range(6))):
+            typed, rows = _typed_and_row_walks(g, mu)
+            assert typed == rows, (g, mu)
+    # seeded rectangular profiles, (3,3) and (4,2)
+    for mu in [(3, 3, 3), (4, 4)]:
+        for _ in range(8):
+            g = random_perm(sum(mu), rng)
+            typed, rows = _typed_and_row_walks(g, mu)
+            assert typed == rows, (g, mu)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(k_n=st.sampled_from([(4, 4), (5, 3)]), data=st.data())
+def test_typed_walk_of_a_profile_past_the_cap_is_its_transposes(k_n, data):
+    # the transpose is the profile of g^-1, whose translates have the same
+    # class sums; its types (b, a) come in another order, so the two walks
+    # split off their cycles at other roots
+    k, n = k_n
+    g = Perm(data.draw(st.permutations(range(1, k * n + 1))))
+    cells = profile_cells(g, (k,) * n)
+    transposed = tuple(cells[j * n + i] for i in range(n) for j in range(n))
+    assert transposed == profile_cells(g.inverse(), (k,) * n)
+    walked = adet_module._typed_class_sums(cells)
+    assert adet_module._typed_class_sums(transposed) == walked
+    assert sum(walked.values()) == factorial(k) ** n
+
+
+def _walk_mutant(*edits):
+    """_typed_class_sums compiled from its own source with each (old, new)
+    edit made once, in a copy of the module's namespace."""
+    source = inspect.getsource(adet_module._typed_class_sums)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(adet_module))
+    exec(source, namespace)
+    return namespace["_typed_class_sums"]
+
+
+def test_a_walk_whose_sums_do_not_total_the_subgroup_order_raises():
+    # cells whose row and column sums differ are no profile: no permutation
+    # of their letters has product 1, so the sums total 0, not |S_(2,0)| = 2
+    with pytest.raises(IdentityViolation, match=r"do not total 2$"):
+        adet_module._typed_class_sums((1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("divisor", ["here + 1", "here - 1"])
+def test_an_off_by_one_division_fails_the_walk_and_its_oracles(monkeypatch, divisor):
+    # each state divides its entries by the count of its root's type; off by
+    # one, the class sums no longer total |S_mu| and the walk raises, and
+    # with that check taken out the dense-oracle tests fail on their own
+    division = ("v // here", f"v // ({divisor})")
+    mutant = _walk_mutant(division)
+    unchecked = _walk_mutant(division, ("if sum(top.values()) != size:", "if False:"))
+    with pytest.raises(IdentityViolation, match=r"do not total 4$"):
+        mutant(profile_cells(Perm.identity(4), (2, 2)))
+    oracles = (
+        test_typed_class_sums_match_the_letter_walk,
+        test_typed_class_sums_match_the_dense_walk_in_every_type_order,
+    )
+    monkeypatch.setattr(adet_module, "_typed_class_sums", mutant)
+    for oracle in oracles:
+        with pytest.raises(IdentityViolation):
+            oracle()
+    monkeypatch.setattr(adet_module, "_typed_class_sums", unchecked)
+    for oracle in oracles:
+        with pytest.raises(AssertionError):
+            oracle()
 
 
 def test_walks_leave_no_cycle_for_the_collector():
