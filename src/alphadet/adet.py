@@ -43,28 +43,32 @@ sums, regrouped.  The walks and the tables of this module are bounded by
 ``ADET_CAP``.  Two sums have their own bounds: ``det_power_coeff`` has no
 size cap at k <= 2, and at k >= 3 ``EXHAUSTIVE_CAP`` bounds n and
 ``DET_POWER_TERM_CAP`` its residual tests; ``_column_average_sums``, the
-S_k column average, is bounded by ``EXHAUSTIVE_CAP``, besides its walks.  The wreath average is the
-two-parameter determinant of the inflation at beta = -1/k.  The wreath
-determinant is the alpha-determinant of the same inflation at -1/k, so
-both sides of the main identity are read from the inflation's class sums,
-each by one integer helper: ``_wreath_average_counts`` weighs the table
-rows at beta = -1/k, and ``_wrdet_numerator`` signs and scales each class
-sum.  ``wreath_average_poly`` and ``wrdet`` wrap them, and the theorem
-suite reads both from one sum per trial and compares integers; the sum
-itself is not memoized.  The inflation is unchanged by the column
-permutations inside S_k^n, so that sum regroups by block profile, the
-n x n count of the rows of each row block that pick each column block: a
-weight read from the matrix times the class sums of any 0/1 selection of
-that profile.  Those class sums are one per orbit of profiles under
-relabeling the blocks and transposing, so the weights are added up per
-orbit first, and each orbit's total weighs its class sums once.  They are
-the class sums of P(g) 1_(k^n) too, for every g of a profile in the orbit,
-so one memo of (k, n), ``_orbit_slots``, keeps them for both readers, the
-inflation's sum and ``translate_class_sums`` at a rectangular mu, in one
-slot per orbit, keyed by the profile's flat cells: each orbit is walked by
-letter type once per process.  The same memo lists the profiles for the
-inflation's sum, grouped by orbit, once per (k, n).  ``class_sums`` walks
-the inflation only at k = 1, where it is the matrix itself.
+S_k column average, is bounded by ``EXHAUSTIVE_CAP``, besides its walks.
+The wreath average is the two-parameter determinant of the inflation at
+beta = -1/k.  The wreath determinant is the alpha-determinant of the same
+inflation at -1/k, so both sides of the main identity are read from the
+inflation's class sums: ``_weigh`` weighs the table rows at beta = -1/k by
+them, and ``_wrdet_numerator`` signs and scales each class sum.  Those
+sums come in two layers: ``_inflation_class_sums`` refuses a bad shape and
+the cap and scales a matrix to integer rows, for ``wreath_average_poly``
+and ``wrdet``, and behind it ``_inflation_int_sums`` sums integer rows.
+The theorem suite draws its matrices as integer rows, reads the table rows
+once per suite, and reads both sides from one integer sum per trial,
+comparing integers; the sum itself is not memoized.  The inflation is
+unchanged by the column permutations inside S_k^n, so that sum regroups by
+block profile, the n x n count of the rows of each row block that pick
+each column block: a weight read from the matrix times the class sums of
+any 0/1 selection of that profile.  Those class sums are one per orbit of
+profiles under relabeling the blocks and transposing, so the weights are
+added up per orbit first, and each orbit's total weighs its class sums
+once.  They are the class sums of P(g) 1_(k^n) too, for every g of a
+profile in the orbit, so one memo of (k, n), ``_orbit_slots``, keeps them
+for both readers, the inflation's sum and ``translate_class_sums`` at a
+rectangular mu, in one slot per orbit, keyed by the profile's flat cells:
+each orbit is walked by letter type once per process.  The same memo lists
+the profiles for the inflation's sum, grouped by orbit, once per (k, n).
+``class_sums`` walks the inflation only at k = 1, where it is the matrix
+itself.
 """
 
 from __future__ import annotations
@@ -360,7 +364,7 @@ class _OrbitSlots(dict):
         profile in ``block_profiles(k, n)``: its slot, that profile's cells,
         and every member's rows, each sliced from its cells and packed as a
         block monomial, the row's entries as base-(k + 1) digits, lowest
-        block first, which is how ``_inflation_class_sums`` keys the
+        block first, which is how ``_inflation_int_sums`` keys the
         coefficients that weigh a matrix; each distinct row is packed once."""
         k, n = self.k, self.n
         packed = {
@@ -566,12 +570,23 @@ def _inflation_class_sums(
     """(pairs, denom): the class sums of inflate(a, k) scaled to integer rows
     over the common denominator denom.  k < 1 and a shape that is not kn x n
     are refused first, as ``inflate`` refuses them, and then the cap on kn,
-    before any work.
+    before any work; the sum itself is ``_inflation_int_sums`` of the rows."""
+    require_inflatable(a, k)
+    _check_adet_cap(a.rows)
+    rows, scale = scaled_int_rows(a)
+    return _inflation_int_sums(rows, k), scale ** len(rows)
 
-    Row i of the inflation repeats row i of a, so a permutation's entry
-    product picks, in each row i, an entry a_ib of the column block b that
-    row i's column lies in, each block picked k times.  Grouped by the block
-    profile M, M_rb the rows of row block r that pick b, that is
+
+def _inflation_int_sums(
+    rows: Sequence[Sequence[int]], k: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The class sums of the k-fold column inflation of the kn x n integer
+    rows, unchecked: the caller has refused a bad shape and the cap.
+
+    Row i of the inflation repeats row i of the rows, so a permutation's
+    entry product picks, in each row i, an entry a_ib of the column block b
+    that row i's column lies in, each block picked k times.  Grouped by the
+    block profile M, M_rb the rows of row block r that pick b, that is
         class_sums(inflate(a, k)) = sum_M weight(M) w(M),
         weight(M) = prod_r [x^(M_r)] prod_(i in block r) sum_b a_ib x_b,
     with w(M) the class sums of any 0/1 selection of profile M.  w(M) is the
@@ -582,16 +597,13 @@ def _inflation_class_sums(
     each orbit with W_o != 0 is weighed once, its w_o walked by letter type
     from those cells the first time the live memo meets it.  A block
     monomial is packed as in the listing, so extending it by x_b is one add
-    of (k + 1)^b.  At k = 1 the inflation is a itself, which ``class_sums``
-    walks directly.
+    of (k + 1)^b.  At k = 1 the inflation is the rows themselves, which
+    ``class_sums`` walks directly.  Not memoized: a theorem trial sums its
+    own matrix once.
     """
-    require_inflatable(a, k)
-    _check_adet_cap(a.rows)
-    rows, scale = scaled_int_rows(a)
-    denom = scale ** len(rows)
     if k == 1:
-        return tuple(class_sums(rows).items()), denom
-    n = a.cols
+        return tuple(class_sums(rows).items())
+    n = len(rows) // k
     units = [(k + 1) ** b for b in range(n)]
     # coefficients[r][v] = [x^v] prod_(i in block r) sum_b rows[i][b] x_b
     coefficients = []
@@ -620,7 +632,7 @@ def _inflation_class_sums(
             w = slot[0] = tuple(_typed_class_sums(cells).items())
         for rho, v in w:
             total[rho] = total.get(rho, 0) + weight * v
-    return tuple((rho, v) for rho, v in total.items() if v), denom
+    return tuple((rho, v) for rho, v in total.items() if v)
 
 
 def _weigh(
@@ -716,18 +728,6 @@ def adet_structured(s: PermutedBlockOnes, x: Fraction) -> Fraction:
     return eval_grid([counts], 1, 0, x)  # one row: a polynomial in the second variable
 
 
-def _wreath_average_counts(
-    sums: Iterable[tuple[tuple[int, ...], int]], k: int, size: int
-) -> tuple[list[int], int]:
-    """(counts, row_denom): the class sums of a size x size matrix weighing
-    the memoized table rows in alpha at beta = -1/k, so that counts[i] over
-    row_denom, and over the sums' own denominator, is the coefficient of
-    alpha^i in its two-parameter determinant at beta = -1/k; counts has
-    size + 1 entries."""
-    rows, row_denom = _tables(size, None, Fraction(-1, k))
-    return _weigh(rows, sums), row_denom
-
-
 def _wrdet_numerator(sums: Iterable[tuple[tuple[int, ...], int]], k: int, size: int) -> int:
     """k^size times the alpha-determinant at -1/k of a size x size matrix
     with the given class sums, over the sums' own denominator: a type rho
@@ -752,13 +752,13 @@ def wreath_average_poly(a: RatMatrix, k: int) -> QPoly:
     the pair (tau, sigma) contributes alpha^len(tau) (-1/k)^len(sigma) times
     the entry product of tau on the column-permuted inflation.  The class
     sums of the inflation, summed by block profile, weigh the memoized table
-    rows at beta in ``_wreath_average_counts``, whose entry i is the
-    coefficient of alpha^i over one integer denominator.
+    rows in alpha at beta = -1/k, whose entry i is the coefficient of
+    alpha^i over the rows' denominator and the sums' own.
     """
     sums, denom = _inflation_class_sums(a, k)
-    counts, row_denom = _wreath_average_counts(sums, k, a.rows)
+    rows, row_denom = _tables(a.rows, None, Fraction(-1, k))
     denom *= row_denom
-    return QPoly(Fraction(v, denom) for v in counts)
+    return QPoly(Fraction(v, denom) for v in _weigh(rows, sums))
 
 
 def _column_average_sums(

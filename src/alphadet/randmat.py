@@ -53,17 +53,23 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def random_matrix(rows: int, cols: int, seed: int) -> RatMatrix:
-    """Seeded matrix with integer entries uniform on [-9, 9], row-major draw
-    order; identical seeds give identical matrices."""
+def random_int_rows(rows: int, cols: int, seed: int) -> list[tuple[int, ...]]:
+    """The entries of ``random_matrix(rows, cols, seed)`` as integer rows,
+    drawn from the same stream with the same checks, and no Fraction built."""
     if rows < 1 or cols < 1:
         raise ValueError("dimensions must be positive")
     if rows * cols > MATRIX_CELL_CAP:
         raise SizeCapExceeded(f"{rows}x{cols} exceeds {MATRIX_CELL_CAP} cells")
-    rng = SplitMix64(seed)
-    return RatMatrix(
-        [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)] for _ in range(rows)]
-    )
+    randint = SplitMix64(seed).randint
+    return [tuple([randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)]) for _ in range(rows)]
+
+
+def random_matrix(rows: int, cols: int, seed: int) -> RatMatrix:
+    """Seeded matrix with integer entries uniform on [-9, 9], row-major draw
+    order; identical seeds give identical matrices.  Its entries are the
+    integer rows of ``random_int_rows``, which a caller that needs no
+    Fractions draws alone."""
+    return RatMatrix(random_int_rows(rows, cols, seed))
 
 
 def random_perm(n: int, rng: SplitMix64) -> Perm:

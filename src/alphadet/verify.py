@@ -3,7 +3,8 @@
 Each suite builds its constants once, the values that are the same for
 every case, and lists its cases deterministically from (parameters, seed).
 A case is a function of (constants, item), for item what varies per case:
-a permutation, a weight, a (trial, seed) pair or a kind.  One runner,
+a permutation, a weight, a (trial, seed) pair or a kind.  A suite refuses
+more than ``CASE_CAP`` trials or samples before it lists any.  One runner,
 ``_run``, runs the case on each item in order, in one process, and
 assembles the report, so the report content is identical for repeated runs
 with the same seed (the wall-time field aside).  A case's verdict is one exact
@@ -26,12 +27,11 @@ from .adet import (
     ADET_CAP,
     _cells_class_sums,
     _column_average_sums,
-    _inflation_class_sums,
+    _inflation_int_sums,
     _length_counts,
     _tables,
     _weigh,
     _wrdet_numerator,
-    _wreath_average_counts,
     adet2_structured,
     det_power_coeff,
     translate_class_sums,
@@ -43,7 +43,7 @@ from .characters import (
     alpha_power_expansion,
 )
 from .errors import IdentityViolation, ShapeWeightMismatch, SizeCapExceeded
-from .matrices import PermutedBlockOnes
+from .matrices import PermutedBlockOnes, RatMatrix
 from .partitions import (
     _content_coefficients,
     check_partition,
@@ -65,8 +65,11 @@ from .perms import (
     young_subgroup_order,
 )
 from .polynomials import QPoly
-from .randmat import SplitMix64, random_matrix, random_perm
+from .randmat import SplitMix64, random_int_rows, random_matrix, random_perm
 from .rationals import dumps, format_rational
+
+
+CASE_CAP = 10**4  # the trials or samples of one suite run
 
 
 class CaseResult:
@@ -162,6 +165,14 @@ def check_kn_cap(size: int) -> None:
         raise SizeCapExceeded(f"kn={size} exceeds cap {ADET_CAP}")
 
 
+def _check_case_count(name: str, count: int) -> None:
+    """Refuse a count of trials or samples above the cap, before the clock
+    starts and before any case is listed: each suite lists its cases, and
+    keeps their results, up front."""
+    if count > CASE_CAP:
+        raise SizeCapExceeded(f"{name}={count} exceeds case cap {CASE_CAP}")
+
+
 def _case_perms(size: int, samples: int, seed: int) -> list[Perm]:
     """The permutations of a chi or zsf run: seeded samples of S_size, or
     all of S_size when samples is 0."""
@@ -179,27 +190,25 @@ def _case_perms(size: int, samples: int, seed: int) -> list[Perm]:
 
 
 def _theorem_case(constants, item) -> CaseResult:
-    k, n, content = constants
+    k, n, content, table_rows, row_denom = constants
     trial, seed = item
     size = k * n
-    a = random_matrix(size, n, seed)
-    # both sides from one sum of the inflation's class sums, over its
-    # denominator d: coefficient i of the average is
-    # average[i] / (d row_denom), and of the content times the wreath
-    # determinant content[i] numerator / (d k^size); d cancels
-    sums, denom = _inflation_class_sums(a, k)
-    average, row_denom = _wreath_average_counts(sums, k, size)
+    rows = random_int_rows(size, n, seed)
+    # both sides from one sum of the inflation's class sums, in integers:
+    # coefficient i of the average is average[i] / row_denom, and of the
+    # content times the wreath determinant content[i] numerator / k^size
+    sums = _inflation_int_sums(rows, k)
+    average = _weigh(table_rows, sums)
     wreath = _wrdet_numerator(sums, k, size) * row_denom
     scale = k**size
     if all(v * scale == c * wreath for v, c in zip(average, content)):
         return CaseResult(f"trial={trial}", "pass")
-    denom *= row_denom  # d row_denom, under the coefficients of both sides
     return _fail(
         f"trial={trial}",
-        matrix=a.to_json_dict(),
+        matrix=RatMatrix(rows).to_json_dict(),
         matrix_seed=seed,
-        lhs=QPoly(Fraction(v, denom) for v in average).to_strings(),
-        rhs=QPoly(Fraction(c * wreath, denom * scale) for c in content).to_strings(),
+        lhs=QPoly(Fraction(v, row_denom) for v in average).to_strings(),
+        rhs=QPoly(Fraction(c * wreath, row_denom * scale) for c in content).to_strings(),
     )
 
 
@@ -208,19 +217,25 @@ def verify_theorem(k: int, n: int, trials: int, seed: int) -> SuiteReport:
     polynomial of the k^n rectangle times the k-wreath determinant, as exact
     polynomial equality, on seeded random integer matrices.
 
-    Each trial sums its inflation's class sums once, orbit by orbit of
-    block profiles, and reads both sides from it in integers: the average's
-    coefficients in alpha over one denominator and the wreath determinant's
-    numerator, compared coefficient by coefficient against the rectangle's
-    integer content coefficients, which are built once per suite.  The
-    class sums of each orbit are walked once per process.  That comparison
-    is the verdict; a failing trial's witness is the two polynomials that
-    it compared, each coefficient over the sum's denominator."""
+    A trial runs in integers from its seed to its verdict: it draws its
+    matrix as integer rows (``random_int_rows``), sums its inflation's class
+    sums once, orbit by orbit of block profiles (``_inflation_int_sums``),
+    and reads both sides from that sum: the average's coefficients in alpha,
+    weighing the table rows at beta = -1/k (``_weigh``), and the wreath
+    determinant's numerator.  It compares them coefficient by coefficient
+    against the rectangle's integer content coefficients.  The content
+    coefficients and the table rows with their denominator are read once
+    per suite, and the class sums of each orbit are walked once per
+    process.  That comparison is the verdict; only a failing trial builds
+    Fractions: its witness is its matrix and the two polynomials that it
+    compared, each coefficient over the rows' denominator."""
     _require(k >= 1 and n >= 1 and trials >= 1, "k, n, trials must be positive")
-    check_kn_cap(k * n)
+    size = k * n
+    check_kn_cap(size)
+    _check_case_count("trials", trials)
     t0 = time.monotonic()
     rng = SplitMix64(seed)
-    constants = (k, n, _content_coefficients((k,) * n))
+    constants = (k, n, _content_coefficients((k,) * n), *_tables(size, None, Fraction(-1, k)))
     items = [(t, rng.next_u64()) for t in range(trials)]
     params = {"k": k, "n": n, "trials": trials}
     return _run("theorem", params, seed, t0, _theorem_case, constants, items)
@@ -360,6 +375,7 @@ def verify_chi(k: int, n: int, samples: int = 0, seed: int = 0) -> SuiteReport:
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
+    _check_case_count("samples", samples)
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
     # the tableau count of the rectangle, for a witness, and the point
@@ -475,6 +491,7 @@ def verify_zsf(k: int, n: int, samples: int = 0, seed: int = 0) -> SuiteReport:
     _require(k >= 1 and n >= 1 and samples >= 0, "k, n must be positive, samples >= 0")
     size = k * n
     check_kn_cap(size)
+    _check_case_count("samples", samples)
     t0 = time.monotonic()
     perms = _case_perms(size, samples, seed)
     shape = (k,) * n
@@ -528,6 +545,7 @@ def verify_weak_alternating(size: int, k: int, trials: int, seed: int) -> SuiteR
     _require(1 <= k <= size, "need 1 <= k <= size")
     if size > EXHAUSTIVE_CAP:  # the bound of _column_average_sums, which every case calls
         raise SizeCapExceeded(f"size={size} exceeds cap {EXHAUSTIVE_CAP}")
+    _check_case_count("trials", trials)
     t0 = time.monotonic()
     rng = SplitMix64(seed)
     items = []

@@ -14,7 +14,7 @@ from alphadet.matrices import (
 )
 from alphadet.partitions import partitions_of
 from alphadet.perms import Perm
-from alphadet.randmat import SplitMix64, random_matrix, random_perm
+from alphadet.randmat import SplitMix64, random_int_rows, random_matrix, random_perm
 
 from test_perms import _young_subgroup
 
@@ -150,8 +150,10 @@ def test_random_matrix_entry_range():
 
 
 def test_random_matrix_cap():
-    with pytest.raises(SizeCapExceeded):
-        random_matrix(101, 101, 0)
+    for draw in (random_int_rows, random_matrix):
+        for rows, cols in [(101, 101), (1, 10**4 + 1)]:
+            with pytest.raises(SizeCapExceeded, match=f"^{rows}x{cols} exceeds 10000 cells$"):
+                draw(rows, cols, 0)
 
 
 def test_splitmix_reference_values():
@@ -183,7 +185,22 @@ def test_rat_matrix_refuses_mismatched_sizes(call, message):
         call()
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, 2), (0, 0), (-1, 10**5)])
 def test_random_matrix_refuses_non_positive_dimensions(rows, cols):
-    with pytest.raises(ValueError, match="^dimensions must be positive$"):
-        random_matrix(rows, cols, 1)
+    # before the cell cap, in the integer draw as in the matrix
+    for draw in (random_int_rows, random_matrix):
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            draw(rows, cols, 1)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (6, 3), (9, 3), (8, 2), (9, 1), (3, 7), (100, 100)])
+def test_integer_draw_is_random_matrix(rows, cols):
+    # the integer rows are random_matrix's entries, entry for entry, as
+    # plain ints drawn row-major from one SplitMix64 stream on [-9, 9]
+    for seed in (0, 1, 41, 2**63 + 5, 2**64 - 1):
+        drawn = random_int_rows(rows, cols, seed)
+        rng = SplitMix64(seed)
+        assert drawn == [tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows)]
+        assert all(type(e) is int for row in drawn for e in row)
+        assert random_matrix(rows, cols, seed).entries == tuple(drawn)
+

@@ -71,6 +71,7 @@ def test_the_caps_are_pinned():
         "perms.py:EXHAUSTIVE_CAP",
         "perms.py:FOURIER_JM_CAP",
         "randmat.py:MATRIX_CELL_CAP",
+        "verify.py:CASE_CAP",
     ]
 
 
@@ -209,7 +210,7 @@ def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
         "verify.py:_zsf_case",
     ]
     assert _readers("block_profiles") == ["adet.py:listing"]
-    assert _readers("listing") == ["adet.py:_inflation_class_sums"]
+    assert _readers("listing") == ["adet.py:_inflation_int_sums"]
     # the orbit memo's listing packs each distinct row once, from the rows
     # that the profile enumerator grows
     assert _readers("_rows_within") == [
@@ -221,26 +222,35 @@ def test_one_route_for_the_inflation_and_one_builder_of_p_g_1_mu():
 
 
 def test_one_integer_formula_per_side_of_the_main_identity():
-    # the inflation's sum is taken once per call, with no memo; each side
-    # has one integer helper, read by its public wrapper and by the
-    # theorem's trial, and the rectangle's content coefficients by
-    # content_poly and the suite.  zsf reads the wreath determinant's
+    # the inflation's sum is taken once per call, with no memo, in two
+    # layers: the checks and scaling of a matrix for the public wrappers,
+    # and behind them the one integer sum, which the theorem's trial reads
+    # from its integer draw.  The average weighs the table rows, read once
+    # per suite, with the one weigher, and its helper is gone; the wreath
+    # determinant has one integer helper, read by its public wrapper and by
+    # the trial, and the rectangle's content coefficients by content_poly
+    # and the suite.  zsf reads the wreath determinant's
     # numerator too, per case and once for its denominator, from the class
     # sums of the translates, which it reads by the cells it built, as
     # translate_class_sums does; the character average's numerator has one
     # helper, read by the public average and by the omega and zsf cases
     tree = ast.parse((PACKAGE / "adet.py").read_text(encoding="utf-8"))
-    (inflation,) = [
+    layers = [
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_inflation_class_sums"
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_inflation_class_sums", "_inflation_int_sums")
     ]
-    assert inflation.decorator_list == []
+    assert len(layers) == 2 and all(node.decorator_list == [] for node in layers)
     assert _readers("_inflation_class_sums") == [
         "adet.py:wrdet",
         "adet.py:wreath_average_poly",
+    ]
+    assert _readers("_inflation_int_sums") == [
+        "adet.py:_inflation_class_sums",
         "verify.py:_theorem_case",
     ]
+    assert _readers("random_int_rows") == ["randmat.py:random_matrix", "verify.py:_theorem_case"]
     assert _readers("_wrdet_numerator") == [
         "adet.py:wrdet",
         "verify.py:_theorem_case",
@@ -258,10 +268,20 @@ def test_one_integer_formula_per_side_of_the_main_identity():
         "verify.py:_omega_case",
         "verify.py:_zsf_case",
     ]
-    assert _readers("_wreath_average_counts") == [
+    assert _readers("_wreath_average_counts") == []
+    assert "_wreath_average_counts" not in {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert _readers("_weigh") == [
+        "adet.py:adet2_poly",
+        "adet.py:adet2_structured",
         "adet.py:wreath_average_poly",
+        "verify.py:_omega_case",
         "verify.py:_theorem_case",
     ]
+    # the theorem reads the table rows at beta = -1/k once per suite
+    tables = _readers("_tables")
+    assert "verify.py:verify_theorem" in tables and "verify.py:_theorem_case" not in tables
     assert _readers("_length_counts") == [
         "adet.py:_adet_counts",
         "adet.py:adet_structured",
@@ -387,11 +407,11 @@ def test_one_orbit_memo_serves_both_readers_of_block_profiles():
     # walk by letter type
     assert _readers("_orbit_slots") == [
         "adet.py:_cells_class_sums",
-        "adet.py:_inflation_class_sums",
+        "adet.py:_inflation_int_sums",
     ]
     assert _readers("_typed_class_sums") == [
         "adet.py:_cells_class_sums",
-        "adet.py:_inflation_class_sums",
+        "adet.py:_inflation_int_sums",
     ]
     assert _readers("_swap_blocks") == []
 
@@ -433,6 +453,15 @@ def test_one_runner_for_every_suite():
     assert _readers("ProcessPoolExecutor") == [] and _readers("cpu_count") == []
     assert _readers("workers") == []
     assert _readers("_run_cases") == [] and _readers("_report") == []
+    # the four suites that take a count of trials or samples check it
+    # against the one case cap
+    assert _readers("_check_case_count") == [
+        "verify.py:verify_chi",
+        "verify.py:verify_theorem",
+        "verify.py:verify_weak_alternating",
+        "verify.py:verify_zsf",
+    ]
+    assert _readers("CASE_CAP") == ["verify.py:_check_case_count"]
 
 
 def test_perfbench_names_resolve():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import types
 from fractions import Fraction
 from math import factorial
 
@@ -11,6 +12,7 @@ import alphadet.characters as characters_module
 import alphadet.matrices as matrices_module
 import alphadet.partitions as partitions_module
 import alphadet.perms as perms_module
+import alphadet.randmat as randmat_module
 import alphadet.verify as verify_module
 from alphadet.adet import ADET_CAP, adet_structured, wrdet, wreath_average_poly
 from alphadet.cli import main
@@ -61,9 +63,54 @@ def test_theorem_cap(monkeypatch):
     def no_matrix(*args):
         raise AssertionError("the cap must be checked before any matrix is drawn")
 
-    monkeypatch.setattr(verify_module, "random_matrix", no_matrix)
+    monkeypatch.setattr(verify_module, "random_int_rows", no_matrix)
     with pytest.raises(SizeCapExceeded, match=r"^kn=10 exceeds cap 9$"):
         verify_theorem(2, 5, trials=1, seed=0)
+
+
+_COUNTED_SUITES = [
+    ("trials", lambda count: verify_theorem(2, 3, trials=count, seed=1)),
+    ("samples", lambda count: verify_chi(2, 3, samples=count, seed=1)),
+    ("samples", lambda count: verify_zsf(2, 3, samples=count, seed=1)),
+    ("trials", lambda count: verify_weak_alternating(4, 2, trials=count, seed=1)),
+]
+
+
+def test_case_counts_past_the_cap_are_refused_before_any_work(monkeypatch, capsys):
+    # a count past the case cap is refused before the clock starts and
+    # before any case is listed or drawn; only refused counts run here
+    def no_work(*args):
+        raise AssertionError("a count past the cap must be refused before any work")
+
+    assert verify_module.CASE_CAP == 10**4
+    monkeypatch.setattr(verify_module, "time", types.SimpleNamespace(monotonic=no_work))
+    for name in ("SplitMix64", "_case_perms", "_run", "_tables", "_content_coefficients"):
+        monkeypatch.setattr(verify_module, name, no_work)
+    for count in (10**4 + 1, 10**11):
+        for name, run in _COUNTED_SUITES:
+            with pytest.raises(SizeCapExceeded, match=rf"^{name}={count} exceeds case cap 10000$"):
+                run(count)
+    argvs = [
+        ["theorem", "--k", "2", "--n", "3", "--trials"],
+        ["chi", "--k", "2", "--n", "3", "--samples"],
+        ["zsf", "--k", "2", "--n", "3", "--samples"],
+        ["weak-alt", "--size", "4", "--k", "2", "--trials"],
+    ]
+    for argv in argvs:
+        assert main(["verify", *argv, "100000000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[-1][2:]}=100000000000 exceeds case cap 10000\n"
+
+
+def test_the_case_cap_admits_its_own_count(monkeypatch):
+    # at a small cap, a count at the cap runs every case and one past it is
+    # refused, in every suite that takes a count
+    monkeypatch.setattr(verify_module, "CASE_CAP", 3)
+    for name, run in _COUNTED_SUITES:
+        report = run(3)
+        assert report.passed and report.case_count in (3, 6)  # weak-alt runs two kinds
+        with pytest.raises(SizeCapExceeded, match=rf"^{name}=4 exceeds case cap 3$"):
+            run(4)
 
 
 @pytest.mark.parametrize("k, n", [(3, 3), (1, 9), (9, 1)])
@@ -270,8 +317,9 @@ def test_theorem_case_walks_the_inflation_once(walks):
     # and a second matrix walks only the orbits that the first did not.
     # The orbits are the slots of the memo that zsf reads too
     profiles = set(perms_module.block_profiles(2, 3))
-    content = _content_coefficients((2, 2, 2))
-    result = verify_module._theorem_case((2, 3, content), (0, 91))
+    rows_at_beta = adet_module._tables(6, None, Fraction(-1, 2))
+    constants = (2, 3, _content_coefficients((2, 2, 2)), *rows_at_beta)
+    result = verify_module._theorem_case(constants, (0, 91))
     assert result.status == "pass"
     first = list(walks)
     slots = adet_module._orbit_slots(2, 3)
@@ -279,7 +327,7 @@ def test_theorem_case_walks_the_inflation_once(walks):
     assert len(first) == len(_filled_orbits(slots)) > 0
     assert len(set(first)) == len(first) and set(first) <= profiles
     walks.clear()
-    result = verify_module._theorem_case((2, 3, content), (1, 92))
+    result = verify_module._theorem_case(constants, (1, 92))
     assert result.status == "pass"
     assert len(set(walks)) == len(walks) and set(walks) <= profiles - set(first)
     assert len(first) + len(walks) == len(_filled_orbits(slots))
@@ -288,24 +336,27 @@ def test_theorem_case_walks_the_inflation_once(walks):
 
 
 def test_theorem_sums_each_inflation_once_per_trial(monkeypatch):
-    # both sides of a passing trial read one sum of its inflation's class
-    # sums, and no memo keeps it past the trial
-    assert not hasattr(adet_module._inflation_class_sums, "cache_info")
+    # both sides of a passing trial read one integer sum of its inflation's
+    # class sums, over the integer rows of its matrix, and no memo keeps it
+    # past the trial
+    assert not hasattr(adet_module._inflation_int_sums, "cache_info")
     summed = []
-    real = adet_module._inflation_class_sums
+    real = adet_module._inflation_int_sums
 
-    def spy(a, k):
-        summed.append(a)
-        return real(a, k)
+    def spy(rows, k):
+        summed.append(rows)
+        return real(rows, k)
 
     for module in (adet_module, verify_module):
-        monkeypatch.setattr(module, "_inflation_class_sums", spy)
+        monkeypatch.setattr(module, "_inflation_int_sums", spy)
     for k, n, trials in [(1, 3, 3), (2, 3, 5), (3, 2, 4), (2, 4, 2)]:
         summed.clear()
         report = verify_theorem(k, n, trials=trials, seed=31)
         assert report.passed
         rng = SplitMix64(31)
-        assert summed == [random_matrix(k * n, n, rng.next_u64()) for _ in range(trials)]
+        drawn = [random_matrix(k * n, n, rng.next_u64()) for _ in range(trials)]
+        assert [tuple(rows) for rows in summed] == [a.entries for a in drawn]
+        assert all(type(e) is int for rows in summed for row in rows for e in row)
 
 
 def _conjugate_content(monkeypatch) -> None:
@@ -338,14 +389,21 @@ def test_theorem_witness_is_the_public_polynomials(monkeypatch, k, n):
 
 
 def test_theorem_pass_path_builds_no_polynomial(monkeypatch):
-    # a passing trial compares integers: the polynomial sides are built
-    # only for a failing trial's witness, and no public route is called
+    # a passing trial compares integers from its integer draw: the
+    # polynomial sides and the Fraction matrix are built only for a failing
+    # trial's witness, and no public route or scaling to integers is called
     def no_polynomial(*args):
-        raise AssertionError("a passing trial built a polynomial side")
+        raise AssertionError("a passing trial built a polynomial side or a Fraction matrix")
 
     monkeypatch.setattr(verify_module, "QPoly", no_polynomial)
     for name in ("wreath_average_poly", "wrdet"):
         monkeypatch.setattr(adet_module, name, no_polynomial)
+    # wherever the package holds a reference to them
+    modules = (adet_module, characters_module, matrices_module, randmat_module, verify_module)
+    for name in ("RatMatrix", "random_matrix", "scaled_int_rows"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_polynomial)
     for k, n in [(1, 4), (2, 3), (3, 3), (4, 2), (9, 1)]:
         assert verify_theorem(k, n, trials=3, seed=43).passed
     assert main(["verify", "theorem", "--k", "2", "--n", "2", "--trials", "2", "--seed", "0"]) == 0
